@@ -1,0 +1,67 @@
+"""Exception types shared across the package."""
+
+
+class HierKendallError(Exception):
+    """Base class for all package errors."""
+
+
+class ParameterError(HierKendallError, ValueError):
+    """A copula or generator parameter is outside its admissible range."""
+
+
+class DomainError(HierKendallError, ValueError):
+    """A function argument is outside the mathematical domain."""
+
+
+class DimensionError(HierKendallError, ValueError):
+    """Input dimension does not match the copula/model dimension."""
+
+
+class UnsupportedOrderError(HierKendallError, ValueError):
+    """Requested derivative order exceeds the configured maximum."""
+
+
+class UnattainableTauError(ParameterError):
+    """Requested Kendall's tau cannot be reached by the copula family."""
+
+
+class NoSolutionError(HierKendallError, ValueError):
+    """A quantile-curve equation has no solution in (0, 1)."""
+
+
+class ToleranceError(HierKendallError, RuntimeError):
+    """A numerical inversion finished without meeting its tolerance."""
+
+
+class EvaluationError(HierKendallError, ArithmeticError):
+    """A density or CDF evaluation produced a non-finite value."""
+
+
+class RejectionCapError(HierKendallError, RuntimeError):
+    """Rejection sampling exhausted its attempt budget."""
+
+    def __init__(self, message, attempts):
+        super().__init__(message)
+        self.attempts = attempts
+
+
+class ModelStructureError(HierKendallError, ValueError):
+    """A hierarchical model violates its structural invariants."""
+
+    def __init__(self, problems):
+        if isinstance(problems, str):
+            problems = [problems]
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
+
+
+class SameClusterError(HierKendallError, ValueError):
+    """Cross-cluster operation called on variables of the same cluster."""
+
+
+class DataError(HierKendallError, ValueError):
+    """Input data (CSV content, constant columns, ...) is unusable."""
+
+
+class ConfigError(HierKendallError, ValueError):
+    """Model configuration file is invalid."""

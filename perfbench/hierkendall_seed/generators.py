@@ -1,0 +1,388 @@
+"""Archimedean generator families.
+
+Implements the four completely monotone families used throughout the
+package (independence, Clayton, Gumbel, Frank) with
+
+* the generator ``phi`` and its first derivative,
+* the inverse generator ``phi^-1`` and its derivatives up to order
+  ``MAX_DERIVATIVE_ORDER`` (needed by Kendall distribution functions and
+  by Archimedean copula densities in moderate dimensions),
+* conversions between the dependence parameter theta and Kendall's tau.
+
+Generator conventions:
+
+===============  =============================  ==========================
+family           phi(t)                         phi^-1(s)
+===============  =============================  ==========================
+independence     -log t                         exp(-s)
+clayton          t^-theta - 1                   (1 + s)^(-1/theta)
+gumbel           (-log t)^theta                 exp(-s^(1/theta))
+frank            -log(expm1(-theta t)           -log1p(expm1(-theta) e^-s)
+                       / expm1(-theta))               / theta
+===============  =============================  ==========================
+
+Derivatives of ``phi^-1`` are exact: Clayton and independence use product
+formulas; Gumbel and Frank use recurrences on polynomial coefficients
+(Gumbel in x = s^(1/theta), Frank in w = x/(1-x) with
+x = (1 - e^-theta) e^-s), so no finite differencing is involved at any
+order.
+
+All functions accept scalars or numpy arrays and are pure.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+from scipy import integrate, optimize
+
+from .errors import DomainError, ParameterError, UnattainableTauError, UnsupportedOrderError
+
+FAMILIES = ("independence", "clayton", "gumbel", "frank")
+
+#: highest supported order of (phi^-1)^(k); covers cluster dimensions up to 40
+MAX_DERIVATIVE_ORDER = 40
+
+#: theta range searched when inverting Kendall's tau for the Frank family
+_FRANK_THETA_MIN = 1e-6
+_FRANK_THETA_MAX = 745.0
+
+
+@dataclass(frozen=True)
+class ArchimedeanGenerator:
+    """A generator family tag plus its dependence parameter theta."""
+
+    family: str
+    theta: float = 0.0
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ParameterError(f"unknown generator family {self.family!r}")
+        th = float(self.theta)
+        object.__setattr__(self, "theta", th)
+        if self.family == "clayton" and not th > 0.0:
+            raise ParameterError(f"clayton requires theta > 0, got {th}")
+        if self.family == "gumbel" and not th >= 1.0:
+            raise ParameterError(f"gumbel requires theta >= 1, got {th}")
+        if self.family == "frank" and th == 0.0:
+            raise ParameterError("frank requires theta != 0")
+        if not math.isfinite(th):
+            raise ParameterError(f"theta must be finite, got {th}")
+
+
+def independence_generator() -> ArchimedeanGenerator:
+    return ArchimedeanGenerator("independence", 0.0)
+
+
+def _as_array(x, name, lo=None, hi=None, lo_open=False, hi_open=False):
+    arr = np.asarray(x, dtype=float)
+    if lo is not None:
+        bad = (arr <= lo) if lo_open else (arr < lo)
+        if np.any(bad):
+            raise DomainError(f"{name} out of domain: min={arr.min()}")
+    if hi is not None:
+        bad = (arr >= hi) if hi_open else (arr > hi)
+        if np.any(bad):
+            raise DomainError(f"{name} out of domain: max={arr.max()}")
+    return arr
+
+
+def _scalarize(arr, scalar_input):
+    return float(arr) if scalar_input else arr
+
+
+def _log_abs_expm1(x):
+    """log|e^x - 1|, accurate for all finite x without overflow.
+
+    Branches keep both the log1p argument away from -1 and the log argument
+    away from 1, so the result carries full relative precision even when it
+    is tiny (|x| large) or x is near 0.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.where(x > 0.0, x, 0.0) + np.log1p(-np.exp(-ax))  # |x| >= 0.5
+        near = np.log(np.abs(np.expm1(x)))                        # |x| < 0.5
+    return np.where(ax >= 0.5, far, near)
+
+
+def generator_value(g: ArchimedeanGenerator, t):
+    """phi(t) for t in (0, 1]; phi(1) = 0 exactly."""
+    scalar = np.isscalar(t)
+    tt = _as_array(t, "t", lo=0.0, lo_open=True, hi=1.0)
+    if g.family == "independence":
+        out = -np.log(tt) + 0.0
+    elif g.family == "clayton":
+        out = np.expm1(-g.theta * np.log(tt))  # t^-theta - 1, exact 0 at t=1
+    elif g.family == "gumbel":
+        out = (-np.log(tt)) ** g.theta
+    else:  # frank
+        out = _log_abs_expm1(-g.theta) - _log_abs_expm1(-g.theta * tt)
+        out = np.where(tt == 1.0, 0.0, out)
+    return _scalarize(out, scalar)
+
+
+def generator_inverse(g: ArchimedeanGenerator, s):
+    """phi^-1(s) for s >= 0; phi^-1(0) = 1 exactly, strictly decreasing."""
+    scalar = np.isscalar(s)
+    ss = _as_array(s, "s", lo=0.0)
+    if g.family == "independence":
+        out = np.exp(-ss)
+    elif g.family == "clayton":
+        out = np.exp(-np.log1p(ss) / g.theta)
+    elif g.family == "gumbel":
+        out = np.exp(-(ss ** (1.0 / g.theta)))
+    elif g.theta > 0.0:  # frank, positive dependence
+        # 1 - (1-e^-theta) e^-s  ==  (1-e^-s) + e^-(theta+s), cancellation-free
+        out = -np.log(-np.expm1(-ss) + np.exp(-g.theta - ss)) / g.theta
+    else:  # frank, negative dependence: work in log space to avoid overflow
+        a = -g.theta
+        out = np.logaddexp(0.0, a - ss + np.log1p(-np.exp(-a))) / a
+    out = np.where(ss == 0.0, 1.0, out)
+    return _scalarize(out, scalar)
+
+
+def generator_derivative(g: ArchimedeanGenerator, t):
+    """phi'(t), the first derivative of the generator (negative on (0,1))."""
+    scalar = np.isscalar(t)
+    tt = _as_array(t, "t", lo=0.0, lo_open=True, hi=1.0)
+    if g.family == "independence":
+        out = -1.0 / tt
+    elif g.family == "clayton":
+        out = -g.theta * tt ** (-g.theta - 1.0)
+    elif g.family == "gumbel":
+        out = -g.theta * (-np.log(tt)) ** (g.theta - 1.0) / tt
+    else:  # frank
+        out = -g.theta / np.expm1(g.theta * tt)
+    return _scalarize(out, scalar)
+
+
+def generator_derivative_log(g: ArchimedeanGenerator, t):
+    """log |phi'(t)| without overflow near the t = 0 boundary."""
+    scalar = np.isscalar(t)
+    tt = _as_array(t, "t", lo=0.0, lo_open=True, hi=1.0)
+    if g.family == "independence":
+        out = -np.log(tt)
+    elif g.family == "clayton":
+        out = math.log(g.theta) - (g.theta + 1.0) * np.log(tt)
+    elif g.family == "gumbel":
+        with np.errstate(divide="ignore"):
+            out = math.log(g.theta) + (g.theta - 1.0) * np.log(-np.log(tt)) - np.log(tt)
+    else:  # frank
+        out = math.log(abs(g.theta)) - _log_abs_expm1(g.theta * tt)
+    return _scalarize(out, scalar)
+
+
+# ---------------------------------------------------------------------------
+# derivatives of phi^-1
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=512)
+def _gumbel_coeffs(alpha: float, k: int) -> tuple:
+    """Coefficients of Q_k with (phi^-1)^(k)(s) = exp(-x) Q_k(x) s^-k, x=s^alpha.
+
+    Recurrence: Q_{k+1}(x) = alpha*x*(Q_k'(x) - Q_k(x)) - k*Q_k(x).
+    """
+    q = np.zeros(k + 1)
+    q[0] = 1.0
+    for m in range(k):
+        nxt = np.zeros(k + 1)
+        for j in range(m + 1, -1, -1):
+            c = q[j] if j <= m else 0.0
+            if c == 0.0:
+                continue
+            nxt[j] += (alpha * j - m) * c
+            nxt[j + 1] += -alpha * c
+        q = nxt
+    return tuple(q)
+
+
+@lru_cache(maxsize=64)
+def _frank_coeffs(k: int) -> tuple:
+    """Coefficients of P_k with (phi^-1)^(k)(s) = -(1/theta) P_k(w), w=x/(1-x).
+
+    Recurrence: P_{k+1}(w) = -w (1 + w) P_k'(w), starting from P_1(w) = w.
+    Coefficients are exact integers (uniform sign per order).
+    """
+    p = [0, 1]  # P_1
+    for _ in range(k - 1):
+        deriv = [j * c for j, c in enumerate(p)][1:]  # P'
+        nxt = [0] * (len(p) + 1)
+        for j, c in enumerate(deriv):  # times -(w + w^2)
+            nxt[j + 1] -= c
+            nxt[j + 2] -= c
+        p = nxt
+    return tuple(float(c) for c in p)
+
+
+def _polyval_ascending(coeffs, x):
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _frank_w(theta, s):
+    """w = x/(1-x) with x = (1-e^-theta) e^-s, cancellation-free for theta > 0."""
+    x = -np.expm1(-theta) * np.exp(-s)
+    if theta > 0.0:
+        return x / (-np.expm1(-s) + np.exp(-theta - s))
+    return x / (1.0 - x)
+
+
+def _gumbel_inv_deriv(theta, s, k):
+    alpha = 1.0 / theta
+    coeffs = _gumbel_coeffs(alpha, k)
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    pos = s > 0.0
+    x = s[pos] ** alpha
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-x) * _polyval_ascending(coeffs, x) * s[pos] ** (-float(k))
+    if np.any(~pos):
+        # limit s -> 0+: lowest-order term c_m x^m s^-k = c_m s^(m*alpha-k)
+        m = next(j for j, c in enumerate(coeffs) if c != 0.0)
+        if m * alpha == k:  # only for theta == 1 (independence-shaped)
+            out[~pos] = coeffs[m]
+        else:
+            out[~pos] = math.copysign(math.inf, coeffs[m])
+    return out
+
+
+def generator_inverse_derivative(g: ArchimedeanGenerator, s, k: int):
+    """(phi^-1)^(k)(s) for s >= 0 and 0 <= k <= MAX_DERIVATIVE_ORDER.
+
+    k = 0 reduces to ``generator_inverse``. Values alternate in sign with k
+    (complete monotonicity); Gumbel derivatives diverge at s = 0 for
+    theta > 1 and the signed limit (+/-inf) is returned there.
+    """
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise DomainError(f"derivative order must be a nonnegative integer, got {k}")
+    if k > MAX_DERIVATIVE_ORDER:
+        raise UnsupportedOrderError(
+            f"derivative order {k} above supported maximum {MAX_DERIVATIVE_ORDER}")
+    if k == 0:
+        return generator_inverse(g, s)
+    scalar = np.isscalar(s)
+    ss = _as_array(s, "s", lo=0.0)
+    if g.family == "independence":
+        out = (-1.0) ** k * np.exp(-ss)
+    elif g.family == "clayton":
+        a = 1.0 / g.theta
+        coef = (-1.0) ** k * np.prod(a + np.arange(k))
+        out = coef * np.exp(-(a + k) * np.log1p(ss))
+    elif g.family == "gumbel":
+        out = _gumbel_inv_deriv(g.theta, ss, k)
+    else:  # frank
+        w = _frank_w(g.theta, ss)
+        out = -(1.0 / g.theta) * _polyval_ascending(_frank_coeffs(k), w)
+    return _scalarize(out, scalar)
+
+
+def generator_inverse_derivative_log(g: ArchimedeanGenerator, s, k: int):
+    """log |(phi^-1)^(k)(s)| without overflow, for k >= 1.
+
+    Complements ``generator_inverse_derivative`` where the direct value
+    would leave float range (very large phi values under Clayton, strong
+    Frank dependence). The sign is always (-1)^k for completely monotone
+    parameters.
+    """
+    if k < 1:
+        raise DomainError("log variant requires k >= 1")
+    if k > MAX_DERIVATIVE_ORDER:
+        raise UnsupportedOrderError(
+            f"derivative order {k} above supported maximum {MAX_DERIVATIVE_ORDER}")
+    scalar = np.isscalar(s)
+    ss = _as_array(s, "s", lo=0.0)
+    if g.family == "independence":
+        out = -ss
+    elif g.family == "clayton":
+        a = 1.0 / g.theta
+        out = float(np.sum(np.log(a + np.arange(k)))) - (a + k) * np.log1p(ss)
+    elif g.family == "gumbel":
+        with np.errstate(divide="ignore"):
+            out = np.log(np.abs(_gumbel_inv_deriv(g.theta, ss, k)))
+    else:  # frank
+        w = _frank_w(g.theta, ss)
+        coeffs = _frank_coeffs(k)
+        if g.theta > 0.0:
+            # coefficients of P_k share one sign: log-sum-exp over terms
+            with np.errstate(divide="ignore"):
+                logw = np.log(w)
+            terms = [np.log(abs(c)) + m * logw
+                     for m, c in enumerate(coeffs) if c != 0.0]
+            out = np.logaddexp.reduce(np.stack(terms), axis=0) - np.log(g.theta)
+        else:
+            with np.errstate(divide="ignore"):
+                out = np.log(np.abs(_polyval_ascending(coeffs, w))) - np.log(-g.theta)
+    return _scalarize(out, scalar)
+
+
+# ---------------------------------------------------------------------------
+# Kendall's tau conversions
+# ---------------------------------------------------------------------------
+
+def _debye1_integrand(x):
+    if x == 0.0:
+        return 1.0
+    if x > 700.0:  # e^x overflows; x/(e^x - 1) ~ x e^-x
+        return x * math.exp(-x)
+    return x / math.expm1(x)
+
+
+def debye1(theta: float) -> float:
+    """Debye function of order 1, D1(theta) = (1/theta) * int_0^theta t/(e^t-1) dt."""
+    if theta == 0.0:
+        return 1.0
+    val, _ = integrate.quad(_debye1_integrand, 0.0, theta, limit=200)
+    return val / theta
+
+
+def tau_from_theta(g: ArchimedeanGenerator) -> float:
+    """Kendall's tau implied by the generator parameter."""
+    if g.family == "independence":
+        return 0.0
+    if g.family == "clayton":
+        return g.theta / (g.theta + 2.0)
+    if g.family == "gumbel":
+        return 1.0 - 1.0 / g.theta
+    th = abs(g.theta)
+    tau = 1.0 + 4.0 / th * (debye1(th) - 1.0)
+    return math.copysign(tau, g.theta)
+
+
+def theta_from_tau(family: str, tau: float) -> ArchimedeanGenerator:
+    """Generator whose Kendall's tau equals ``tau`` (Frank solved numerically)."""
+    tau = float(tau)
+    if family == "independence":
+        if tau != 0.0:
+            raise UnattainableTauError("independence family has tau = 0 only")
+        return independence_generator()
+    if family == "clayton":
+        if not 0.0 < tau < 1.0:
+            raise UnattainableTauError(f"clayton requires tau in (0,1), got {tau}")
+        return ArchimedeanGenerator("clayton", 2.0 * tau / (1.0 - tau))
+    if family == "gumbel":
+        if not 0.0 < tau < 1.0:
+            raise UnattainableTauError(f"gumbel requires tau in (0,1), got {tau}")
+        return ArchimedeanGenerator("gumbel", 1.0 / (1.0 - tau))
+    if family == "frank":
+        if not -1.0 < tau < 1.0 or tau == 0.0:
+            raise UnattainableTauError(
+                f"frank requires tau in (-1,1) excluding 0, got {tau}")
+        target = abs(tau)
+        lo, hi = _FRANK_THETA_MIN, _FRANK_THETA_MAX
+        tau_hi = 1.0 + 4.0 / hi * (debye1(hi) - 1.0)
+        if target >= tau_hi:
+            raise UnattainableTauError(f"frank tau {tau} outside searchable range")
+        theta = optimize.brentq(
+            lambda th: 1.0 + 4.0 / th * (debye1(th) - 1.0) - target,
+            lo, hi, xtol=1e-10, rtol=8.881784197001252e-16)
+        if tau < 0.0 and theta > 708.0:
+            # exp(|theta|) must stay finite for negative-dependence evaluation
+            raise UnattainableTauError(f"frank tau {tau} too close to -1")
+        return ArchimedeanGenerator("frank", math.copysign(theta, tau))
+    raise ParameterError(f"unknown generator family {family!r}")

@@ -1,0 +1,453 @@
+"""Hierarchical Kendall copula models.
+
+A model is a tree: leaf nodes group raw variables (clusters) under one
+copula each, inner nodes join the Kendall-transformed summaries
+V = K(C(...)) of their children, and the root carries the nesting copula.
+Size-1 clusters pass their variable through unchanged (identity copula
+and identity Kendall function).
+
+The joint density factorizes into the nesting density evaluated at the
+V-values times the product of all cluster densities; simulation runs
+top-down by drawing nesting samples, mapping them to Kendall levels
+z = K^-1(v), and sampling each cluster on its level set (exactly for
+Archimedean clusters, by rejection otherwise).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .copulas import (
+    CopulaSpec,
+    clamp_interior,
+    copula_bivariate_margin,
+    copula_cdf,
+    copula_generator,
+    copula_logpdf,
+    copula_pdf,
+    copula_sample,
+    copula_sample_conditional,
+    is_archimedean_kind,
+)
+from .errors import ModelStructureError, ParameterError, SameClusterError
+from .kendall import (
+    KendallFunction,
+    closed_form_kendall,
+    empirical_kendall_build,
+    identity_kendall,
+    kendall_cdf,
+    kendall_inverse,
+)
+from .levelset import (
+    DEFAULT_EPSILON_RULE,
+    DEFAULT_MAX_ATTEMPTS,
+    EpsilonRule,
+    sample_levelset_conditional_batch,
+    sample_levelset_rejection_batch,
+)
+from .rngutil import as_rng
+
+DEFAULT_KENDALL_MC = 100_000
+
+_LOGLIK_FLOOR = math.log(1e-300)
+
+
+@dataclass(frozen=True)
+class LeafNode:
+    name: str
+    columns: tuple
+    copula: CopulaSpec
+    kendall: KendallFunction
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
+
+
+@dataclass(frozen=True)
+class InnerNode:
+    name: str
+    children: tuple
+    copula: CopulaSpec
+    kendall: KendallFunction | None = None  # not needed at the root
+
+    def __post_init__(self):
+        object.__setattr__(self, "children", tuple(self.children))
+
+
+Node = LeafNode | InnerNode
+
+
+@dataclass(frozen=True)
+class HierarchicalModel:
+    root: InnerNode
+    n_vars: int
+
+
+@dataclass
+class LogLikelihood:
+    value: float
+    n_clamped: int
+
+
+def leaf(name, columns, copula, kendall=None) -> LeafNode:
+    """Leaf cluster; builds the identity/closed-form Kendall function if omitted."""
+    if kendall is None:
+        kendall = kendall_for_copula(copula)
+    return LeafNode(name=name, columns=columns, copula=copula, kendall=kendall)
+
+
+def inner(name, children, copula, kendall=None, nested=False) -> InnerNode:
+    """Inner (nesting) node; pass nested=True to auto-build its Kendall function."""
+    if kendall is None and nested:
+        kendall = kendall_for_copula(copula)
+    return InnerNode(name=name, children=children, copula=copula, kendall=kendall)
+
+
+def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
+                       m: int = DEFAULT_KENDALL_MC, rng=None) -> KendallFunction:
+    """Kendall function for a copula: identity (d=1), closed form, or empirical.
+
+    mode "auto" prefers the closed form; "closed_form" requires an
+    Archimedean kind; "empirical" always simulates (m values).
+    """
+    if copula.dim == 1:
+        return identity_kendall()
+    if mode == "closed_form" and not is_archimedean_kind(copula):
+        raise ParameterError("closed-form Kendall function requires an Archimedean copula")
+    if mode in ("auto", "closed_form") and is_archimedean_kind(copula):
+        return closed_form_kendall(copula_generator(copula), copula.dim)
+    return empirical_kendall_build(copula, m, as_rng(rng))
+
+
+# ---------------------------------------------------------------------------
+# structure
+# ---------------------------------------------------------------------------
+
+def iter_nodes(model: HierarchicalModel):
+    """Depth-first preorder iteration over (path, node)."""
+    stack = [("root", model.root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, InnerNode):
+            for i, ch in enumerate(reversed(node.children)):
+                idx = len(node.children) - 1 - i
+                stack.append((f"{path}/{ch.name or idx}", ch))
+
+
+def _node_dim(node: Node) -> int:
+    return len(node.columns) if isinstance(node, LeafNode) else len(node.children)
+
+
+def _leaf_depths(node: Node, depth: int, out: list):
+    if isinstance(node, LeafNode):
+        out.append(depth)
+    else:
+        for ch in node.children:
+            _leaf_depths(ch, depth + 1, out)
+
+
+def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
+    """Check all structural invariants; returns a list of problems (empty = ok)."""
+    problems = []
+    n_vars = model.n_vars if n_vars is None else n_vars
+    if not isinstance(model.root, InnerNode):
+        return ["root must be an inner node carrying the nesting copula"]
+    seen_names = set()
+    covered: dict[int, str] = {}
+    for path, node in iter_nodes(model):
+        if node.name in seen_names:
+            problems.append(f"{path}: duplicate node name {node.name!r}")
+        seen_names.add(node.name)
+        dim = _node_dim(node)
+        if node.copula.dim != dim:
+            problems.append(
+                f"{path}: copula dimension {node.copula.dim} != "
+                f"{'column' if isinstance(node, LeafNode) else 'child'} count {dim}")
+        if isinstance(node, LeafNode):
+            for c in node.columns:
+                if c in covered:
+                    problems.append(
+                        f"{path}: variable {c} overlaps with cluster {covered[c]!r}")
+                elif not 0 <= c < n_vars:
+                    problems.append(f"{path}: variable {c} outside 0..{n_vars - 1}")
+                covered[c] = node.name
+        if node is not model.root:
+            if node.kendall is None:
+                problems.append(f"{path}: nested node lacks a Kendall function")
+            elif node.kendall.dim != node.copula.dim:
+                problems.append(
+                    f"{path}: Kendall dimension {node.kendall.dim} != copula "
+                    f"dimension {node.copula.dim}")
+    missing = sorted(set(range(n_vars)) - set(covered))
+    if missing:
+        problems.append(f"root: variables {missing} not covered by any cluster")
+    depths = []
+    _leaf_depths(model.root, 0, depths)
+    if len(set(depths)) > 1:
+        problems.append(
+            "root: leaves at mixed depths "
+            f"{sorted(set(depths))}; insert size-1 pass-through clusters")
+    else:
+        widths = _level_widths(model)
+        for j in range(1, len(widths)):
+            if widths[j] > widths[j - 1]:
+                problems.append(
+                    f"root: level width increases toward the root "
+                    f"({widths[j - 1]} -> {widths[j]})")
+    return problems
+
+
+def _level_widths(model: HierarchicalModel) -> list:
+    """Cluster counts per level, leaves first (root excluded)."""
+    levels = []
+    frontier = [model.root]
+    while frontier:
+        nxt = []
+        for nd in frontier:
+            if isinstance(nd, InnerNode):
+                nxt.extend(nd.children)
+        if nxt:
+            levels.append(len(nxt))
+        frontier = nxt
+    return list(reversed(levels))
+
+
+def validate(model: HierarchicalModel, n_vars: int | None = None) -> None:
+    problems = validate_model(model, n_vars)
+    if problems:
+        raise ModelStructureError(problems)
+
+
+def model_n_params(model: HierarchicalModel) -> int:
+    """Number of free dependence parameters (size-1 clusters contribute none)."""
+    total = 0
+    for _, node in iter_nodes(model):
+        c = node.copula
+        if c.dim <= 1:
+            continue
+        kind = type(c).__name__
+        if kind == "ArchimedeanCopula":
+            total += 0 if c.generator.family == "independence" else 1
+        elif kind == "GaussianCopula":
+            total += c.dim * (c.dim - 1) // 2
+        elif kind == "StudentTCopula":
+            total += c.dim * (c.dim - 1) // 2 + 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# probability integral transform and density
+# ---------------------------------------------------------------------------
+
+def _node_v(node: Node, u: np.ndarray) -> np.ndarray:
+    """V column of one node given raw data u (N x n_vars)."""
+    if isinstance(node, LeafNode):
+        block = u[:, list(node.columns)]
+        if len(node.columns) == 1:
+            return block[:, 0]
+        inputs = clamp_interior(block)
+    else:
+        inputs = np.column_stack([_node_v(ch, u) for ch in node.children])
+        if inputs.shape[1] == 1:
+            return inputs[:, 0]
+        inputs = clamp_interior(inputs)
+    z = clamp_interior(copula_cdf(node.copula, inputs))
+    return kendall_cdf(node.kendall, z)
+
+
+def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
+    """V matrix feeding the nesting copula: one column per root child.
+
+    Each column is K_i(C_i(...)) of the child's inputs, uniform under a
+    correctly specified model; size-1 clusters pass through unchanged.
+    """
+    u = np.asarray(u, dtype=float)
+    single = u.ndim == 1
+    rows = u[None, :] if single else u
+    out = np.column_stack([_node_v(ch, rows) for ch in model.root.children])
+    return out[0] if single else out
+
+
+def nesting_pit_levels(model: HierarchicalModel, u) -> list:
+    """V matrices per level, leaves first; the last entry feeds the root."""
+    u = np.asarray(u, dtype=float)
+    levels = []
+    frontier = [model.root]
+    layers = []
+    while frontier:
+        nxt = []
+        for nd in frontier:
+            if isinstance(nd, InnerNode):
+                nxt.extend(nd.children)
+        if nxt:
+            layers.append(nxt)
+        frontier = nxt
+    for layer in reversed(layers):
+        levels.append(np.column_stack([_node_v(nd, u) for nd in layer]))
+    return levels
+
+
+def _node_logdens(node: Node, u: np.ndarray):
+    """Returns (V column, summed log-density of the subtree below incl. node)."""
+    if isinstance(node, LeafNode):
+        block = u[:, list(node.columns)]
+        if len(node.columns) == 1:
+            return block[:, 0], np.zeros(u.shape[0])
+        inputs = clamp_interior(block)
+        acc = np.zeros(u.shape[0])
+    else:
+        cols, accs = zip(*(_node_logdens(ch, u) for ch in node.children))
+        acc = np.sum(accs, axis=0)
+        inputs = np.column_stack(cols)
+        if inputs.shape[1] == 1:
+            return inputs[:, 0], acc
+        inputs = clamp_interior(inputs)
+    acc = acc + copula_logpdf(node.copula, inputs)
+    z = clamp_interior(copula_cdf(node.copula, inputs))
+    return kendall_cdf(node.kendall, z), acc
+
+
+def model_logdensity(model: HierarchicalModel, u) -> np.ndarray:
+    """Row-wise log of the model density."""
+    u = np.asarray(u, dtype=float)
+    single = u.ndim == 1
+    rows = u[None, :] if single else u
+    if rows.shape[1] != model.n_vars:
+        raise ModelStructureError(
+            [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
+    cols, accs = zip(*(_node_logdens(ch, rows) for ch in model.root.children))
+    total = np.sum(accs, axis=0)
+    v = clamp_interior(np.column_stack(cols))
+    if v.shape[1] > 1:
+        total = total + copula_logpdf(model.root.copula, v)
+    out = total
+    return float(out[0]) if single else out
+
+
+def model_density(model: HierarchicalModel, u):
+    """Model density c(u); exactly 1 under full independence."""
+    out = model_logdensity(model, u)
+    return float(np.exp(out)) if np.isscalar(out) else np.exp(out)
+
+
+def model_loglik(model: HierarchicalModel, u) -> LogLikelihood:
+    """Sum of row log-densities with a 1e-300 density floor.
+
+    ``n_clamped`` counts floored rows; surfacing it keeps optimizer runs
+    honest about boundary trouble instead of hiding it.
+    """
+    ld = np.atleast_1d(model_logdensity(model, u))
+    clamped = int(np.sum(ld < _LOGLIK_FLOOR))
+    return LogLikelihood(float(np.sum(np.maximum(ld, _LOGLIK_FLOOR))), clamped)
+
+
+# ---------------------------------------------------------------------------
+# simulation
+# ---------------------------------------------------------------------------
+
+def model_is_exactly_samplable(model: HierarchicalModel) -> bool:
+    """True when every non-root node has an Archimedean-kind copula."""
+    return all(is_archimedean_kind(node.copula)
+               for path, node in iter_nodes(model) if node is not model.root)
+
+
+def _sample_node(node: Node, z_targets, rng, method, eps_rule, max_attempts,
+                 out: np.ndarray):
+    """Fill the columns of ``out`` under ``node`` given its level targets."""
+    dim = _node_dim(node)
+    if dim == 1:
+        block = np.asarray(z_targets, dtype=float)[:, None]
+    elif is_archimedean_kind(node.copula) and method == "exact":
+        block = sample_levelset_conditional_batch(
+            copula_generator(node.copula), dim, z_targets, rng)
+    else:
+        block, _ = sample_levelset_rejection_batch(
+            node.copula, z_targets, eps_rule, rng, max_attempts)
+    if isinstance(node, LeafNode):
+        out[:, list(node.columns)] = block
+        return
+    for i, ch in enumerate(node.children):
+        v = clamp_interior(block[:, i])
+        z_child = kendall_inverse(ch.kendall, v)
+        _sample_node(ch, z_child, rng, method, eps_rule, max_attempts, out)
+
+
+def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
+                 eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> np.ndarray:
+    """Simulate n rows from the model.
+
+    method "exact" uses conditional-inverse level-set sampling and
+    requires Archimedean cluster (and inner) copulas; "rejection" works
+    for any kinds; "auto" picks exact when possible.
+    """
+    rng = as_rng(rng)
+    if method not in ("auto", "exact", "rejection"):
+        raise ParameterError(f"unknown sampling method {method!r}")
+    if method == "auto":
+        method = "exact" if model_is_exactly_samplable(model) else "rejection"
+    if method == "exact" and not model_is_exactly_samplable(model):
+        raise ParameterError(
+            "exact sampling requires Archimedean cluster copulas; use rejection")
+    out = np.empty((n, model.n_vars))
+    if n == 0:
+        return out
+    v_root = copula_sample(model.root.copula, n, rng)
+    for i, ch in enumerate(model.root.children):
+        z_child = kendall_inverse(ch.kendall, clamp_interior(v_root[:, i]))
+        _sample_node(ch, z_child, rng, method, eps_rule, max_attempts, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cross-cluster bivariate margin
+# ---------------------------------------------------------------------------
+
+def _find_leaf_for(model, var):
+    for i, ch in enumerate(model.root.children):
+        if isinstance(ch, LeafNode) and var in ch.columns:
+            return i, ch
+    raise ModelStructureError(
+        [f"variable {var} is not in a leaf cluster directly under the root; "
+         "cross-cluster margins are available for two-level models only"])
+
+
+def _companion_v(node: LeafNode, var: int, u_val: float, mc: int, rng):
+    if len(node.columns) == 1:
+        return np.full(mc, float(u_val))
+    pos = node.columns.index(var)
+    w = copula_sample_conditional(node.copula, pos, u_val, mc, rng)
+    z = clamp_interior(copula_cdf(node.copula, clamp_interior(w)))
+    return kendall_cdf(node.kendall, z)
+
+
+def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
+                             u_k: float, u_l: float, mc: int, rng):
+    """Monte Carlo estimate of the bivariate margin density of (U_k, U_l)
+    for variables in two different clusters.
+
+    Averages the nesting-margin density over within-cluster companions
+    drawn from the cluster-conditional laws. Returns (estimate, standard
+    error); the error is zero when both clusters have size one.
+    """
+    rng = as_rng(rng)
+    i_idx, leaf_i = _find_leaf_for(model, k)
+    j_idx, leaf_j = _find_leaf_for(model, l)
+    if i_idx == j_idx:
+        raise SameClusterError(
+            f"variables {k} and {l} share cluster {leaf_i.name!r}; "
+            "use the cluster copula margin directly")
+    root_cop = model.root.copula
+    if root_cop.dim == 1:
+        raise ModelStructureError(["root copula must join at least two clusters"])
+    v_i = _companion_v(leaf_i, k, u_k, mc, rng)
+    v_j = _companion_v(leaf_j, l, u_l, mc, rng)
+    margin = copula_bivariate_margin(root_cop, i_idx, j_idx)
+    vals = copula_pdf(margin, clamp_interior(np.column_stack([v_i, v_j])))
+    est = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
+    return est, se

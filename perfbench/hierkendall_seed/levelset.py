@@ -1,0 +1,225 @@
+"""Sampling from a copula restricted to a level set C(u) = z.
+
+Three methods:
+
+* ``sample_levelset_conditional`` -- exact conditional-inverse sampling
+  for Archimedean copulas. The conditional CDF of coordinate j given the
+  previous ones and the level is
+  ``(1 - phi(u) / (phi(z) - sum_{i<j} phi(u_i)))^(d-j)``, which inverts in
+  closed form.
+* ``sample_levelset_projected`` -- exact sampling through the simplex
+  representation: u_j = phi^-1(s_j * phi(z)) with (s_1, ..., s_d) uniform
+  on the unit simplex. Distributionally identical to the conditional
+  method.
+* ``sample_levelset_rejection`` -- approximate sampling for arbitrary
+  copulas: draw unconditionally, accept when |C(u) - z| < eps. The
+  absolute error of an accepted sample is bounded by eps and the relative
+  error by eps/z; the relative rule eps(z) = eps0 * z therefore caps the
+  relative error at eps0.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .copulas import CopulaSpec, copula_cdf, copula_sample
+from .errors import DomainError, ParameterError, RejectionCapError
+from .generators import ArchimedeanGenerator, generator_inverse, generator_value
+from .rngutil import as_rng
+
+DEFAULT_MAX_ATTEMPTS = 10_000_000
+
+_REJECTION_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class EpsilonRule:
+    """Acceptance band for rejection sampling: absolute or relative in z."""
+
+    mode: str  # "abs" | "rel"
+    value: float
+
+    def __post_init__(self):
+        if self.mode not in ("abs", "rel"):
+            raise ParameterError(f"epsilon mode must be 'abs' or 'rel', got {self.mode!r}")
+        if not self.value > 0.0:
+            raise ParameterError("epsilon value must be positive")
+
+    def epsilon(self, z: float) -> float:
+        return self.value * z if self.mode == "rel" else self.value
+
+
+DEFAULT_EPSILON_RULE = EpsilonRule("rel", 0.01)
+
+
+@dataclass(frozen=True)
+class LevelSetSample:
+    u: np.ndarray
+    z_target: float
+    z_achieved: float
+    method: str  # "conditional_inverse" | "projected" | "rejection"
+    attempts: int = 1
+
+
+def _check_z(z):
+    z = np.asarray(z, dtype=float)
+    if np.any((z <= 0.0) | (z >= 1.0)):
+        raise DomainError("level z must lie in (0,1)")
+    return z
+
+
+def conditional_levelset_cdf(g: ArchimedeanGenerator, d: int, u_prefix, z: float,
+                             u) -> float:
+    """Conditional CDF of coordinate j = len(u_prefix)+1 on the level set.
+
+    F(u | u_prefix, C(U) = z) = (1 - phi(u)/(phi(z) - sum phi(u_i)))^(d-j),
+    supported on (C^-1_{prefix}(z), 1).
+    """
+    prefix = np.asarray(u_prefix, dtype=float).ravel()
+    j = prefix.size + 1
+    if j > d:
+        raise DomainError(f"prefix of length {prefix.size} leaves no free coordinate")
+    _check_z(z)
+    rem = generator_value(g, z) - (np.sum(generator_value(g, prefix))
+                                   if prefix.size else 0.0)
+    if rem <= 0.0:
+        raise DomainError("prefix already exhausts the level: no support left")
+    scalar = np.isscalar(u)
+    uu = np.asarray(u, dtype=float)
+    ratio = generator_value(g, uu) / rem
+    if np.any(ratio > 1.0 + 1e-12):
+        raise DomainError("u below the lower support endpoint of the level set")
+    out = np.clip(1.0 - ratio, 0.0, 1.0) ** (d - j)
+    return float(out[()]) if scalar else out
+
+
+def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
+                                      rng) -> np.ndarray:
+    """Vectorized conditional-inverse sampling: one row per entry of z."""
+    rng = as_rng(rng)
+    z = np.atleast_1d(_check_z(z))
+    n = z.size
+    out = np.empty((n, d))
+    if d == 1:
+        out[:, 0] = z
+        return out
+    rem = generator_value(g, z).astype(float)  # phi(z) - sum_{i<j} phi(u_i)
+    v = rng.random((n, d - 1))
+    for j in range(1, d):
+        frac = v[:, j - 1] ** (1.0 / (d - j))
+        out[:, j - 1] = generator_inverse(g, rem * (1.0 - frac))
+        rem = rem * frac
+    out[:, d - 1] = generator_inverse(g, rem)
+    return out
+
+
+def sample_levelset_conditional(g: ArchimedeanGenerator, d: int, z: float,
+                                rng) -> LevelSetSample:
+    """Exact level-set sample via the conditional inverse method."""
+    u = sample_levelset_conditional_batch(g, d, float(z), rng)[0]
+    z_achieved = float(generator_inverse(g, np.sum(generator_value(g, u))))
+    return LevelSetSample(u=u, z_target=float(z), z_achieved=z_achieved,
+                          method="conditional_inverse")
+
+
+def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
+                                    rng) -> np.ndarray:
+    """Vectorized projected-distribution sampling: u_j = phi^-1(s_j phi(z))."""
+    rng = as_rng(rng)
+    z = np.atleast_1d(_check_z(z))
+    n = z.size
+    if d == 1:
+        return z[:, None].copy()
+    e = rng.standard_exponential((n, d))
+    s = e / e.sum(axis=1, keepdims=True)  # uniform on the unit simplex
+    return generator_inverse(g, s * generator_value(g, z)[:, None])
+
+
+def sample_levelset_projected(g: ArchimedeanGenerator, d: int, z: float,
+                              rng) -> LevelSetSample:
+    """Exact level-set sample via the simplex (projected) representation."""
+    u = sample_levelset_projected_batch(g, d, float(z), rng)[0]
+    z_achieved = float(generator_inverse(g, np.sum(generator_value(g, u))))
+    return LevelSetSample(u=u, z_target=float(z), z_achieved=z_achieved,
+                          method="projected")
+
+
+def sample_levelset_rejection(c: CopulaSpec, z: float, eps: EpsilonRule, rng,
+                              max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> LevelSetSample:
+    """Approximate level-set sample for an arbitrary copula.
+
+    Draws unconditionally from c and accepts the first candidate with
+    |C(u) - z| < eps(z). Raises ``RejectionCapError`` after
+    ``max_attempts`` candidates; the caller should widen eps or reduce the
+    dimension.
+    """
+    rng = as_rng(rng)
+    z = float(z)
+    _check_z(z)
+    band = eps.epsilon(z)
+    attempts = 0
+    while attempts < max_attempts:
+        chunk = min(_REJECTION_CHUNK, max_attempts - attempts)
+        u = copula_sample(c, chunk, rng)
+        cz = copula_cdf(c, u)
+        hit = np.flatnonzero(np.abs(cz - z) < band)
+        if hit.size:
+            k = int(hit[0])
+            return LevelSetSample(u=u[k], z_target=z, z_achieved=float(cz[k]),
+                                  method="rejection", attempts=attempts + k + 1)
+        attempts += chunk
+    raise RejectionCapError(
+        f"no candidate within eps={band:g} of z={z:g} after {attempts} attempts",
+        attempts)
+
+
+def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, rng,
+                                    max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+    """Fill many level-set targets from one candidate stream.
+
+    Implements the batch assignment used when simulating hierarchical
+    models by rejection: every candidate u is matched against the pending
+    target set D; if some |C(u) - z_j| < eps(z_j), the candidate is
+    assigned to the nearest such z_j, which is then removed from D.
+
+    Returns ``(samples, attempts)`` where samples has one row per target.
+    ``max_attempts`` caps the total number of candidates for the batch.
+    """
+    rng = as_rng(rng)
+    z_targets = np.atleast_1d(np.asarray(z_targets, dtype=float))
+    _check_z(z_targets)
+    n = z_targets.size
+    out = np.empty((n, c.dim))
+    order = np.argsort(z_targets)
+    pending_z = z_targets[order].tolist()   # sorted pending levels
+    pending_ix = order.tolist()             # original row of each pending level
+    attempts = 0
+    while pending_z and attempts < max_attempts:
+        chunk = min(_REJECTION_CHUNK, max_attempts - attempts)
+        u = copula_sample(c, chunk, rng)
+        cz = copula_cdf(c, u)
+        for i in range(chunk):
+            if not pending_z:
+                break
+            attempts += 1
+            zi = cz[i]
+            pos = np.searchsorted(pending_z, zi)
+            best = None
+            for cand in (pos - 1, pos):
+                if 0 <= cand < len(pending_z):
+                    dist = abs(zi - pending_z[cand])
+                    if dist < eps.epsilon(pending_z[cand]) and (
+                            best is None or dist < best[0]):
+                        best = (dist, cand)
+            if best is not None:
+                _, cand = best
+                out[pending_ix[cand]] = u[i]
+                del pending_z[cand]
+                del pending_ix[cand]
+    if pending_z:
+        raise RejectionCapError(
+            f"{len(pending_z)} of {n} level-set targets unfilled after "
+            f"{attempts} candidates", attempts)
+    return out, attempts
