@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--raw", action="store_true",
                    help="treat data as raw values and rank-transform first")
-    p.add_argument("--threads", type=int, default=1, help="accepted; fit is serial")
 
     p = sub.add_parser("simulate", help="simulate uniforms from a model")
     p.add_argument("--model", required=True, help="config or fit report JSON")
@@ -117,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--kendall-mc", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted; the hit series is assembled in time order")
     _add_epsilon_flags(p)
 
     p = sub.add_parser("study", help="nesting-parameter recovery study")

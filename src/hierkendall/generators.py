@@ -23,9 +23,9 @@ frank            -log(expm1(-theta t)           -log1p(expm1(-theta) e^-s)
 
 Derivatives of ``phi^-1`` are exact: Clayton and independence use product
 formulas; Gumbel and Frank use recurrences on polynomial coefficients
-(Gumbel in x = s^(1/theta), Frank in w = x/(1-x) with
-x = (1 - e^-theta) e^-s), so no finite differencing is involved at any
-order.
+(Gumbel in x = s^(1/theta), Frank in y = (1 - e^-theta) e^-s through the
+Eulerian polynomials of its polylogarithm form), so no finite differencing
+is involved at any order.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -135,12 +135,8 @@ def generator_inverse(g: ArchimedeanGenerator, s):
         out = np.exp(-np.log1p(ss) / g.theta)
     elif g.family == "gumbel":
         out = np.exp(-(ss ** (1.0 / g.theta)))
-    elif g.theta > 0.0:  # frank, positive dependence
-        # 1 - (1-e^-theta) e^-s  ==  (1-e^-s) + e^-(theta+s), cancellation-free
-        out = -np.log(-np.expm1(-ss) + np.exp(-g.theta - ss)) / g.theta
-    else:  # frank, negative dependence: work in log space to avoid overflow
-        a = -g.theta
-        out = np.logaddexp(0.0, a - ss + np.log1p(-np.exp(-a))) / a
+    else:  # frank
+        out = -_frank_y(g.theta, ss)[2] / g.theta
     out = np.where(ss == 0.0, 1.0, out)
     return _scalarize(out, scalar)
 
@@ -184,38 +180,31 @@ def generator_derivative_log(g: ArchimedeanGenerator, t):
 def _gumbel_coeffs(alpha: float, k: int) -> tuple:
     """Coefficients of Q_k with (phi^-1)^(k)(s) = exp(-x) Q_k(x) s^-k, x=s^alpha.
 
-    Recurrence: Q_{k+1}(x) = alpha*x*(Q_k'(x) - Q_k(x)) - k*Q_k(x).
+    Recurrence: Q_{k+1}(x) = alpha*x*(Q_k'(x) - Q_k(x)) - k*Q_k(x). For
+    alpha <= 1 both parts of a new coefficient carry the sign (-1)^k, so the
+    coefficients of one order share that sign and are formed without
+    cancellation.
     """
-    q = np.zeros(k + 1)
-    q[0] = 1.0
-    for m in range(k):
-        nxt = np.zeros(k + 1)
-        for j in range(m + 1, -1, -1):
-            c = q[j] if j <= m else 0.0
-            if c == 0.0:
-                continue
-            nxt[j] += (alpha * j - m) * c
-            nxt[j + 1] += -alpha * c
-        q = nxt
-    return tuple(q)
+    if k == 0:
+        return (1.0,)
+    q = np.array(_gumbel_coeffs(alpha, k - 1) + (0.0,))
+    nxt = (alpha * np.arange(k + 1) - (k - 1)) * q
+    nxt[1:] -= alpha * q[:-1]
+    return tuple(nxt)
 
 
 @lru_cache(maxsize=64)
-def _frank_coeffs(k: int) -> tuple:
-    """Coefficients of P_k with (phi^-1)^(k)(s) = -(1/theta) P_k(w), w=x/(1-x).
+def _eulerian_coeffs(n: int) -> tuple:
+    """Eulerian numbers A(n, 0..n-1), the ascending coefficients of A_n.
 
-    Recurrence: P_{k+1}(w) = -w (1 + w) P_k'(w), starting from P_1(w) = w.
-    Coefficients are exact integers (uniform sign per order).
+    Recurrence: A(n, j) = (j+1) A(n-1, j) + (n-j) A(n-1, j-1); A_0 = 1.
+    The numbers are positive, so A_n(y) has no cancellation for y > 0.
     """
-    p = [0, 1]  # P_1
-    for _ in range(k - 1):
-        deriv = [j * c for j, c in enumerate(p)][1:]  # P'
-        nxt = [0] * (len(p) + 1)
-        for j, c in enumerate(deriv):  # times -(w + w^2)
-            nxt[j + 1] -= c
-            nxt[j + 2] -= c
-        p = nxt
-    return tuple(float(c) for c in p)
+    if n == 0:
+        return (1.0,)
+    prev = _eulerian_coeffs(n - 1) + (0.0,)
+    return tuple((j + 1) * prev[j] + ((n - j) * prev[j - 1] if j else 0.0)
+                 for j in range(n))
 
 
 def _polyval_ascending(coeffs, x):
@@ -225,12 +214,26 @@ def _polyval_ascending(coeffs, x):
     return out
 
 
-def _frank_w(theta, s):
-    """w = x/(1-x) with x = (1-e^-theta) e^-s, cancellation-free for theta > 0."""
-    x = -np.expm1(-theta) * np.exp(-s)
+def _frank_y(theta, s):
+    """y = (1 - e^-theta) e^-s for Frank, with log|y| and log(1 - y).
+
+    phi^-1(s) = -log(1 - y)/theta, and the derivatives have the
+    polylogarithm form (phi^-1)^(k)(s) = (-1)^k y A_{k-1}(y) / (theta (1-y)^k)
+    with Eulerian polynomials A_n. log|y| is formed directly, so it stays
+    finite where y underflows (s > 745).
+    """
+    log_y = _log_abs_expm1(-theta) - s
     if theta > 0.0:
-        return x / (-np.expm1(-s) + np.exp(-theta - s))
-    return x / (1.0 - x)
+        y = np.exp(log_y)
+        # 1 - y == (1 - e^-s) + e^-(theta+s) keeps full precision as y -> 1,
+        # where y itself may round to 1 (log1p(-1) is discarded by the where)
+        with np.errstate(divide="ignore"):
+            log_1my = np.where(y < 0.5, np.log1p(-y),
+                               np.log(-np.expm1(-s) + np.exp(-theta - s)))
+    else:
+        y = -np.exp(log_y)
+        log_1my = np.logaddexp(0.0, log_y)
+    return y, log_y, log_1my
 
 
 def _gumbel_inv_deriv(theta, s, k):
@@ -277,8 +280,9 @@ def generator_inverse_derivative(g: ArchimedeanGenerator, s, k: int):
     elif g.family == "gumbel":
         out = _gumbel_inv_deriv(g.theta, ss, k)
     else:  # frank
-        w = _frank_w(g.theta, ss)
-        out = -(1.0 / g.theta) * _polyval_ascending(_frank_coeffs(k), w)
+        y, _, log_1my = _frank_y(g.theta, ss)
+        out = ((-1.0) ** k / g.theta * y * _polyval_ascending(_eulerian_coeffs(k - 1), y)
+               * np.exp(-k * log_1my))
     return _scalarize(out, scalar)
 
 
@@ -305,19 +309,11 @@ def generator_inverse_derivative_log(g: ArchimedeanGenerator, s, k: int):
     elif g.family == "gumbel":
         with np.errstate(divide="ignore"):
             out = np.log(np.abs(_gumbel_inv_deriv(g.theta, ss, k)))
-    else:  # frank
-        w = _frank_w(g.theta, ss)
-        coeffs = _frank_coeffs(k)
-        if g.theta > 0.0:
-            # coefficients of P_k share one sign: log-sum-exp over terms
-            with np.errstate(divide="ignore"):
-                logw = np.log(w)
-            terms = [np.log(abs(c)) + m * logw
-                     for m, c in enumerate(coeffs) if c != 0.0]
-            out = np.logaddexp.reduce(np.stack(terms), axis=0) - np.log(g.theta)
-        else:
-            with np.errstate(divide="ignore"):
-                out = np.log(np.abs(_polyval_ascending(coeffs, w))) - np.log(-g.theta)
+    else:  # frank: y and the Eulerian coefficients are positive for theta > 0
+        y, log_y, log_1my = _frank_y(g.theta, ss)
+        with np.errstate(divide="ignore"):
+            out = (log_y + np.log(np.abs(_polyval_ascending(_eulerian_coeffs(k - 1), y)))
+                   - k * log_1my - math.log(abs(g.theta)))
     return _scalarize(out, scalar)
 
 

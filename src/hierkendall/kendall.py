@@ -6,26 +6,35 @@ of Z = C(U) for U ~ C. It is known in closed form for Archimedean copulas,
     K(t) = t + sum_{i=1}^{d-1} (1/i!) (-phi(t))^i (phi^-1)^(i)(phi(t)),
 
 and is otherwise estimated by the empirical CDF of simulated Z values.
-Both representations share one immutable value type with a CDF and a
-(generalized) inverse.
+The closed form is evaluated in generator space, s = phi(t), as
+K = sum_{i<d} s^i |(phi^-1)^(i)(s)| / i!, and inverted there by Newton's
+method on log s. Both representations share one immutable value type with
+a CDF and a (generalized) inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma
+from math import lgamma, log
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, ToleranceError
-from .generators import (
+from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
+    _eulerian_coeffs,
+    _frank_y,
+    _gumbel_coeffs,
+    _polyval_ascending,
     generator_inverse_derivative_log,
     generator_value,
     independence_generator,
 )
 
 _INV_TOL = 1e-10
+_XTOL = 1e-12       # Newton stops once a step in log s is this small (relative)
+_MAX_ITER = 200     # bisection from the widest bracket needs about 60 steps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +85,71 @@ def empirical_kendall_from_values(values, dim: int) -> KendallFunction:
                            sorted_values=np.sort(np.asarray(values, dtype=float)))
 
 
+def _log_terms(g: ArchimedeanGenerator, d: int, log_s):
+    """Yield log T_i(s) for i = 0..d, with T_i = s^i |(phi^-1)^(i)(s)| / i!.
+
+    T_0 = phi^-1(s) is the level z itself. The family's s-dependent
+    quantities are formed once and shared by all orders, in log form so that
+    neither s -> 0 nor large s over- or underflows.
+    """
+    th = g.theta
+    if g.family == "independence":
+        s = np.exp(log_s)
+        yield -s
+        for i in range(1, d + 1):
+            yield i * log_s - s - lgamma(i + 1)
+    elif g.family == "clayton":
+        # T_i = (a)_i / i! * (1+s)^-a * (s/(1+s))^i, a = 1/theta
+        a = 1.0 / th
+        base = -a * np.logaddexp(0.0, log_s)
+        log_r = -np.logaddexp(0.0, -log_s)
+        yield base
+        for i in range(1, d + 1):
+            yield lgamma(a + i) - lgamma(a) - lgamma(i + 1) + base + i * log_r
+    elif g.family == "gumbel":
+        # T_i = e^-x |Q_i(x)| / i!, x = s^(1/theta); Q_i(0) = 0 and the
+        # coefficients of Q_i share one sign, so |Q_i(x)| = x sum |q_j| x^(j-1)
+        alpha = 1.0 / th
+        log_x = alpha * log_s
+        x = np.exp(log_x)
+        yield -x
+        for i in range(1, d + 1):
+            q = np.abs(_gumbel_coeffs(alpha, i)[1:])
+            yield -x + log_x + np.log(_polyval_ascending(q, x)) - lgamma(i + 1)
+    else:  # frank: T_i = s^i |y A_{i-1}(y)| / (i! |theta| (1 - y)^i), see _frank_y
+        y, log_y, log_1my = _frank_y(th, np.exp(log_s))
+        log_theta = log(abs(th))
+        yield np.log(np.abs(log_1my)) - log_theta
+        log_ratio = log_s - log_1my
+        for i in range(1, d + 1):
+            poly = np.abs(_polyval_ascending(_eulerian_coeffs(i - 1), y))
+            yield i * log_ratio + log_y + np.log(poly) - log_theta - lgamma(i + 1)
+
+
+def _log_phi(g: ArchimedeanGenerator, t):
+    """log phi(t); Clayton's t^-theta - 1 overflows for small t, where it is -theta log t."""
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(generator_value(g, t))
+    if g.family == "clayton":
+        out = np.where(out == np.inf, -g.theta * np.log(t), out)
+    return out
+
+
+def _closed_form_kernel(g: ArchimedeanGenerator, d: int, log_s):
+    """K and dK/dlog s at s = exp(log_s), for a d-dimensional Archimedean copula.
+
+    K = T_0 + ... + T_{d-1} and, since the sum telescopes under d/ds,
+    dK/dlog s = -d T_d = -s^d |(phi^-1)^(d)(s)| / (d-1)!.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = _log_terms(g, d, log_s)
+        k = np.exp(next(terms))
+        for _, log_t in zip(range(1, d), terms):
+            k = k + np.exp(log_t)
+        dk = -d * np.exp(next(terms))
+    return k, dk
+
+
 def kendall_cdf(K: KendallFunction, t):
     """K(t) for t in (0,1); nondecreasing, identity when dim = 1."""
     scalar = np.isscalar(t)
@@ -88,30 +162,59 @@ def kendall_cdf(K: KendallFunction, t):
     elif K.dim == 1:
         out = tt + 0.0
     else:
-        g = K.generator
-        s = np.atleast_1d(generator_value(g, tt))
-        out = np.atleast_1d(np.asarray(tt, dtype=float)).copy()
-        pos = s > 0.0
-        with np.errstate(divide="ignore"):
-            log_s = np.where(pos, np.log(np.where(pos, s, 1.0)), -np.inf)
-        for i in range(1, K.dim):
-            # (1/i!) (-s)^i (phi^-1)^(i)(s); each summand is nonnegative
-            log_term = i * log_s - lgamma(i + 1) + generator_inverse_derivative_log(g, s, i)
-            out = out + np.where(pos, np.exp(log_term), 0.0)
-        out = np.clip(out, 0.0, 1.0).reshape(np.shape(tt))
+        out, _ = _closed_form_kernel(K.generator, K.dim, _log_phi(K.generator, tt))
+        out = np.clip(out, 0.0, 1.0)
     return float(out[()]) if scalar else out
 
 
-def kendall_inverse(K: KendallFunction, p):
-    """Solve K(t) = p.
+def _solve_log_s(g: ArchimedeanGenerator, d: int, p: np.ndarray) -> np.ndarray:
+    """log s with K(s) = p: Newton in log s inside a per-point bracket.
 
-    Closed form: bisection until |K(t) - p| < 1e-10. Empirical: the
+    K(s) >= phi^-1(s) puts the root at or above s = phi(p), the lower
+    bracket and starting point. The upper bracket is phi at the smallest
+    normal double; a root beyond it has a level z that underflows. A Newton
+    step that leaves the bracket is replaced by bisection, and only points
+    that have not converged are evaluated again.
+    """
+    # phi(p) underflows only for p within ~1e-16 of 1
+    lo = np.maximum(_log_phi(g, p), log(_TINY))
+    hi = np.full_like(lo, _log_phi(g, _TINY))
+    x = lo.copy()
+    act = np.arange(p.size)
+    for _ in range(_MAX_ITER):
+        xa, lo_a, hi_a = x[act], lo[act], hi[act]
+        k, dk = _closed_form_kernel(g, d, xa)
+        f = k - p[act]
+        lo_a = np.where(f > 0.0, xa, lo_a)
+        hi_a = np.where(f < 0.0, xa, hi_a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f / dk
+        tol = _XTOL * (1.0 + np.abs(xa))
+        converged = (f == 0.0) | (np.abs(step) <= tol)
+        done = converged | (hi_a - lo_a <= tol)
+        nxt = xa + np.where(f == 0.0, 0.0, step)
+        newton = converged | ((nxt > lo_a) & (nxt < hi_a))
+        x[act] = np.where(newton, nxt, 0.5 * (lo_a + hi_a))
+        lo[act], hi[act] = lo_a, hi_a
+        act = act[~done]
+        if act.size == 0:
+            break
+    return x
+
+
+def kendall_inverse(K: KendallFunction, p):
+    """Solve K(z) = p.
+
+    Closed form: safeguarded Newton in x = log s, s = phi(z), on the same
+    kernel as ``kendall_cdf``; returns z = phi^-1(s) and raises
+    ``ToleranceError`` naming the family, theta, d and the worst p when
+    |K(z) - p| > 1e-10 or z is not representable in (0,1). Empirical: the
     left-continuous generalized inverse (smallest stored value whose
     empirical CDF is >= p).
     """
     scalar = np.isscalar(p)
     pp = np.asarray(p, dtype=float)
-    if np.any((pp <= 0.0) | (pp >= 1.0)):
+    if not np.all((pp > 0.0) & (pp < 1.0)):
         raise DomainError("Kendall inverse argument must lie in (0,1)")
     if K.kind == "empirical":
         n = K.sorted_values.size
@@ -120,23 +223,22 @@ def kendall_inverse(K: KendallFunction, p):
     elif K.dim == 1:
         out = pp + 0.0
     else:
-        # K(t) >= t pins the root into (0, p]
-        lo = np.full(pp.shape, 1e-300)
-        hi = np.minimum(pp, 1.0 - 1e-16) + 0.0
-        flat_lo, flat_hi = np.ravel(lo), np.ravel(hi)
-        target = np.ravel(pp)
-        for _ in range(200):
-            mid = 0.5 * (flat_lo + flat_hi)
-            below = kendall_cdf(K, np.clip(mid, 1e-300, 1.0 - 1e-16)) < target
-            flat_lo = np.where(below, mid, flat_lo)
-            flat_hi = np.where(below, flat_hi, mid)
-            if np.all(flat_hi - flat_lo < 1e-15):
-                break
-        out = (0.5 * (flat_lo + flat_hi)).reshape(pp.shape)
-        err = np.abs(kendall_cdf(K, np.clip(out, 1e-300, 1.0 - 1e-16)) - pp)
-        if np.any(err > _INV_TOL):
+        g, target = K.generator, np.ravel(pp)
+        log_s = _solve_log_s(g, K.dim, target)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.exp(next(_log_terms(g, 0, log_s)))
+        err = np.full(z.shape, np.inf)
+        ok = (z > 0.0) & (z < 1.0)
+        err[ok] = np.abs(kendall_cdf(K, z[ok]) - target[ok])
+        bad = ~(err <= _INV_TOL)
+        if np.any(bad):
+            worst = int(np.argmax(np.where(bad, np.nan_to_num(err, nan=np.inf), -1.0)))
             raise ToleranceError(
-                f"Kendall inverse missed tolerance: max residual {float(np.max(err)):g}")
+                f"Kendall inverse missed tolerance {_INV_TOL:g} for {g.family} "
+                f"theta={g.theta:.6g} d={K.dim}: worst p={target[worst]:.17g}, residual "
+                f"{err[worst]:g}" + ("" if ok[worst] else
+                                     f" (level z={z[worst]:g} not representable in (0,1))"))
+        out = z.reshape(pp.shape)
     return float(out[()]) if scalar else out
 
 

@@ -46,6 +46,10 @@ class EpsilonRule:
             raise ParameterError(f"epsilon mode must be 'abs' or 'rel', got {self.mode!r}")
         if not self.value > 0.0:
             raise ParameterError("epsilon value must be positive")
+        if self.mode == "rel" and not self.value < 1.0:
+            # the batch sampler's two-neighbour search is optimal only for bands
+            # narrower than the level itself
+            raise ParameterError(f"relative epsilon must be below 1, got {self.value}")
 
     def epsilon(self, z: float) -> float:
         return self.value * z if self.mode == "rel" else self.value

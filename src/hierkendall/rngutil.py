@@ -3,10 +3,10 @@
 All randomness flows through ``numpy.random.Generator`` objects. A single
 64-bit master seed is split into independent substreams with
 ``SeedSequence(seed, spawn_key=path)``, where ``path`` is a tuple of small
-integers naming the consumer (e.g. ``(STREAM_NODE, node_index)`` for the
-sampler of one model node, ``(STREAM_REPLICATION, cell, rep)`` for one
-simulation-study replication). Streams are therefore reproducible and
-independent of execution order or parallel scheduling.
+integers naming the consumer (e.g. ``(STREAM_REPLICATION, cell, rep)`` for
+one simulation-study replication). Streams are therefore reproducible and
+independent of execution order or parallel scheduling. ``model_sample``
+draws from the one generator it is given, in a fixed order.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 # stream namespaces used by the package (documented, stable)
-STREAM_NODE = 0          # per-node sampling inside model_sample
 STREAM_KENDALL = 1       # Monte Carlo builds of empirical Kendall functions
 STREAM_REPLICATION = 2   # simulation-study replications
 STREAM_FORECAST = 3      # per-day VaR forecast simulation
-STREAM_MISC = 4
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

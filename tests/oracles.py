@@ -2,12 +2,16 @@
 
 These deliberately avoid the package's closed forms: Kendall functions
 are cross-checked against a bivariate quadrature of the recursive
-integral, and densities against finite differences of the CDF.
+integral, and densities against finite differences of the CDF. The
+Kendall inverse is checked against a bracketing root finder on K, which
+avoids the package's solver rather than K itself.
 """
 
 import numpy as np
+from scipy.optimize import brentq
 
 from hierkendall.copulas import copula_cdf, quantile_curve
+from hierkendall.kendall import kendall_cdf
 
 
 def cdf_partial_u1(copula, u1, u2, h=1e-6):
@@ -31,6 +35,17 @@ def kendall_cdf_quadrature_2d(copula, t, nodes=96):
         u2 = quantile_curve(copula, [u1], t)
         vals[i] = cdf_partial_u1(copula, u1, u2)
     return t + 0.5 * (hi - lo) * float(w @ vals)
+
+
+def kendall_inverse_brentq(K, p):
+    """K^-1(p) point by point: Brent's method on ``kendall_cdf`` over t.
+
+    Shares only K itself with the package's inverse, which solves in
+    log phi(t) by Newton; the bracket (1e-300, p] uses K(t) >= t.
+    """
+    return np.array([brentq(lambda t: kendall_cdf(K, t) - q, 1e-300, q,
+                            xtol=1e-300, rtol=8.9e-16, maxiter=500)
+                     for q in np.atleast_1d(p)])
 
 
 def pdf_mixed_fd_2d(copula, u1, u2, h=1e-4):

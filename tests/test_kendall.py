@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -9,9 +11,17 @@ from hierkendall.copulas import (
     copula_cdf,
     copula_sample,
 )
-from hierkendall.errors import DomainError, ParameterError
-from hierkendall.generators import ArchimedeanGenerator, independence_generator, theta_from_tau
+from hierkendall.errors import DomainError, ParameterError, ToleranceError
+from hierkendall.generators import (
+    ArchimedeanGenerator,
+    generator_inverse_derivative,
+    generator_value,
+    independence_generator,
+    theta_from_tau,
+)
+import hierkendall.kendall as kendall_module
 from hierkendall.kendall import (
+    _closed_form_kernel,
     closed_form_kendall,
     empirical_kendall_build,
     empirical_kendall_from_values,
@@ -20,7 +30,7 @@ from hierkendall.kendall import (
     kendall_inverse,
 )
 
-from oracles import kendall_cdf_quadrature_2d
+from oracles import kendall_cdf_quadrature_2d, kendall_inverse_brentq
 
 INDEP = independence_generator()
 CLAYTON2 = ArchimedeanGenerator("clayton", 2.0)
@@ -82,6 +92,32 @@ class TestClosedForm:
                         for d in (2, 5, 10)]
                 assert vals[0] < vals[1] < vals[2], (gen, t)
 
+    @pytest.mark.parametrize("gen", [INDEP, CLAYTON2, GUMBEL2, theta_from_tau("frank", 0.6),
+                                     theta_from_tau("frank", -0.4)])
+    def test_matches_signed_derivative_sum(self, gen):
+        # K(t) = t + sum_i (1/i!) (-s)^i (phi^-1)^(i)(s), from the signed derivatives
+        t = np.linspace(0.02, 0.98, 25)
+        s = generator_value(gen, t)
+        for d in ((2,) if gen.theta < 0 else (2, 3, 6)):
+            direct = t + sum((-s) ** i * generator_inverse_derivative(gen, s, i) / math.factorial(i)
+                             for i in range(1, d))
+            np.testing.assert_allclose(kendall_cdf(closed_form_kendall(gen, d), t), direct,
+                                       rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("gen", [CLAYTON2, GUMBEL2, theta_from_tau("frank", 0.6)])
+    def test_kernel_derivative_telescopes(self, gen):
+        # dK/dlog s = -s^d |(phi^-1)^(d)(s)| / (d-1)!, checked by central differences
+        x, h = np.linspace(-3.0, 2.0, 11), 1e-5
+        for d in (2, 4):
+            _, dk = _closed_form_kernel(gen, d, x)
+            k_up, _ = _closed_form_kernel(gen, d, x + h)
+            k_dn, _ = _closed_form_kernel(gen, d, x - h)
+            fd = (k_up - k_dn) / (2 * h)
+            np.testing.assert_allclose(dk, fd, rtol=1e-6, atol=1e-10)
+            exact = -np.exp(d * x) * np.abs(generator_inverse_derivative(gen, np.exp(x), d)) \
+                / math.factorial(d - 1)
+            np.testing.assert_allclose(dk, exact, rtol=1e-12)
+
     def test_domain_error(self):
         K = closed_form_kendall(CLAYTON2, 2)
         with pytest.raises(DomainError):
@@ -105,6 +141,48 @@ class TestInverse:
             p = rng.uniform(0.01, 0.99, size=50)
             t = kendall_inverse(K, p)
             np.testing.assert_allclose(kendall_cdf(K, t), p, atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank"])
+    def test_round_trip_grid(self, family):
+        # the domain the README states: every case solves to 1e-10, none is NaN
+        p = np.concatenate([[1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6], np.linspace(0.02, 0.98, 25)])
+        for tau in (0.05, 0.3, 0.6, 0.85, 0.95):
+            for d in (2, 3, 5, 10, 20, 40):
+                K = closed_form_kendall(theta_from_tau(family, tau), d)
+                z = kendall_inverse(K, p)
+                assert np.all((z > 0.0) & (z < 1.0)), (family, tau, d)
+                np.testing.assert_allclose(kendall_cdf(K, z), p, rtol=0, atol=1e-10,
+                                           err_msg=f"{family} tau={tau} d={d}")
+
+    def test_unconverged_solve_raises_with_context(self, monkeypatch):
+        # stop the solver after one step: the residual check must catch it
+        monkeypatch.setattr(kendall_module, "_MAX_ITER", 1)
+        K = closed_form_kendall(theta_from_tau("gumbel", 0.85), 10)
+        with pytest.raises(ToleranceError,
+                           match=r"gumbel theta=6\.66667 d=10: worst p=0\.\d+, residual"):
+            kendall_inverse(K, np.array([0.2, 0.5, 0.9]))
+
+    def test_extreme_levels_stay_in_range(self):
+        # levels below the smallest normal double meet the absolute tolerance at it
+        for gen, d in [(theta_from_tau("clayton", 0.95), 40), (GUMBEL2, 10),
+                       (theta_from_tau("frank", 0.3), 40)]:
+            K = closed_form_kendall(gen, d)
+            p = np.array([5e-324, 1e-300, 1e-12, 1.0 - 2.0 ** -52])
+            z = kendall_inverse(K, p)
+            assert np.all((z > 0.0) & (z < 1.0))
+            np.testing.assert_allclose(kendall_cdf(K, z), p, rtol=0, atol=1e-10)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            kendall_inverse(closed_form_kendall(CLAYTON2, 3), np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("tau,d", [(0.41, 5), (0.33, 4), (0.21, 3), (0.56, 2)])
+    def test_matches_brentq_oracle(self, tau, d):
+        # the Frank sector clusters of the VaR pipeline market
+        K = closed_form_kendall(theta_from_tau("frank", tau), d)
+        p = np.concatenate([[1e-6], np.random.default_rng(d).uniform(0.001, 0.999, 30)])
+        np.testing.assert_allclose(kendall_inverse(K, p), kendall_inverse_brentq(K, p),
+                                   rtol=0, atol=1e-12)
 
     def test_empirical_generalized_inverse(self):
         K = empirical_kendall_from_values([0.1, 0.2, 0.3, 0.4], 2)

@@ -199,6 +199,10 @@ class TestRejection:
             EpsilonRule("weird", 0.1)
         with pytest.raises(ParameterError):
             EpsilonRule("abs", -1.0)
+        for value in (1.0, 1.5):
+            with pytest.raises(ParameterError):
+                EpsilonRule("rel", value)
+        assert EpsilonRule("rel", 0.99).epsilon(0.5) == pytest.approx(0.495)
 
     def test_batch_assigns_candidate_to_nearest_target(self, monkeypatch):
         # candidate stream with known C(u) values: the first candidate lies
