@@ -21,6 +21,7 @@ them unless explicitly forced to treat those clusters as frozen.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,10 +46,13 @@ from .hierarchical import (
     HierarchicalModel,
     InnerNode,
     LeafNode,
+    iter_nodes,
     kendall_for_copula,
+    loglik_from_logdensity,
     model_loglik,
     model_n_params,
     model_sample,
+    node_transform,
     validate,
 )
 from .kendall import KendallFunction
@@ -375,7 +379,12 @@ def _kendall_tag(kf: KendallFunction | None) -> str:
 
 
 def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitReport:
-    """Sequential estimation: clusters first, then nesting copulas level by level."""
+    """Sequential estimation: clusters first, then nesting copulas level by level.
+
+    Each fitted node goes through ``node_transform`` once, on the block it
+    was fitted to, which gives both the V column its parent is fitted to and
+    its log-density term; the likelihood is the sum of those terms.
+    """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
     if options.kendall_mode == "closed_form" and _has_elliptical_cluster(spec):
@@ -385,28 +394,20 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
     counter = [0]
     node_fits: list[NodeFit] = []
 
-    def rec(node: NodeSpec, data_block, is_root: bool):
+    def rec(node: NodeSpec, is_root: bool):
+        """Returns (fitted node, V column, summed log-density of its subtree)."""
         idx = counter[0]
         counter[0] += 1
         if node.columns is not None:
-            block = data_block[:, list(node.columns)]
-            fit = fit_cluster(node.family, block, options.cluster_max_evals)
-            cop = fit.copula
+            block, below = u[:, list(node.columns)], 0.0
         else:
-            vcols, fitted_children = [], []
-            for ch in node.children:
-                child_node, v = rec(ch, data_block, False)
-                fitted_children.append(child_node)
-                vcols.append(v)
-            block = np.column_stack(vcols)
-            fit = fit_cluster(node.family, block, options.cluster_max_evals)
-            cop = fit.copula
-        if is_root:
-            kf = None
-        else:
-            kf = kendall_for_copula(
-                cop, options.kendall_mode, options.kendall_mc,
-                substream(options.seed, STREAM_KENDALL, idx))
+            children, vs, accs = zip(*(rec(ch, False) for ch in node.children))
+            block, below = np.column_stack(vs), np.sum(accs, axis=0)
+        fit = fit_cluster(node.family, block, options.cluster_max_evals)
+        cop = fit.copula
+        kf = None if is_root else kendall_for_copula(
+            cop, options.kendall_mode, options.kendall_mc,
+            substream(options.seed, STREAM_KENDALL, idx))
         node_fits.append(NodeFit(
             name=node.name, family=node.family, dim=node.dim,
             params=copula_params(cop), method=fit.method,
@@ -415,17 +416,14 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
         if node.columns is not None:
             fitted = LeafNode(node.name, node.columns, cop, kf)
         else:
-            fitted = InnerNode(node.name, tuple(fitted_children), cop, kf)
-        if is_root:
-            return fitted, None
-        from .hierarchical import _node_v  # single source for the V transform
-        v = _node_v(fitted, data_block)
-        return fitted, v
+            fitted = InnerNode(node.name, children, cop, kf)
+        v, log_c = node_transform(fitted, block)
+        return fitted, v, below + log_c
 
-    root, _ = rec(spec, u, True)
+    root, _, log_density = rec(spec, True)
     model = HierarchicalModel(root=root, n_vars=u.shape[1])
     validate(model)
-    ll = model_loglik(model, u)
+    ll = loglik_from_logdensity(log_density)
     k = model_n_params(model)
     n = u.shape[0]
     return FitReport(
@@ -447,46 +445,33 @@ def _has_elliptical_cluster(spec: NodeSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 def _collect_free_params(model: HierarchicalModel, force_frozen: bool):
-    """Free parameter descriptors in DFS order: (path-tuple, kind, family)."""
+    """Free parameter descriptors keyed by preorder index: (index, kind, family)."""
     free = []
-
-    def rec(node, path, is_root):
+    for i, (_, node, depth) in enumerate(iter_nodes(model)):
         cop = node.copula
         if isinstance(cop, ArchimedeanCopula) and cop.generator.family != "independence":
-            free.append((path, "arch_theta", cop.generator.family))
-        elif isinstance(cop, StudentTCopula):
-            if is_root:
-                free.append((path, "t_nu", None))
-            elif not force_frozen:
-                raise ParameterError(
-                    "joint MLE refuses elliptical cluster copulas: their Monte "
-                    "Carlo Kendall functions make the likelihood noisy; pass "
-                    "force_frozen_kendall=True to keep them fixed at the "
-                    "two-step estimates")
-        elif isinstance(cop, GaussianCopula) and not is_root and not force_frozen:
+            free.append((i, "arch_theta", cop.generator.family))
+        elif isinstance(cop, StudentTCopula) and depth == 0:
+            free.append((i, "t_nu", None))
+        elif isinstance(cop, (GaussianCopula, StudentTCopula)) and depth and not force_frozen:
             raise ParameterError(
-                "joint MLE refuses elliptical cluster copulas: their Monte "
-                "Carlo Kendall functions make the likelihood noisy; pass "
-                "force_frozen_kendall=True to keep them fixed at the "
-                "two-step estimates")
-        if isinstance(node, InnerNode):
-            for i, ch in enumerate(node.children):
-                rec(ch, path + (i,), False)
-
-    rec(model.root, (), True)
+                "joint MLE refuses elliptical cluster copulas: their Monte Carlo "
+                "Kendall functions make the likelihood noisy; pass "
+                "force_frozen_kendall=True to keep them fixed at the two-step "
+                "estimates")
     return free
 
 
 def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
-    values = {}
-    for (path, kind, family), e in zip(free, eta):
-        values[path] = (kind, family, float(e))
+    values = {i: (kind, family, float(e)) for (i, kind, family), e in zip(free, eta)}
+    preorder = itertools.count()
 
-    def rec(node, path, is_root):
+    def rec(node, is_root):
+        i = next(preorder)
         cop = node.copula
         kf = node.kendall if not is_root else None
-        if path in values:
-            kind, family, e = values[path]
+        if i in values:
+            kind, family, e = values[i]
             if kind == "arch_theta":
                 gen = ArchimedeanGenerator(family, theta_from_eta(family, e))
                 cop = ArchimedeanCopula(gen, cop.dim)
@@ -496,11 +481,10 @@ def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
                 cop = StudentTCopula(cop.corr, nu_from_eta(e))
         if isinstance(node, LeafNode):
             return LeafNode(node.name, node.columns, cop, kf)
-        children = tuple(rec(ch, path + (i,), False)
-                         for i, ch in enumerate(node.children))
+        children = tuple(rec(ch, False) for ch in node.children)
         return InnerNode(node.name, children, cop, kf)
 
-    return HierarchicalModel(root=rec(model.root, (), True), n_vars=model.n_vars)
+    return HierarchicalModel(root=rec(model.root, True), n_vars=model.n_vars)
 
 
 def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> FitReport:
@@ -519,16 +503,11 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
         _finalize_ic(out)
         return out
 
-    eta0 = []
-    for path, kind, family in free:
-        node = model.root
-        for i in path:
-            node = node.children[i]
-        if kind == "arch_theta":
-            eta0.append(eta_from_theta(family, node.copula.generator.theta))
-        else:
-            eta0.append(eta_from_nu(node.copula.nu))
-    eta0 = np.asarray(eta0)
+    copulas = [node.copula for _, node, _ in iter_nodes(model)]
+    eta0 = np.array([
+        eta_from_theta(family, copulas[i].generator.theta) if kind == "arch_theta"
+        else eta_from_nu(copulas[i].nu)
+        for i, kind, family in free])
 
     def neg_ll(eta):
         try:
@@ -554,18 +533,9 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
 
 
 def _refresh_node_fits(node_fits, model) -> list:
-    by_name = {}
-    stack = [model.root]
-    while stack:
-        nd = stack.pop()
-        by_name[nd.name] = nd
-        if isinstance(nd, InnerNode):
-            stack.extend(nd.children)
-    out = []
-    for nf in node_fits:
-        nd = by_name[nf.name]
-        out.append(dataclasses.replace(nf, params=copula_params(nd.copula)))
-    return out
+    by_name = {node.name: node for _, node, _ in iter_nodes(model)}
+    return [dataclasses.replace(nf, params=copula_params(by_name[nf.name].copula))
+            for nf in node_fits]
 
 
 def _finalize_ic(report: FitReport) -> None:

@@ -255,6 +255,24 @@ def _gumbel_inv_deriv(theta, s, k):
     return out
 
 
+def _gumbel_inv_deriv_log(theta, s, k):
+    """log |(phi^-1)^(k)(s)| = -x + log x + log sum_j |q_j| x^(j-1) - k log s.
+
+    Q_k(0) = 0 and the coefficients of Q_k share one sign, so the log is
+    formed term by term and s^-k never overflows; s = 0 takes the signed
+    limit of ``_gumbel_inv_deriv``.
+    """
+    alpha = 1.0 / theta
+    q = np.abs(_gumbel_coeffs(alpha, k)[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log(s)
+        log_x = alpha * log_s
+        x = np.exp(log_x)
+        out = -x + log_x + np.log(_polyval_ascending(q, x)) - k * log_s
+        at_zero = np.log(np.abs(_gumbel_inv_deriv(theta, np.zeros(1), k)[0]))
+    return np.where(s == 0.0, at_zero, out)
+
+
 def generator_inverse_derivative(g: ArchimedeanGenerator, s, k: int):
     """(phi^-1)^(k)(s) for s >= 0 and 0 <= k <= MAX_DERIVATIVE_ORDER.
 
@@ -307,8 +325,7 @@ def generator_inverse_derivative_log(g: ArchimedeanGenerator, s, k: int):
         a = 1.0 / g.theta
         out = float(np.sum(np.log(a + np.arange(k)))) - (a + k) * np.log1p(ss)
     elif g.family == "gumbel":
-        with np.errstate(divide="ignore"):
-            out = np.log(np.abs(_gumbel_inv_deriv(g.theta, ss, k)))
+        out = _gumbel_inv_deriv_log(g.theta, ss, k)
     else:  # frank: y and the Eulerian coefficients are positive for theta > 0
         y, log_y, log_1my = _frank_y(g.theta, ss)
         with np.errstate(divide="ignore"):

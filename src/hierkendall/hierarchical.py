@@ -7,21 +7,29 @@ Size-1 clusters pass their variable through unchanged (identity copula
 and identity Kendall function).
 
 The joint density factorizes into the nesting density evaluated at the
-V-values times the product of all cluster densities; simulation runs
-top-down by drawing nesting samples, mapping them to Kendall levels
-z = K^-1(v), and sampling each cluster on its level set (exactly for
-Archimedean clusters, by rejection otherwise).
+V-values times the product of all cluster densities. One bottom-up pass
+applies ``node_transform`` at every node and yields both the V columns
+and that product, so the density, the probability integral transform and
+the two-step fit (which runs the same step while it fits) share it.
+
+Simulation runs top-down by drawing nesting samples, mapping them to
+Kendall levels z = K^-1(v), and sampling each cluster on its level set
+(exactly for Archimedean clusters, by rejection otherwise).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .copulas import (
+    ArchimedeanCopula,
     CopulaSpec,
+    GaussianCopula,
+    StudentTCopula,
     clamp_interior,
     copula_bivariate_margin,
     copula_cdf,
@@ -127,27 +135,19 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
 # ---------------------------------------------------------------------------
 
 def iter_nodes(model: HierarchicalModel):
-    """Depth-first preorder iteration over (path, node)."""
-    stack = [("root", model.root)]
+    """Depth-first preorder iteration over (path, node, depth); the root has depth 0."""
+    stack = [("root", model.root, 0)]
     while stack:
-        path, node = stack.pop()
-        yield path, node
+        path, node, depth = stack.pop()
+        yield path, node, depth
         if isinstance(node, InnerNode):
             for i, ch in enumerate(reversed(node.children)):
                 idx = len(node.children) - 1 - i
-                stack.append((f"{path}/{ch.name or idx}", ch))
+                stack.append((f"{path}/{ch.name or idx}", ch, depth + 1))
 
 
 def _node_dim(node: Node) -> int:
     return len(node.columns) if isinstance(node, LeafNode) else len(node.children)
-
-
-def _leaf_depths(node: Node, depth: int, out: list):
-    if isinstance(node, LeafNode):
-        out.append(depth)
-    else:
-        for ch in node.children:
-            _leaf_depths(ch, depth + 1, out)
 
 
 def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
@@ -158,7 +158,9 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
         return ["root must be an inner node carrying the nesting copula"]
     seen_names = set()
     covered: dict[int, str] = {}
-    for path, node in iter_nodes(model):
+    leaf_depths = set()
+    per_depth = Counter()  # node count per depth below the root
+    for path, node, depth in iter_nodes(model):
         if node.name in seen_names:
             problems.append(f"{path}: duplicate node name {node.name!r}")
         seen_names.add(node.name)
@@ -168,6 +170,7 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
                 f"{path}: copula dimension {node.copula.dim} != "
                 f"{'column' if isinstance(node, LeafNode) else 'child'} count {dim}")
         if isinstance(node, LeafNode):
+            leaf_depths.add(depth)
             for c in node.columns:
                 if c in covered:
                     problems.append(
@@ -176,6 +179,7 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
                     problems.append(f"{path}: variable {c} outside 0..{n_vars - 1}")
                 covered[c] = node.name
         if node is not model.root:
+            per_depth[depth] += 1
             if node.kendall is None:
                 problems.append(f"{path}: nested node lacks a Kendall function")
             elif node.kendall.dim != node.copula.dim:
@@ -185,35 +189,18 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
     missing = sorted(set(range(n_vars)) - set(covered))
     if missing:
         problems.append(f"root: variables {missing} not covered by any cluster")
-    depths = []
-    _leaf_depths(model.root, 0, depths)
-    if len(set(depths)) > 1:
+    if len(leaf_depths) > 1:
         problems.append(
             "root: leaves at mixed depths "
-            f"{sorted(set(depths))}; insert size-1 pass-through clusters")
+            f"{sorted(leaf_depths)}; insert size-1 pass-through clusters")
     else:
-        widths = _level_widths(model)
+        widths = [per_depth[k] for k in sorted(per_depth, reverse=True)]  # leaves first
         for j in range(1, len(widths)):
             if widths[j] > widths[j - 1]:
                 problems.append(
                     f"root: level width increases toward the root "
                     f"({widths[j - 1]} -> {widths[j]})")
     return problems
-
-
-def _level_widths(model: HierarchicalModel) -> list:
-    """Cluster counts per level, leaves first (root excluded)."""
-    levels = []
-    frontier = [model.root]
-    while frontier:
-        nxt = []
-        for nd in frontier:
-            if isinstance(nd, InnerNode):
-                nxt.extend(nd.children)
-        if nxt:
-            levels.append(len(nxt))
-        frontier = nxt
-    return list(reversed(levels))
 
 
 def validate(model: HierarchicalModel, n_vars: int | None = None) -> None:
@@ -225,38 +212,73 @@ def validate(model: HierarchicalModel, n_vars: int | None = None) -> None:
 def model_n_params(model: HierarchicalModel) -> int:
     """Number of free dependence parameters (size-1 clusters contribute none)."""
     total = 0
-    for _, node in iter_nodes(model):
+    for _, node, _ in iter_nodes(model):
         c = node.copula
         if c.dim <= 1:
             continue
-        kind = type(c).__name__
-        if kind == "ArchimedeanCopula":
+        if isinstance(c, ArchimedeanCopula):
             total += 0 if c.generator.family == "independence" else 1
-        elif kind == "GaussianCopula":
+        elif isinstance(c, GaussianCopula):
             total += c.dim * (c.dim - 1) // 2
-        elif kind == "StudentTCopula":
+        elif isinstance(c, StudentTCopula):
             total += c.dim * (c.dim - 1) // 2 + 1
     return total
 
 
 # ---------------------------------------------------------------------------
-# probability integral transform and density
+# the bottom-up pass: probability integral transform and density
 # ---------------------------------------------------------------------------
 
-def _node_v(node: Node, u: np.ndarray) -> np.ndarray:
-    """V column of one node given raw data u (N x n_vars)."""
-    if isinstance(node, LeafNode):
-        block = u[:, list(node.columns)]
-        if len(node.columns) == 1:
-            return block[:, 0]
-        inputs = clamp_interior(block)
-    else:
-        inputs = np.column_stack([_node_v(ch, u) for ch in node.children])
-        if inputs.shape[1] == 1:
-            return inputs[:, 0]
-        inputs = clamp_interior(inputs)
+def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
+    """One bottom-up step on a node's N x dim input block (its data columns,
+    or the stacked V columns of its children).
+
+    Returns (v, log_c): v = K(C(clamp(inputs))), None at the root, which has
+    no Kendall function, and log c the node's copula log-density. A size-1
+    node passes its input through with log c = 0. ``density=False`` skips
+    the copula log-density for callers that need v only (log c is then
+    None above size 1).
+    """
+    if inputs.shape[1] == 1:
+        return inputs[:, 0], np.zeros(inputs.shape[0])
+    inputs = clamp_interior(inputs)
+    log_c = copula_logpdf(node.copula, inputs) if density else None
+    if node.kendall is None:
+        return None, log_c
     z = clamp_interior(copula_cdf(node.copula, inputs))
-    return kendall_cdf(node.kendall, z)
+    return kendall_cdf(node.kendall, z), log_c
+
+
+# module-level rather than a recursive closure: a closure that calls itself is
+# a reference cycle, which would keep each pass's arrays alive until the next
+# garbage collection (joint MLE runs one pass per likelihood evaluation)
+def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth: dict, depth: int):
+    """(V, summed log c of the subtree) of ``node``; appends the V column of
+    every node below the root to ``by_depth[depth]``, left to right."""
+    if isinstance(node, LeafNode):
+        inputs, below = rows[:, list(node.columns)], 0.0
+    else:
+        vs, accs = zip(*(_post_order(ch, rows, density, by_depth, depth + 1)
+                         for ch in node.children))
+        inputs = np.column_stack(vs)
+        below = np.sum(accs, axis=0) if density else None
+    v, log_c = node_transform(node, inputs, density)
+    if depth:
+        by_depth[depth].append(v)
+    return v, (below + log_c if density else None)
+
+
+def _tree_pass(model: HierarchicalModel, rows: np.ndarray, density: bool):
+    """The one post-order pass over the tree.
+
+    Returns (levels, log-density): the V matrices per depth, leaves first,
+    whose last entry feeds the root, and the row log-density (None unless
+    ``density``): the sum of every node's log c.
+    """
+    by_depth = defaultdict(list)
+    _, log_density = _post_order(model.root, rows, density, by_depth, 0)
+    levels = [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
+    return levels, log_density
 
 
 def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
@@ -267,48 +289,14 @@ def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
-    rows = u[None, :] if single else u
-    out = np.column_stack([_node_v(ch, rows) for ch in model.root.children])
-    return out[0] if single else out
+    levels, _ = _tree_pass(model, u[None, :] if single else u, density=False)
+    return levels[-1][0] if single else levels[-1]
 
 
 def nesting_pit_levels(model: HierarchicalModel, u) -> list:
     """V matrices per level, leaves first; the last entry feeds the root."""
-    u = np.asarray(u, dtype=float)
-    levels = []
-    frontier = [model.root]
-    layers = []
-    while frontier:
-        nxt = []
-        for nd in frontier:
-            if isinstance(nd, InnerNode):
-                nxt.extend(nd.children)
-        if nxt:
-            layers.append(nxt)
-        frontier = nxt
-    for layer in reversed(layers):
-        levels.append(np.column_stack([_node_v(nd, u) for nd in layer]))
+    levels, _ = _tree_pass(model, np.asarray(u, dtype=float), density=False)
     return levels
-
-
-def _node_logdens(node: Node, u: np.ndarray):
-    """Returns (V column, summed log-density of the subtree below incl. node)."""
-    if isinstance(node, LeafNode):
-        block = u[:, list(node.columns)]
-        if len(node.columns) == 1:
-            return block[:, 0], np.zeros(u.shape[0])
-        inputs = clamp_interior(block)
-        acc = np.zeros(u.shape[0])
-    else:
-        cols, accs = zip(*(_node_logdens(ch, u) for ch in node.children))
-        acc = np.sum(accs, axis=0)
-        inputs = np.column_stack(cols)
-        if inputs.shape[1] == 1:
-            return inputs[:, 0], acc
-        inputs = clamp_interior(inputs)
-    acc = acc + copula_logpdf(node.copula, inputs)
-    z = clamp_interior(copula_cdf(node.copula, inputs))
-    return kendall_cdf(node.kendall, z), acc
 
 
 def model_logdensity(model: HierarchicalModel, u) -> np.ndarray:
@@ -319,12 +307,7 @@ def model_logdensity(model: HierarchicalModel, u) -> np.ndarray:
     if rows.shape[1] != model.n_vars:
         raise ModelStructureError(
             [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
-    cols, accs = zip(*(_node_logdens(ch, rows) for ch in model.root.children))
-    total = np.sum(accs, axis=0)
-    v = clamp_interior(np.column_stack(cols))
-    if v.shape[1] > 1:
-        total = total + copula_logpdf(model.root.copula, v)
-    out = total
+    _, out = _tree_pass(model, rows, density=True)
     return float(out[0]) if single else out
 
 
@@ -334,15 +317,20 @@ def model_density(model: HierarchicalModel, u):
     return float(np.exp(out)) if np.isscalar(out) else np.exp(out)
 
 
-def model_loglik(model: HierarchicalModel, u) -> LogLikelihood:
+def loglik_from_logdensity(ld) -> LogLikelihood:
     """Sum of row log-densities with a 1e-300 density floor.
 
     ``n_clamped`` counts floored rows; surfacing it keeps optimizer runs
     honest about boundary trouble instead of hiding it.
     """
-    ld = np.atleast_1d(model_logdensity(model, u))
+    ld = np.atleast_1d(ld)
     clamped = int(np.sum(ld < _LOGLIK_FLOOR))
     return LogLikelihood(float(np.sum(np.maximum(ld, _LOGLIK_FLOOR))), clamped)
+
+
+def model_loglik(model: HierarchicalModel, u) -> LogLikelihood:
+    """Floored log-likelihood of the data, see ``loglik_from_logdensity``."""
+    return loglik_from_logdensity(model_logdensity(model, u))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +340,7 @@ def model_loglik(model: HierarchicalModel, u) -> LogLikelihood:
 def model_is_exactly_samplable(model: HierarchicalModel) -> bool:
     """True when every non-root node has an Archimedean-kind copula."""
     return all(is_archimedean_kind(node.copula)
-               for path, node in iter_nodes(model) if node is not model.root)
+               for _, node, _ in iter_nodes(model) if node is not model.root)
 
 
 def _sample_node(node: Node, z_targets, rng, method, eps_rule, max_attempts,

@@ -154,7 +154,7 @@ def kendall_cdf(K: KendallFunction, t):
     """K(t) for t in (0,1); nondecreasing, identity when dim = 1."""
     scalar = np.isscalar(t)
     tt = np.asarray(t, dtype=float)
-    if np.any((tt <= 0.0) | (tt >= 1.0)):
+    if not np.all((tt > 0.0) & (tt < 1.0)):
         raise DomainError("Kendall CDF argument must lie in (0,1)")
     if K.kind == "empirical":
         out = np.searchsorted(K.sorted_values, tt, side="right") / K.sorted_values.size

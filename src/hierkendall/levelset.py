@@ -154,29 +154,15 @@ def sample_levelset_rejection(c: CopulaSpec, z: float, eps: EpsilonRule, rng,
                               max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> LevelSetSample:
     """Approximate level-set sample for an arbitrary copula.
 
-    Draws unconditionally from c and accepts the first candidate with
-    |C(u) - z| < eps(z). Raises ``RejectionCapError`` after
-    ``max_attempts`` candidates; the caller should widen eps or reduce the
-    dimension.
+    ``sample_levelset_rejection_batch`` with the single target z: accepts
+    the first candidate with |C(u) - z| < eps(z) and raises
+    ``RejectionCapError`` after ``max_attempts`` candidates; the caller
+    should widen eps or reduce the dimension.
     """
-    rng = as_rng(rng)
     z = float(z)
-    _check_z(z)
-    band = eps.epsilon(z)
-    attempts = 0
-    while attempts < max_attempts:
-        chunk = min(_REJECTION_CHUNK, max_attempts - attempts)
-        u = copula_sample(c, chunk, rng)
-        cz = copula_cdf(c, u)
-        hit = np.flatnonzero(np.abs(cz - z) < band)
-        if hit.size:
-            k = int(hit[0])
-            return LevelSetSample(u=u[k], z_target=z, z_achieved=float(cz[k]),
-                                  method="rejection", attempts=attempts + k + 1)
-        attempts += chunk
-    raise RejectionCapError(
-        f"no candidate within eps={band:g} of z={z:g} after {attempts} attempts",
-        attempts)
+    u, attempts = sample_levelset_rejection_batch(c, z, eps, rng, max_attempts)
+    return LevelSetSample(u=u[0], z_target=z, z_achieved=float(copula_cdf(c, u)[0]),
+                          method="rejection", attempts=attempts)
 
 
 def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, rng,

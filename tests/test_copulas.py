@@ -10,6 +10,7 @@ from hierkendall.copulas import (
     IndependenceCopula,
     StudentTCopula,
     copula_cdf,
+    copula_logpdf,
     copula_pdf,
     copula_sample,
     copula_sample_conditional,
@@ -18,9 +19,14 @@ from hierkendall.copulas import (
     quantile_curve,
 )
 from hierkendall.errors import DimensionError, NoSolutionError, ParameterError
-from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
+from hierkendall.generators import (
+    ArchimedeanGenerator,
+    generator_derivative_log,
+    generator_value,
+    theta_from_tau,
+)
 
-from oracles import pdf_mixed_fd_2d
+from oracles import gumbel_inv_deriv_log_mp, pdf_mixed_fd_2d
 
 CLAYTON2 = ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 2)
 GUMBEL2 = ArchimedeanCopula(ArchimedeanGenerator("gumbel", 2.0), 2)
@@ -125,6 +131,16 @@ class TestPdf:
             for u2 in grid:
                 fd = pdf_mixed_fd_2d(c, u1, u2)
                 assert copula_pdf(c, [u1, u2]) == pytest.approx(fd, abs=1e-3)
+
+    def test_gumbel_log_density_near_upper_corner(self):
+        # (phi^-1)^(d) at s = d phi(1 - 1e-9) ~ 1e-59 is formed in log space
+        g = theta_from_tau("gumbel", 0.85)
+        u = np.full(10, 1.0 - 1e-9)
+        s = float(np.sum(generator_value(g, u)))
+        ref = gumbel_inv_deriv_log_mp(g.theta, s, 10) + float(
+            np.sum(generator_derivative_log(g, u)))
+        got = copula_logpdf(ArchimedeanCopula(g, 10), u)
+        assert np.isfinite(got) and got == pytest.approx(ref, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)

@@ -23,7 +23,8 @@ from hierkendall.estimation import (
     theta_from_eta,
 )
 from hierkendall.generators import ArchimedeanGenerator
-from hierkendall.hierarchical import model_sample
+import hierkendall.hierarchical as hierarchical
+from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
 from hierkendall.rngutil import substream
 
 
@@ -192,6 +193,69 @@ class TestTwoStep:
         gaussian_fit = next(nf for nf in report.nodes if nf.name == "c1")
         assert gaussian_fit.params["corr"][0][1] == pytest.approx(0.6, abs=0.08)
         assert gaussian_fit.kendall.startswith("empirical")
+
+
+def three_level_spec(with_params=True):
+    def p(tau):
+        return {"tau": tau} if with_params else None
+    return NodeSpec("nest", "frank", children=(
+        NodeSpec("m1", "clayton", children=(
+            NodeSpec("c1", "clayton", columns=(0, 1, 2), params=p(0.5)),
+            NodeSpec("c2", "frank", columns=(3, 4, 5), params=p(0.4)),
+        ), params=p(0.3)),
+        NodeSpec("m2", "gumbel", children=(
+            NodeSpec("c3", "gumbel", columns=(6, 7, 8), params=p(0.45)),
+            NodeSpec("c4", "clayton", columns=(9, 10, 11), params=p(0.35)),
+        ), params=p(0.3)),
+    ), params=p(0.2))
+
+
+def gaussian_cluster_spec():
+    return NodeSpec("nest", "frank", children=(
+        NodeSpec("g", "gaussian", columns=(0, 1)),
+        NodeSpec("c", "clayton", columns=(2, 3)),
+        NodeSpec("s", "independence", columns=(4,)),
+    ))
+
+
+class TestOneBottomUpPass:
+    """fit_two_step reuses the V columns and log-density terms it forms while fitting."""
+
+    @pytest.fixture
+    def data(self):
+        return {
+            "three_level": (three_level_spec(False), model_sample(
+                build_model(three_level_spec(), 12), 300, np.random.default_rng(21)),
+                FitOptions()),
+            "gaussian_cluster": (gaussian_cluster_spec(), pseudo_observations(
+                np.random.default_rng(22).normal(size=(300, 5))
+                @ np.triu(np.full((5, 5), 0.5))), FitOptions(kendall_mc=2000)),
+        }
+
+    @pytest.mark.parametrize("case", ["three_level", "gaussian_cluster"])
+    def test_each_node_cdf_runs_once_per_row(self, monkeypatch, data, case):
+        spec, u, options = data[case]
+        rows = {}
+        real_cdf = hierarchical.copula_cdf
+
+        def counting_cdf(c, x):
+            rows.setdefault(id(c), []).append(np.shape(x)[0])
+            return real_cdf(c, x)
+
+        monkeypatch.setattr(hierarchical, "copula_cdf", counting_cdf)
+        report = fit_two_step(spec, u, options)
+        for _, node, depth in iter_nodes(report.model):
+            expected = [u.shape[0]] if depth and node.copula.dim > 1 else []
+            assert rows.pop(id(node.copula), []) == expected, node.name
+        assert rows == {}
+
+    @pytest.mark.parametrize("case", ["three_level", "gaussian_cluster"])
+    def test_loglik_equals_model_loglik_exactly(self, data, case):
+        spec, u, options = data[case]
+        report = fit_two_step(spec, u, options)
+        ll = model_loglik(report.model, u)
+        assert report.loglik_two_step == ll.value
+        assert report.clamped_two_step == ll.n_clamped
 
 
 class TestJointMle:

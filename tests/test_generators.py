@@ -16,11 +16,14 @@ from hierkendall.generators import (
     generator_derivative,
     generator_inverse,
     generator_inverse_derivative,
+    generator_inverse_derivative_log,
     generator_value,
     independence_generator,
     tau_from_theta,
     theta_from_tau,
 )
+
+from oracles import gumbel_inv_deriv_log_mp
 
 CLAYTON2 = ArchimedeanGenerator("clayton", 2.0)
 GUMBEL2 = ArchimedeanGenerator("gumbel", 2.0)
@@ -156,6 +159,19 @@ class TestInverseDerivatives:
         v1 = generator_inverse_derivative(GUMBEL2, 0.0, 1)
         v2 = generator_inverse_derivative(GUMBEL2, 0.0, 2)
         assert v1 == -math.inf and v2 == math.inf
+        assert generator_inverse_derivative_log(GUMBEL2, 0.0, 3) == math.inf
+        gumbel1 = ArchimedeanGenerator("gumbel", 1.0)
+        assert generator_inverse_derivative_log(gumbel1, np.array([0.0]), 3)[0] == 0.0
+
+    @pytest.mark.parametrize("tau", [0.3, 0.85])
+    def test_gumbel_log_derivative_matches_mpmath(self, tau):
+        # s^-k leaves float range for tiny s; the log form must not overflow
+        g = theta_from_tau("gumbel", tau)
+        for s in (1e-300, 1e-60, 1e-8, 0.5, 3.0, 50.0):
+            for k in (1, 2, 5, 10, 20):
+                ref = gumbel_inv_deriv_log_mp(g.theta, s, k)
+                got = generator_inverse_derivative_log(g, s, k)
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (s, k)
 
 
 class TestGeneratorDerivative:

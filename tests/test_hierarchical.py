@@ -22,6 +22,7 @@ from hierkendall.hierarchical import (
     model_sample,
     nesting_pit,
     nesting_pit_levels,
+    node_transform,
     validate,
     validate_model,
 )
@@ -160,6 +161,25 @@ class TestNestingPit:
         v = nesting_pit(m, u)
         for j in range(v.shape[1]):
             assert kstest(v[:, j], "uniform").pvalue > 0.01
+
+    def test_levels_come_from_the_same_pass(self):
+        c1 = leaf("c1", [0, 1], arch(CLAYTON2, 2))
+        m = HierarchicalModel(
+            root=inner("nest", [
+                inner("m1", [c1, leaf("c2", [2, 3], arch(GUMBEL2, 2))],
+                      arch(theta_from_tau("frank", 0.5), 2), nested=True),
+                inner("m2", [leaf("c3", [4], IndependenceCopula(1))],
+                      IndependenceCopula(1), nested=True)],
+                arch(CLAYTON2, 2)),
+            n_vars=5)
+        assert validate_model(m) == []
+        u = np.random.default_rng(3).random((50, 5))
+        levels = nesting_pit_levels(m, u)
+        assert [lv.shape for lv in levels] == [(50, 3), (50, 2)]
+        np.testing.assert_array_equal(levels[-1], nesting_pit(m, u))
+        np.testing.assert_array_equal(levels[0][:, 0], node_transform(c1, u[:, :2])[0])
+        np.testing.assert_array_equal(levels[0][:, 2], u[:, 4])
+        np.testing.assert_array_equal(levels[-1][:, 1], u[:, 4])
 
     def test_pass_rate_over_seeds(self):
         m = two_cluster_model()

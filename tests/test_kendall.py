@@ -124,6 +124,10 @@ class TestClosedForm:
             kendall_cdf(K, 0.0)
         with pytest.raises(DomainError):
             kendall_cdf(K, 1.0)
+        with pytest.raises(DomainError):
+            kendall_cdf(closed_form_kendall(GUMBEL2, 3), np.array([0.5, np.nan]))
+        with pytest.raises(DomainError):
+            kendall_cdf(empirical_kendall_from_values([0.2, 0.4], 2), np.nan)
 
 
 class TestInverse:
