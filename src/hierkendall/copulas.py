@@ -12,10 +12,13 @@ Every copula kind supports
 * ``copula_sample_conditional`` -- sampling with one coordinate fixed
   (used for cross-cluster margin integration).
 
-Elliptical CDFs are evaluated by deterministic Gauss-Legendre quadrature
-after substituting the marginal probability transform for d <= 3; higher
-dimensions fall back to library routines with a fixed internal seed, so
-results stay reproducible. All inputs are clamped to
+Elliptical CDFs take one batched path: a row with a coordinate <= 0 is 0,
+coordinates at 1 are dropped, and rows keeping the same coordinates are
+evaluated together on that sub-correlation. Up to three remaining
+coordinates use deterministic Gauss-Legendre quadrature (one 96-node rule,
+built at import) after substituting the marginal probability transform;
+four or more fall back to scipy's Gaussian/t CDFs with a fixed seed for
+every row, so repeated calls agree bit for bit. All inputs are clamped to
 ``[INTERIOR_EPS, 1 - INTERIOR_EPS]`` before interior evaluation; exact 0/1
 coordinates keep their boundary meaning in the CDF.
 """
@@ -39,7 +42,9 @@ from .generators import (
 
 INTERIOR_EPS = 1e-12
 
-_GL_NODES = 96  # Gauss-Legendre order for elliptical CDF quadrature
+# 96-node Gauss-Legendre rule on [-1, 1] for the elliptical CDF quadrature,
+# built once: forming it costs more than a whole 3-d row of quadrature
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
 
 def clamp_interior(u):
@@ -152,86 +157,90 @@ def _gauss_cdf_2d(a, b, rho):
         if rho > 0:  # comonotone limit
             return special.ndtr(np.minimum(a, b))
         return np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0)
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     pa = special.ndtr(np.asarray(a, dtype=float))
-    p = 0.5 * pa[..., None] * (nodes + 1.0)  # map [-1,1] -> [0, Phi(a)]
+    p = 0.5 * pa[..., None] * (_GL_NODES + 1.0)  # map [-1,1] -> [0, Phi(a)]
     x1 = special.ndtri(np.clip(p, 1e-300, 1.0 - 1e-16))
     sig = np.sqrt(1.0 - rho * rho)
     inner = special.ndtr((np.asarray(b, dtype=float)[..., None] - rho * x1) / sig)
-    return 0.5 * pa * (inner @ weights)
+    return 0.5 * pa * (inner @ _GL_WEIGHTS)
 
 
 def _t_cdf_2d(a, b, rho, nu):
     """P(T1 <= a, T2 <= b) for standard bivariate t(nu), vectorized."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    pa = stats.t.cdf(np.asarray(a, dtype=float), df=nu)
-    p = 0.5 * pa[..., None] * (nodes + 1.0)
-    x1 = stats.t.ppf(np.clip(p, 1e-300, 1.0 - 1e-16), df=nu)
+    pa = special.stdtr(nu, np.asarray(a, dtype=float))
+    p = 0.5 * pa[..., None] * (_GL_NODES + 1.0)
+    x1 = special.stdtrit(nu, np.clip(p, 1e-300, 1.0 - 1e-16))
     scale = np.sqrt((nu + x1 * x1) * (1.0 - rho * rho) / (nu + 1.0))
-    inner = stats.t.cdf((np.asarray(b, dtype=float)[..., None] - rho * x1) / scale,
-                        df=nu + 1.0)
-    return 0.5 * pa * (inner @ weights)
+    inner = special.stdtr(nu + 1.0,
+                          (np.asarray(b, dtype=float)[..., None] - rho * x1) / scale)
+    return 0.5 * pa * (inner @ _GL_WEIGHTS)
 
 
 def _gauss_cdf_3d(x, corr):
     """P(X <= x) for standard trivariate normal; x has shape (n, 3)."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
     s2 = np.sqrt(1.0 - r12 * r12)
     s3 = np.sqrt(1.0 - r13 * r13)
     rc = (r23 - r12 * r13) / (s2 * s3)
     pa = special.ndtr(x[:, 0])
-    p = 0.5 * pa[:, None] * (nodes + 1.0)
+    p = 0.5 * pa[:, None] * (_GL_NODES + 1.0)
     x1 = special.ndtri(np.clip(p, 1e-300, 1.0 - 1e-16))
     inner = _gauss_cdf_2d((x[:, 1, None] - r12 * x1) / s2,
                           (x[:, 2, None] - r13 * x1) / s3, rc)
-    return 0.5 * pa * (inner @ weights)
+    return 0.5 * pa * (inner @ _GL_WEIGHTS)
 
 
 def _t_cdf_3d(x, corr, nu):
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
     s2 = np.sqrt(1.0 - r12 * r12)
     s3 = np.sqrt(1.0 - r13 * r13)
     rc = (r23 - r12 * r13) / (s2 * s3)
-    pa = stats.t.cdf(x[:, 0], df=nu)
-    p = 0.5 * pa[:, None] * (nodes + 1.0)
-    x1 = stats.t.ppf(np.clip(p, 1e-300, 1.0 - 1e-16), df=nu)
+    pa = special.stdtr(nu, x[:, 0])
+    p = 0.5 * pa[:, None] * (_GL_NODES + 1.0)
+    x1 = special.stdtrit(nu, np.clip(p, 1e-300, 1.0 - 1e-16))
     f = np.sqrt((nu + x1 * x1) / (nu + 1.0))
     inner = _t_cdf_2d((x[:, 1, None] - r12 * x1) / (s2 * f),
                       (x[:, 2, None] - r13 * x1) / (s3 * f), rc, nu + 1.0)
-    return 0.5 * pa * (inner @ weights)
+    return 0.5 * pa * (inner @ _GL_WEIGHTS)
 
 
-def _elliptical_cdf_row(c, urow):
-    """CDF for one point of a Gaussian/Student-t copula, reducing 0/1 coords."""
-    if np.any(urow <= 0.0):
-        return 0.0
-    active = np.flatnonzero(urow < 1.0)
-    if active.size == 0:
-        return 1.0
-    sub = c.corr[np.ix_(active, active)]
-    uu = clamp_interior(urow[active])
+def _elliptical_cdf(c, rows):
+    """C(u) for a batch of rows of a Gaussian or Student-t copula.
+
+    A row with a coordinate <= 0 gives 0 and coordinates at 1 are dropped.
+    Rows that keep the same coordinates are evaluated together on that
+    sub-correlation: one vectorised quadrature call for two coordinates,
+    the 3-d quadrature one row at a time (a row's 96x96 grid stays in cache,
+    so batching rows buys nothing and costs memory), and scipy with a fixed
+    seed per row for four or more.
+    """
     gaussian = isinstance(c, GaussianCopula)
-    if gaussian:
-        x = special.ndtri(uu)
-    else:
-        x = stats.t.ppf(uu, df=c.nu)
-    d = active.size
-    if d == 1:
-        return float(uu[0])
-    if d == 2:
-        fn = _gauss_cdf_2d if gaussian else (
-            lambda a, b, r: _t_cdf_2d(a, b, r, c.nu))
-        return float(fn(np.array([x[0]]), np.array([x[1]]), sub[0, 1])[0])
-    if d == 3:
-        fn = (lambda xx: _gauss_cdf_3d(xx, sub)) if gaussian else (
-            lambda xx: _t_cdf_3d(xx, sub, c.nu))
-        return float(fn(x[None, :])[0])
-    if gaussian:
-        return float(stats.multivariate_normal(mean=np.zeros(d), cov=sub).cdf(x))
-    return float(stats.multivariate_t(shape=sub, df=c.nu).cdf(
-        x, random_state=np.random.default_rng(0)))
+    out = np.zeros(rows.shape[0])
+    live = np.flatnonzero(~np.any(rows <= 0.0, axis=1))
+    kept = ~(rows[live] >= 1.0)
+    # group by each row's mask read as one bytes key (np.unique(axis=0) is 30x slower)
+    _, first, group = np.unique(kept.view(f"V{c.dim}").ravel(), return_index=True,
+                                return_inverse=True)
+    for k, mask in enumerate(kept[first]):
+        idx, active = live[group == k], np.flatnonzero(mask)
+        sub = c.corr[np.ix_(active, active)]
+        uu = clamp_interior(rows[np.ix_(idx, active)])
+        x = special.ndtri(uu) if gaussian else special.stdtrit(c.nu, uu)
+        if active.size <= 1:
+            out[idx] = uu[:, 0] if active.size else 1.0
+        elif active.size == 2:
+            out[idx] = (_gauss_cdf_2d(x[:, 0], x[:, 1], sub[0, 1]) if gaussian
+                        else _t_cdf_2d(x[:, 0], x[:, 1], sub[0, 1], c.nu))
+        elif active.size == 3:
+            out[idx] = [(_gauss_cdf_3d(r[None], sub) if gaussian
+                         else _t_cdf_3d(r[None], sub, c.nu))[0] for r in x]
+        elif gaussian:
+            out[idx] = [stats.multivariate_normal(
+                cov=sub, seed=np.random.default_rng(0)).cdf(r) for r in x]
+        else:
+            out[idx] = [stats.multivariate_t(shape=sub, df=c.nu).cdf(
+                r, random_state=np.random.default_rng(0)) for r in x]
+    return out
 
 
 def copula_cdf_with_error(c: CopulaSpec, u):
@@ -283,17 +292,7 @@ def copula_cdf(c: CopulaSpec, u):
         out = generator_inverse(g, np.sum(generator_value(g, cl), axis=1))
         out = np.where(zero, 0.0, out)
     else:
-        d = c.dim
-        if d == 2 and not (np.any(rows <= 0.0) or np.any(rows >= 1.0)):
-            uu = clamp_interior(rows)
-            if isinstance(c, GaussianCopula):
-                x = special.ndtri(uu)
-                out = _gauss_cdf_2d(x[:, 0], x[:, 1], c.corr[0, 1])
-            else:
-                x = stats.t.ppf(uu, df=c.nu)
-                out = _t_cdf_2d(x[:, 0], x[:, 1], c.corr[0, 1], c.nu)
-        else:
-            out = np.array([_elliptical_cdf_row(c, r) for r in rows])
+        out = _elliptical_cdf(c, rows)
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if single else out
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 from scipy.stats import kendalltau, ks_2samp, kstest
 
+from hierkendall import copulas
 from hierkendall.copulas import (
     ArchimedeanCopula,
     GaussianCopula,
@@ -269,6 +271,112 @@ class TestCdfWithError:
         assert val == pytest.approx(mc, abs=0.005)
         # bit-for-bit reproducible
         assert copula_cdf_with_error(c, u) == (val, se)
+
+
+CORR3 = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])
+
+
+def elliptical(kind, corr):
+    return GaussianCopula(corr) if kind == "gaussian" else StudentTCopula(corr, 5.0)
+
+
+class TestEllipticalPath:
+    """One batched path: boundary reduction, grouping, fixed seeds, the rule built once."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_reduce_to_their_active_coordinates(self, kind, d):
+        rng = np.random.default_rng(41)
+        rows = [rng.random(d) for _ in range(4)]
+        for one in range(d):
+            rows.append(rng.random(d))
+            rows[-1][one] = 1.0
+            rows.append(np.ones(d))
+            rows[-1][one] = rng.random()  # every other coordinate at 1
+        zero = rng.random(d)
+        zero[d - 1] = 0.0
+        rows += [zero, np.ones(d), rng.random(d)]
+        batch = np.array(rows)
+        got = copula_cdf(elliptical(kind, CORR3[:d, :d]), batch)
+        for row, value in zip(batch, got):
+            active = np.flatnonzero(row < 1.0)
+            if np.any(row <= 0.0):
+                want = 0.0
+            elif active.size == 0:
+                want = 1.0
+            else:
+                sub = elliptical(kind, CORR3[np.ix_(active, active)])
+                want = copula_cdf(sub, row[active])
+            assert value == pytest.approx(want, abs=1e-15), row
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_scipy(self, kind, d):
+        u = np.array([[0.3, 0.6, 0.8], [0.05, 0.9, 0.5], [0.99, 0.995, 0.2],
+                      [1e-6, 0.5, 0.5]])[:, :d]
+        corr = CORR3[:d, :d]
+        got = copula_cdf(elliptical(kind, corr), u)
+        if kind == "gaussian":
+            want = [stats.multivariate_normal.cdf(
+                x, cov=corr, abseps=1e-10, releps=0.0, rng=np.random.default_rng(0))
+                for x in special.ndtri(u)]
+            # the 96-node rule itself: against adaptive quadrature it is off by
+            # 1.6e-8 at d = 2 (row 1) and 2.8e-6 at d = 3 (row 3, near the upper corner)
+            tol = 1e-7 if d == 2 else 5e-6
+        else:
+            want = [stats.multivariate_t(shape=corr, df=5.0).cdf(
+                x, maxpts=200_000, random_state=np.random.default_rng(0))
+                for x in stats.t.ppf(u, df=5.0)]
+            tol = 2e-5  # scipy's randomised QMC error at this maxpts
+        assert got == pytest.approx(want, abs=tol)
+
+    def test_boundary_row_leaves_interior_rows_batched(self, monkeypatch):
+        calls = []
+        real = copulas._gauss_cdf_2d
+
+        def counting(a, b, rho):
+            calls.append(np.shape(a))
+            return real(a, b, rho)
+
+        monkeypatch.setattr(copulas, "_gauss_cdf_2d", counting)
+        u = np.random.default_rng(42).random((4096, 2))
+        u[1000, 1] = 1.0
+        out = copula_cdf(GaussianCopula(corr2(0.5)), u)
+        assert calls == [(4095,)]
+        assert out[1000] == u[1000, 0]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_high_dim_fallback_is_deterministic(self, kind):
+        corr = np.full((5, 5), 0.4)
+        np.fill_diagonal(corr, 1.0)
+        c = elliptical(kind, corr)
+        u = np.array([[0.3, 0.6, 0.5, 0.7, 0.4], [0.3, 0.6, 0.5, 0.7, 0.4],
+                      [0.2, 0.9, 0.8, 0.6, 0.5]])
+        first = copula_cdf(c, u)
+        assert np.array_equal(first, copula_cdf(c, u))
+        assert first[0] == first[1]
+
+    @pytest.mark.parametrize("df", [2.5, 5.0, 6.0, 30.0])
+    def test_t_special_functions_equal_stats_t(self, df):
+        rng = np.random.default_rng(43)
+        p = np.concatenate([rng.random(20_000), 10.0 ** rng.uniform(-300, 0, 20_000),
+                            1.0 - 10.0 ** rng.uniform(-16, 0, 20_000)])
+        x = stats.t.ppf(p, df=df)
+        assert np.array_equal(special.stdtrit(df, p), x)
+        assert np.array_equal(special.stdtr(df, x), stats.t.cdf(x, df=df))
+
+    def test_quadrature_rule_is_not_rebuilt_per_call(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("Gauss-Legendre rule rebuilt inside a call")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        u = np.array([[0.3, 0.6, 0.8], [0.7, 1.0, 0.4]])
+        for kind in ("gaussian", "student_t"):
+            for d in (2, 3):
+                c = elliptical(kind, CORR3[:d, :d])
+                copula_cdf(c, u[:, :d])
+                copula_logpdf(c, u[:1, :d])
+        quantile_curve(GaussianCopula(CORR3), [0.4], 0.2)
 
 
 class TestValidation:
