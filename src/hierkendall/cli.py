@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: fit, simulate, density, kendall, backtest, study. Exit
-codes: 0 success, 2 input/configuration error, 3 numeric or convergence
-warning (outputs are still written). All randomness derives from the
---seed flag (or the config's seed), so outputs are byte-identical across
-runs of the same build.
+codes: 0 success, 2 input/configuration error, 3 numeric failure (a missed
+tolerance, a non-finite density, an exhausted rejection budget) or
+convergence warning (outputs are then still written). All randomness
+derives from the --seed flag (or the config's seed), so outputs are
+byte-identical across runs of the same build.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from .backtest import rolling_backtest
-from .errors import HierKendallError
+from .errors import EvaluationError, HierKendallError, RejectionCapError, ToleranceError
 from .estimation import (
     FitOptions,
     StudyConfig,
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (ToleranceError, EvaluationError, RejectionCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except HierKendallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

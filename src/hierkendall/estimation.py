@@ -53,6 +53,7 @@ from .hierarchical import (
     model_n_params,
     model_sample,
     node_transform,
+    subtree_values,
     validate,
 )
 from .kendall import KendallFunction
@@ -462,7 +463,21 @@ def _collect_free_params(model: HierarchicalModel, force_frozen: bool):
     return free
 
 
+def _frozen_subtrees(model: HierarchicalModel, free) -> list:
+    """The topmost nodes whose subtree holds no free parameter."""
+    nodes = list(iter_nodes(model))
+    free_paths = [nodes[i][0] + "/" for i, _, _ in free]
+
+    def frozen(path):
+        return not any(f.startswith(path + "/") for f in free_paths)
+
+    return [node for path, node, depth in nodes
+            if depth and frozen(path) and not frozen(path.rsplit("/", 1)[0])]
+
+
 def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
+    """The model at parameters ``eta``; subtrees without a free parameter are
+    the original node objects, so ``subtree_values`` of them stay valid."""
     values = {i: (kind, family, float(e)) for (i, kind, family), e in zip(free, eta)}
     preorder = itertools.count()
 
@@ -480,8 +495,10 @@ def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
             else:
                 cop = StudentTCopula(cop.corr, nu_from_eta(e))
         if isinstance(node, LeafNode):
-            return LeafNode(node.name, node.columns, cop, kf)
+            return node if i not in values else LeafNode(node.name, node.columns, cop, kf)
         children = tuple(rec(ch, False) for ch in node.children)
+        if i not in values and all(a is b for a, b in zip(children, node.children)):
+            return node
         return InnerNode(node.name, children, cop, kf)
 
     return HierarchicalModel(root=rec(model.root, True), n_vars=model.n_vars)
@@ -509,10 +526,13 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
         else eta_from_nu(copulas[i].nu)
         for i, kind, family in free])
 
+    # subtrees without a free parameter give the same (V, log c) in every call
+    known = subtree_values(_frozen_subtrees(model, free), u)
+
     def neg_ll(eta):
         try:
             cand = _rebuild_with_eta(model, free, eta)
-            val = model_loglik(cand, u).value
+            val = model_loglik(cand, u, known).value
         except (ParameterError, FloatingPointError, OverflowError):
             return 1e12
         return -val if np.isfinite(val) else 1e12
@@ -522,7 +542,7 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
                                          **_NM_OPTIONS))
     best_eta = res.x if res.fun <= -report.loglik_two_step else eta0
     final = _rebuild_with_eta(model, free, best_eta)
-    ll = model_loglik(final, u)
+    ll = model_loglik(final, u, known)
     nodes = _refresh_node_fits(report.nodes, final)
     out = dataclasses.replace(
         report, nodes=nodes, loglik_joint=ll.value, clamped_joint=ll.n_clamped,

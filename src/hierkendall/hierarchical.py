@@ -10,7 +10,11 @@ The joint density factorizes into the nesting density evaluated at the
 V-values times the product of all cluster densities. One bottom-up pass
 applies ``node_transform`` at every node and yields both the V columns
 and that product, so the density, the probability integral transform and
-the two-step fit (which runs the same step while it fits) share it.
+the two-step fit (which runs the same step while it fits) share it. At an
+Archimedean node with its closed-form Kendall function, V and log c both
+come from one generator sum s = sum_i phi(u_i) (``archimedean_node_step``).
+Subtrees whose (V, log c) is already known on the same rows, such as those
+joint MLE holds fixed, can be passed in and are not evaluated again.
 
 Simulation runs top-down by drawing nesting samples, mapping them to
 Kendall levels z = K^-1(v), and sampling each cluster on its level set
@@ -43,6 +47,7 @@ from .copulas import (
 from .errors import ModelStructureError, ParameterError, SameClusterError
 from .kendall import (
     KendallFunction,
+    archimedean_node_step,
     closed_form_kendall,
     empirical_kendall_build,
     identity_kendall,
@@ -233,32 +238,44 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
     """One bottom-up step on a node's N x dim input block (its data columns,
     or the stacked V columns of its children).
 
-    Returns (v, log_c): v = K(C(clamp(inputs))), None at the root, which has
-    no Kendall function, and log c the node's copula log-density. A size-1
-    node passes its input through with log c = 0. ``density=False`` skips
-    the copula log-density for callers that need v only (log c is then
-    None above size 1).
+    Returns (v, log_c): v = K(clamp(C(clamp(inputs)))), None at the root,
+    which has no Kendall function, and log c the node's copula log-density.
+    A size-1 node passes its input through with log c = 0. An Archimedean
+    node whose Kendall function is the closed form of its own generator
+    takes both from one generator sum (``archimedean_node_step``).
+    ``density=False`` is for callers that need v only (log c is then None
+    above size 1).
     """
     if inputs.shape[1] == 1:
         return inputs[:, 0], np.zeros(inputs.shape[0])
     inputs = clamp_interior(inputs)
-    log_c = copula_logpdf(node.copula, inputs) if density else None
-    if node.kendall is None:
+    c, K = node.copula, node.kendall
+    if (isinstance(c, ArchimedeanCopula) and K is not None and K.kind == "closed_form"
+            and K.generator == c.generator):
+        v, log_c = archimedean_node_step(c.generator, inputs)
+        return v, (log_c if density else None)
+    log_c = copula_logpdf(c, inputs) if density else None
+    if K is None:
         return None, log_c
-    z = clamp_interior(copula_cdf(node.copula, inputs))
-    return kendall_cdf(node.kendall, z), log_c
+    return kendall_cdf(K, clamp_interior(copula_cdf(c, inputs))), log_c
 
 
 # module-level rather than a recursive closure: a closure that calls itself is
 # a reference cycle, which would keep each pass's arrays alive until the next
 # garbage collection (joint MLE runs one pass per likelihood evaluation)
-def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth: dict, depth: int):
+def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth: dict, depth: int,
+                known: dict):
     """(V, summed log c of the subtree) of ``node``; appends the V column of
-    every node below the root to ``by_depth[depth]``, left to right."""
+    every node below the root to ``by_depth[depth]``, left to right. A node
+    whose id is in ``known`` returns the pair stored there, and its subtree
+    adds nothing to ``by_depth``."""
+    if id(node) in known:
+        _, v, acc = known[id(node)]
+        return v, acc
     if isinstance(node, LeafNode):
         inputs, below = rows[:, list(node.columns)], 0.0
     else:
-        vs, accs = zip(*(_post_order(ch, rows, density, by_depth, depth + 1)
+        vs, accs = zip(*(_post_order(ch, rows, density, by_depth, depth + 1, known)
                          for ch in node.children))
         inputs = np.column_stack(vs)
         below = np.sum(accs, axis=0) if density else None
@@ -268,15 +285,17 @@ def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth: dict, dep
     return v, (below + log_c if density else None)
 
 
-def _tree_pass(model: HierarchicalModel, rows: np.ndarray, density: bool):
+def _tree_pass(model: HierarchicalModel, rows: np.ndarray, density: bool, known=None):
     """The one post-order pass over the tree.
 
     Returns (levels, log-density): the V matrices per depth, leaves first,
     whose last entry feeds the root, and the row log-density (None unless
-    ``density``): the sum of every node's log c.
+    ``density``): the sum of every node's log c. Subtrees in ``known`` (see
+    ``subtree_values``) are not evaluated, so levels are complete only
+    without it.
     """
     by_depth = defaultdict(list)
-    _, log_density = _post_order(model.root, rows, density, by_depth, 0)
+    _, log_density = _post_order(model.root, rows, density, by_depth, 0, known or {})
     levels = [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
     return levels, log_density
 
@@ -299,15 +318,30 @@ def nesting_pit_levels(model: HierarchicalModel, u) -> list:
     return levels
 
 
-def model_logdensity(model: HierarchicalModel, u) -> np.ndarray:
-    """Row-wise log of the model density."""
+def subtree_values(nodes, u) -> dict:
+    """(V, summed log c) of each subtree rooted at one of ``nodes`` on the
+    data rows ``u``: the ``known`` argument of ``model_logdensity`` and
+    ``model_loglik`` for models that share those node objects and are
+    evaluated on the same rows. Keyed by ``id(node)``; each entry holds its
+    node, so no other object takes that id while the table lives."""
+    rows = np.asarray(u, dtype=float)
+    return {id(node): (node, *_post_order(node, rows, True, defaultdict(list), 1, {}))
+            for node in nodes}
+
+
+def model_logdensity(model: HierarchicalModel, u, known=None) -> np.ndarray:
+    """Row-wise log of the model density.
+
+    ``known`` (from ``subtree_values`` on the same rows) supplies the terms
+    of subtrees that are not evaluated again.
+    """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
     rows = u[None, :] if single else u
     if rows.shape[1] != model.n_vars:
         raise ModelStructureError(
             [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
-    _, out = _tree_pass(model, rows, density=True)
+    _, out = _tree_pass(model, rows, density=True, known=known)
     return float(out[0]) if single else out
 
 
@@ -328,9 +362,10 @@ def loglik_from_logdensity(ld) -> LogLikelihood:
     return LogLikelihood(float(np.sum(np.maximum(ld, _LOGLIK_FLOOR))), clamped)
 
 
-def model_loglik(model: HierarchicalModel, u) -> LogLikelihood:
-    """Floored log-likelihood of the data, see ``loglik_from_logdensity``."""
-    return loglik_from_logdensity(model_logdensity(model, u))
+def model_loglik(model: HierarchicalModel, u, known=None) -> LogLikelihood:
+    """Floored log-likelihood of the data, see ``loglik_from_logdensity``;
+    ``known`` as in ``model_logdensity``."""
+    return loglik_from_logdensity(model_logdensity(model, u, known))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,15 @@ from math import lgamma, log
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ToleranceError
+from .copulas import INTERIOR_EPS
+from .errors import DomainError, EvaluationError, ParameterError, ToleranceError
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
     _eulerian_coeffs,
     _frank_y,
     _gumbel_coeffs,
     _polyval_ascending,
+    generator_derivative_log,
     generator_inverse_derivative_log,
     generator_value,
     independence_generator,
@@ -135,19 +137,29 @@ def _log_phi(g: ArchimedeanGenerator, t):
     return out
 
 
-def _closed_form_kernel(g: ArchimedeanGenerator, d: int, log_s):
-    """K and dK/dlog s at s = exp(log_s), for a d-dimensional Archimedean copula.
+def _k_and_log_td(g: ArchimedeanGenerator, d: int, log_s):
+    """K = T_0 + ... + T_{d-1} and log T_d at s = exp(log_s).
 
-    K = T_0 + ... + T_{d-1} and, since the sum telescopes under d/ds,
-    dK/dlog s = -d T_d = -s^d |(phi^-1)^(d)(s)| / (d-1)!.
+    T_d gives both dK/dlog s (see ``_closed_form_kernel``) and the copula
+    density (see ``archimedean_node_step``); it stays in log form because
+    the density needs it where it leaves float range.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = _log_terms(g, d, log_s)
         k = np.exp(next(terms))
         for _, log_t in zip(range(1, d), terms):
             k = k + np.exp(log_t)
-        dk = -d * np.exp(next(terms))
-    return k, dk
+        return k, next(terms)
+
+
+def _closed_form_kernel(g: ArchimedeanGenerator, d: int, log_s):
+    """K and dK/dlog s at s = exp(log_s), for a d-dimensional Archimedean copula.
+
+    K = T_0 + ... + T_{d-1} and, since the sum telescopes under d/ds,
+    dK/dlog s = -d T_d = -s^d |(phi^-1)^(d)(s)| / (d-1)!.
+    """
+    k, log_td = _k_and_log_td(g, d, log_s)
+    return k, -d * np.exp(log_td)
 
 
 def kendall_cdf(K: KendallFunction, t):
@@ -162,9 +174,36 @@ def kendall_cdf(K: KendallFunction, t):
     elif K.dim == 1:
         out = tt + 0.0
     else:
-        out, _ = _closed_form_kernel(K.generator, K.dim, _log_phi(K.generator, tt))
+        out, _ = _k_and_log_td(K.generator, K.dim, _log_phi(K.generator, tt))
         out = np.clip(out, 0.0, 1.0)
     return float(out[()]) if scalar else out
+
+
+def archimedean_node_step(g: ArchimedeanGenerator, u):
+    """(V, log c) of a d-dimensional Archimedean copula on an N x d block of
+    interior points, both from one generator sum s = sum_i phi(u_i).
+
+    V = K(max(C(u), INTERIOR_EPS)) is read off the Kendall kernel at log s
+    without forming C = phi^-1(s); the clamp on C caps s at
+    phi(INTERIOR_EPS). log c = log|(phi^-1)^(d)(s)| + sum_i log|phi'(u_i)|,
+    with log|(phi^-1)^(d)(s)| = log T_d + log d! - d log s taken from the
+    kernel's last term at the uncapped s.
+    """
+    d = u.shape[1]
+    s = np.sum(generator_value(g, u), axis=1)
+    if np.any(np.isnan(s)):
+        raise DomainError("Archimedean node input contains NaN")
+    log_s = np.log(s)
+    cap = _log_phi(g, INTERIOR_EPS)
+    k, log_td = _k_and_log_td(g, d, np.minimum(log_s, cap))
+    capped = log_s > cap
+    if np.any(capped):
+        _, log_td[capped] = _k_and_log_td(g, d, log_s[capped])
+    log_c = (log_td + (lgamma(d + 1) - d * log_s)
+             + np.sum(generator_derivative_log(g, u), axis=1))
+    if np.any(np.isnan(log_c)):
+        raise EvaluationError("copula density evaluated to NaN")
+    return np.clip(k, 0.0, 1.0), log_c
 
 
 def _solve_log_s(g: ArchimedeanGenerator, d: int, p: np.ndarray) -> np.ndarray:

@@ -302,8 +302,9 @@ def _is_float(cell: str) -> bool:
 
 def write_csv(path: str, header: list, matrix) -> None:
     """Atomic CSV writer with shortest-round-trip float formatting."""
-    matrix = np.asarray(matrix, dtype=float)
     lines = [",".join(header)]
-    for row in matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
+    # one row at a time: the whole matrix as Python floats would hold 4.5 MB
+    # more at 10k x 30 than the text itself
+    lines.extend(",".join(map(repr, row.tolist()))
+                 for row in np.asarray(matrix, dtype=float))
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
+import hierkendall.cli as cli
+import hierkendall.kendall as kendall
 from hierkendall.cli import main
+from hierkendall.errors import EvaluationError
 from hierkendall.modelconfig import read_csv, write_csv
 
 
@@ -114,6 +117,18 @@ class TestFitCommand:
         assert header == ["A", "B", "C"]
         assert data.shape == (0, 3)
 
+    def test_csv_bytes_are_shortest_round_trip_reprs(self, tmp_path):
+        values = np.array([[-0.0, 1e-300, 1.0 - 2.0 ** -53],
+                           [5e-324, 0.1, 1.0 / 3.0],
+                           [np.inf, -np.inf, np.nan],
+                           [1e300, -2.5, 7.0]])
+        p = tmp_path / "v.csv"
+        write_csv(str(p), ["A", "B", "C"], values)
+        expected = "A,B,C\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in values)
+        assert p.read_bytes() == expected.encode()
+        assert p.read_bytes().splitlines()[1] == b"-0.0,1e-300,0.9999999999999999"
+
     def test_fit_report_is_simulatable(self, fitted_world):
         tmp, model, fit_cfg = fitted_world
         sim, report = tmp / "sim.csv", tmp / "report.json"
@@ -153,6 +168,38 @@ class TestFitCommand:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+
+class TestNumericExitCode:
+    """Numeric failures exit 3, apart from input errors (exit 2)."""
+
+    def test_rejection_cap_error(self, fitted_world, capsys):
+        tmp, model, _ = fitted_world
+        code = main(["simulate", "--model", str(model), "--n", "20", "--seed", "1",
+                     "--method", "rejection", "--epsilon-mode", "abs",
+                     "--epsilon", "1e-9", "--max-attempts", "2",
+                     "--out", str(tmp / "x.csv")])
+        assert code == 3
+        assert "unfilled" in capsys.readouterr().err
+
+    def test_tolerance_error(self, fitted_world, monkeypatch, capsys):
+        tmp, model, _ = fitted_world
+        monkeypatch.setattr(kendall, "_MAX_ITER", 1)
+        code = main(["simulate", "--model", str(model), "--n", "20", "--seed", "1",
+                     "--method", "exact", "--out", str(tmp / "x.csv")])
+        assert code == 3
+        assert "missed tolerance" in capsys.readouterr().err
+
+    def test_evaluation_error(self, fitted_world, monkeypatch, capsys):
+        _, model, _ = fitted_world
+
+        def nan_density(*args):
+            raise EvaluationError("copula density evaluated to NaN")
+
+        monkeypatch.setattr(cli, "model_density", nan_density)
+        code = main(["density", "--model", str(model), "--point", "0.3,0.6,0.2,0.9"])
+        assert code == 3
+        assert "NaN" in capsys.readouterr().err
 
 
 class TestDensityCommand:

@@ -234,19 +234,21 @@ class TestOneBottomUpPass:
 
     @pytest.mark.parametrize("case", ["three_level", "gaussian_cluster"])
     def test_each_node_cdf_runs_once_per_row(self, monkeypatch, data, case):
+        # an Archimedean node with its closed-form K goes through
+        # archimedean_node_step (keyed by generator), any other through copula_cdf
         spec, u, options = data[case]
         rows = {}
-        real_cdf = hierarchical.copula_cdf
+        for name in ("copula_cdf", "archimedean_node_step"):
+            def counting(first, x, real=getattr(hierarchical, name)):
+                rows.setdefault(id(first), []).append(np.shape(x)[0])
+                return real(first, x)
 
-        def counting_cdf(c, x):
-            rows.setdefault(id(c), []).append(np.shape(x)[0])
-            return real_cdf(c, x)
-
-        monkeypatch.setattr(hierarchical, "copula_cdf", counting_cdf)
+            monkeypatch.setattr(hierarchical, name, counting)
         report = fit_two_step(spec, u, options)
         for _, node, depth in iter_nodes(report.model):
             expected = [u.shape[0]] if depth and node.copula.dim > 1 else []
-            assert rows.pop(id(node.copula), []) == expected, node.name
+            key = id(getattr(node.copula, "generator", node.copula))
+            assert rows.pop(key, []) == expected, node.name
         assert rows == {}
 
     @pytest.mark.parametrize("case", ["three_level", "gaussian_cluster"])
@@ -300,6 +302,31 @@ class TestJointMle:
             fit_joint_mle(base, u)
         forced = fit_joint_mle(base, u, FitOptions(force_frozen_kendall=True))
         assert forced.loglik_joint is not None
+
+    def test_frozen_subtree_evaluated_once_per_fit(self, monkeypatch):
+        spec = NodeSpec("nest", "frank", children=(
+            NodeSpec("g", "gaussian", columns=(0, 1, 2)),
+            NodeSpec("c", "clayton", columns=(3, 4)),
+        ))
+        u = pseudo_observations(np.random.default_rng(23).normal(size=(250, 5))
+                                @ np.triu(np.full((5, 5), 0.5)))
+        options = FitOptions(kendall_mc=1000, force_frozen_kendall=True,
+                             joint_max_evals=60)
+        base = fit_two_step(spec, u, options)
+        gauss = next(node.copula for _, node, _ in iter_nodes(base.model) if node.name == "g")
+        calls = []
+        real_cdf = hierarchical.copula_cdf
+
+        def counting_cdf(c, x):
+            calls.append(c is gauss)
+            return real_cdf(c, x)
+
+        monkeypatch.setattr(hierarchical, "copula_cdf", counting_cdf)
+        joint = fit_joint_mle(base, u, options)
+        assert joint.joint_evals > 10
+        assert calls.count(True) == 1
+        monkeypatch.undo()
+        assert joint.loglik_joint == model_loglik(joint.model, u).value
 
     def test_student_t_nesting_nu_is_searched(self):
         spec = NodeSpec("nest", "student_t", children=(

@@ -5,10 +5,13 @@ import pytest
 from scipy.stats import kstest
 
 from hierkendall.copulas import (
+    INTERIOR_EPS,
     ArchimedeanCopula,
     GaussianCopula,
     IndependenceCopula,
+    clamp_interior,
     copula_cdf,
+    copula_logpdf,
     copula_sample,
 )
 from hierkendall.errors import DomainError, ParameterError, ToleranceError
@@ -22,6 +25,7 @@ from hierkendall.generators import (
 import hierkendall.kendall as kendall_module
 from hierkendall.kendall import (
     _closed_form_kernel,
+    archimedean_node_step,
     closed_form_kendall,
     empirical_kendall_build,
     empirical_kendall_from_values,
@@ -194,6 +198,55 @@ class TestInverse:
         assert kendall_inverse(K, 0.5) == pytest.approx(0.2)
         assert kendall_inverse(K, 0.50001) == pytest.approx(0.3)
         assert kendall_inverse(K, 0.999) == pytest.approx(0.4)
+
+
+class TestNodeStep:
+    """archimedean_node_step against the composition it replaces: V =
+    kendall_cdf(K, clamp(copula_cdf)) and log c = copula_logpdf."""
+
+    @staticmethod
+    def _rows(d, rng):
+        u = rng.random((60, d))
+        u[:10] *= 1e-6
+        u[10:15] = 1e-12                                   # C below the 1e-12 clamp
+        u[15:25] = 1.0 - rng.random((10, d)) * 1e-9        # coordinates near 1
+        u[25:28] = 1.0 - 1e-12
+        return clamp_interior(u)
+
+    @staticmethod
+    def _check(g, u):
+        c, d = ArchimedeanCopula(g, u.shape[1]), u.shape[1]
+        cdf = copula_cdf(c, u)
+        assert np.any(cdf < INTERIOR_EPS)
+        v, log_c = archimedean_node_step(g, u)
+        msg = f"{g.family} theta={g.theta} d={d}"
+        np.testing.assert_allclose(
+            v, kendall_cdf(closed_form_kendall(g, d), clamp_interior(cdf)),
+            rtol=0, atol=1e-12, err_msg=msg)
+        ref = copula_logpdf(c, u)
+        finite = np.isfinite(ref)
+        np.testing.assert_array_equal(log_c[~finite], ref[~finite], err_msg=msg)
+        # relative error, on a scale floored at 1 because log c crosses 0
+        err = np.abs(log_c[finite] - ref[finite]) / np.maximum(np.abs(ref[finite]), 1.0)
+        assert err.max() <= 1e-12, (msg, err.max())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # Clayton phi near 0
+    @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank", "independence"])
+    def test_matches_composition_grid(self, family):
+        rng = np.random.default_rng(31)
+        taus = (None,) if family == "independence" else (0.05, 0.3, 0.6, 0.85, 0.95)
+        for tau in taus:
+            g = INDEP if tau is None else theta_from_tau(family, tau)
+            for d in (2, 3, 5, 10, 20, 40):
+                self._check(g, self._rows(d, rng))
+
+    @pytest.mark.parametrize("tau", [-0.05, -0.4, -0.8])
+    def test_frank_negative_theta_d2(self, tau):
+        self._check(theta_from_tau("frank", tau), self._rows(2, np.random.default_rng(32)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            archimedean_node_step(CLAYTON2, np.array([[0.5, 0.5], [0.5, np.nan]]))
 
 
 class TestEmpirical:
