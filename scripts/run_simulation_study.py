@@ -14,7 +14,12 @@ Example:
 import argparse
 import sys
 
-from hierkendall.estimation import StudyConfig, simulation_study
+from hierkendall.estimation import (
+    STUDY_CSV_HEADER,
+    StudyConfig,
+    simulation_study,
+    study_csv_line,
+)
 
 
 def main() -> int:
@@ -38,14 +43,13 @@ def main() -> int:
         seed=args.seed)
     rows = simulation_study(config, workers=args.workers)
 
-    header = "nesting_tau,n,method,mse,bias,sd,n_ok,n_fail"
-    lines = [header]
+    lines = [STUDY_CSV_HEADER]
     print(f"{'tau0':>5} {'n':>5} {'method':<20} {'mse':>10} {'bias':>9} {'sd':>8}")
     for r in rows:
         print(f"{r.nesting_tau:>5.2f} {r.n:>5d} {r.method:<20} "
-              f"{r.mse:>10.6f} {r.bias:>+9.4f} {r.sd:>8.4f}")
-        lines.append(f"{r.nesting_tau!r},{r.n},{r.method},{r.mse!r},{r.bias!r},"
-                     f"{r.sd!r},{r.n_ok},{r.n_fail}")
+              f"{r.mse:>10.6f} {r.bias:>+9.4f} {r.sd:>8.4f}"
+              + (f"  failed {r.n_fail}: {r.fail_reason}" if r.n_fail else ""))
+        lines.append(study_csv_line(r))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"\nwrote {args.out}")

@@ -20,6 +20,7 @@ import numpy as np
 from .backtest import rolling_backtest
 from .errors import EvaluationError, HierKendallError, RejectionCapError, ToleranceError
 from .estimation import (
+    STUDY_CSV_HEADER,
     FitOptions,
     StudyConfig,
     fit_joint_mle,
@@ -27,6 +28,7 @@ from .estimation import (
     build_model,
     pseudo_observations,
     simulation_study,
+    study_csv_line,
 )
 from .generators import ArchimedeanGenerator, independence_generator
 from .hierarchical import model_density, model_sample
@@ -269,11 +271,7 @@ def cmd_study(args) -> int:
             overrides[key] = tuple(overrides[key])
     config = dataclasses.replace(StudyConfig(), **overrides)
     rows = simulation_study(config, workers=max(1, args.threads))
-    header = ["nesting_tau", "n", "method", "mse", "bias", "sd", "n_ok", "n_fail"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(f"{r.nesting_tau!r},{r.n},{r.method},{r.mse!r},{r.bias!r},"
-                     f"{r.sd!r},{r.n_ok},{r.n_fail}")
+    lines = [STUDY_CSV_HEADER] + [study_csv_line(r) for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"study: {len(rows)} cells ({config.replications} replications each) "
           f"-> {args.out}")

@@ -14,11 +14,13 @@ Every copula kind supports
 
 Elliptical CDFs take one batched path: a row with a coordinate <= 0 is 0,
 coordinates at 1 are dropped, and rows keeping the same coordinates are
-evaluated together on that sub-correlation. Up to three remaining
-coordinates use deterministic Gauss-Legendre quadrature (one 96-node rule,
-built at import) after substituting the marginal probability transform;
-four or more fall back to scipy's Gaussian/t CDFs with a fixed seed for
-every row, so repeated calls agree bit for bit. All inputs are clamped to
+evaluated together on that sub-correlation. Gaussian groups of two and
+three coordinates use Genz's (2004) bivariate and trivariate rules, exact
+to rounding, on one 20-node Gauss-Legendre rule; Student-t groups of two
+and three use 96-node Gauss-Legendre quadrature after substituting the
+marginal probability transform. Four or more coordinates fall back to
+scipy's Gaussian/t CDFs with a fixed seed for every row. Every rule is
+fixed, so repeated calls agree bit for bit. All inputs are clamped to
 ``[INTERIOR_EPS, 1 - INTERIOR_EPS]`` before interior evaluation; exact 0/1
 coordinates keep their boundary meaning in the CDF.
 """
@@ -42,9 +44,24 @@ from .generators import (
 
 INTERIOR_EPS = 1e-12
 
-# 96-node Gauss-Legendre rule on [-1, 1] for the elliptical CDF quadrature,
+# 96-node Gauss-Legendre rule on [-1, 1] for the Student-t CDF quadrature,
 # built once: forming it costs more than a whole 3-d row of quadrature
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+
+# 20-node Gauss-Legendre rule on [0, 1] for Genz's Gaussian CDF rules, from
+# the tabulated half rule on [-1, 1] (no eigenproblem at import)
+_GL20_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628), (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824), (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186), (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471), (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446), (0.993128599185095, 0.017614007139150893)])
+_GL20_NODES = 0.5 * np.concatenate([1.0 - _GL20_HALF[:, 0], 1.0 + _GL20_HALF[:, 0]])
+_GL20_WEIGHTS = 0.5 * np.concatenate([_GL20_HALF[:, 1], _GL20_HALF[:, 1]])
+_TWO_PI = 2.0 * np.pi
+# (row, node) pairs per block of the 3-d Gaussian rule: about 1 MB per
+# temporary array, whatever the row count (the default Kendall build has 1e5)
+_BLOCK_POINTS = 1 << 17
 
 
 def clamp_interior(u):
@@ -152,17 +169,55 @@ def _prep_rows(c, u):
 # ---------------------------------------------------------------------------
 
 def _gauss_cdf_2d(a, b, rho):
-    """P(X1 <= a, X2 <= b) for standard bivariate normal, vectorized."""
+    """P(X1 <= a, X2 <= b) for standard bivariate normal, vectorized over a, b.
+
+    Genz (2004), after Drezner & Wesolowsky (1990): for |rho| < 0.925 the
+    20-node rule in the angle arcsin rho; otherwise Genz's expansion about
+    the comonotone limit with the 20-node rule for its remainder, reaching
+    rho < 0 through Phi2(a, b; rho) = Phi(a) - Phi2(a, -b; -rho). Both are
+    exact to a few units of double rounding.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if abs(rho) > 1.0 - 1e-12:
         if rho > 0:  # comonotone limit
             return special.ndtr(np.minimum(a, b))
         return np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0)
-    pa = special.ndtr(np.asarray(a, dtype=float))
-    p = 0.5 * pa[..., None] * (_GL_NODES + 1.0)  # map [-1,1] -> [0, Phi(a)]
-    x1 = special.ndtri(np.clip(p, 1e-300, 1.0 - 1e-16))
-    sig = np.sqrt(1.0 - rho * rho)
-    inner = special.ndtr((np.asarray(b, dtype=float)[..., None] - rho * x1) / sig)
-    return 0.5 * pa * (inner @ _GL_WEIGHTS)
+    h, k = -a, -b
+    if abs(rho) < 0.925:
+        asr = np.arcsin(rho)
+        sn = np.sin(asr * _GL20_NODES)
+        hs = 0.5 * (h * h + k * k)
+        e = np.exp((sn * (h * k)[..., None] - hs[..., None]) / (1.0 - sn * sn))
+        p = asr / _TWO_PI * (e @ _GL20_WEIGHTS) + special.ndtr(a) * special.ndtr(b)
+        return np.clip(p, 0.0, 1.0)
+    if rho < 0:
+        k = -k
+    hk = h * k
+    aa = 1.0 - rho * rho
+    sa = np.sqrt(aa)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 80.0
+    xs = (sa * _GL20_NODES) ** 2
+    rs = np.sqrt(1.0 - xs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ex = -0.5 * (bs / aa + hk)
+        p = np.where(ex > -100.0, sa * np.exp(ex) * (1.0 - c * (bs - aa) * (1.0 - d * bs) / 3.0
+                                                     + c * d * aa * aa), 0.0)
+        sb = np.sqrt(bs)
+        p -= np.where(hk > -100.0, np.exp(-0.5 * hk) * np.sqrt(_TWO_PI) * special.ndtr(-sb / sa)
+                      * sb * (1.0 - c * bs * (1.0 - d * bs) / 3.0), 0.0)
+        ex = -0.5 * (bs[..., None] / xs + hk[..., None])
+        f = np.exp(ex) * (1.0 + c[..., None] * xs * (1.0 + 5.0 * d[..., None] * xs)
+                          - np.exp(-0.5 * hk[..., None] * xs / (1.0 + rs) ** 2) / rs)
+        p = (sa * (np.where(ex > -100.0, f, 0.0) @ _GL20_WEIGHTS) - p) / _TWO_PI
+    if rho > 0:
+        p = p + special.ndtr(-np.maximum(h, k))
+    else:
+        span = np.where(h < 0, special.ndtr(k) - special.ndtr(h),
+                        special.ndtr(-h) - special.ndtr(-k))
+        p = np.where(h >= k, -p, span - p)
+    return np.clip(p, 0.0, 1.0)
 
 
 def _t_cdf_2d(a, b, rho, nu):
@@ -177,17 +232,54 @@ def _t_cdf_2d(a, b, rho, nu):
 
 
 def _gauss_cdf_3d(x, corr):
-    """P(X <= x) for standard trivariate normal; x has shape (n, 3)."""
-    r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
-    s2 = np.sqrt(1.0 - r12 * r12)
-    s3 = np.sqrt(1.0 - r13 * r13)
-    rc = (r23 - r12 * r13) / (s2 * s3)
-    pa = special.ndtr(x[:, 0])
-    p = 0.5 * pa[:, None] * (_GL_NODES + 1.0)
-    x1 = special.ndtri(np.clip(p, 1e-300, 1.0 - 1e-16))
-    inner = _gauss_cdf_2d((x[:, 1, None] - r12 * x1) / s2,
-                          (x[:, 2, None] - r13 * x1) / s3, rc)
-    return 0.5 * pa * (inner @ _GL_WEIGHTS)
+    """P(X <= x) for standard trivariate normal; x has shape (n, 3).
+
+    Plackett's (1954) reduction as used by Genz (2004): with the coordinates
+    ordered so that the pair (2, 3) has the largest |correlation|, move r12
+    and r13 to zero along R(t), r1j(t) = t r1j, which stays positive
+    definite, so that
+
+        Phi3 = Phi(b1) Phi2(b2, b3; r23)
+               + int_0^1 sum_j r1j phi2(b1, bj; t r1j) Phi(m_j(t)) dt,
+
+    where m_j(t) standardises the remaining coordinate given X1 = b1 and
+    Xj = bj. The integrand is analytic on [0, 1] with its nearest
+    singularity at the t* > 1 where det R(t) = 0; panels graded toward
+    t = 1, each at most 4x as wide as its right end's distance to t*, keep
+    the 20-node rule exact however close to singular R is. Rows are
+    evaluated in blocks of at most ``_BLOCK_POINTS`` (row, node) pairs.
+    """
+    big = int(np.argmax(np.abs(corr[[0, 0, 1], [1, 2, 2]])))
+    j, k = ((0, 1), (0, 2), (1, 2))[big]
+    i = 3 - j - k
+    r12, r13, r23 = corr[i, j], corr[i, k], corr[j, k]
+    q = r12 * r12 + r13 * r13 - 2.0 * r12 * r13 * r23  # det R(t) = 1 - r23^2 - t^2 q
+    gap = np.sqrt((1.0 - r23 * r23) / q) - 1.0 if q > 0.0 else np.inf
+    ends = [0.0]  # panel ends as distances below t = 1
+    while ends[-1] < 1.0:
+        ends.append(5.0 * ends[-1] + 4.0 * gap)
+    ends = 1.0 - np.minimum(ends[::-1], 1.0)
+    widths = np.diff(ends)
+    t = (ends[:-1, None] + widths[:, None] * _GL20_NODES).ravel()
+    w = (widths[:, None] * _GL20_WEIGHTS).ravel() / _TWO_PI
+    det = 1.0 - r23 * r23 - t * t * q
+    out = np.empty(x.shape[0])
+    block = max(1, _BLOCK_POINTS // t.size)
+    for lo in range(0, x.shape[0], block):
+        b = x[lo:lo + block]
+        b1 = b[:, i, None]
+        p = special.ndtr(b[:, i]) * _gauss_cdf_2d(b[:, j], b[:, k], r23)
+        for rj, ro, bj, bo in ((r12, r13, b[:, j, None], b[:, k, None]),
+                               (r13, r12, b[:, k, None], b[:, j, None])):
+            if rj == 0.0:
+                continue
+            r, ro_t = t * rj, t * ro
+            rr = 1.0 - r * r
+            m = (bo * rr + b1 * (r * r23 - ro_t) + bj * (r * ro_t - r23)) / np.sqrt(rr * det)
+            f = np.exp(-0.5 * (b1 * b1 - 2.0 * r * b1 * bj + bj * bj) / rr) / np.sqrt(rr)
+            p += rj * ((f * special.ndtr(m)) @ w)
+        out[lo:lo + block] = p
+    return np.clip(out, 0.0, 1.0)
 
 
 def _t_cdf_3d(x, corr, nu):
@@ -209,10 +301,10 @@ def _elliptical_cdf(c, rows):
 
     A row with a coordinate <= 0 gives 0 and coordinates at 1 are dropped.
     Rows that keep the same coordinates are evaluated together on that
-    sub-correlation: one vectorised quadrature call for two coordinates,
-    the 3-d quadrature one row at a time (a row's 96x96 grid stays in cache,
-    so batching rows buys nothing and costs memory), and scipy with a fixed
-    seed per row for four or more.
+    sub-correlation: one vectorised call for two coordinates and for three
+    Gaussian ones, the Student-t 3-d quadrature one row at a time (a row's
+    96x96 grid stays in cache, so batching rows buys nothing and costs
+    memory), and scipy with a fixed seed per row for four or more.
     """
     gaussian = isinstance(c, GaussianCopula)
     out = np.zeros(rows.shape[0])
@@ -231,9 +323,10 @@ def _elliptical_cdf(c, rows):
         elif active.size == 2:
             out[idx] = (_gauss_cdf_2d(x[:, 0], x[:, 1], sub[0, 1]) if gaussian
                         else _t_cdf_2d(x[:, 0], x[:, 1], sub[0, 1], c.nu))
+        elif gaussian and active.size == 3:
+            out[idx] = _gauss_cdf_3d(x, sub)
         elif active.size == 3:
-            out[idx] = [(_gauss_cdf_3d(r[None], sub) if gaussian
-                         else _t_cdf_3d(r[None], sub, c.nu))[0] for r in x]
+            out[idx] = [_t_cdf_3d(r[None], sub, c.nu)[0] for r in x]
         elif gaussian:
             out[idx] = [stats.multivariate_normal(
                 cov=sub, seed=np.random.default_rng(0)).cdf(r) for r in x]

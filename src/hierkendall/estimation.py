@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -593,6 +594,17 @@ class StudyCell:
     sd: float
     n_ok: int
     n_fail: int
+    fail_reason: str = ""  # the most frequent failure, "<count>x <type>: <message>"
+
+
+STUDY_CSV_HEADER = "nesting_tau,n,method,mse,bias,sd,n_ok,n_fail,fail_reason"
+
+
+def study_csv_line(cell: StudyCell) -> str:
+    """One study CSV row; ``fail_reason`` is quoted, with inner quotes doubled."""
+    reason = '"' + cell.fail_reason.replace('"', '""') + '"' if cell.fail_reason else ""
+    return (f"{cell.nesting_tau!r},{cell.n},{cell.method},{cell.mse!r},{cell.bias!r},"
+            f"{cell.sd!r},{cell.n_ok},{cell.n_fail},{reason}")
 
 
 def _study_spec(config: StudyConfig, tau0: float) -> NodeSpec:
@@ -616,6 +628,8 @@ def _fitted_nesting_tau(report: FitReport) -> float:
 
 
 def _study_replication(args):
+    """{method: (fitted nesting tau, None) or (None, "<type>: <message>")}
+    for one replication."""
     config, cell_idx, rep, tau0, n = args
     rng = substream(config.seed, STREAM_REPLICATION, cell_idx, rep)
     spec = _study_spec(config, tau0)
@@ -630,22 +644,21 @@ def _study_replication(args):
             if method == "two_step_closed":
                 base = fit_two_step(fit_spec, u, FitOptions(
                     kendall_mode="closed_form", seed=config.seed))
-                out[method] = _fitted_nesting_tau(base)
+                fitted = base
             elif method == "two_step_empirical":
-                rep_fit = fit_two_step(fit_spec, u, FitOptions(
+                fitted = fit_two_step(fit_spec, u, FitOptions(
                     kendall_mode="empirical", kendall_mc=config.kendall_mc,
                     seed=config.seed + rep))
-                out[method] = _fitted_nesting_tau(rep_fit)
             elif method == "joint_mle":
                 if base is None:
                     base = fit_two_step(fit_spec, u, FitOptions(
                         kendall_mode="closed_form", seed=config.seed))
-                joint = fit_joint_mle(base, u, FitOptions())
-                out[method] = _fitted_nesting_tau(joint)
+                fitted = fit_joint_mle(base, u, FitOptions())
             else:
                 raise ParameterError(f"unknown study method {method!r}")
-        except Exception:
-            out[method] = None
+            out[method] = (_fitted_nesting_tau(fitted), None)
+        except Exception as exc:  # any failure is counted, with its reason
+            out[method] = (None, " ".join(f"{type(exc).__name__}: {exc}".split()))
     return out
 
 
@@ -677,17 +690,22 @@ def simulation_study(config: StudyConfig, workers: int = 1) -> list:
     for ci, tau0, n in cells:
         chunk = results[ci * per_cell:(ci + 1) * per_cell]
         for method in config.methods:
-            vals = np.array([r[method] for r in chunk if r.get(method) is not None],
+            vals = np.array([r[method][0] for r in chunk if r[method][0] is not None],
                             dtype=float)
             n_fail = per_cell - vals.size
+            reasons = Counter(r[method][1] for r in chunk if r[method][0] is None)
+            top = ""
+            if reasons:
+                why, k = reasons.most_common(1)[0]
+                top = f"{k}x {why}"
             if vals.size == 0:
                 rows.append(StudyCell(tau0, n, method, math.nan, math.nan,
-                                      math.nan, 0, n_fail))
+                                      math.nan, 0, n_fail, top))
                 continue
             err = vals - tau0
             rows.append(StudyCell(
                 nesting_tau=tau0, n=n, method=method,
                 mse=float(np.mean(err ** 2)), bias=float(np.mean(err)),
                 sd=float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0,
-                n_ok=int(vals.size), n_fail=int(n_fail)))
+                n_ok=int(vals.size), n_fail=int(n_fail), fail_reason=top))
     return rows

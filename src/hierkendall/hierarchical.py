@@ -53,6 +53,7 @@ from .kendall import (
     identity_kendall,
     kendall_cdf,
     kendall_inverse,
+    open_unit,
 )
 from .levelset import (
     DEFAULT_EPSILON_RULE,
@@ -238,8 +239,9 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
     """One bottom-up step on a node's N x dim input block (its data columns,
     or the stacked V columns of its children).
 
-    Returns (v, log_c): v = K(clamp(C(clamp(inputs)))), None at the root,
-    which has no Kendall function, and log c the node's copula log-density.
+    Returns (v, log_c): v = K(C(clamp(inputs))), None at the root, which
+    has no Kendall function, and log c the node's copula log-density. C is
+    moved into (0, 1) only as far as float range requires (``open_unit``).
     A size-1 node passes its input through with log c = 0. An Archimedean
     node whose Kendall function is the closed form of its own generator
     takes both from one generator sum (``archimedean_node_step``).
@@ -257,18 +259,19 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
     log_c = copula_logpdf(c, inputs) if density else None
     if K is None:
         return None, log_c
-    return kendall_cdf(K, clamp_interior(copula_cdf(c, inputs))), log_c
+    return kendall_cdf(K, open_unit(copula_cdf(c, inputs))), log_c
 
 
 # module-level rather than a recursive closure: a closure that calls itself is
 # a reference cycle, which would keep each pass's arrays alive until the next
 # garbage collection (joint MLE runs one pass per likelihood evaluation)
-def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth: dict, depth: int,
+def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth, depth: int,
                 known: dict):
-    """(V, summed log c of the subtree) of ``node``; appends the V column of
-    every node below the root to ``by_depth[depth]``, left to right. A node
-    whose id is in ``known`` returns the pair stored there, and its subtree
-    adds nothing to ``by_depth``."""
+    """(V, summed log c of the subtree) of ``node``; unless ``by_depth`` is
+    None, appends the V column of every node below the root to
+    ``by_depth[depth]``, left to right. A node whose id is in ``known``
+    returns the pair stored there, and its subtree adds nothing to
+    ``by_depth``."""
     if id(node) in known:
         _, v, acc = known[id(node)]
         return v, acc
@@ -280,24 +283,17 @@ def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth: dict, dep
         inputs = np.column_stack(vs)
         below = np.sum(accs, axis=0) if density else None
     v, log_c = node_transform(node, inputs, density)
-    if depth:
+    if depth and by_depth is not None:
         by_depth[depth].append(v)
     return v, (below + log_c if density else None)
 
 
-def _tree_pass(model: HierarchicalModel, rows: np.ndarray, density: bool, known=None):
-    """The one post-order pass over the tree.
-
-    Returns (levels, log-density): the V matrices per depth, leaves first,
-    whose last entry feeds the root, and the row log-density (None unless
-    ``density``): the sum of every node's log c. Subtrees in ``known`` (see
-    ``subtree_values``) are not evaluated, so levels are complete only
-    without it.
-    """
+def _pit_levels(model: HierarchicalModel, rows: np.ndarray) -> list:
+    """The V matrices per depth from one post-order pass without densities,
+    leaves first; the last entry feeds the root."""
     by_depth = defaultdict(list)
-    _, log_density = _post_order(model.root, rows, density, by_depth, 0, known or {})
-    levels = [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
-    return levels, log_density
+    _post_order(model.root, rows, False, by_depth, 0, {})
+    return [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
 
 
 def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
@@ -308,14 +304,13 @@ def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
-    levels, _ = _tree_pass(model, u[None, :] if single else u, density=False)
+    levels = _pit_levels(model, u[None, :] if single else u)
     return levels[-1][0] if single else levels[-1]
 
 
 def nesting_pit_levels(model: HierarchicalModel, u) -> list:
     """V matrices per level, leaves first; the last entry feeds the root."""
-    levels, _ = _tree_pass(model, np.asarray(u, dtype=float), density=False)
-    return levels
+    return _pit_levels(model, np.asarray(u, dtype=float))
 
 
 def subtree_values(nodes, u) -> dict:
@@ -325,8 +320,7 @@ def subtree_values(nodes, u) -> dict:
     evaluated on the same rows. Keyed by ``id(node)``; each entry holds its
     node, so no other object takes that id while the table lives."""
     rows = np.asarray(u, dtype=float)
-    return {id(node): (node, *_post_order(node, rows, True, defaultdict(list), 1, {}))
-            for node in nodes}
+    return {id(node): (node, *_post_order(node, rows, True, None, 1, {})) for node in nodes}
 
 
 def model_logdensity(model: HierarchicalModel, u, known=None) -> np.ndarray:
@@ -341,7 +335,7 @@ def model_logdensity(model: HierarchicalModel, u, known=None) -> np.ndarray:
     if rows.shape[1] != model.n_vars:
         raise ModelStructureError(
             [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
-    _, out = _tree_pass(model, rows, density=True, known=known)
+    _, out = _post_order(model.root, rows, True, None, 0, known or {})
     return float(out[0]) if single else out
 
 
@@ -444,8 +438,7 @@ def _companion_v(node: LeafNode, var: int, u_val: float, mc: int, rng):
         return np.full(mc, float(u_val))
     pos = node.columns.index(var)
     w = copula_sample_conditional(node.copula, pos, u_val, mc, rng)
-    z = clamp_interior(copula_cdf(node.copula, clamp_interior(w)))
-    return kendall_cdf(node.kendall, z)
+    return node_transform(node, w, density=False)[0]
 
 
 def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,

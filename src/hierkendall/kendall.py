@@ -19,7 +19,6 @@ from math import lgamma, log
 
 import numpy as np
 
-from .copulas import INTERIOR_EPS
 from .errors import DomainError, EvaluationError, ParameterError, ToleranceError
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
@@ -37,6 +36,7 @@ _INV_TOL = 1e-10
 _XTOL = 1e-12       # Newton stops once a step in log s is this small (relative)
 _MAX_ITER = 200     # bisection from the widest bracket needs about 60 steps
 _TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +162,13 @@ def _closed_form_kernel(g: ArchimedeanGenerator, d: int, log_s):
     return k, -d * np.exp(log_td)
 
 
+def open_unit(t):
+    """Levels t clipped into (0, 1), the domain of ``kendall_cdf``: at the
+    smallest normal double and the largest double below 1, so that a level
+    computed as 0 or 1 is moved no further than float range requires."""
+    return np.clip(t, _TINY, _BELOW_ONE)
+
+
 def kendall_cdf(K: KendallFunction, t):
     """K(t) for t in (0,1); nondecreasing, identity when dim = 1."""
     scalar = np.isscalar(t)
@@ -183,22 +190,17 @@ def archimedean_node_step(g: ArchimedeanGenerator, u):
     """(V, log c) of a d-dimensional Archimedean copula on an N x d block of
     interior points, both from one generator sum s = sum_i phi(u_i).
 
-    V = K(max(C(u), INTERIOR_EPS)) is read off the Kendall kernel at log s
-    without forming C = phi^-1(s); the clamp on C caps s at
-    phi(INTERIOR_EPS). log c = log|(phi^-1)^(d)(s)| + sum_i log|phi'(u_i)|,
-    with log|(phi^-1)^(d)(s)| = log T_d + log d! - d log s taken from the
-    kernel's last term at the uncapped s.
+    V = K(C(u)) is read off the Kendall kernel at log s without forming
+    C = phi^-1(s), so it stays exact where C leaves float range.
+    log c = log|(phi^-1)^(d)(s)| + sum_i log|phi'(u_i)|, with
+    log|(phi^-1)^(d)(s)| = log T_d + log d! - d log s from the same kernel.
     """
     d = u.shape[1]
     s = np.sum(generator_value(g, u), axis=1)
     if np.any(np.isnan(s)):
         raise DomainError("Archimedean node input contains NaN")
     log_s = np.log(s)
-    cap = _log_phi(g, INTERIOR_EPS)
-    k, log_td = _k_and_log_td(g, d, np.minimum(log_s, cap))
-    capped = log_s > cap
-    if np.any(capped):
-        _, log_td[capped] = _k_and_log_td(g, d, log_s[capped])
+    k, log_td = _k_and_log_td(g, d, log_s)
     log_c = (log_td + (lgamma(d + 1) - d * log_s)
              + np.sum(generator_derivative_log(g, u), axis=1))
     if np.any(np.isnan(log_c)):
@@ -285,8 +287,7 @@ def empirical_kendall_build(c, m: int, rng) -> KendallFunction:
     """Empirical Kendall function from m simulated Z = C(U) values of copula c."""
     if m < 1000:
         raise ParameterError("Monte Carlo size m must be >= 1000")
-    from .copulas import clamp_interior, copula_cdf, copula_sample
+    from .copulas import copula_cdf, copula_sample
 
     u = copula_sample(c, m, rng)
-    z = clamp_interior(copula_cdf(c, u))
-    return empirical_kendall_from_values(z, c.dim)
+    return empirical_kendall_from_values(open_unit(copula_cdf(c, u)), c.dim)

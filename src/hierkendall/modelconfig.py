@@ -28,6 +28,7 @@ decimal floats, no quoting, no missing values.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -239,8 +240,20 @@ def report_document(report: FitReport, method: str, columns: list,
     }
 
 
+def _finite_or_null(obj):
+    """``obj`` with every NaN or infinite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path: str, doc: dict) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as strict JSON: non-finite numbers become ``null``."""
+    _atomic_write(path, json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
 
 
 def load_model_document(path: str) -> tuple:

@@ -6,11 +6,16 @@ integral, and densities against finite differences of the CDF. The
 Kendall inverse is checked against a bracketing root finder on K, which
 avoids the package's solver rather than K itself. Gumbel inverse-generator
 derivatives are checked against the complete Bell polynomial form of the
-chain rule in 80-digit arithmetic.
+chain rule in 80-digit arithmetic. The trivariate normal CDF is checked
+against adaptive quadrature over the first coordinate of scipy's bivariate
+normal CDF.
 """
+
+import warnings
 
 import mpmath
 import numpy as np
+from scipy import integrate, stats
 from scipy.optimize import brentq
 
 from hierkendall.copulas import copula_cdf, quantile_curve
@@ -75,3 +80,28 @@ def pdf_mixed_fd_2d(copula, u1, u2, h=1e-4):
             - copula_cdf(copula, [u1 + h, u2 - h])
             - copula_cdf(copula, [u1 - h, u2 + h])
             + copula_cdf(copula, [u1 - h, u2 - h])) / (4.0 * h * h)
+
+
+def trivariate_normal_cdf_quad(b, corr):
+    """P(X <= b) for a standard trivariate normal with correlation ``corr``:
+
+        int_{-inf}^{b1} phi(x) Phi2((b2 - r12 x)/s2, (b3 - r13 x)/s3; rc) dx,
+
+    the conditional law of (X2, X3) given X1 = x, by adaptive quadrature
+    (epsabs 1e-14) of scipy's bivariate normal CDF (abseps 1e-14). quad's
+    warning that 1e-14 is below its rounding floor is silenced: the
+    comparison itself is the check.
+    """
+    r12, r13, r23 = corr[0][1], corr[0][2], corr[1][2]
+    s2, s3 = np.sqrt(1.0 - r12 * r12), np.sqrt(1.0 - r13 * r13)
+    rc = (r23 - r12 * r13) / (s2 * s3)
+    inner = stats.multivariate_normal(cov=[[1.0, rc], [rc, 1.0]], abseps=1e-14, releps=0.0,
+                                      seed=0)
+
+    def integrand(x):
+        return stats.norm.pdf(x) * inner.cdf([(b[1] - r12 * x) / s2, (b[2] - r13 * x) / s3])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(integrand, -np.inf, b[0], epsabs=1e-14, epsrel=0.0,
+                              limit=200)[0]

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import hierkendall.cli as cli
 import hierkendall.kendall as kendall
 from hierkendall.cli import main
 from hierkendall.errors import EvaluationError
-from hierkendall.modelconfig import read_csv, write_csv
+from hierkendall.modelconfig import read_csv, write_csv, write_json
 
 
 @pytest.fixture
@@ -266,3 +268,29 @@ class TestStudyCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("nesting_tau,")
         assert len(lines) == 2
+
+    def test_failed_method_reports_its_reason(self, tmp_path):
+        cfg = {"nesting_taus": [0.4], "sample_sizes": [250],
+               "methods": ["two_step_closed", "no_such_method"]}
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "study.csv"
+        assert main(["study", "--config", str(cfg_path), "--replications", "2",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [r["fail_reason"] for r in rows] == [
+            "", "2x ParameterError: unknown study method 'no_such_method'"]
+        assert rows[1]["n_fail"] == "2"
+
+
+class TestJsonReports:
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_json(str(path), {"a": math.nan, "b": [1.5, -math.inf, {"c": math.inf}],
+                               "d": np.float64("nan"), "e": (2.0, "x")})
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        assert doc == {"a": None, "b": [1.5, None, {"c": None}], "d": None, "e": [2.0, "x"]}

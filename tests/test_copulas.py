@@ -28,7 +28,7 @@ from hierkendall.generators import (
     theta_from_tau,
 )
 
-from oracles import gumbel_inv_deriv_log_mp, pdf_mixed_fd_2d
+from oracles import gumbel_inv_deriv_log_mp, pdf_mixed_fd_2d, trivariate_normal_cdf_quad
 
 CLAYTON2 = ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 2)
 GUMBEL2 = ArchimedeanCopula(ArchimedeanGenerator("gumbel", 2.0), 2)
@@ -320,9 +320,9 @@ class TestEllipticalPath:
             want = [stats.multivariate_normal.cdf(
                 x, cov=corr, abseps=1e-10, releps=0.0, rng=np.random.default_rng(0))
                 for x in special.ndtri(u)]
-            # the 96-node rule itself: against adaptive quadrature it is off by
-            # 1.6e-8 at d = 2 (row 1) and 2.8e-6 at d = 3 (row 3, near the upper corner)
-            tol = 1e-7 if d == 2 else 5e-6
+            # scipy's own error at abseps 1e-10: 1e-16 at d = 2 and up to 2.6e-9
+            # (row 1) at d = 3, where TestGaussianKernels checks 1e-12 on an oracle
+            tol = 1e-12 if d == 2 else 1e-8
         else:
             want = [stats.multivariate_t(shape=corr, df=5.0).cdf(
                 x, maxpts=200_000, random_state=np.random.default_rng(0))
@@ -377,6 +377,74 @@ class TestEllipticalPath:
                 copula_cdf(c, u[:, :d])
                 copula_logpdf(c, u[:1, :d])
         quantile_curve(GaussianCopula(CORR3), [0.4], 0.2)
+
+
+class TestGaussianKernels:
+    """Genz's bivariate and trivariate normal rules against independent oracles."""
+
+    # u down to 1e-12 on every side, plus interior points
+    U_EDGE = [1e-12, 1e-6, 0.05, 0.3, 0.5, 0.8, 0.995, 1.0 - 1e-12]
+
+    def test_twenty_node_rule_is_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(20)
+        order = np.argsort(copulas._GL20_NODES)
+        np.testing.assert_allclose(copulas._GL20_NODES[order], 0.5 * (x + 1.0),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(copulas._GL20_WEIGHTS[order], 0.5 * w, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rho", [-0.999, -0.99, -0.95, -0.925, -0.9, -0.6, -0.3, 0.0,
+                                     0.3, 0.6, 0.9, 0.925, 0.95, 0.99, 0.999])
+    def test_bivariate_matches_scipy(self, rho):
+        u = np.array([(a, b) for a in self.U_EDGE for b in self.U_EDGE])
+        got = copula_cdf(GaussianCopula(corr2(rho)), u)
+        want = [stats.multivariate_normal.cdf(
+            x, cov=corr2(rho), abseps=1e-12, releps=0.0, rng=np.random.default_rng(0))
+            for x in special.ndtri(u)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    CORRS3 = {
+        "moderate": CORR3,
+        "signs": [[1.0, -0.5, 0.3], [-0.5, 1.0, -0.6], [0.3, -0.6, 1.0]],
+        "strong": [[1.0, 0.99, 0.98], [0.99, 1.0, 0.99], [0.98, 0.99, 1.0]],
+        "pair_0.999": [[1.0, 0.5, 0.5], [0.5, 1.0, 0.999], [0.5, 0.999, 1.0]],
+        "pair_-0.999": [[1.0, 0.3, -0.3], [0.3, 1.0, -0.999], [-0.3, -0.999, 1.0]],
+        # smallest eigenvalue 2.7e-4: the integrand's singularity sits near t = 1
+        "near_singular": [[1.0, 0.6, 0.8], [0.6, 1.0, 0.9597], [0.8, 0.9597, 1.0]],
+    }
+
+    @pytest.mark.parametrize("name", list(CORRS3))
+    def test_trivariate_matches_quadrature_oracle(self, name):
+        corr = np.array(self.CORRS3[name])
+        u = np.array([[0.3, 0.6, 0.8], [0.05, 0.9, 0.5], [0.99, 0.995, 0.2],
+                      [1e-12, 0.5, 0.7], [0.5, 1.0 - 1e-12, 1e-6], [0.01, 0.02, 0.03],
+                      [1e-12, 1e-12, 1e-12], [0.999, 0.999, 0.999], [0.5, 0.5, 0.5]])
+        got = copula_cdf(GaussianCopula(corr), u)
+        want = [trivariate_normal_cdf_quad(x, corr) for x in special.ndtri(u)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_one_trivariate_call_per_batch(self, monkeypatch):
+        calls = []
+        real = copulas._gauss_cdf_3d
+
+        def counting(x, corr):
+            calls.append(x.shape)
+            return real(x, corr)
+
+        monkeypatch.setattr(copulas, "_gauss_cdf_3d", counting)
+        block = copulas._BLOCK_POINTS // 20  # rows per block at one panel of 20 nodes
+        u = np.random.default_rng(44).random((2 * block + 5, 3))
+        out = copula_cdf(GaussianCopula(CORR3), u)
+        assert calls == [u.shape]
+        for r in (0, block, u.shape[0] - 1):  # rows of every block
+            assert out[r] == pytest.approx(real(special.ndtri(u[r:r + 1]), CORR3)[0],
+                                           abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repeated_calls_are_bit_equal(self, d):
+        corr = np.array(self.CORRS3["strong"])[:d, :d]
+        u = np.random.default_rng(45).random((500, d))
+        c = GaussianCopula(corr)
+        assert np.array_equal(copula_cdf(c, u), copula_cdf(c, u))
 
 
 class TestValidation:

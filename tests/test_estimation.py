@@ -375,3 +375,11 @@ class TestStudy:
         a = simulation_study(cfg)
         b = simulation_study(cfg)
         assert a[0].mse == b[0].mse
+
+    def test_failures_keep_their_reason(self):
+        cfg = StudyConfig(replications=2, nesting_taus=(0.4,), sample_sizes=(250,),
+                          methods=("two_step_closed", "bogus"))
+        ok, bad = simulation_study(cfg)
+        assert (ok.n_fail, ok.fail_reason) == (0, "")
+        assert (bad.n_ok, bad.n_fail) == (0, 2)
+        assert bad.fail_reason == "2x ParameterError: unknown study method 'bogus'"

@@ -162,6 +162,19 @@ class TestNestingPit:
         for j in range(v.shape[1]):
             assert kstest(v[:, j], "uniform").pvalue > 0.01
 
+    @pytest.mark.parametrize("d", [20, 40])
+    def test_uniform_for_a_large_cluster(self, d):
+        m = HierarchicalModel(
+            root=inner("nest", [
+                leaf("big", list(range(d)), arch(theta_from_tau("frank", 0.3), d)),
+                leaf("pair", [d, d + 1], arch(CLAYTON2, 2))],
+                arch(theta_from_tau("clayton", 0.4), 2)),
+            n_vars=d + 2)
+        v = nesting_pit(m, model_sample(m, 4000, np.random.default_rng(d), "exact"))
+        for j in range(2):
+            assert kstest(v[:, j], "uniform").pvalue > 1e-3, j
+            assert np.unique(v[:, j]).size == v.shape[0], j  # no rows share one V
+
     def test_levels_come_from_the_same_pass(self):
         c1 = leaf("c1", [0, 1], arch(CLAYTON2, 2))
         m = HierarchicalModel(

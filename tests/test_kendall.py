@@ -37,6 +37,7 @@ from hierkendall.kendall import (
 from oracles import kendall_cdf_quadrature_2d, kendall_inverse_brentq
 
 INDEP = independence_generator()
+TINY = np.finfo(float).tiny
 CLAYTON2 = ArchimedeanGenerator("clayton", 2.0)
 GUMBEL2 = ArchimedeanGenerator("gumbel", 2.0)
 
@@ -202,13 +203,15 @@ class TestInverse:
 
 class TestNodeStep:
     """archimedean_node_step against the composition it replaces: V =
-    kendall_cdf(K, clamp(copula_cdf)) and log c = copula_logpdf."""
+    kendall_cdf(K, copula_cdf) at the unclamped C, and log c = copula_logpdf.
+    Where C underflows the smallest normal double only the bound
+    0 <= V <= K(tiny) is checked, since kendall_cdf cannot be reached there."""
 
     @staticmethod
     def _rows(d, rng):
         u = rng.random((60, d))
         u[:10] *= 1e-6
-        u[10:15] = 1e-12                                   # C below the 1e-12 clamp
+        u[10:15] = 1e-12                                   # C < 1e-12; it underflows at large d
         u[15:25] = 1.0 - rng.random((10, d)) * 1e-9        # coordinates near 1
         u[25:28] = 1.0 - 1e-12
         return clamp_interior(u)
@@ -216,19 +219,34 @@ class TestNodeStep:
     @staticmethod
     def _check(g, u):
         c, d = ArchimedeanCopula(g, u.shape[1]), u.shape[1]
+        K = closed_form_kendall(g, d)
         cdf = copula_cdf(c, u)
         assert np.any(cdf < INTERIOR_EPS)
         v, log_c = archimedean_node_step(g, u)
         msg = f"{g.family} theta={g.theta} d={d}"
-        np.testing.assert_allclose(
-            v, kendall_cdf(closed_form_kendall(g, d), clamp_interior(cdf)),
-            rtol=0, atol=1e-12, err_msg=msg)
+        normal = cdf >= TINY
+        np.testing.assert_allclose(v[normal], kendall_cdf(K, cdf[normal]),
+                                   rtol=0, atol=1e-12, err_msg=msg)
+        assert np.all((v[~normal] >= 0.0) & (v[~normal] <= kendall_cdf(K, TINY))), msg
         ref = copula_logpdf(c, u)
         finite = np.isfinite(ref)
         np.testing.assert_array_equal(log_c[~finite], ref[~finite], err_msg=msg)
         # relative error, on a scale floored at 1 because log c crosses 0
         err = np.abs(log_c[finite] - ref[finite]) / np.maximum(np.abs(ref[finite]), 1.0)
         assert err.max() <= 1e-12, (msg, err.max())
+
+    @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank"])
+    def test_v_of_exact_samples_is_uniform(self, family):
+        # for large d, K(1e-12) is far from 0 (Frank tau = 0.3, d = 40: 0.33), so
+        # a floor on C would pile a block of rows onto one V value
+        fi = ["clayton", "gumbel", "frank"].index(family)
+        for ti, tau in enumerate((0.05, 0.3, 0.6, 0.85)):
+            g = theta_from_tau(family, tau)
+            for d in (2, 5, 10, 20, 40):
+                u = copula_sample(ArchimedeanCopula(g, d), 4000,
+                                  np.random.default_rng([fi, ti, d]))
+                v, _ = archimedean_node_step(g, clamp_interior(u))
+                assert kstest(v, "uniform").pvalue > 1e-3, (family, tau, d)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # Clayton phi near 0
     @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank", "independence"])
