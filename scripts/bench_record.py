@@ -8,6 +8,13 @@ run is appended under ``runs`` with the given label, and ``summary`` is
 recomputed: per label, workload and metric, the median and quartiles over
 the runs and their count.
 
+``--checkout`` names the git checkout the runs were made in. Each run then
+records ``src_tree``, the git tree hash of that checkout's committed
+``src/``, and ``src_dirty``, whether ``src/`` had uncommitted edits; a
+clean run measured the code whose ``git rev-parse <commit>:src`` matches.
+The commit hash in the provenance line alone cannot say this: run.py
+records ``HEAD`` even when the working tree differs from it.
+
 Example, ten alternating runs of the parent commit and of the change:
 
     for s in 1 2 3 4 5 6 7 8 9 10; do
@@ -16,13 +23,16 @@ Example, ten alternating runs of the parent commit and of the change:
         python3 perfbench/run.py --workload elliptical --seed $s --seconds 20 \\
             > change-$s.txt
     done
-    python3 scripts/bench_record.py BENCH_<n>.json --label parent parent-*.txt
-    python3 scripts/bench_record.py BENCH_<n>.json --label change change-*.txt
+    python3 scripts/bench_record.py BENCH_<n>.json --label parent \\
+        --checkout ../parent parent-*.txt
+    python3 scripts/bench_record.py BENCH_<n>.json --label change \\
+        --checkout . change-*.txt
 """
 
 import argparse
 import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +52,16 @@ def read_run(path: Path) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "units": {k: m["unit"] for k, m in result["metrics"].items()},
             "provenance": prov["provenance"]}
+
+
+def source_tree(checkout: Path) -> dict:
+    """The git tree hash of ``checkout``'s committed src/ and whether src/
+    differs from it in the working tree."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True, check=True, timeout=30).stdout.strip()
+    return {"src_tree": git("rev-parse", "HEAD:src"),
+            "src_dirty": bool(git("status", "--porcelain", "--", "src"))}
 
 
 def summarise(runs: list) -> dict:
@@ -69,11 +89,14 @@ def main(argv=None) -> int:
     ap.add_argument("bench", type=Path, help="BENCH_<PR>.json to create or extend")
     ap.add_argument("--label", required=True,
                     help="which side the runs measure, for example parent or change")
+    ap.add_argument("--checkout", type=Path,
+                    help="git checkout the runs were made in, to record its src/ tree")
     ap.add_argument("runs", type=Path, nargs="+", help="saved run.py outputs")
     args = ap.parse_args(argv)
     doc = json.loads(args.bench.read_text()) if args.bench.exists() else {"runs": []}
+    source = source_tree(args.checkout) if args.checkout else {}
     for path in args.runs:
-        doc["runs"].append(dict(read_run(path), label=args.label))
+        doc["runs"].append(dict(read_run(path), label=args.label, **source))
     doc["summary"] = summarise(doc["runs"])
     args.bench.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     print(f"{args.bench}: {len(doc['runs'])} runs")

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,28 @@ def test_rejects_output_without_result_line(tmp_path):
     path.write_text("perfbench: no hierkendall sources\n")
     with pytest.raises(ValueError):
         bench_record.read_run(path)
+
+
+def test_checkout_records_the_committed_src_tree(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "m.py").write_text("x = 1\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                               "-c", "user.email=t@t", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "src")
+    git("commit", "-q", "-m", "src")
+    tree = git("rev-parse", "HEAD:src")
+    bench = tmp_path / "BENCH.json"
+    run = run_output(tmp_path / "c1.txt", 1, 0.02)
+    assert bench_record.main([str(bench), "--label", "change", "--checkout", str(repo),
+                              str(run)]) == 0
+    (repo / "src" / "m.py").write_text("x = 2\n")
+    assert bench_record.main([str(bench), "--label", "change", "--checkout", str(repo),
+                              str(run)]) == 0
+    runs = json.loads(bench.read_text())["runs"]
+    assert [(r["src_tree"], r["src_dirty"]) for r in runs] == [(tree, False), (tree, True)]

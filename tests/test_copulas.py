@@ -28,7 +28,12 @@ from hierkendall.generators import (
     theta_from_tau,
 )
 
-from oracles import gumbel_inv_deriv_log_mp, pdf_mixed_fd_2d, trivariate_normal_cdf_quad
+from oracles import (
+    equicorrelated_normal_cdf_quad,
+    gumbel_inv_deriv_log_mp,
+    pdf_mixed_fd_2d,
+    trivariate_normal_cdf_quad,
+)
 
 CLAYTON2 = ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 2)
 GUMBEL2 = ArchimedeanCopula(ArchimedeanGenerator("gumbel", 2.0), 2)
@@ -421,6 +426,44 @@ class TestGaussianKernels:
         got = copula_cdf(GaussianCopula(corr), u)
         want = [trivariate_normal_cdf_quad(x, corr) for x in special.ndtri(u)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    # just above _check_corr's floor on the smallest eigenvalue (1e-10), where
+    # det R ~ 1e-19 is far below the rounding of 1 - r23^2 - q
+    @pytest.mark.parametrize("r", [1.0 - 2e-10, 1.0 - 1e-9])
+    def test_trivariate_at_the_eigenvalue_floor(self, r):
+        corr = np.full((3, 3), r)
+        np.fill_diagonal(corr, 1.0)
+        u = np.array([(a, a, a) for a in self.U_EDGE]
+                     + [[0.3, 0.6, 0.8], [0.99, 0.995, 0.2], [0.3, 0.3000001, 0.3]])
+        got = copula_cdf(GaussianCopula(corr), u)
+        assert np.all(np.isfinite(got))
+        want = [equicorrelated_normal_cdf_quad(x, r) for x in special.ndtri(u)]
+        # the cofactors in the conditional mean cancel to ~1e-16 against a
+        # det R of 1e-19, which bounds the accuracy near t = 1 here
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        orthant = 0.125 + 3.0 * np.arcsin(r) / (4.0 * np.pi)  # at u = (1/2, 1/2, 1/2)
+        assert got[4] == pytest.approx(orthant, abs=1e-13)
+
+    def test_trivariate_near_singular_random_is_finite_and_bounded(self):
+        rng = np.random.default_rng(46)
+        checked = 0
+        while checked < 100:
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            lam = np.concatenate([10.0 ** rng.uniform(-10, -4, 1), rng.uniform(0.0, 3.0, 2)])
+            cov = q @ np.diag(lam) @ q.T
+            sd = np.sqrt(np.diag(cov))
+            corr = cov / np.outer(sd, sd)
+            np.fill_diagonal(corr, 1.0)
+            try:
+                c = GaussianCopula(0.5 * (corr + corr.T))
+            except ParameterError:
+                continue
+            checked += 1
+            u = np.vstack([rng.random((5, 3)), 10.0 ** rng.uniform(-12, 0, (5, 3))])
+            got = copula_cdf(c, u)
+            assert np.all(np.isfinite(got))
+            assert np.all(got >= np.maximum(u.sum(axis=1) - 2.0, 0.0) - 1e-12)
+            assert np.all(got <= u.min(axis=1) + 1e-12)
 
     def test_one_trivariate_call_per_batch(self, monkeypatch):
         calls = []
