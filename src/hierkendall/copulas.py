@@ -16,7 +16,8 @@ Elliptical CDFs take one batched path: a row with a coordinate <= 0 is 0,
 coordinates at 1 are dropped, and rows keeping the same coordinates are
 evaluated together on that sub-correlation. Gaussian groups of two and
 three coordinates use Genz's (2004) bivariate and trivariate rules, exact
-to rounding, on one 20-node Gauss-Legendre rule; Student-t groups of two
+to rounding (about 2e-10 where R is at the eigenvalue floor of 1e-10), on
+one 20-node Gauss-Legendre rule; Student-t groups of two
 and three use 96-node Gauss-Legendre quadrature after substituting the
 marginal probability transform. Four or more coordinates fall back to
 scipy's Gaussian/t CDFs with a fixed seed for every row. Every rule is
@@ -250,7 +251,9 @@ def _gauss_cdf_3d(x, corr):
     Xj = bj. The integrand is analytic on [0, 1] with its nearest
     singularity at the t* > 1 where det R(t) = 0; panels graded toward
     t = 1, each at most 4x as wide as its right end's distance to t*, keep
-    the 20-node rule exact however close to singular R is. Rows are
+    the 20-node rule exact however close to singular R is. What is left is
+    rounding in m_j(t), whose cofactors cancel against det R(t): about
+    2e-10 absolute when R's smallest eigenvalue is 2e-10. Rows are
     evaluated in blocks of at most ``_BLOCK_POINTS`` (row, node) pairs.
     """
     big = int(np.argmax(np.abs(corr[[0, 0, 1], [1, 2, 2]])))
