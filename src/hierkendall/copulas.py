@@ -36,6 +36,7 @@ from scipy import linalg, optimize, special, stats
 from .errors import DimensionError, EvaluationError, NoSolutionError, ParameterError
 from .generators import (
     ArchimedeanGenerator,
+    check_order,
     generator_derivative_log,
     generator_inverse,
     generator_inverse_derivative_log,
@@ -106,6 +107,7 @@ class ArchimedeanCopula:
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("dimension must be >= 1")
+        check_order(self.dim, "Archimedean copula dimension")
         if self.generator.family == "frank" and self.generator.theta < 0.0 and self.dim > 2:
             raise ParameterError("negative-dependence frank copula only exists for d = 2")
 

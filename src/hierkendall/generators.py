@@ -3,7 +3,7 @@
 Implements the four completely monotone families used throughout the
 package (independence, Clayton, Gumbel, Frank) with
 
-* the generator ``phi`` and its first derivative,
+* the generator ``phi`` and the log of its first derivative,
 * the inverse generator ``phi^-1`` and its derivatives up to order
   ``MAX_DERIVATIVE_ORDER`` (needed by Kendall distribution functions and
   by Archimedean copula densities in moderate dimensions),
@@ -21,11 +21,20 @@ frank            -log(expm1(-theta t)           -log1p(expm1(-theta) e^-s)
                        / expm1(-theta))               / theta
 ===============  =============================  ==========================
 
-Derivatives of ``phi^-1`` are exact: Clayton and independence use product
-formulas; Gumbel and Frank use recurrences on polynomial coefficients
-(Gumbel in x = s^(1/theta), Frank in y = (1 - e^-theta) e^-s through the
-Eulerian polynomials of its polylogarithm form), so no finite differencing
-is involved at any order.
+Derivatives of ``phi^-1`` have one home, ``_log_terms``, which yields
+log T_i = log(s^i |(phi^-1)^(i)(s)| / i!) for the requested orders i. They
+are exact: Clayton and independence use product formulas; Gumbel and Frank
+use recurrences on polynomial coefficients (Gumbel in x = s^(1/theta), Frank
+in y = (1 - e^-theta) e^-s through the Eulerian polynomials of its
+polylogarithm form), so no finite differencing is involved at any order.
+The Kendall function K, its inverse and the Archimedean node step sum these
+terms (see ``kendall``); ``generator_inverse_derivative_log`` is
+log T_k + log k! - k log s, with the s = 0 limit taken explicitly, and
+``generator_inverse_derivative`` its signed exponential, so copula densities
+and the conditional sampler read the same kernel. ``check_order`` holds the
+one cap, ``MAX_DERIVATIVE_ORDER``, where a dimension or order enters:
+``ArchimedeanCopula``, closed-form ``KendallFunction`` and the two public
+derivative functions.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lgamma
 
 import numpy as np
 from scipy import integrate, optimize
@@ -81,11 +91,11 @@ def _as_array(x, name, lo=None, hi=None, lo_open=False, hi_open=False):
     arr = np.asarray(x, dtype=float)
     if lo is not None:
         bad = (arr <= lo) if lo_open else (arr < lo)
-        if np.any(bad):
+        if bad.any():
             raise DomainError(f"{name} out of domain: min={arr.min()}")
     if hi is not None:
         bad = (arr >= hi) if hi_open else (arr > hi)
-        if np.any(bad):
+        if bad.any():
             raise DomainError(f"{name} out of domain: max={arr.max()}")
     return arr
 
@@ -138,21 +148,6 @@ def generator_inverse(g: ArchimedeanGenerator, s):
     else:  # frank
         out = -_frank_y(g.theta, ss)[2] / g.theta
     out = np.where(ss == 0.0, 1.0, out)
-    return _scalarize(out, scalar)
-
-
-def generator_derivative(g: ArchimedeanGenerator, t):
-    """phi'(t), the first derivative of the generator (negative on (0,1))."""
-    scalar = np.isscalar(t)
-    tt = _as_array(t, "t", lo=0.0, lo_open=True, hi=1.0)
-    if g.family == "independence":
-        out = -1.0 / tt
-    elif g.family == "clayton":
-        out = -g.theta * tt ** (-g.theta - 1.0)
-    elif g.family == "gumbel":
-        out = -g.theta * (-np.log(tt)) ** (g.theta - 1.0) / tt
-    else:  # frank
-        out = -g.theta / np.expm1(g.theta * tt)
     return _scalarize(out, scalar)
 
 
@@ -236,72 +231,91 @@ def _frank_y(theta, s):
     return y, log_y, log_1my
 
 
-def _gumbel_inv_deriv(theta, s, k):
-    alpha = 1.0 / theta
-    coeffs = _gumbel_coeffs(alpha, k)
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    pos = s > 0.0
-    x = s[pos] ** alpha
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-x) * _polyval_ascending(coeffs, x) * s[pos] ** (-float(k))
-    if np.any(~pos):
-        # limit s -> 0+: lowest-order term c_m x^m s^-k = c_m s^(m*alpha-k)
-        m = next(j for j, c in enumerate(coeffs) if c != 0.0)
-        if m * alpha == k:  # only for theta == 1 (independence-shaped)
-            out[~pos] = coeffs[m]
-        else:
-            out[~pos] = math.copysign(math.inf, coeffs[m])
-    return out
+def _log_terms(g: ArchimedeanGenerator, orders, log_s):
+    """Yield log T_i(s) for i in ``orders``, T_i = s^i |(phi^-1)^(i)(s)| / i!.
 
-
-def _gumbel_inv_deriv_log(theta, s, k):
-    """log |(phi^-1)^(k)(s)| = -x + log x + log sum_j |q_j| x^(j-1) - k log s.
-
-    Q_k(0) = 0 and the coefficients of Q_k share one sign, so the log is
-    formed term by term and s^-k never overflows; s = 0 takes the signed
-    limit of ``_gumbel_inv_deriv``.
+    The one place |(phi^-1)^(i)| is computed. T_0 = phi^-1(s) is the level
+    z itself. The family's s-dependent quantities are formed once and shared
+    by all orders, in log form so that neither s -> 0 nor large s over- or
+    underflows; at s = 0 the terms of order i >= 1 are 0 (log -inf).
     """
-    alpha = 1.0 / theta
-    q = np.abs(_gumbel_coeffs(alpha, k)[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_s = np.log(s)
+    th = g.theta
+    if g.family == "independence":
+        s = np.exp(log_s)
+        for i in orders:
+            yield -s if i == 0 else i * log_s - s - lgamma(i + 1)
+    elif g.family == "clayton":
+        # T_i = (a)_i / i! * (1+s)^-a * (s/(1+s))^i, a = 1/theta
+        # (1+s)^-a and s/(1+s) from one logaddexp: with e = log(1 + e^-|log s|),
+        # max(+/-log s, 0) + e equals logaddexp(0, +/-log s) bit for bit
+        a = 1.0 / th
+        e = np.logaddexp(0.0, -np.abs(log_s))
+        base = -a * (np.maximum(log_s, 0.0) + e)
+        log_r = -(np.maximum(-log_s, 0.0) + e)
+        for i in orders:
+            yield base if i == 0 else lgamma(a + i) - lgamma(a) - lgamma(i + 1) + base + i * log_r
+    elif g.family == "gumbel":
+        # T_i = e^-x |Q_i(x)| / i!, x = s^(1/theta); Q_i(0) = 0 and the
+        # coefficients of Q_i share one sign, so |Q_i(x)| = x sum |q_j| x^(j-1)
+        alpha = 1.0 / th
         log_x = alpha * log_s
         x = np.exp(log_x)
-        out = -x + log_x + np.log(_polyval_ascending(q, x)) - k * log_s
-        at_zero = np.log(np.abs(_gumbel_inv_deriv(theta, np.zeros(1), k)[0]))
-    return np.where(s == 0.0, at_zero, out)
+        for i in orders:
+            yield -x if i == 0 else (-x + log_x + np.log(_polyval_ascending(
+                np.abs(_gumbel_coeffs(alpha, i)[1:]), x)) - lgamma(i + 1))
+    else:  # frank: T_i = s^i |y A_{i-1}(y)| / (i! |theta| (1 - y)^i), see _frank_y
+        y, log_y, log_1my = _frank_y(th, np.exp(log_s))
+        log_theta = math.log(abs(th))
+        log_ratio = log_s - log_1my
+        for i in orders:
+            yield np.log(np.abs(log_1my)) - log_theta if i == 0 else (
+                i * log_ratio + log_y
+                + np.log(np.abs(_polyval_ascending(_eulerian_coeffs(i - 1), y)))
+                - log_theta - lgamma(i + 1))
+
+
+def _log_inv_deriv_at_zero(g: ArchimedeanGenerator, k: int) -> float:
+    """log |(phi^-1)^(k)(0)|, the s -> 0 limit that the T form cannot give."""
+    th = g.theta
+    if g.family == "independence":
+        return 0.0
+    if g.family == "clayton":
+        return lgamma(1.0 / th + k) - lgamma(1.0 / th)
+    if g.family == "gumbel":  # diverges unless theta = 1 (independence-shaped)
+        return 0.0 if th == 1.0 else math.inf
+    y0 = -math.expm1(-th)
+    return (math.log(abs(y0 * _polyval_ascending(_eulerian_coeffs(k - 1), y0)))
+            + k * th - math.log(abs(th)))
+
+
+def check_order(k: int, what: str = "derivative order") -> None:
+    """Raise ``UnsupportedOrderError`` for k above ``MAX_DERIVATIVE_ORDER``."""
+    if k > MAX_DERIVATIVE_ORDER:
+        raise UnsupportedOrderError(
+            f"{what} {k} above supported maximum {MAX_DERIVATIVE_ORDER}")
 
 
 def generator_inverse_derivative(g: ArchimedeanGenerator, s, k: int):
     """(phi^-1)^(k)(s) for s >= 0 and 0 <= k <= MAX_DERIVATIVE_ORDER.
 
     k = 0 reduces to ``generator_inverse``. Values alternate in sign with k
-    (complete monotonicity); Gumbel derivatives diverge at s = 0 for
-    theta > 1 and the signed limit (+/-inf) is returned there.
+    (complete monotonicity), except for Frank with theta < 0, where the
+    sign is (-1)^k sign A_{k-1}(y) and changes with s once k >= 3. Values
+    beyond float range, such as the Gumbel derivatives at s = 0 for
+    theta > 1, are returned as their signed limit (+/-inf).
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"derivative order must be a nonnegative integer, got {k}")
-    if k > MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrderError(
-            f"derivative order {k} above supported maximum {MAX_DERIVATIVE_ORDER}")
+    check_order(k)
     if k == 0:
         return generator_inverse(g, s)
-    scalar = np.isscalar(s)
-    ss = _as_array(s, "s", lo=0.0)
-    if g.family == "independence":
-        out = (-1.0) ** k * np.exp(-ss)
-    elif g.family == "clayton":
-        a = 1.0 / g.theta
-        coef = (-1.0) ** k * np.prod(a + np.arange(k))
-        out = coef * np.exp(-(a + k) * np.log1p(ss))
-    elif g.family == "gumbel":
-        out = _gumbel_inv_deriv(g.theta, ss, k)
-    else:  # frank
-        y, _, log_1my = _frank_y(g.theta, ss)
-        out = ((-1.0) ** k / g.theta * y * _polyval_ascending(_eulerian_coeffs(k - 1), y)
-               * np.exp(-k * log_1my))
-    return _scalarize(out, scalar)
+    log_abs = generator_inverse_derivative_log(g, s, k)
+    sign = (-1.0) ** k
+    if g.family == "frank" and g.theta < 0.0:
+        y = _frank_y(g.theta, np.asarray(s, dtype=float))[0]
+        sign = sign * np.sign(_polyval_ascending(_eulerian_coeffs(k - 1), y))
+    with np.errstate(over="ignore"):
+        return _scalarize(sign * np.exp(log_abs), np.isscalar(s))
 
 
 def generator_inverse_derivative_log(g: ArchimedeanGenerator, s, k: int):
@@ -309,28 +323,19 @@ def generator_inverse_derivative_log(g: ArchimedeanGenerator, s, k: int):
 
     Complements ``generator_inverse_derivative`` where the direct value
     would leave float range (very large phi values under Clayton, strong
-    Frank dependence). The sign is always (-1)^k for completely monotone
-    parameters.
+    Frank dependence). It is log T_k + log k! - k log s from the kernel
+    that K uses, with the s = 0 limit taken explicitly.
     """
     if k < 1:
         raise DomainError("log variant requires k >= 1")
-    if k > MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrderError(
-            f"derivative order {k} above supported maximum {MAX_DERIVATIVE_ORDER}")
+    check_order(k)
     scalar = np.isscalar(s)
     ss = _as_array(s, "s", lo=0.0)
-    if g.family == "independence":
-        out = -ss
-    elif g.family == "clayton":
-        a = 1.0 / g.theta
-        out = float(np.sum(np.log(a + np.arange(k)))) - (a + k) * np.log1p(ss)
-    elif g.family == "gumbel":
-        out = _gumbel_inv_deriv_log(g.theta, ss, k)
-    else:  # frank: y and the Eulerian coefficients are positive for theta > 0
-        y, log_y, log_1my = _frank_y(g.theta, ss)
-        with np.errstate(divide="ignore"):
-            out = (log_y + np.log(np.abs(_polyval_ascending(_eulerian_coeffs(k - 1), y)))
-                   - k * log_1my - math.log(abs(g.theta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log(ss)
+        out = next(_log_terms(g, (k,), log_s)) + (lgamma(k + 1) - k * log_s)
+    if not ss.all():  # some s = 0, where T_k = 0 and the log form above is NaN
+        out = np.where(ss == 0.0, _log_inv_deriv_at_zero(g, k), out)
     return _scalarize(out, scalar)
 
 

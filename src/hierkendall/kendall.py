@@ -7,9 +7,13 @@ of Z = C(U) for U ~ C. It is known in closed form for Archimedean copulas,
 
 and is otherwise estimated by the empirical CDF of simulated Z values.
 The closed form is evaluated in generator space, s = phi(t), as
-K = sum_{i<d} s^i |(phi^-1)^(i)(s)| / i!, and inverted there by Newton's
-method on log s. Both representations share one immutable value type with
-a CDF and a (generalized) inverse.
+K = sum_{i<d} T_i with T_i = s^i |(phi^-1)^(i)(s)| / i!, and inverted there
+by Newton's method on log s. The terms come in log form from
+``generators._log_terms``, the one implementation of the inverse-generator
+derivatives, which the Archimedean copula density also reads. A closed form
+exists up to dimension ``MAX_DERIVATIVE_ORDER`` (40), checked when it is
+built. Both representations share one immutable value type with a CDF and a
+(generalized) inverse.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError, ParameterError, ToleranceError
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
-    _eulerian_coeffs,
-    _frank_y,
-    _gumbel_coeffs,
-    _polyval_ascending,
+    _log_terms,
+    check_order,
     generator_derivative_log,
     generator_inverse_derivative_log,
     generator_value,
@@ -45,7 +47,9 @@ class KendallFunction:
 
     Exactly one of ``generator`` (with kind="closed_form") or
     ``sorted_values`` (kind="empirical") is set. ``dim`` is the dimension
-    of the underlying copula; dim = 1 makes the closed form the identity.
+    of the underlying copula; dim = 1 makes the closed form the identity,
+    and a closed form above ``MAX_DERIVATIVE_ORDER`` raises
+    ``UnsupportedOrderError``.
     """
 
     kind: str
@@ -61,6 +65,7 @@ class KendallFunction:
         if self.kind == "closed_form":
             if self.generator is None:
                 raise ParameterError("closed_form requires a generator")
+            check_order(self.dim, "closed-form Kendall dimension")
         else:
             vals = np.asarray(self.sorted_values, dtype=float)
             if vals.ndim != 1 or vals.size == 0:
@@ -87,47 +92,6 @@ def empirical_kendall_from_values(values, dim: int) -> KendallFunction:
                            sorted_values=np.sort(np.asarray(values, dtype=float)))
 
 
-def _log_terms(g: ArchimedeanGenerator, d: int, log_s):
-    """Yield log T_i(s) for i = 0..d, with T_i = s^i |(phi^-1)^(i)(s)| / i!.
-
-    T_0 = phi^-1(s) is the level z itself. The family's s-dependent
-    quantities are formed once and shared by all orders, in log form so that
-    neither s -> 0 nor large s over- or underflows.
-    """
-    th = g.theta
-    if g.family == "independence":
-        s = np.exp(log_s)
-        yield -s
-        for i in range(1, d + 1):
-            yield i * log_s - s - lgamma(i + 1)
-    elif g.family == "clayton":
-        # T_i = (a)_i / i! * (1+s)^-a * (s/(1+s))^i, a = 1/theta
-        a = 1.0 / th
-        base = -a * np.logaddexp(0.0, log_s)
-        log_r = -np.logaddexp(0.0, -log_s)
-        yield base
-        for i in range(1, d + 1):
-            yield lgamma(a + i) - lgamma(a) - lgamma(i + 1) + base + i * log_r
-    elif g.family == "gumbel":
-        # T_i = e^-x |Q_i(x)| / i!, x = s^(1/theta); Q_i(0) = 0 and the
-        # coefficients of Q_i share one sign, so |Q_i(x)| = x sum |q_j| x^(j-1)
-        alpha = 1.0 / th
-        log_x = alpha * log_s
-        x = np.exp(log_x)
-        yield -x
-        for i in range(1, d + 1):
-            q = np.abs(_gumbel_coeffs(alpha, i)[1:])
-            yield -x + log_x + np.log(_polyval_ascending(q, x)) - lgamma(i + 1)
-    else:  # frank: T_i = s^i |y A_{i-1}(y)| / (i! |theta| (1 - y)^i), see _frank_y
-        y, log_y, log_1my = _frank_y(th, np.exp(log_s))
-        log_theta = log(abs(th))
-        yield np.log(np.abs(log_1my)) - log_theta
-        log_ratio = log_s - log_1my
-        for i in range(1, d + 1):
-            poly = np.abs(_polyval_ascending(_eulerian_coeffs(i - 1), y))
-            yield i * log_ratio + log_y + np.log(poly) - log_theta - lgamma(i + 1)
-
-
 def _log_phi(g: ArchimedeanGenerator, t):
     """log phi(t); Clayton's t^-theta - 1 overflows for small t, where it is -theta log t."""
     with np.errstate(divide="ignore", over="ignore"):
@@ -145,7 +109,7 @@ def _k_and_log_td(g: ArchimedeanGenerator, d: int, log_s):
     the density needs it where it leaves float range.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = _log_terms(g, d, log_s)
+        terms = _log_terms(g, range(d + 1), log_s)
         k = np.exp(next(terms))
         for _, log_t in zip(range(1, d), terms):
             k = k + np.exp(log_t)
@@ -267,7 +231,7 @@ def kendall_inverse(K: KendallFunction, p):
         g, target = K.generator, np.ravel(pp)
         log_s = _solve_log_s(g, K.dim, target)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.exp(next(_log_terms(g, 0, log_s)))
+            z = np.exp(next(_log_terms(g, (0,), log_s)))
         err = np.full(z.shape, np.inf)
         ok = (z > 0.0) & (z < 1.0)
         err[ok] = np.abs(kendall_cdf(K, z[ok]) - target[ok])

@@ -4,9 +4,10 @@ These deliberately avoid the package's closed forms: Kendall functions
 are cross-checked against a bivariate quadrature of the recursive
 integral, and densities against finite differences of the CDF. The
 Kendall inverse is checked against a bracketing root finder on K, which
-avoids the package's solver rather than K itself. Gumbel inverse-generator
-derivatives are checked against the complete Bell polynomial form of the
-chain rule in 80-digit arithmetic. The trivariate normal CDF is checked
+avoids the package's solver rather than K itself. Inverse-generator
+derivatives are checked in 80-digit arithmetic against each family's own
+closed form (rising factorials, polylogarithms, and for Gumbel the complete
+Bell polynomial form of the chain rule). The trivariate normal CDF is checked
 against adaptive quadrature over the first coordinate of scipy's bivariate
 normal CDF, and at equicorrelated, nearly singular correlations against
 adaptive quadrature of its one-factor representation.
@@ -57,22 +58,36 @@ def kendall_inverse_brentq(K, p):
                      for q in np.atleast_1d(p)])
 
 
-def gumbel_inv_deriv_log_mp(theta, s, k):
-    """log |(phi^-1)^(k)(s)| for Gumbel, phi^-1(s) = exp(g(s)) with g = -s^a, a = 1/theta.
+def inv_deriv_log_mp(family, theta, s, k):
+    """(log |(phi^-1)^(k)(s)|, its sign) in 80-digit arithmetic, k >= 1.
 
-    d^k/ds^k e^g = e^g B_k(g', ..., g^(k)), with the complete Bell polynomials
-    from B_{n+1} = sum_i C(n, i) B_{n-i} g^(i+1) and the exact derivatives
-    g^(m)(s) = -a (a-1) ... (a-m+1) s^(a-m); no coefficient recurrence of the
-    package is involved.
+    Each family uses its own closed form, none of the package's recurrences:
+    independence (-1)^k e^-s; Clayton (-1)^k (1/theta)_k (1+s)^(-1/theta-k)
+    with the rising factorial; Frank (-1)^k Li_{1-k}(y) / theta with
+    y = (1 - e^-theta) e^-s, since phi^-1(s) = Li_1(y) / theta and each
+    derivative in s lowers the polylogarithm's order; Gumbel, phi^-1 = e^g
+    with g = -s^a, a = 1/theta, by d^k/ds^k e^g = e^g B_k(g', ..., g^(k)),
+    with the complete Bell polynomials from
+    B_{n+1} = sum_i C(n, i) B_{n-i} g^(i+1) and the exact derivatives
+    g^(m)(s) = -a (a-1) ... (a-m+1) s^(a-m).
     """
     with mpmath.workdps(80):
-        a, s = 1 / mpmath.mpf(theta), mpmath.mpf(s)
-        dg = [None] + [-mpmath.ff(a, m) * s ** (a - m) for m in range(1, k + 1)]
-        bell = [mpmath.mpf(1)]
-        for n in range(k):
-            bell.append(mpmath.fsum(mpmath.binomial(n, i) * bell[n - i] * dg[i + 1]
-                                    for i in range(n + 1)))
-        return float(mpmath.log(abs(bell[k])) - s ** a)
+        th, s = mpmath.mpf(theta), mpmath.mpf(s)
+        if family == "independence":
+            val = (-1) ** k * mpmath.exp(-s)
+        elif family == "clayton":
+            val = (-1) ** k * mpmath.rf(1 / th, k) * (1 + s) ** (-1 / th - k)
+        elif family == "frank":
+            val = (-1) ** k * mpmath.polylog(1 - k, -mpmath.expm1(-th) * mpmath.exp(-s)) / th
+        else:
+            a = 1 / th
+            dg = [None] + [-mpmath.ff(a, m) * s ** (a - m) for m in range(1, k + 1)]
+            bell = [mpmath.mpf(1)]
+            for n in range(k):
+                bell.append(mpmath.fsum(mpmath.binomial(n, i) * bell[n - i] * dg[i + 1]
+                                        for i in range(n + 1)))
+            val = bell[k] * mpmath.exp(-s ** a)
+        return float(mpmath.log(abs(val))), int(mpmath.sign(val))
 
 
 def pdf_mixed_fd_2d(copula, u1, u2, h=1e-4):

@@ -20,8 +20,14 @@ from hierkendall.copulas import (
     elliptical_tau_from_corr,
     quantile_curve,
 )
-from hierkendall.errors import DimensionError, NoSolutionError, ParameterError
+from hierkendall.errors import (
+    DimensionError,
+    NoSolutionError,
+    ParameterError,
+    UnsupportedOrderError,
+)
 from hierkendall.generators import (
+    MAX_DERIVATIVE_ORDER,
     ArchimedeanGenerator,
     generator_derivative_log,
     generator_value,
@@ -30,7 +36,7 @@ from hierkendall.generators import (
 
 from oracles import (
     equicorrelated_normal_cdf_quad,
-    gumbel_inv_deriv_log_mp,
+    inv_deriv_log_mp,
     pdf_mixed_fd_2d,
     trivariate_normal_cdf_quad,
 )
@@ -144,7 +150,7 @@ class TestPdf:
         g = theta_from_tau("gumbel", 0.85)
         u = np.full(10, 1.0 - 1e-9)
         s = float(np.sum(generator_value(g, u)))
-        ref = gumbel_inv_deriv_log_mp(g.theta, s, 10) + float(
+        ref = inv_deriv_log_mp("gumbel", g.theta, s, 10)[0] + float(
             np.sum(generator_derivative_log(g, u)))
         got = copula_logpdf(ArchimedeanCopula(g, 10), u)
         assert np.isfinite(got) and got == pytest.approx(ref, rel=1e-12)
@@ -502,6 +508,16 @@ class TestValidation:
     def test_negative_frank_needs_bivariate(self):
         with pytest.raises(ParameterError):
             ArchimedeanCopula(ArchimedeanGenerator("frank", -2.0), 3)
+
+    def test_dimension_capped_at_derivative_order(self):
+        g = theta_from_tau("clayton", 0.4)
+        with pytest.raises(UnsupportedOrderError):
+            ArchimedeanCopula(g, MAX_DERIVATIVE_ORDER + 1)
+        c = ArchimedeanCopula(g, MAX_DERIVATIVE_ORDER)
+        u = np.full((2, MAX_DERIVATIVE_ORDER), 0.9)
+        assert np.all(np.isfinite(copula_logpdf(c, u)))
+        assert np.all((copula_cdf(c, u) > 0.0) & (copula_cdf(c, u) < 1.0))
+        assert copula_sample(c, 5, np.random.default_rng(0)).shape == (5, MAX_DERIVATIVE_ORDER)
 
     def test_tau_corr_identities(self):
         assert elliptical_corr_from_tau(1.0 / 3.0) == pytest.approx(0.5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hierkendall.errors import (
 )
 from hierkendall.generators import (
     ArchimedeanGenerator,
-    generator_derivative,
+    generator_derivative_log,
     generator_inverse,
     generator_inverse_derivative,
     generator_inverse_derivative_log,
@@ -23,7 +24,7 @@ from hierkendall.generators import (
     theta_from_tau,
 )
 
-from oracles import gumbel_inv_deriv_log_mp
+from oracles import inv_deriv_log_mp
 
 CLAYTON2 = ArchimedeanGenerator("clayton", 2.0)
 GUMBEL2 = ArchimedeanGenerator("gumbel", 2.0)
@@ -169,9 +170,35 @@ class TestInverseDerivatives:
         g = theta_from_tau("gumbel", tau)
         for s in (1e-300, 1e-60, 1e-8, 0.5, 3.0, 50.0):
             for k in (1, 2, 5, 10, 20):
-                ref = gumbel_inv_deriv_log_mp(g.theta, s, k)
+                ref = inv_deriv_log_mp("gumbel", g.theta, s, k)[0]
                 got = generator_inverse_derivative_log(g, s, k)
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (s, k)
+
+    @pytest.mark.parametrize("g", [INDEP] + [theta_from_tau(fam, tau)
+                                             for fam in ("clayton", "gumbel", "frank")
+                                             for tau in (0.05, 0.5, 0.95)]
+                             + [ArchimedeanGenerator("frank", -4.0)], ids=repr)
+    def test_matches_independent_oracle(self, g):
+        # log|(phi^-1)^(k)| and its sign against each family's own closed form;
+        # Frank theta < 0 is not completely monotone: its sign changes with s
+        grid = (1e-300, 1e-60, 1e-8, 0.3, 3.0, 50.0, 700.0)
+        if g.family != "gumbel":
+            grid = (0.0,) + grid
+        for s in grid:
+            for k in ((1, 2, 3, 5) if g.theta < 0 else (1, 2, 3, 5, 10, 20, 40)):
+                ref, sign = inv_deriv_log_mp(g.family, g.theta, s, k)
+                got = generator_inverse_derivative_log(g, s, k)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (s, k, got, ref)
+                assert np.sign(generator_inverse_derivative(g, s, k)) == sign, (s, k)
+
+    def test_overflow_gives_signed_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = generator_inverse_derivative(ArchimedeanGenerator("frank", 20.0), 1e-8, 40)
+            assert got == math.inf
+            got = generator_inverse_derivative(
+                ArchimedeanGenerator("frank", 20.0), np.array([0.0, 1e-8]), 39)
+            assert np.all(got == -math.inf)
 
 
 class TestGeneratorDerivative:
@@ -181,12 +208,12 @@ class TestGeneratorDerivative:
         t = np.linspace(0.05, 0.95, 19)
         h = 1e-6
         fd = (generator_value(g, t + h) - generator_value(g, t - h)) / (2.0 * h)
-        np.testing.assert_allclose(generator_derivative(g, t), fd, rtol=1e-6)
+        np.testing.assert_allclose(-np.exp(generator_derivative_log(g, t)), fd, rtol=1e-6)
 
     def test_negative_on_interior(self):
         t = np.linspace(0.01, 0.99, 50)
         for g in (CLAYTON2, GUMBEL2, FRANK5, INDEP):
-            assert np.all(generator_derivative(g, t) < 0)
+            assert np.all(-np.exp(generator_derivative_log(g, t)) < 0)
 
 
 class TestTau:
