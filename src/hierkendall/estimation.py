@@ -10,6 +10,9 @@ with a derivative-free simplex search over unconstrained transforms:
     clayton  theta = exp(eta)        gumbel    theta = 1 + exp(eta)
     frank    theta = eta (0 banned)  student-t nu    = 2 + exp(eta)
 
+Each node of the two-step fit has one free parameter (an Archimedean theta
+or a Student-t nu), found by bounded Brent on a finite eta interval.
+
 Correlation matrices are never searched: they come from pairwise
 empirical Kendall's tau inversion rho = sin(pi tau / 2) followed by a
 nearest-positive-definite projection, and stay fixed during joint MLE.
@@ -40,7 +43,7 @@ from .copulas import (
     elliptical_corr_from_tau,
     elliptical_tau_from_corr,
 )
-from .errors import ConfigError, DataError, ParameterError
+from .errors import ConfigError, DataError, EvaluationError, ParameterError
 from .generators import ArchimedeanGenerator, tau_from_theta, theta_from_tau
 from .hierarchical import (
     DEFAULT_KENDALL_MC,
@@ -236,36 +239,45 @@ class ClusterFit:
     n_evals: int = 0
 
 
-_NM_OPTIONS = dict(fatol=1e-8, xatol=1e-6)
+_PENALTY = 1e12  # objective value of a failed or non-finite evaluation
+# eta intervals from near independence (Gumbel: theta - 1 = 1e-12 by the floor
+# of eta_from_theta) up to tau = 0.98; Frank at d = 2 also down to tau = -0.98
+_ETA_BOUNDS = {f: (eta_from_theta(f, lo), eta_from_theta(f, theta_from_tau(f, 0.98).theta))
+               for f, lo in (("clayton", 1e-12), ("gumbel", 1.0), ("frank", _FRANK_DEADZONE))}
+_ETA_BOUNDS["student_t"] = (math.log(1e-2), math.log(1e3))  # nu - 2 in [1e-2, 1e3]
 
 
-def _neg_loglik_archimedean(eta, family, d, u):
-    theta = theta_from_eta(family, float(eta[0]))
-    try:
-        cop = ArchimedeanCopula(ArchimedeanGenerator(family, theta), d)
-        val = float(np.sum(copula_logpdf(cop, u)))
-    except (ParameterError, FloatingPointError, OverflowError):
-        return 1e12
-    if not np.isfinite(val):
-        return 1e12
-    return -val
+def _fit_one_parameter(make_copula, u, bounds, max_evals, method, what) -> ClusterFit:
+    """Maximum likelihood over one eta in ``bounds`` by bounded Brent, which
+    stops short of an optimum on an interval end by about its tolerance; so
+    the end nearest its result is evaluated too, and the better one kept."""
+    def neg_ll(eta):
+        try:
+            val = float(np.sum(copula_logpdf(make_copula(float(eta)), u)))
+        except (ParameterError, ArithmeticError):
+            return _PENALTY
+        return -val if np.isfinite(val) else _PENALTY
 
-
-def _tau_start(family: str, tau: float) -> float:
-    lo, hi = 0.015, 0.93
-    if family == "frank":
-        mag = min(max(abs(tau), lo), hi)
-        return math.copysign(mag, tau if tau != 0.0 else 1.0)
-    return min(max(tau, lo), hi)
+    lo, hi = bounds
+    res = optimize.minimize_scalar(neg_ll, bounds=bounds, method="bounded",
+                                   options=dict(xatol=1e-6, maxiter=max(max_evals - 1, 1)))
+    end = lo if res.x - lo <= hi - res.x else hi
+    eta, fun = min((float(res.x), float(res.fun)), (end, neg_ll(end)), key=lambda p: p[1])
+    if fun >= _PENALTY:
+        raise EvaluationError(f"{what}: no parameter in eta [{lo:.6g}, {hi:.6g}] "
+                              "gives a finite log-likelihood")
+    return ClusterFit(make_copula(eta), method, -fun, bool(res.success),
+                      int(res.nfev) + 1)
 
 
 def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
     """Fit one copula of the given family to pseudo-observations.
 
     Archimedean families use maximum likelihood over the unconstrained
-    parameter transform, seeded by tau inversion; elliptical families
-    invert the pairwise empirical tau matrix (plus a one-dimensional MLE
-    for the Student-t degrees of freedom).
+    parameter transform; elliptical families invert the pairwise empirical
+    tau matrix (plus a one-dimensional MLE for the Student-t degrees of
+    freedom). ``max_evals`` caps the likelihood evaluations; the cap is
+    never below 2.
     """
     u = np.asarray(u_block, dtype=float)
     d = u.shape[1]
@@ -276,19 +288,13 @@ def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
     if family == "independence":
         return ClusterFit(IndependenceCopula(d), "fixed", 0.0)
     if family in ("clayton", "gumbel", "frank"):
-        taus = empirical_tau_matrix(u)
-        tau0 = float(np.mean(taus[np.triu_indices(d, 1)]))
-        if family == "frank" and d > 2:
-            tau0 = abs(tau0)
-        gen0 = theta_from_tau(family, _tau_start(family, tau0))
-        eta0 = eta_from_theta(family, gen0.theta)
-        res = optimize.minimize(
-            _neg_loglik_archimedean, np.array([eta0]), args=(family, d, u),
-            method="Nelder-Mead", options=dict(maxfev=max_evals, **_NM_OPTIONS))
-        theta = theta_from_eta(family, float(res.x[0]))
-        cop = ArchimedeanCopula(ArchimedeanGenerator(family, theta), d)
-        return ClusterFit(cop, "mle", -float(res.fun), bool(res.success),
-                          int(res.nfev))
+        bounds = _ETA_BOUNDS[family]
+        if family == "frank" and d == 2:
+            bounds = (-bounds[1], bounds[1])
+        return _fit_one_parameter(
+            lambda eta: ArchimedeanCopula(
+                ArchimedeanGenerator(family, theta_from_eta(family, eta)), d),
+            u, bounds, max_evals, "mle", f"{family} fit at d = {d}")
     # elliptical: correlation by tau inversion
     taus = empirical_tau_matrix(u)
     corr = nearest_corr(elliptical_corr_from_tau(taus))
@@ -296,21 +302,10 @@ def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
         cop = GaussianCopula(corr)
         ll = float(np.sum(copula_logpdf(cop, u)))
         return ClusterFit(cop, "tau-inversion", ll)
-
-    def neg_ll_nu(eta):
-        try:
-            cop = StudentTCopula(corr, nu_from_eta(float(eta[0])))
-            val = float(np.sum(copula_logpdf(cop, u)))
-        except (ParameterError, FloatingPointError):
-            return 1e12
-        return -val if np.isfinite(val) else 1e12
-
-    res = optimize.minimize(neg_ll_nu, np.array([eta_from_nu(8.0)]),
-                            method="Nelder-Mead",
-                            options=dict(maxfev=max_evals, **_NM_OPTIONS))
-    cop = StudentTCopula(corr, nu_from_eta(float(res.x[0])))
-    return ClusterFit(cop, "tau-inversion+mle(nu)", -float(res.fun),
-                      bool(res.success), int(res.nfev))
+    return _fit_one_parameter(
+        lambda eta: StudentTCopula(corr, nu_from_eta(eta)), u,
+        _ETA_BOUNDS["student_t"], max_evals, "tau-inversion+mle(nu)",
+        f"student_t nu fit at d = {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +498,9 @@ def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
         return InnerNode(node.name, children, cop, kf)
 
     return HierarchicalModel(root=rec(model.root, True), n_vars=model.n_vars)
+
+
+_NM_OPTIONS = dict(fatol=1e-8, xatol=1e-6)
 
 
 def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> FitReport:

@@ -126,7 +126,8 @@ def generator_value(g: ArchimedeanGenerator, t):
     if g.family == "independence":
         out = -np.log(tt) + 0.0
     elif g.family == "clayton":
-        out = np.expm1(-g.theta * np.log(tt))  # t^-theta - 1, exact 0 at t=1
+        with np.errstate(over="ignore"):  # t^-theta beyond float range: phi = inf
+            out = np.expm1(-g.theta * np.log(tt))  # t^-theta - 1, exact 0 at t=1
     elif g.family == "gumbel":
         out = (-np.log(tt)) ** g.theta
     else:  # frank

@@ -10,7 +10,9 @@ closed form (rising factorials, polylogarithms, and for Gumbel the complete
 Bell polynomial form of the chain rule). The trivariate normal CDF is checked
 against adaptive quadrature over the first coordinate of scipy's bivariate
 normal CDF, and at equicorrelated, nearly singular correlations against
-adaptive quadrature of its one-factor representation.
+adaptive quadrature of its one-factor representation. One-parameter
+maximum-likelihood fits are checked against a dense grid search refined
+locally.
 """
 
 import warnings
@@ -147,3 +149,26 @@ def equicorrelated_normal_cdf_quad(b, r):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return sum(integrate.quad(integrand, lo, hi, epsabs=1e-16, epsrel=1e-14, limit=500)[0]
                    for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def grid_maximum(f, lo, hi, points=201, zoom_points=21, xtol=1e-9):
+    """max f(x) over x in [lo, hi] and where it is attained, as (x, f(x)).
+
+    f is tabulated on ``points`` equispaced values; then, until the cells
+    around the best value are narrower than ``xtol``, on ``zoom_points``
+    values spanning the two cells next to it. A non-finite f(x) counts as
+    -inf. The best value of every round is kept, so an optimum on an
+    interval end is found as well as an interior one.
+    """
+    xs = np.linspace(lo, hi, points)
+    best = (np.nan, -np.inf)
+    while True:
+        vals = np.array([f(x) for x in xs], dtype=float)
+        vals[~np.isfinite(vals)] = -np.inf
+        i = int(np.argmax(vals))
+        if vals[i] > best[1]:
+            best = (float(xs[i]), float(vals[i]))
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        if b - a < xtol:
+            return best
+        xs = np.linspace(a, b, zoom_points)

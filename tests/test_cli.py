@@ -102,6 +102,18 @@ class TestFitCommand:
         assert taus["c2"] == pytest.approx(0.5, abs=0.05)
         assert taus["nest"] == pytest.approx(0.4, abs=0.05)
 
+    def test_report_has_per_node_optimiser_figures(self, fitted_world):
+        tmp, model, fit_cfg = fitted_world
+        sim, report = tmp / "sim.csv", tmp / "report.json"
+        main(["simulate", "--model", str(model), "--n", "500", "--seed", "5",
+              "--out", str(sim)])
+        assert main(["fit", "--data", str(sim), "--model", str(fit_cfg),
+                     "--out", str(report)]) == 0
+        diag = json.loads(report.read_text())["diagnostics"]
+        assert diag["node_converged"] == {"c1": True, "c2": True, "nest": True}
+        assert set(diag["node_evals"]) == {"c1", "c2", "nest"}
+        assert all(0 < k <= 500 for k in diag["node_evals"].values())
+
     def test_fit_report_bytes_deterministic(self, fitted_world):
         tmp, model, fit_cfg = fitted_world
         sim = tmp / "sim.csv"

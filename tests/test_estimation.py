@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -6,9 +8,10 @@ from hierkendall.copulas import (
     ArchimedeanCopula,
     GaussianCopula,
     StudentTCopula,
+    copula_logpdf,
     copula_sample,
 )
-from hierkendall.errors import DataError, ParameterError
+from hierkendall.errors import DataError, EvaluationError, HierKendallError, ParameterError
 from hierkendall.estimation import (
     FitOptions,
     NodeSpec,
@@ -18,14 +21,18 @@ from hierkendall.estimation import (
     fit_cluster,
     fit_joint_mle,
     fit_two_step,
+    nu_from_eta,
     pseudo_observations,
     simulation_study,
     theta_from_eta,
 )
-from hierkendall.generators import ArchimedeanGenerator
+from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
+import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
 from hierkendall.rngutil import substream
+
+from oracles import grid_maximum
 
 
 def two_cluster_spec(with_params=True):
@@ -124,6 +131,107 @@ class TestFitCluster:
         u = np.random.default_rng(6).random((100, 1))
         fit = fit_cluster("clayton", u)
         assert fit.copula.dim == 1
+
+
+def _loglik(cop, u):
+    try:
+        return float(np.sum(copula_logpdf(cop, u)))
+    except (HierKendallError, ArithmeticError):
+        return -math.inf
+
+
+def _archimedean_interval(family, d):
+    """The eta search interval: near independence up to tau = 0.98, and for
+    Frank at d = 2 down to tau = -0.98 as well."""
+    theta98 = theta_from_tau(family, 0.98).theta
+    if family == "clayton":
+        return math.log(1e-12), math.log(theta98)
+    if family == "gumbel":
+        return math.log(1e-12), math.log(theta98 - 1.0)
+    return (-theta98 if d == 2 else 1e-8), theta98
+
+
+EQUICORR3 = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+
+
+class TestOneParameterMle:
+    """fit_cluster's one-parameter maximum likelihood against a dense grid
+    search over the same eta interval; optima on an interval end included."""
+
+    @staticmethod
+    def _assert_reaches(fit, u, oracle_ll, msg):
+        assert fit.converged, msg
+        assert fit.loglik == _loglik(fit.copula, u), msg
+        assert fit.loglik >= oracle_ll - 1e-8 * max(1.0, abs(oracle_ll)), msg
+
+    @pytest.mark.parametrize("family,tau", [
+        (fam, tau) for fam in ("clayton", "gumbel", "frank")
+        for tau in (0.02, 0.1, 0.4, 0.7, 0.9)] + [("frank", -0.3)])
+    def test_archimedean_matches_grid_oracle(self, family, tau):
+        for d in ((2,) if tau < 0 else (2, 3, 5, 10)):
+            cop = ArchimedeanCopula(theta_from_tau(family, tau), d)
+            u = pseudo_observations(copula_sample(
+                cop, 300, np.random.default_rng([int(1000 * abs(tau)), d])))
+            fit = fit_cluster(family, u)
+            lo, hi = _archimedean_interval(family, d)
+            _, oracle_ll = grid_maximum(lambda eta: _loglik(ArchimedeanCopula(
+                ArchimedeanGenerator(family, theta_from_eta(family, eta)), d), u), lo, hi)
+            self._assert_reaches(fit, u, oracle_ll, f"{family} tau={tau} d={d}")
+
+    @pytest.mark.parametrize("data_nu", [4.0, None])
+    def test_student_t_nu_matches_grid_oracle(self, data_nu):
+        cop = GaussianCopula(EQUICORR3) if data_nu is None else StudentTCopula(
+            EQUICORR3, data_nu)
+        u = pseudo_observations(copula_sample(cop, 200, np.random.default_rng(8)))
+        fit = fit_cluster("student_t", u)
+        corr = fit.copula.corr
+        eta, oracle_ll = grid_maximum(
+            lambda eta: _loglik(StudentTCopula(corr, nu_from_eta(eta)), u),
+            math.log(1e-2), math.log(1e3), points=61, zoom_points=11)
+        self._assert_reaches(fit, u, oracle_ll, f"nu={data_nu}")
+        if data_nu is None:  # Gaussian data: nu - 2 at its 1e3 cap
+            assert eta == pytest.approx(math.log(1e3), abs=1e-6)
+            assert fit.copula.nu == pytest.approx(1002.0, rel=1e-6)
+
+    def test_evaluation_count(self):
+        cop = ArchimedeanCopula(theta_from_tau("frank", 0.4), 5)
+        u = pseudo_observations(copula_sample(cop, 500, np.random.default_rng(9)))
+        assert fit_cluster("frank", u).n_evals <= 25
+
+    @pytest.mark.parametrize("family", ["frank", "student_t"])
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_no_finite_evaluation_raises(self, monkeypatch, family, failure):
+        def broken(cop, u):
+            if failure == "raise":
+                raise EvaluationError("copula density evaluated to NaN")
+            return np.full(len(u), np.nan)
+
+        cop = StudentTCopula(EQUICORR3, 5.0) if family == "student_t" else \
+            ArchimedeanCopula(theta_from_tau("frank", 0.4), 3)
+        u = copula_sample(cop, 100, np.random.default_rng(10))
+        monkeypatch.setattr(estimation, "copula_logpdf", broken)
+        with pytest.raises(EvaluationError, match=f"{family}.*d = 3"):
+            fit_cluster(family, u)
+
+    @pytest.mark.parametrize("family", ["clayton", "student_t"])
+    @pytest.mark.parametrize("error", [EvaluationError, ParameterError, FloatingPointError])
+    def test_failed_evaluations_are_skipped(self, monkeypatch, family, error):
+        # the optimum (theta near 0.86, nu near 5) lies where evaluations succeed,
+        # below 15
+        cop = StudentTCopula(EQUICORR3, 5.0) if family == "student_t" else \
+            ArchimedeanCopula(theta_from_tau("clayton", 0.3), 3)
+        u = pseudo_observations(copula_sample(cop, 300, np.random.default_rng(11)))
+        clean = fit_cluster(family, u)
+
+        def failing(c, x):
+            if (c.nu if family == "student_t" else c.generator.theta) > 15.0:
+                raise error("evaluation failed")
+            return copula_logpdf(c, x)
+
+        monkeypatch.setattr(estimation, "copula_logpdf", failing)
+        fit = fit_cluster(family, u)
+        assert fit.converged
+        assert fit.loglik >= clean.loglik - 1e-8 * abs(clean.loglik)
 
 
 class TestTwoStep:

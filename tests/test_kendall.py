@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,7 +262,6 @@ class TestNodeStep:
                 v, _ = archimedean_node_step(g, clamp_interior(u))
                 assert kstest(v, "uniform").pvalue > 1e-3, (family, tau, d)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # Clayton phi near 0
     @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank", "independence"])
     def test_matches_composition_grid(self, family):
         rng = np.random.default_rng(31)
@@ -270,6 +270,17 @@ class TestNodeStep:
             g = INDEP if tau is None else theta_from_tau(family, tau)
             for d in (2, 3, 5, 10, 20, 40):
                 self._check(g, self._rows(d, rng))
+
+    def test_clayton_phi_overflow_without_warning(self):
+        # t^-theta overflows at theta = 38, t = 1e-12: phi = inf, log c = -inf
+        g = theta_from_tau("clayton", 0.95)
+        u = np.array([[1e-12, 0.5, 0.5], [0.3, 0.6, 0.9]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert generator_value(g, 1e-12) == math.inf
+            v, log_c = archimedean_node_step(g, u)
+            np.testing.assert_array_equal(log_c, copula_logpdf(ArchimedeanCopula(g, 3), u))
+        assert log_c[0] == -math.inf and np.all(np.isfinite(log_c[1:]))
 
     @pytest.mark.parametrize("tau", [-0.05, -0.4, -0.8])
     def test_frank_negative_theta_d2(self, tau):
