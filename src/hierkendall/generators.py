@@ -41,6 +41,7 @@ All functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -232,6 +233,13 @@ def _frank_y(theta, s):
     return y, log_y, log_1my
 
 
+def _log_rising_factorials(a: float, n: int) -> list:
+    """log (a)_i for i = 0..n, (a)_i = a (a + 1) ... (a + i - 1), summed term
+    by term: lgamma(a + i) - lgamma(a) loses about eps lgamma(a) to
+    cancellation, 4e-3 at a = 1e12 (Clayton theta = 1e-12)."""
+    return list(itertools.accumulate((math.log(a + j) for j in range(n)), initial=0.0))
+
+
 def _log_terms(g: ArchimedeanGenerator, orders, log_s):
     """Yield log T_i(s) for i in ``orders``, T_i = s^i |(phi^-1)^(i)(s)| / i!.
 
@@ -253,8 +261,9 @@ def _log_terms(g: ArchimedeanGenerator, orders, log_s):
         e = np.logaddexp(0.0, -np.abs(log_s))
         base = -a * (np.maximum(log_s, 0.0) + e)
         log_r = -(np.maximum(-log_s, 0.0) + e)
+        log_rf = _log_rising_factorials(a, max(orders))
         for i in orders:
-            yield base if i == 0 else lgamma(a + i) - lgamma(a) - lgamma(i + 1) + base + i * log_r
+            yield base if i == 0 else log_rf[i] - lgamma(i + 1) + base + i * log_r
     elif g.family == "gumbel":
         # T_i = e^-x |Q_i(x)| / i!, x = s^(1/theta); Q_i(0) = 0 and the
         # coefficients of Q_i share one sign, so |Q_i(x)| = x sum |q_j| x^(j-1)
@@ -281,7 +290,7 @@ def _log_inv_deriv_at_zero(g: ArchimedeanGenerator, k: int) -> float:
     if g.family == "independence":
         return 0.0
     if g.family == "clayton":
-        return lgamma(1.0 / th + k) - lgamma(1.0 / th)
+        return _log_rising_factorials(1.0 / th, k)[k]
     if g.family == "gumbel":  # diverges unless theta = 1 (independence-shaped)
         return 0.0 if th == 1.0 else math.inf
     y0 = -math.expm1(-th)

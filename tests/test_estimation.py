@@ -178,6 +178,24 @@ class TestOneParameterMle:
                 ArchimedeanGenerator(family, theta_from_eta(family, eta)), d), u), lo, hi)
             self._assert_reaches(fit, u, oracle_ll, f"{family} tau={tau} d={d}")
 
+    @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank"])
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_optimum_on_an_interval_end(self, family, end):
+        rng = np.random.default_rng(12)
+        if end == "lower":  # a negatively dependent pair: theta -> independence
+            pair = copula_sample(ArchimedeanCopula(theta_from_tau("frank", -0.5), 2), 300, rng)
+            x = np.column_stack([pair, rng.random(300)])
+        else:  # all but comonotone: tau beyond 0.98
+            x = rng.random((300, 1)) + 1e-3 * rng.random((300, 3))
+        u = pseudo_observations(x)
+        fit = fit_cluster(family, u)
+        lo, hi = _archimedean_interval(family, 3)
+        eta, oracle_ll = grid_maximum(lambda eta: _loglik(ArchimedeanCopula(
+            ArchimedeanGenerator(family, theta_from_eta(family, eta)), 3), u), lo, hi)
+        edge = lo if end == "lower" else hi  # the likelihood is flat near independence
+        assert abs(theta_from_eta(family, eta) - theta_from_eta(family, edge)) < 1e-6
+        self._assert_reaches(fit, u, oracle_ll, f"{family} {end}")
+
     @pytest.mark.parametrize("data_nu", [4.0, None])
     def test_student_t_nu_matches_grid_oracle(self, data_nu):
         cop = GaussianCopula(EQUICORR3) if data_nu is None else StudentTCopula(

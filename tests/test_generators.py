@@ -191,6 +191,17 @@ class TestInverseDerivatives:
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (s, k, got, ref)
                 assert np.sign(generator_inverse_derivative(g, s, k)) == sign, (s, k)
 
+    @pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4])
+    def test_clayton_near_independence_matches_oracle(self, theta):
+        # (1/theta)_k as lgamma(1/theta + k) - lgamma(1/theta) loses about
+        # eps lgamma(1/theta) to cancellation: 4e-3 at theta = 1e-12
+        g = ArchimedeanGenerator("clayton", theta)
+        for s in (0.0, 1e-12, 1e-8, 0.3, 3.0):
+            for k in (1, 2, 5, 10, 40):
+                ref = inv_deriv_log_mp("clayton", theta, s, k)[0]
+                got = generator_inverse_derivative_log(g, s, k)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (s, k, got, ref)
+
     def test_overflow_gives_signed_inf_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
