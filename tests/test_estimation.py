@@ -192,7 +192,8 @@ class TestOneParameterMle:
         lo, hi = _archimedean_interval(family, 3)
         eta, oracle_ll = grid_maximum(lambda eta: _loglik(ArchimedeanCopula(
             ArchimedeanGenerator(family, theta_from_eta(family, eta)), 3), u), lo, hi)
-        edge = lo if end == "lower" else hi  # the likelihood is flat near independence
+        # compared in theta: near independence the likelihood is flat in eta
+        edge = lo if end == "lower" else hi
         assert abs(theta_from_eta(family, eta) - theta_from_eta(family, edge)) < 1e-6
         self._assert_reaches(fit, u, oracle_ll, f"{family} {end}")
 
