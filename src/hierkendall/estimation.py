@@ -4,14 +4,15 @@ Two-step estimation fits each cluster copula on its own columns, maps the
 data through the fitted Kendall transforms V = K(C(.)), and fits the
 nesting copula on the V matrix (recursively for deeper models). The
 two-step estimates then seed a joint maximum-likelihood pass over all
-Archimedean parameters (and a Student-t nesting degrees-of-freedom), run
-with a derivative-free simplex search over unconstrained transforms:
+Archimedean parameters (and a Student-t nesting degrees-of-freedom). Both
+search unconstrained transforms, on the same finite intervals:
 
     clayton  theta = exp(eta)        gumbel    theta = 1 + exp(eta)
     frank    theta = eta (0 banned)  student-t nu    = 2 + exp(eta)
 
-Each node of the two-step fit has one free parameter (an Archimedean theta
-or a Student-t nu), found by bounded Brent on a finite eta interval.
+the one parameter of each two-step node by bounded Brent, the joint pass by
+bounded L-BFGS-B with finite-difference gradients, whose evaluations re-run
+only the nodes at and above the parameters that moved (``SubtreeMemo``).
 
 Correlation matrices are never searched: they come from pairwise
 empirical Kendall's tau inversion rho = sin(pi tau / 2) followed by a
@@ -24,7 +25,6 @@ them unless explicitly forced to treat those clusters as frozen.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +50,8 @@ from .hierarchical import (
     HierarchicalModel,
     InnerNode,
     LeafNode,
+    SubtreeMemo,
+    child_path,
     iter_nodes,
     kendall_for_copula,
     loglik_from_logdensity,
@@ -57,7 +59,6 @@ from .hierarchical import (
     model_n_params,
     model_sample,
     node_transform,
-    subtree_values,
     validate,
 )
 from .kendall import KendallFunction
@@ -247,17 +248,28 @@ _ETA_BOUNDS = {f: (eta_from_theta(f, lo), eta_from_theta(f, theta_from_tau(f, 0.
 _ETA_BOUNDS["student_t"] = (math.log(1e-2), math.log(1e3))  # nu - 2 in [1e-2, 1e3]
 
 
+def _eta_bounds(family: str, d: int) -> tuple:
+    lo, hi = _ETA_BOUNDS[family]
+    return (-hi, hi) if family == "frank" and d == 2 else (lo, hi)
+
+
+def _penalised_neg(loglik):
+    """-loglik(eta) for a minimiser; an evaluation that fails or is not
+    finite gives ``_PENALTY``."""
+    def neg(eta):
+        try:
+            val = loglik(eta)
+        except (ParameterError, ArithmeticError):
+            return _PENALTY
+        return -val if np.isfinite(val) else _PENALTY
+    return neg
+
+
 def _fit_one_parameter(make_copula, u, bounds, max_evals, method, what) -> ClusterFit:
     """Maximum likelihood over one eta in ``bounds`` by bounded Brent, which
     stops short of an optimum on an interval end by about its tolerance; so
     the end nearest its result is evaluated too, and the better one kept."""
-    def neg_ll(eta):
-        try:
-            val = float(np.sum(copula_logpdf(make_copula(float(eta)), u)))
-        except (ParameterError, ArithmeticError):
-            return _PENALTY
-        return -val if np.isfinite(val) else _PENALTY
-
+    neg_ll = _penalised_neg(lambda eta: float(np.sum(copula_logpdf(make_copula(float(eta)), u))))
     lo, hi = bounds
     res = optimize.minimize_scalar(neg_ll, bounds=bounds, method="bounded",
                                    options=dict(xatol=1e-6, maxiter=max(max_evals - 1, 1)))
@@ -288,13 +300,10 @@ def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
     if family == "independence":
         return ClusterFit(IndependenceCopula(d), "fixed", 0.0)
     if family in ("clayton", "gumbel", "frank"):
-        bounds = _ETA_BOUNDS[family]
-        if family == "frank" and d == 2:
-            bounds = (-bounds[1], bounds[1])
         return _fit_one_parameter(
             lambda eta: ArchimedeanCopula(
                 ArchimedeanGenerator(family, theta_from_eta(family, eta)), d),
-            u, bounds, max_evals, "mle", f"{family} fit at d = {d}")
+            u, _eta_bounds(family, d), max_evals, "mle", f"{family} fit at d = {d}")
     # elliptical: correlation by tau inversion
     taus = empirical_tau_matrix(u)
     corr = nearest_corr(elliptical_corr_from_tau(taus))
@@ -331,6 +340,8 @@ class FitOptions:
     kendall_mc: int = DEFAULT_KENDALL_MC
     seed: int = 0
     cluster_max_evals: int = 500
+    # joint MLE evaluations (L-BFGS-B maxfun); checked once per iteration, so
+    # the last iteration's line search and gradient may run past it
     joint_max_evals: int = 5000
     force_frozen_kendall: bool = False
 
@@ -349,6 +360,8 @@ class FitReport:
     converged: bool
     joint_evals: int
     model: HierarchicalModel = field(repr=False, default=None)
+    joint_status: str | None = None  # the joint search's stopping message
+    joint_node_evals: int = 0  # nodes the joint search ran, memo hits excluded
 
     def best_loglik(self) -> float:
         return self.loglik_two_step if self.loglik_joint is None else self.loglik_joint
@@ -442,14 +455,17 @@ def _has_elliptical_cluster(spec: NodeSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 def _collect_free_params(model: HierarchicalModel, force_frozen: bool):
-    """Free parameter descriptors keyed by preorder index: (index, kind, family)."""
+    """Free parameters in preorder: (node path, family, eta bounds, eta at the
+    model's value); the family "student_t" stands for the root's nu."""
     free = []
-    for i, (_, node, depth) in enumerate(iter_nodes(model)):
+    for path, node, depth in iter_nodes(model):
         cop = node.copula
         if isinstance(cop, ArchimedeanCopula) and cop.generator.family != "independence":
-            free.append((i, "arch_theta", cop.generator.family))
+            family = cop.generator.family
+            free.append((path, family, _eta_bounds(family, cop.dim),
+                         eta_from_theta(family, cop.generator.theta)))
         elif isinstance(cop, StudentTCopula) and depth == 0:
-            free.append((i, "t_nu", None))
+            free.append((path, "student_t", _ETA_BOUNDS["student_t"], eta_from_nu(cop.nu)))
         elif isinstance(cop, (GaussianCopula, StudentTCopula)) and depth and not force_frozen:
             raise ParameterError(
                 "joint MLE refuses elliptical cluster copulas: their Monte Carlo "
@@ -459,94 +475,75 @@ def _collect_free_params(model: HierarchicalModel, force_frozen: bool):
     return free
 
 
-def _frozen_subtrees(model: HierarchicalModel, free) -> list:
-    """The topmost nodes whose subtree holds no free parameter."""
-    nodes = list(iter_nodes(model))
-    free_paths = [nodes[i][0] + "/" for i, _, _ in free]
-
-    def frozen(path):
-        return not any(f.startswith(path + "/") for f in free_paths)
-
-    return [node for path, node, depth in nodes
-            if depth and frozen(path) and not frozen(path.rsplit("/", 1)[0])]
-
-
 def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
     """The model at parameters ``eta``; subtrees without a free parameter are
-    the original node objects, so ``subtree_values`` of them stay valid."""
-    values = {i: (kind, family, float(e)) for (i, kind, family), e in zip(free, eta)}
-    preorder = itertools.count()
+    the original node objects."""
+    values = {path: (family, float(e)) for (path, family, *_), e in zip(free, eta)}
 
-    def rec(node, is_root):
-        i = next(preorder)
-        cop = node.copula
-        kf = node.kendall if not is_root else None
-        if i in values:
-            kind, family, e = values[i]
-            if kind == "arch_theta":
-                gen = ArchimedeanGenerator(family, theta_from_eta(family, e))
-                cop = ArchimedeanCopula(gen, cop.dim)
-                if not is_root:
-                    kf = kendall_for_copula(cop, "closed_form")
-            else:
+    def rec(node, path):
+        cop, kf = node.copula, node.kendall
+        if path in values:
+            family, e = values[path]
+            if family == "student_t":
                 cop = StudentTCopula(cop.corr, nu_from_eta(e))
+            else:
+                cop = ArchimedeanCopula(
+                    ArchimedeanGenerator(family, theta_from_eta(family, e)), cop.dim)
+                if kf is not None:  # the root has none
+                    kf = kendall_for_copula(cop, "closed_form")
         if isinstance(node, LeafNode):
-            return node if i not in values else LeafNode(node.name, node.columns, cop, kf)
-        children = tuple(rec(ch, False) for ch in node.children)
-        if i not in values and all(a is b for a, b in zip(children, node.children)):
+            return node if cop is node.copula else LeafNode(node.name, node.columns, cop, kf)
+        children = tuple(rec(ch, child_path(path, ch, i)) for i, ch in enumerate(node.children))
+        if cop is node.copula and all(a is b for a, b in zip(children, node.children)):
             return node
         return InnerNode(node.name, children, cop, kf)
 
-    return HierarchicalModel(root=rec(model.root, True), n_vars=model.n_vars)
+    return HierarchicalModel(root=rec(model.root, "root"), n_vars=model.n_vars)
 
 
-_NM_OPTIONS = dict(fatol=1e-8, xatol=1e-6)
+def _joint_loglik(model: HierarchicalModel, free, u):
+    """The joint log-likelihood at eta, with the model it was computed for,
+    and the ``SubtreeMemo`` it runs through, keyed by eta."""
+    memo = SubtreeMemo(model, [path for path, *_ in free])
+
+    def loglik(eta):
+        memo.set_params([float(e) for e in eta])
+        cand = _rebuild_with_eta(model, free, eta)
+        return model_loglik(cand, u, memo), cand
+
+    return loglik, memo
 
 
 def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> FitReport:
-    """Joint MLE over all free dependence parameters from the two-step start.
-
-    The log-likelihood can only improve on the starting point: the simplex
-    search never discards its best iterate.
+    """Joint MLE over all free dependence parameters from the two-step start,
+    by bounded L-BFGS-B with two-point finite-difference gradients on the eta
+    transforms, inside the intervals of the one-parameter fits. An evaluation
+    re-runs only the nodes at and above the parameters that moved
+    (``SubtreeMemo``). The result never falls below the two-step start.
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
-    model = report.model
-    free = _collect_free_params(model, options.force_frozen_kendall)
+    free = _collect_free_params(report.model, options.force_frozen_kendall)
     if not free:
         out = dataclasses.replace(report, loglik_joint=report.loglik_two_step,
-                                  clamped_joint=report.clamped_two_step)
+                                  clamped_joint=report.clamped_two_step,
+                                  joint_status="no free parameters")
         _finalize_ic(out)
         return out
 
-    copulas = [node.copula for _, node, _ in iter_nodes(model)]
-    eta0 = np.array([
-        eta_from_theta(family, copulas[i].generator.theta) if kind == "arch_theta"
-        else eta_from_nu(copulas[i].nu)
-        for i, kind, family in free])
-
-    # subtrees without a free parameter give the same (V, log c) in every call
-    known = subtree_values(_frozen_subtrees(model, free), u)
-
-    def neg_ll(eta):
-        try:
-            cand = _rebuild_with_eta(model, free, eta)
-            val = model_loglik(cand, u, known).value
-        except (ParameterError, FloatingPointError, OverflowError):
-            return 1e12
-        return -val if np.isfinite(val) else 1e12
-
-    res = optimize.minimize(neg_ll, eta0, method="Nelder-Mead",
-                            options=dict(maxfev=options.joint_max_evals,
-                                         **_NM_OPTIONS))
+    eta0 = np.array([eta for *_, eta in free])
+    loglik, memo = _joint_loglik(report.model, free, u)
+    res = optimize.minimize(_penalised_neg(lambda eta: loglik(eta)[0].value), eta0,
+                            method="L-BFGS-B", bounds=[bounds for _, _, bounds, _ in free],
+                            options=dict(maxfun=options.joint_max_evals, ftol=1e-14))
     best_eta = res.x if res.fun <= -report.loglik_two_step else eta0
-    final = _rebuild_with_eta(model, free, best_eta)
-    ll = model_loglik(final, u, known)
+    ll, final = loglik(best_eta)
     nodes = _refresh_node_fits(report.nodes, final)
     out = dataclasses.replace(
         report, nodes=nodes, loglik_joint=ll.value, clamped_joint=ll.n_clamped,
         converged=report.converged and bool(res.success),
-        joint_evals=int(res.nfev), model=final)
+        joint_evals=int(res.nfev), joint_status=str(res.message),
+        joint_node_evals=memo.node_evals, model=final)
     _finalize_ic(out)
     return out
 

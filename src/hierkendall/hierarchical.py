@@ -13,8 +13,10 @@ and that product, so the density, the probability integral transform and
 the two-step fit (which runs the same step while it fits) share it. At an
 Archimedean node with its closed-form Kendall function, V and log c both
 come from one generator sum s = sum_i phi(u_i) (``archimedean_node_step``).
-Subtrees whose (V, log c) is already known on the same rows, such as those
-joint MLE holds fixed, can be passed in and are not evaluated again.
+A parameter search passes a ``SubtreeMemo``: it keeps each node's
+(V, log c) per value of the searched parameters below it, so a pass
+re-runs only the nodes whose subtree holds a parameter that moved, and a
+subtree without searched parameters runs once per search.
 
 Simulation runs top-down by drawing nesting samples, mapping them to
 Kendall levels z = K^-1(v), and sampling each cluster on its level set
@@ -147,9 +149,13 @@ def iter_nodes(model: HierarchicalModel):
         path, node, depth = stack.pop()
         yield path, node, depth
         if isinstance(node, InnerNode):
-            for i, ch in enumerate(reversed(node.children)):
-                idx = len(node.children) - 1 - i
-                stack.append((f"{path}/{ch.name or idx}", ch, depth + 1))
+            for i, ch in reversed(list(enumerate(node.children))):
+                stack.append((child_path(path, ch, i), ch, depth + 1))
+
+
+def child_path(path: str, child: Node, idx: int) -> str:
+    """Path of the ``idx``-th child of the node at ``path``, as ``iter_nodes`` gives it."""
+    return f"{path}/{child.name or idx}"
 
 
 def _node_dim(node: Node) -> int:
@@ -262,37 +268,85 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
     return kendall_cdf(K, open_unit(copula_cdf(c, inputs))), log_c
 
 
+class SubtreeMemo:
+    """(V, summed log c) of subtrees for the models of one parameter search,
+    which share the tree of ``model`` and are evaluated on the same rows.
+
+    The searched parameters sit at the nodes ``param_paths`` (as
+    ``iter_nodes`` gives them). Before each pass the search calls
+    ``set_params``; a node then runs only when the values of the parameters
+    in its subtree are new, so a pass re-runs the nodes at and above the
+    parameters that moved. A node keeps the (k + 2) most recently used
+    entries, k the number of searched parameters in its subtree: a
+    finite-difference gradient adds k new entries there between two uses of
+    its base point, so the base point stays. A subtree without searched
+    parameters runs once per search, and memory does not grow with the
+    number of passes.
+    ``node_evals`` counts the nodes that ran.
+    """
+
+    def __init__(self, model: HierarchicalModel, param_paths: list):
+        self._below = {path: [j for j, q in enumerate(param_paths)
+                              if (q + "/").startswith(path + "/")]
+                       for path, _, _ in iter_nodes(model)}
+        self._tables = defaultdict(dict)
+        self._keys: dict = {}
+        self.node_evals = 0
+
+    def set_params(self, values) -> None:
+        """Key every node by the ``values`` (one per parameter path) in its subtree."""
+        self._keys = {path: tuple(values[j] for j in js) for path, js in self._below.items()}
+
+    def get(self, path: str):
+        table, key = self._tables[path], self._keys[path]
+        hit = table.pop(key, None)
+        if hit is not None:
+            table[key] = hit  # dicts keep insertion order: most recently used last
+        return hit
+
+    def put(self, path: str, value) -> None:
+        table = self._tables[path]
+        if len(table) >= len(self._below[path]) + 2:
+            del table[next(iter(table))]
+        table[self._keys[path]] = value
+        self.node_evals += 1
+
+
 # module-level rather than a recursive closure: a closure that calls itself is
 # a reference cycle, which would keep each pass's arrays alive until the next
 # garbage collection (joint MLE runs one pass per likelihood evaluation)
 def _post_order(node: Node, rows: np.ndarray, density: bool, by_depth, depth: int,
-                known: dict):
-    """(V, summed log c of the subtree) of ``node``; unless ``by_depth`` is
-    None, appends the V column of every node below the root to
-    ``by_depth[depth]``, left to right. A node whose id is in ``known``
-    returns the pair stored there, and its subtree adds nothing to
-    ``by_depth``."""
-    if id(node) in known:
-        _, v, acc = known[id(node)]
-        return v, acc
+                memo: SubtreeMemo | None = None, path: str = "root"):
+    """(V, summed log c of the subtree) of ``node`` at ``path``; unless
+    ``by_depth`` is None, appends the V column of every node below the root
+    to ``by_depth[depth]``, left to right. A ``memo`` (density passes only)
+    supplies the pairs it holds and stores the ones computed."""
+    if memo is not None:
+        hit = memo.get(path)
+        if hit is not None:
+            return hit
     if isinstance(node, LeafNode):
         inputs, below = rows[:, list(node.columns)], 0.0
     else:
-        vs, accs = zip(*(_post_order(ch, rows, density, by_depth, depth + 1, known)
-                         for ch in node.children))
+        vs, accs = zip(*(_post_order(ch, rows, density, by_depth, depth + 1, memo,
+                                     child_path(path, ch, i))
+                         for i, ch in enumerate(node.children)))
         inputs = np.column_stack(vs)
         below = np.sum(accs, axis=0) if density else None
     v, log_c = node_transform(node, inputs, density)
     if depth and by_depth is not None:
         by_depth[depth].append(v)
-    return v, (below + log_c if density else None)
+    out = v, (below + log_c if density else None)
+    if memo is not None:
+        memo.put(path, out)
+    return out
 
 
 def _pit_levels(model: HierarchicalModel, rows: np.ndarray) -> list:
     """The V matrices per depth from one post-order pass without densities,
     leaves first; the last entry feeds the root."""
     by_depth = defaultdict(list)
-    _post_order(model.root, rows, False, by_depth, 0, {})
+    _post_order(model.root, rows, False, by_depth, 0)
     return [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
 
 
@@ -313,21 +367,13 @@ def nesting_pit_levels(model: HierarchicalModel, u) -> list:
     return _pit_levels(model, np.asarray(u, dtype=float))
 
 
-def subtree_values(nodes, u) -> dict:
-    """(V, summed log c) of each subtree rooted at one of ``nodes`` on the
-    data rows ``u``: the ``known`` argument of ``model_logdensity`` and
-    ``model_loglik`` for models that share those node objects and are
-    evaluated on the same rows. Keyed by ``id(node)``; each entry holds its
-    node, so no other object takes that id while the table lives."""
-    rows = np.asarray(u, dtype=float)
-    return {id(node): (node, *_post_order(node, rows, True, None, 1, {})) for node in nodes}
-
-
-def model_logdensity(model: HierarchicalModel, u, known=None) -> np.ndarray:
+def model_logdensity(model: HierarchicalModel, u,
+                     memo: SubtreeMemo | None = None) -> np.ndarray:
     """Row-wise log of the model density.
 
-    ``known`` (from ``subtree_values`` on the same rows) supplies the terms
-    of subtrees that are not evaluated again.
+    ``memo`` (a ``SubtreeMemo`` whose parameters are set to those of
+    ``model``, always used on the same rows) supplies the terms of the
+    subtrees it holds.
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
@@ -335,7 +381,7 @@ def model_logdensity(model: HierarchicalModel, u, known=None) -> np.ndarray:
     if rows.shape[1] != model.n_vars:
         raise ModelStructureError(
             [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
-    _, out = _post_order(model.root, rows, True, None, 0, known or {})
+    _, out = _post_order(model.root, rows, True, None, 0, memo)
     return float(out[0]) if single else out
 
 
@@ -356,10 +402,11 @@ def loglik_from_logdensity(ld) -> LogLikelihood:
     return LogLikelihood(float(np.sum(np.maximum(ld, _LOGLIK_FLOOR))), clamped)
 
 
-def model_loglik(model: HierarchicalModel, u, known=None) -> LogLikelihood:
+def model_loglik(model: HierarchicalModel, u,
+                 memo: SubtreeMemo | None = None) -> LogLikelihood:
     """Floored log-likelihood of the data, see ``loglik_from_logdensity``;
-    ``known`` as in ``model_logdensity``."""
-    return loglik_from_logdensity(model_logdensity(model, u, known))
+    ``memo`` as in ``model_logdensity``."""
+    return loglik_from_logdensity(model_logdensity(model, u, memo))
 
 
 # ---------------------------------------------------------------------------

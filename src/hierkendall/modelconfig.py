@@ -228,6 +228,8 @@ def report_document(report: FitReport, method: str, columns: list,
             "clamped_two_step": report.clamped_two_step,
             "clamped_joint": report.clamped_joint,
             "joint_evals": report.joint_evals,
+            "joint_status": report.joint_status,
+            "joint_node_evals": report.joint_node_evals,
             "node_evals": {nf.name: nf.n_evals for nf in report.nodes},
             "node_converged": {nf.name: nf.converged for nf in report.nodes},
         },

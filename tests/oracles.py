@@ -12,15 +12,16 @@ against adaptive quadrature over the first coordinate of scipy's bivariate
 normal CDF, and at equicorrelated, nearly singular correlations against
 adaptive quadrature of its one-factor representation. One-parameter
 maximum-likelihood fits are checked against a dense grid search refined
-locally.
+locally, and joint fits against Nelder-Mead on freshly built models.
 """
 
+import dataclasses
 import warnings
 
 import mpmath
 import numpy as np
 from scipy import integrate, stats
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from hierkendall.copulas import copula_cdf, quantile_curve
 from hierkendall.kendall import kendall_cdf
@@ -172,3 +173,50 @@ def grid_maximum(f, lo, hi, points=201, zoom_points=21, xtol=1e-9):
         if b - a < xtol:
             return best
         xs = np.linspace(a, b, zoom_points)
+
+
+def joint_loglik_nelder_mead(spec, u, start):
+    """Maximum joint log-likelihood of the Archimedean tree ``spec`` (a
+    ``NodeSpec`` template without parameters) on the data ``u``.
+
+    Nelder-Mead with tight tolerances, restarted from its own result, runs
+    from the thetas ``start`` (node name -> theta) over log theta (Clayton),
+    log(theta - 1) (Gumbel) and theta (Frank). Every evaluation builds the
+    whole model with ``build_model`` and sums ``model_loglik``: no memo,
+    no reuse of node objects.
+    """
+    from hierkendall.estimation import build_model
+    from hierkendall.hierarchical import model_loglik
+
+    def nodes(node):
+        yield node
+        for ch in node.children or ():
+            yield from nodes(ch)
+
+    free = [(nd.name, nd.family) for nd in nodes(spec) if nd.dim > 1]
+    to_eta = {"clayton": np.log, "gumbel": lambda t: np.log(t - 1.0), "frank": float}
+    to_theta = {"clayton": np.exp, "gumbel": lambda e: 1.0 + np.exp(e), "frank": float}
+
+    def with_thetas(node, thetas):
+        kids = node.children and tuple(with_thetas(ch, thetas) for ch in node.children)
+        params = {"theta": thetas[node.name]} if node.name in thetas else None
+        return dataclasses.replace(node, children=kids, params=params)
+
+    def thetas_at(eta):
+        return {name: float(to_theta[fam](e)) for (name, fam), e in zip(free, eta)}
+
+    def neg_ll(eta):
+        try:
+            model = build_model(with_thetas(spec, thetas_at(eta)), u.shape[1],
+                                kendall_mode="closed_form")
+            val = model_loglik(model, u).value
+        except (ValueError, ArithmeticError):
+            return np.inf
+        return -val if np.isfinite(val) else np.inf
+
+    eta = np.array([to_eta[fam](start[name]) for name, fam in free])
+    for _ in range(2):
+        res = minimize(neg_ll, eta, method="Nelder-Mead",
+                       options=dict(xatol=1e-10, fatol=1e-12, maxfev=20_000))
+        eta = res.x
+    return -float(res.fun)

@@ -113,6 +113,22 @@ class TestFitCommand:
         assert diag["node_converged"] == {"c1": True, "c2": True, "nest": True}
         assert set(diag["node_evals"]) == {"c1", "c2", "nest"}
         assert all(0 < k <= 500 for k in diag["node_evals"].values())
+        assert diag["joint_status"] is None and diag["joint_node_evals"] == 0
+
+    def test_report_has_joint_search_figures(self, fitted_world):
+        tmp, model, fit_cfg = fitted_world
+        sim, report = tmp / "sim.csv", tmp / "report.json"
+        main(["simulate", "--model", str(model), "--n", "500", "--seed", "5",
+              "--out", str(sim)])
+        assert main(["fit", "--data", str(sim), "--model", str(fit_cfg),
+                     "--method", "mle", "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        diag = doc["diagnostics"]
+        assert doc["converged"] is True
+        assert diag["joint_status"].startswith("CONVERGENCE")
+        # three free parameters: at most 3 nodes per evaluation, and the
+        # memo spares some of them
+        assert diag["joint_evals"] < diag["joint_node_evals"] < 3 * diag["joint_evals"]
 
     def test_fit_report_bytes_deterministic(self, fitted_world):
         tmp, model, fit_cfg = fitted_world

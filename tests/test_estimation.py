@@ -32,7 +32,7 @@ import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
 from hierkendall.rngutil import substream
 
-from oracles import grid_maximum
+from oracles import grid_maximum, joint_loglik_nelder_mead
 
 
 def two_cluster_spec(with_params=True):
@@ -470,6 +470,118 @@ class TestJointMle:
         joint = fit_joint_mle(base, u)
         assert joint.loglik_joint >= base.loglik_two_step - 1e-6
         assert "nu" in joint.nodes[-1].params
+
+
+MAX_LINE_SEARCH = 20  # the default maxls of scipy's L-BFGS-B
+
+
+def joint_mle_spec(with_params=True):
+    """The tree of the benchmark's joint_mle workload: leaf clusters under
+    two middle nodes under the root."""
+    def node(name, family, tau, **kw):
+        return NodeSpec(name, family, params={"tau": tau} if with_params else None, **kw)
+    return node("root", "frank", 0.3, children=(
+        node("gnode", "gumbel", 0.4, children=(node("c1", "clayton", 0.5, columns=(0, 1, 2)),
+                                               node("g1", "gumbel", 0.45, columns=(3, 4, 5)))),
+        node("cnode", "clayton", 0.35, children=(node("f1", "frank", 0.4, columns=(6, 7, 8, 9)),
+                                                 node("c2", "clayton", 0.55, columns=(10, 11))))))
+
+
+def _two_step_on_sample(spec, n_vars, n, seed):
+    u = model_sample(build_model(spec(), n_vars), n, np.random.default_rng(seed))
+    return fit_two_step(spec(False), u, FitOptions(kendall_mode="closed_form")), u
+
+
+class TestJointMemo:
+    """The joint objective re-runs only the nodes whose subtree holds a moved parameter."""
+
+    def test_memoised_loglik_equals_model_loglik(self):
+        base, u = _two_step_on_sample(joint_mle_spec, 12, 400, 31)
+        free = estimation._collect_free_params(base.model, False)
+        loglik, memo = estimation._joint_loglik(base.model, free, u)
+        eta0 = np.array([eta for *_, eta in free])
+        step = np.eye(len(free)) * 1e-3
+        etas = [eta0, eta0, *(eta0 + row for row in step), eta0, eta0 + 0.05,
+                eta0 + 0.05 + step[0], eta0 + 0.05, eta0 - step[-1], eta0]
+        for eta in etas:
+            ll, model = loglik(eta)
+            fresh = model_loglik(estimation._rebuild_with_eta(base.model, free, eta), u)
+            assert (ll.value, ll.n_clamped) == (fresh.value, fresh.n_clamped)
+            assert ll.value == model_loglik(model, u).value
+        # a leaf holds at most 3 entries (its parameter + 2), the root 7 + 2
+        sizes = {path.rsplit("/", 1)[-1]: len(table) for path, table in memo._tables.items()}
+        assert max(sizes[n] for n in ("c1", "g1", "f1", "c2")) <= 3
+        assert max(sizes["gnode"], sizes["cnode"]) <= 5 and sizes["root"] <= 9
+
+    def test_probe_reruns_the_parameter_node_and_its_ancestors(self, monkeypatch):
+        base, u = _two_step_on_sample(joint_mle_spec, 12, 300, 32)
+        free = estimation._collect_free_params(base.model, False)
+        loglik, memo = estimation._joint_loglik(base.model, free, u)
+        ran = []
+        real = hierarchical.node_transform
+
+        def counting(node, *args, **kwargs):
+            ran.append(node.name)
+            return real(node, *args, **kwargs)
+
+        monkeypatch.setattr(hierarchical, "node_transform", counting)
+        eta0 = np.zeros(len(free)) + 0.5
+        loglik(eta0)
+        assert len(ran) == 7 and memo.node_evals == 7
+        expect = {"c1": 3, "g1": 3, "f1": 3, "c2": 3, "gnode": 2, "cnode": 2, "root": 1}
+        for j, (path, *_) in enumerate(free):
+            ran.clear()
+            before = memo.node_evals
+            loglik(eta0 + np.eye(len(free))[j] * 1e-7)
+            name = path.rsplit("/", 1)[-1]
+            assert len(ran) == memo.node_evals - before == expect[name], (name, ran)
+            assert ran[0] == name and ran[-1] == "root"
+        ran.clear()
+        loglik(eta0)
+        assert ran == []
+
+
+class TestJointOptimum:
+    """Bounded L-BFGS-B against a tight Nelder-Mead on freshly built models."""
+
+    @pytest.mark.parametrize("spec, n_vars, n, seed", [
+        (two_cluster_spec, 4, 600, 41), (two_cluster_spec, 4, 300, 42),
+        (three_level_spec, 12, 400, 43)])
+    def test_reaches_the_nelder_mead_optimum(self, spec, n_vars, n, seed):
+        base, u = _two_step_on_sample(spec, n_vars, n, seed)
+        joint = fit_joint_mle(base, u)
+        start = {nf.name: nf.params["theta"] for nf in base.nodes}
+        oracle_ll = joint_loglik_nelder_mead(spec(False), u, start)
+        assert joint.converged
+        assert joint.loglik_joint >= oracle_ll - 1e-6
+        assert joint.loglik_joint >= base.loglik_two_step
+
+    def test_evaluation_cap(self):
+        base, u = _two_step_on_sample(two_cluster_spec, 4, 600, 41)
+        joint = fit_joint_mle(base, u, FitOptions(joint_max_evals=15))
+        # L-BFGS-B checks the cap once per iteration, so the last iteration's
+        # line search and gradient may run past it
+        assert 15 < joint.joint_evals <= 15 + MAX_LINE_SEARCH * 4
+        assert not joint.converged
+        assert "EVALUATIONS EXCEEDS LIMIT" in joint.joint_status
+        assert joint.loglik_joint >= base.loglik_two_step
+
+    def test_failed_evaluation_is_penalised(self, monkeypatch):
+        base, u = _two_step_on_sample(two_cluster_spec, 4, 600, 44)
+        theta = next(nf.params["theta"] for nf in base.nodes if nf.name == "c2")
+        real = hierarchical.archimedean_node_step
+        raised = []
+
+        def failing(gen, inputs):
+            if gen.family == "gumbel" and gen.theta > theta * (1 + 1e-9):
+                raised.append(gen.theta)
+                raise EvaluationError("non-finite density")
+            return real(gen, inputs)
+
+        monkeypatch.setattr(hierarchical, "archimedean_node_step", failing)
+        joint = fit_joint_mle(base, u)
+        assert raised
+        assert joint.loglik_joint >= base.loglik_two_step
 
 
 class TestAicBic:
