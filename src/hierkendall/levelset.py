@@ -20,6 +20,7 @@ Three methods:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +190,12 @@ def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, 
     while pending_z and attempts < max_attempts:
         chunk = min(_REJECTION_CHUNK, max_attempts - attempts)
         u = copula_sample(c, chunk, rng)
-        cz = copula_cdf(c, u)
-        for i in range(chunk):
+        cz = copula_cdf(c, u).tolist()
+        for i, zi in enumerate(cz):
             if not pending_z:
                 break
             attempts += 1
-            zi = cz[i]
-            pos = np.searchsorted(pending_z, zi)
+            pos = bisect.bisect_left(pending_z, zi)
             best = None
             for cand in (pos - 1, pos):
                 if 0 <= cand < len(pending_z):

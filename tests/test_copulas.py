@@ -35,10 +35,12 @@ from hierkendall.generators import (
 )
 
 from oracles import (
+    bivariate_t_cdf_quad,
     equicorrelated_normal_cdf_quad,
     inv_deriv_log_mp,
     pdf_mixed_fd_2d,
     trivariate_normal_cdf_quad,
+    trivariate_t_cdf_quad,
 )
 
 CLAYTON2 = ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 2)
@@ -494,6 +496,103 @@ class TestGaussianKernels:
         u = np.random.default_rng(45).random((500, d))
         c = GaussianCopula(corr)
         assert np.array_equal(copula_cdf(c, u), copula_cdf(c, u))
+
+
+class TestStudentTKernels:
+    """The bivariate t rule and the trivariate t quadrature against normal
+    scale mixtures, and the bivariate rule's structural properties."""
+
+    NUS = [2.01, 2.05, 2.5, 3.0, 4.3, 5.0, 6.3, 10.0, 37.7, 200.0, 1000.0]
+    NUS_BELOW_TWO = [0.5, 1.0, 1.5]  # outside the copula's nu > 2, inside the rule's nu > 0
+    RHOS = [float(r) for r in np.linspace(-0.999, 0.999, 21)] + [-(1.0 - 1e-10), 1.0 - 1e-10]
+    U_CORNERS = [1e-12, 0.5, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("nu", NUS + NUS_BELOW_TWO)
+    def test_bivariate_matches_mixture_oracle(self, nu):
+        u = np.array([(a, b) for a in self.U_CORNERS for b in self.U_CORNERS])
+        x = special.stdtrit(nu, u)
+        want = bivariate_t_cdf_quad(x[:, 0], x[:, 1], self.RHOS, nu)
+        for rho, row in zip(self.RHOS, want):
+            got = copulas._t_cdf_2d(x[:, 0], x[:, 1], rho, nu, u[:, 0], u[:, 1])
+            np.testing.assert_allclose(got, row, rtol=0, atol=1e-10, err_msg=f"rho={rho}")
+
+    def test_bivariate_regression_strong_negative_correlation(self):
+        # the 96-node rule in the marginal probability that this rule
+        # replaced was off by 1.5e-4 here
+        u = np.array([[0.947, 0.962]])
+        x = special.stdtrit(2.5, u)
+        want = bivariate_t_cdf_quad(x[:, 0], x[:, 1], [-0.999], 2.5)[0, 0]
+        assert copula_cdf(StudentTCopula(corr2(-0.999), 2.5), u)[0] == pytest.approx(
+            want, abs=1e-10)
+
+    @staticmethod
+    def cdf(u, rho, nu):
+        u = np.asarray(u, dtype=float)
+        x = special.stdtrit(nu, u)
+        return copulas._t_cdf_2d(x[..., 0], x[..., 1], rho, nu, u[..., 0], u[..., 1])
+
+    PROPERTY = dict(
+        nu=st.floats(min_value=0.5, max_value=1000.0),
+        rho=st.floats(min_value=-0.999, max_value=0.999),
+        u=st.tuples(st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+                    st.floats(min_value=1e-9, max_value=1.0 - 1e-9)),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(**PROPERTY)
+    def test_bivariate_symmetric_in_its_arguments(self, nu, rho, u):
+        assert self.cdf(u, rho, nu) == pytest.approx(self.cdf(u[::-1], rho, nu), abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**PROPERTY)
+    def test_bivariate_within_frechet_bounds(self, nu, rho, u):
+        p = self.cdf(u, rho, nu)
+        assert max(u[0] + u[1] - 1.0, 0.0) - 1e-13 <= p <= min(u) + 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(rho2=st.floats(min_value=-0.999, max_value=0.999), **PROPERTY)
+    def test_bivariate_monotone_in_rho(self, nu, rho, rho2, u):
+        lo, hi = sorted((rho, rho2))
+        assert self.cdf(u, lo, nu) <= self.cdf(u, hi, nu) + 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(**PROPERTY)
+    def test_bivariate_tends_to_margin(self, nu, rho, u):
+        # 0 <= F(h) - P(T1 <= h, T2 <= k) <= 1 - F(k), which vanishes as k -> inf
+        h = float(special.stdtrit(nu, u[0]))
+        for k in (1e3, 1e8):
+            fk = float(special.stdtr(nu, k))
+            gap = u[0] - copulas._t_cdf_2d(h, k, rho, nu, u[0], fk)
+            assert -1e-13 <= gap <= 1.0 - fk + 1e-13
+
+    def test_trivariate_batch_equals_one_row_calls(self, monkeypatch):
+        calls = []
+        real = copulas._t_cdf_3d
+
+        def counting(x, corr, nu):
+            calls.append(x.shape)
+            return real(x, corr, nu)
+
+        monkeypatch.setattr(copulas, "_t_cdf_3d", counting)
+        block = copulas._BLOCK_POINTS // copulas._GL_NODES.size  # rows per block
+        u = np.random.default_rng(47).random((block + 5, 3))
+        c = StudentTCopula(CORR3, 5.0)
+        out = copula_cdf(c, u)
+        assert calls == [u.shape]
+        for r in (0, 1, block - 1, block, u.shape[0] - 1):  # rows of both blocks
+            assert out[r] == pytest.approx(copula_cdf(c, u[r]), abs=1e-15)
+
+    @pytest.mark.parametrize("nu", [2.5, 5.0, 30.0])
+    @pytest.mark.parametrize("name", ["moderate", "signs", "strong"])
+    def test_trivariate_matches_mixture_oracle(self, name, nu):
+        corr = np.array(TestGaussianKernels.CORRS3[name])
+        u = np.array([[0.3, 0.6, 0.8], [0.05, 0.9, 0.5], [0.99, 0.995, 0.2],
+                      [1e-6, 0.5, 0.7], [0.01, 0.02, 0.03], [0.5, 0.5, 0.5],
+                      [0.999, 0.999, 0.999]])
+        want = trivariate_t_cdf_quad(special.stdtrit(nu, u), corr, nu)
+        got = copula_cdf(StudentTCopula(corr, nu), u)
+        # the outer 96-node rule in F(x1) bounds the accuracy
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5, err_msg=name)
 
 
 class TestValidation:

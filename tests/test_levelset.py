@@ -5,6 +5,7 @@ from scipy.stats import kendalltau, ks_2samp
 from hierkendall.copulas import (
     ArchimedeanCopula,
     GaussianCopula,
+    StudentTCopula,
     copula_cdf,
 )
 from hierkendall.errors import DomainError, ParameterError, RejectionCapError
@@ -15,6 +16,7 @@ from hierkendall.generators import (
 )
 from hierkendall.kendall import closed_form_kendall, kendall_inverse
 from hierkendall.levelset import (
+    DEFAULT_MAX_ATTEMPTS,
     EpsilonRule,
     conditional_levelset_cdf,
     sample_levelset_conditional,
@@ -24,6 +26,8 @@ from hierkendall.levelset import (
     sample_levelset_rejection,
     sample_levelset_rejection_batch,
 )
+
+from oracles import rejection_batch_reference
 
 CLAYTON2 = ArchimedeanGenerator("clayton", 2.0)
 INDEP = independence_generator()
@@ -229,6 +233,46 @@ class TestRejection:
         assert out[1, 0] == pytest.approx(0.310)   # 0.32 <- 0.310
         assert out[2, 0] == pytest.approx(0.500)   # 0.50 <- 0.500
         assert attempts == 3
+
+
+class TestRejectionLoopMatchesReference:
+    """The batch assignment loop against a reference copy of its first
+    version: the same samples and attempt counts, bit for bit."""
+
+    CLUSTERS = {
+        "gaussian": GaussianCopula(np.array([[1.0, 0.5], [0.5, 1.0]])),
+        "student_t": StudentTCopula(np.array([[1.0, 0.6], [0.6, 1.0]]), 4.0),
+        "clayton": ArchimedeanCopula(CLAYTON2, 2),
+    }
+    RULES = {"abs": EpsilonRule("abs", 0.001), "rel": EpsilonRule("rel", 0.003)}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("rule", list(RULES))
+    @pytest.mark.parametrize("name", list(CLUSTERS))
+    def test_same_samples_and_attempts(self, name, rule, seed):
+        c = self.CLUSTERS[name]
+        targets = np.random.default_rng(seed).uniform(0.05, 0.95, 80)
+        targets[-5:] = targets[:5]  # tied levels
+        got = sample_levelset_rejection_batch(c, targets, self.RULES[rule],
+                                              np.random.default_rng(seed + 10))
+        want = rejection_batch_reference(c, targets, self.RULES[rule],
+                                         np.random.default_rng(seed + 10),
+                                         DEFAULT_MAX_ATTEMPTS)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("name", list(CLUSTERS))
+    def test_same_cap_error(self, name):
+        c = self.CLUSTERS[name]
+        targets = np.random.default_rng(3).uniform(0.05, 0.95, 40)
+        rule = EpsilonRule("abs", 1e-5)
+        with pytest.raises(RejectionCapError) as got:
+            sample_levelset_rejection_batch(c, targets, rule, np.random.default_rng(4),
+                                            max_attempts=5000)
+        with pytest.raises(RejectionCapError) as want:
+            rejection_batch_reference(c, targets, rule, np.random.default_rng(4), 5000)
+        assert got.value.attempts == want.value.attempts == 5000
+        assert str(got.value) == str(want.value)
 
 
 class TestLevelValidation:
