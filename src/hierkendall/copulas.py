@@ -56,8 +56,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # T-function integral (12 nodes leave 1e-10 at nu = 1000)
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL16_NODES, _GL16_WEIGHTS = 0.5 * (_GL16_NODES + 1.0), 0.5 * _GL16_WEIGHTS
-# widest panel of that integral, in s = asinh(tan(angle))
-_T_PANEL = 2.0
+# widest panel of that integral, in s = asinh(tan(angle)); panels 2 wide
+# left 2.5e-13 at nu = 1.1e4, where the integrand falls off like
+# exp(-h^2 cosh^2 s / 2), and 1.5 wide left 9e-16
+_T_PANEL = 1.25
 # s beyond which the integral's tail, at most 2 e^-s, is below 1e-16
 _T_TAIL = float(np.log(2e16))
 
