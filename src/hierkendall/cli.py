@@ -37,7 +37,6 @@ from .levelset import DEFAULT_MAX_ATTEMPTS, EpsilonRule
 from .modelconfig import (
     _atomic_write,
     config_to_spec,
-    load_model_config,
     load_model_document,
     read_csv,
     report_document,
@@ -131,12 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_for_simulation(args):
+def _load_spec(args, header=None):
+    """(config, header, spec) from the ``--model`` file, a config or a fit
+    report, with ``--kendall-mc`` applied. Without a data ``header`` the
+    report's columns, or else the config's own column order, are used."""
     config, columns = load_model_document(args.model)
     if args.kendall_mc:
         config.kendall_mc_size = args.kendall_mc
-    header = columns if columns else list(config.column_names)
-    spec = config_to_spec(config, header)
+    if header is None:
+        header = columns if columns else list(config.column_names)
+    return config, header, config_to_spec(config, header)
+
+
+def _load_for_simulation(args):
+    config, header, spec = _load_spec(args)
     seed = config.seed if getattr(args, "seed", None) is None else args.seed
     model = build_model(spec, n_vars=len(header),
                         kendall_mc=config.kendall_mc_size, seed=seed)
@@ -145,10 +152,7 @@ def _load_for_simulation(args):
 
 def cmd_fit(args) -> int:
     header, data = read_csv(args.data)
-    config = load_model_config(args.model)
-    if args.kendall_mc:
-        config.kendall_mc_size = args.kendall_mc
-    spec = config_to_spec(config, header)
+    config, _, spec = _load_spec(args, header)
     u = pseudo_observations(data) if args.raw else np.clip(data, 1e-12, 1 - 1e-12)
     options = FitOptions(kendall_mode=args.kendall_mode,
                          kendall_mc=config.kendall_mc_size, seed=config.seed)
@@ -212,10 +216,7 @@ def cmd_kendall(args) -> int:
 
 def cmd_backtest(args) -> int:
     header, data = read_csv(args.data)
-    config, columns = load_model_document(args.model)
-    if args.kendall_mc:
-        config.kendall_mc_size = args.kendall_mc
-    spec = config_to_spec(config, header)
+    config, _, spec = _load_spec(args, header)
     seed = config.seed if args.seed is None else args.seed
     report = rolling_backtest(
         data, spec, level=args.level, window=args.window, horizon=args.horizon,

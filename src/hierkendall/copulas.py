@@ -453,7 +453,7 @@ def copula_cdf_with_error(c: CopulaSpec, u):
         return 0.0, 0.0
     gaussian = isinstance(c, GaussianCopula)
     uu = clamp_interior(u)
-    x = special.ndtri(uu) if gaussian else stats.t.ppf(uu, df=c.nu)
+    x = special.ndtri(uu) if gaussian else special.stdtrit(c.nu, uu)
     replicates = []
     n_rep, m = 8, 2 ** 14
     for r in range(n_rep):
@@ -513,7 +513,7 @@ def copula_logpdf(c: CopulaSpec, u):
         out = -0.5 * logdet - 0.5 * (np.sum(x * sol, axis=1) - np.sum(x * x, axis=1))
     else:
         nu, d = c.nu, c.dim
-        x = stats.t.ppf(rows, df=nu)
+        x = special.stdtrit(nu, rows)
         sol = linalg.cho_solve((c._chol, True), x.T).T
         logdet = 2.0 * np.sum(np.log(np.diag(c._chol)))
         quad = np.sum(x * sol, axis=1)
@@ -563,7 +563,7 @@ def copula_sample(c: CopulaSpec, n: int, rng) -> np.ndarray:
     if isinstance(c, GaussianCopula):
         return special.ndtr(z)
     w = rng.chisquare(c.nu, size=n) / c.nu
-    return stats.t.cdf(z / np.sqrt(w)[:, None], df=c.nu)
+    return special.stdtr(c.nu, z / np.sqrt(w)[:, None])
 
 
 def _condition_elliptical(c, index, value):
@@ -613,12 +613,12 @@ def copula_sample_conditional(c: CopulaSpec, index: int, value: float,
         out[:, rest_idx] = special.ndtr(x)
         return out
     nu = c.nu
-    x0 = float(stats.t.ppf(value, df=nu))
+    x0 = float(special.stdtrit(nu, value))
     scale = np.sqrt((nu + x0 * x0) / (nu + 1.0))
     tvars = rng.standard_normal((n, len(rest_idx))) @ chol.T
     w = rng.chisquare(nu + 1.0, size=n) / (nu + 1.0)
     x = x0 * beta + scale * tvars / np.sqrt(w)[:, None]
-    out[:, rest_idx] = stats.t.cdf(x, df=nu)
+    out[:, rest_idx] = special.stdtr(nu, x)
     return out
 
 

@@ -11,8 +11,10 @@ search unconstrained transforms, on the same finite intervals:
     frank    theta = eta (0 banned)  student-t nu    = 2 + exp(eta)
 
 the one parameter of each two-step node by bounded Brent, the joint pass by
-bounded L-BFGS-B with finite-difference gradients, whose evaluations re-run
-only the nodes at and above the parameters that moved (``SubtreeMemo``).
+bounded L-BFGS-B. The joint objective forms its own forward-difference
+gradient: one base pass keeps every node's (V, summed log c) in a dict by
+node path, and the probe of a parameter re-runs only the nodes on its
+ancestor chain. A probe that fails leaves its gradient component at 0.
 
 Correlation matrices are never searched: they come from pairwise
 empirical Kendall's tau inversion rho = sin(pi tau / 2) followed by a
@@ -50,7 +52,6 @@ from .hierarchical import (
     HierarchicalModel,
     InnerNode,
     LeafNode,
-    SubtreeMemo,
     child_path,
     iter_nodes,
     kendall_for_copula,
@@ -253,23 +254,17 @@ def _eta_bounds(family: str, d: int) -> tuple:
     return (-hi, hi) if family == "frank" and d == 2 else (lo, hi)
 
 
-def _penalised_neg(loglik):
-    """-loglik(eta) for a minimiser; an evaluation that fails or is not
-    finite gives ``_PENALTY``."""
-    def neg(eta):
-        try:
-            val = loglik(eta)
-        except (ParameterError, ArithmeticError):
-            return _PENALTY
-        return -val if np.isfinite(val) else _PENALTY
-    return neg
-
-
 def _fit_one_parameter(make_copula, u, bounds, max_evals, method, what) -> ClusterFit:
     """Maximum likelihood over one eta in ``bounds`` by bounded Brent, which
     stops short of an optimum on an interval end by about its tolerance; so
     the end nearest its result is evaluated too, and the better one kept."""
-    neg_ll = _penalised_neg(lambda eta: float(np.sum(copula_logpdf(make_copula(float(eta)), u))))
+    def neg_ll(eta):
+        try:
+            val = float(np.sum(copula_logpdf(make_copula(float(eta)), u)))
+        except (ParameterError, ArithmeticError):
+            return _PENALTY
+        return -val if np.isfinite(val) else _PENALTY
+
     lo, hi = bounds
     res = optimize.minimize_scalar(neg_ll, bounds=bounds, method="bounded",
                                    options=dict(xatol=1e-6, maxiter=max(max_evals - 1, 1)))
@@ -340,8 +335,9 @@ class FitOptions:
     kendall_mc: int = DEFAULT_KENDALL_MC
     seed: int = 0
     cluster_max_evals: int = 500
-    # joint MLE evaluations (L-BFGS-B maxfun); checked once per iteration, so
-    # the last iteration's line search and gradient may run past it
+    # joint MLE likelihood passes, k + 1 per L-BFGS-B evaluation with k free
+    # parameters (maxfun = joint_max_evals // (k + 1)); checked once per
+    # iteration, so the last iteration's line search may run past it
     joint_max_evals: int = 5000
     force_frozen_kendall: bool = False
 
@@ -362,6 +358,7 @@ class FitReport:
     model: HierarchicalModel = field(repr=False, default=None)
     joint_status: str | None = None  # the joint search's stopping message
     joint_node_evals: int = 0  # nodes the joint search ran, memo hits excluded
+    joint_failed_probes: int = 0  # gradient probes that failed, each left at 0
 
     def best_loglik(self) -> float:
         return self.loglik_two_step if self.loglik_joint is None else self.loglik_joint
@@ -501,25 +498,68 @@ def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
     return HierarchicalModel(root=rec(model.root, "root"), n_vars=model.n_vars)
 
 
-def _joint_loglik(model: HierarchicalModel, free, u):
-    """The joint log-likelihood at eta, with the model it was computed for,
-    and the ``SubtreeMemo`` it runs through, keyed by eta."""
-    memo = SubtreeMemo(model, [path for path, *_ in free])
+_FD_STEP = 1e-8  # scipy's absolute step for L-BFGS-B's own two-point gradient
 
-    def loglik(eta):
-        memo.set_params([float(e) for e in eta])
-        cand = _rebuild_with_eta(model, free, eta)
-        return model_loglik(cand, u, memo), cand
 
-    return loglik, memo
+class _JointObjective:
+    """-loglik(eta) and its forward-difference gradient, for L-BFGS-B with
+    ``jac=True``; every pass goes through ``model_loglik`` with a dict memo.
+
+    The base pass at eta keeps its memo. The probe of parameter j passes a
+    copy without j's ancestor chain (the prefixes of its path), so it
+    re-runs only those nodes. A new base point keeps only the subtrees
+    without a free parameter, which thus run once per fit, and no node holds
+    more than two entries. The step is scipy's: 1e-8, negated where it would
+    pass the upper bound. A failed probe leaves its component at 0; a failed
+    base pass gives the penalty and a zero gradient.
+    """
+
+    def __init__(self, model: HierarchicalModel, free, u):
+        self.model, self.free, self.u = model, free, u
+        self.chains = [{p[:i] for i, ch in enumerate(p + "/") if ch == "/"} for p, *_ in free]
+        self.moving = set().union(*self.chains)
+        self.eta, self.memo = None, {}
+        self.evals = self.node_evals = self.failed_probes = 0
+
+    def _pass(self, model, memo):
+        """The LogLikelihood of ``model`` through ``memo``, None if it fails."""
+        self.evals += 1
+        before = len(memo)
+        try:
+            ll = model_loglik(model, self.u, memo)
+        except (ParameterError, ArithmeticError):
+            return None
+        finally:
+            self.node_evals += len(memo) - before
+        return ll if np.isfinite(ll.value) else None
+
+    def base(self, eta):
+        """(LogLikelihood or None, model) at ``eta``; a repeated point runs nothing."""
+        if not np.array_equal(eta, self.eta):
+            self.memo = {p: e for p, e in self.memo.items() if p not in self.moving}
+            self.eta, self.at = eta.copy(), _rebuild_with_eta(self.model, self.free, eta)
+            self.ll = self._pass(self.at, self.memo)
+        return self.ll, self.at
+
+    def __call__(self, eta):
+        ll, at = self.base(eta)
+        grad = np.zeros(eta.size)
+        if ll is None:
+            return _PENALTY, grad
+        for j, (param, chain) in enumerate(zip(self.free, self.chains)):
+            probe = eta[j] + (_FD_STEP if eta[j] + _FD_STEP <= param[2][1] else -_FD_STEP)
+            ll_j = self._pass(_rebuild_with_eta(at, [param], [probe]),
+                              {p: e for p, e in self.memo.items() if p not in chain})
+            self.failed_probes += ll_j is None
+            grad[j] = 0.0 if ll_j is None else (ll.value - ll_j.value) / (probe - eta[j])
+        return -ll.value, grad
 
 
 def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> FitReport:
-    """Joint MLE over all free dependence parameters from the two-step start,
-    by bounded L-BFGS-B with two-point finite-difference gradients on the eta
-    transforms, inside the intervals of the one-parameter fits. An evaluation
-    re-runs only the nodes at and above the parameters that moved
-    (``SubtreeMemo``). The result never falls below the two-step start.
+    """Joint MLE over all free dependence parameters from the two-step start:
+    bounded L-BFGS-B on the eta transforms, inside the intervals of the
+    one-parameter fits, on ``_JointObjective``. The result never falls below
+    the two-step start.
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
@@ -532,18 +572,20 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
         return out
 
     eta0 = np.array([eta for *_, eta in free])
-    loglik, memo = _joint_loglik(report.model, free, u)
-    res = optimize.minimize(_penalised_neg(lambda eta: loglik(eta)[0].value), eta0,
-                            method="L-BFGS-B", bounds=[bounds for _, _, bounds, _ in free],
-                            options=dict(maxfun=options.joint_max_evals, ftol=1e-14))
-    best_eta = res.x if res.fun <= -report.loglik_two_step else eta0
-    ll, final = loglik(best_eta)
-    nodes = _refresh_node_fits(report.nodes, final)
+    objective = _JointObjective(report.model, free, u)
+    res = optimize.minimize(objective, eta0, jac=True, method="L-BFGS-B",
+                            bounds=[bounds for _, _, bounds, _ in free],
+                            options=dict(maxfun=options.joint_max_evals // (len(free) + 1),
+                                         ftol=1e-14))
+    evals = objective.evals
+    ll, final = objective.base(res.x if res.fun <= -report.loglik_two_step else eta0)
+    if ll is None:
+        raise EvaluationError("joint MLE: no finite log-likelihood at the two-step estimates")
     out = dataclasses.replace(
-        report, nodes=nodes, loglik_joint=ll.value, clamped_joint=ll.n_clamped,
-        converged=report.converged and bool(res.success),
-        joint_evals=int(res.nfev), joint_status=str(res.message),
-        joint_node_evals=memo.node_evals, model=final)
+        report, nodes=_refresh_node_fits(report.nodes, final), loglik_joint=ll.value,
+        clamped_joint=ll.n_clamped, converged=report.converged and bool(res.success),
+        joint_evals=evals, joint_status=str(res.message), joint_node_evals=objective.node_evals,
+        joint_failed_probes=objective.failed_probes, model=final)
     _finalize_ic(out)
     return out
 

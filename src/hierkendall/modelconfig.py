@@ -141,17 +141,6 @@ def parse_model_config(doc: dict) -> ModelConfig:
         epsilon_rule=eps, seed=int(doc.get("seed", 0)))
 
 
-def load_model_config(path: str) -> ModelConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_model_config(doc)
-
-
 def _node_params(node: dict) -> dict | None:
     params = {}
     for key in ("theta", "tau", "nu"):
@@ -230,6 +219,7 @@ def report_document(report: FitReport, method: str, columns: list,
             "joint_evals": report.joint_evals,
             "joint_status": report.joint_status,
             "joint_node_evals": report.joint_node_evals,
+            "joint_failed_probes": report.joint_failed_probes,
             "node_evals": {nf.name: nf.n_evals for nf in report.nodes},
             "node_converged": {nf.name: nf.converged for nf in report.nodes},
         },

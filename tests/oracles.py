@@ -14,7 +14,8 @@ adaptive quadrature of its one-factor representation. The bivariate and
 trivariate t CDFs are checked against adaptive quadrature of their normal
 scale mixtures over the chi-square law of the mixing variable. One-parameter
 maximum-likelihood fits are checked against a dense grid search refined
-locally, and joint fits against Nelder-Mead on freshly built models. The
+locally, and joint fits against Nelder-Mead on freshly built models and
+against scipy's own finite-difference L-BFGS-B without a memo. The
 rejection sampler's batch assignment is checked against a reference copy of
 its loop.
 """
@@ -187,9 +188,10 @@ def grid_maximum(f, lo, hi, points=201, zoom_points=21, xtol=1e-9):
         xs = np.linspace(a, b, zoom_points)
 
 
-def joint_loglik_nelder_mead(spec, u, start):
+def joint_loglik_nelder_mead(spec, u, start, pinned=()):
     """Maximum joint log-likelihood of the Archimedean tree ``spec`` (a
-    ``NodeSpec`` template without parameters) on the data ``u``.
+    ``NodeSpec`` template without parameters) on the data ``u``, with the
+    nodes named in ``pinned`` held at their ``start`` thetas.
 
     Nelder-Mead with tight tolerances, restarted from its own result, runs
     from the thetas ``start`` (node name -> theta) over log theta (Clayton),
@@ -205,7 +207,7 @@ def joint_loglik_nelder_mead(spec, u, start):
         for ch in node.children or ():
             yield from nodes(ch)
 
-    free = [(nd.name, nd.family) for nd in nodes(spec) if nd.dim > 1]
+    free = [(nd.name, nd.family) for nd in nodes(spec) if nd.dim > 1 and nd.name not in pinned]
     to_eta = {"clayton": np.log, "gumbel": lambda t: np.log(t - 1.0), "frank": float}
     to_theta = {"clayton": np.exp, "gumbel": lambda e: 1.0 + np.exp(e), "frank": float}
 
@@ -215,7 +217,8 @@ def joint_loglik_nelder_mead(spec, u, start):
         return dataclasses.replace(node, children=kids, params=params)
 
     def thetas_at(eta):
-        return {name: float(to_theta[fam](e)) for (name, fam), e in zip(free, eta)}
+        return {**{name: start[name] for name in pinned},
+                **{name: float(to_theta[fam](e)) for (name, fam), e in zip(free, eta)}}
 
     def neg_ll(eta):
         try:
@@ -232,6 +235,36 @@ def joint_loglik_nelder_mead(spec, u, start):
                        options=dict(xatol=1e-10, fatol=1e-12, maxfev=20_000))
         eta = res.x
     return -float(res.fun)
+
+
+def joint_mle_scipy_gradient(report, u, max_evals=5000):
+    """The joint MLE search from the two-step fit ``report`` with scipy's own
+    two-point gradient: bounded L-BFGS-B without ``jac`` (absolute step
+    1e-8) on the penalised negative ``model_loglik`` of a model rebuilt from
+    the two-step model at every evaluation, with no memo. Like
+    ``fit_joint_mle`` it keeps the start when the search ends below the
+    two-step log-likelihood. Returns (log-likelihood, model at the kept point,
+    L-BFGS-B message, likelihood evaluations).
+    """
+    from hierkendall.estimation import _PENALTY, _collect_free_params, _rebuild_with_eta
+    from hierkendall.hierarchical import model_loglik
+
+    model = report.model
+    free = _collect_free_params(model, False)
+
+    def neg_ll(eta):
+        try:
+            val = model_loglik(_rebuild_with_eta(model, free, eta), u).value
+        except (ValueError, ArithmeticError):
+            return _PENALTY
+        return -val if np.isfinite(val) else _PENALTY
+
+    eta0 = np.array([eta for *_, eta in free])
+    res = minimize(neg_ll, eta0, method="L-BFGS-B", bounds=[b for _, _, b, _ in free],
+                   options=dict(maxfun=max_evals, ftol=1e-14))
+    kept = res.x if res.fun <= -report.loglik_two_step else eta0
+    final = _rebuild_with_eta(model, free, kept)
+    return model_loglik(final, u).value, final, str(res.message), int(res.nfev)
 
 
 def chi2_mixture_quad(f, nu):

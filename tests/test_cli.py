@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import kendalltau
 
 import hierkendall.cli as cli
+import hierkendall.hierarchical as hierarchical
 import hierkendall.kendall as kendall
 from hierkendall.cli import main
 from hierkendall.errors import EvaluationError
@@ -114,6 +115,7 @@ class TestFitCommand:
         assert set(diag["node_evals"]) == {"c1", "c2", "nest"}
         assert all(0 < k <= 500 for k in diag["node_evals"].values())
         assert diag["joint_status"] is None and diag["joint_node_evals"] == 0
+        assert diag["joint_failed_probes"] == 0
 
     def test_report_has_joint_search_figures(self, fitted_world):
         tmp, model, fit_cfg = fitted_world
@@ -129,6 +131,29 @@ class TestFitCommand:
         # three free parameters: at most 3 nodes per evaluation, and the
         # memo spares some of them
         assert diag["joint_evals"] < diag["joint_node_evals"] < 3 * diag["joint_evals"]
+        assert diag["joint_failed_probes"] == 0
+
+    def test_report_counts_failed_probes(self, fitted_world, monkeypatch):
+        tmp, model, fit_cfg = fitted_world
+        sim, report = tmp / "sim.csv", tmp / "report.json"
+        main(["simulate", "--model", str(model), "--n", "500", "--seed", "5",
+              "--out", str(sim)])
+        real, thetas = hierarchical.archimedean_node_step, []
+
+        def failing(gen, inputs):
+            # the first Gumbel step is the two-step fit's; fail above its theta
+            if gen.family == "gumbel":
+                thetas.append(gen.theta)
+                if gen.theta > thetas[0] * (1 + 1e-9):
+                    raise EvaluationError("non-finite density")
+            return real(gen, inputs)
+
+        monkeypatch.setattr(hierarchical, "archimedean_node_step", failing)
+        assert main(["fit", "--data", str(sim), "--model", str(fit_cfg),
+                     "--method", "mle", "--out", str(report)]) == 0
+        diag = json.loads(report.read_text())["diagnostics"]
+        assert diag["joint_status"].startswith("CONVERGENCE")
+        assert diag["joint_failed_probes"] > 0
 
     def test_fit_report_bytes_deterministic(self, fitted_world):
         tmp, model, fit_cfg = fitted_world

@@ -1,4 +1,6 @@
 import math
+import weakref
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hierkendall.estimation import (
     NodeSpec,
     StudyConfig,
     build_model,
+    copula_params,
     eta_from_theta,
     fit_cluster,
     fit_joint_mle,
@@ -32,7 +35,11 @@ import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
 from hierkendall.rngutil import substream
 
-from oracles import grid_maximum, joint_loglik_nelder_mead
+from oracles import grid_maximum, joint_loglik_nelder_mead, joint_mle_scipy_gradient
+
+
+def _nodes(model):
+    return [(node.name, node) for _, node, _ in iter_nodes(model)]
 
 
 def two_cluster_spec(with_params=True):
@@ -492,31 +499,37 @@ def _two_step_on_sample(spec, n_vars, n, seed):
     return fit_two_step(spec(False), u, FitOptions(kendall_mode="closed_form")), u
 
 
+def _joint_objective(spec, n_vars, n, seed):
+    base, u = _two_step_on_sample(spec, n_vars, n, seed)
+    free = estimation._collect_free_params(base.model, False)
+    return estimation._JointObjective(base.model, free, u), base, free, u
+
+
 class TestJointMemo:
-    """The joint objective re-runs only the nodes whose subtree holds a moved parameter."""
+    """The joint objective's base pass runs every node once; the gradient
+    probe of a parameter re-runs only its node and that node's ancestors."""
 
     def test_memoised_loglik_equals_model_loglik(self):
-        base, u = _two_step_on_sample(joint_mle_spec, 12, 400, 31)
-        free = estimation._collect_free_params(base.model, False)
-        loglik, memo = estimation._joint_loglik(base.model, free, u)
+        objective, base, free, u = _joint_objective(joint_mle_spec, 12, 400, 31)
         eta0 = np.array([eta for *_, eta in free])
-        step = np.eye(len(free)) * 1e-3
-        etas = [eta0, eta0, *(eta0 + row for row in step), eta0, eta0 + 0.05,
-                eta0 + 0.05 + step[0], eta0 + 0.05, eta0 - step[-1], eta0]
-        for eta in etas:
-            ll, model = loglik(eta)
-            fresh = model_loglik(estimation._rebuild_with_eta(base.model, free, eta), u)
-            assert (ll.value, ll.n_clamped) == (fresh.value, fresh.n_clamped)
-            assert ll.value == model_loglik(model, u).value
-        # a leaf holds at most 3 entries (its parameter + 2), the root 7 + 2
-        sizes = {path.rsplit("/", 1)[-1]: len(table) for path, table in memo._tables.items()}
-        assert max(sizes[n] for n in ("c1", "g1", "f1", "c2")) <= 3
-        assert max(sizes["gnode"], sizes["cnode"]) <= 5 and sizes["root"] <= 9
+
+        def fresh(eta):
+            return model_loglik(estimation._rebuild_with_eta(base.model, free, eta), u)
+
+        top = eta0.copy()
+        top[-1] = free[-1][2][1]  # at its upper bound: the probe steps down
+        for eta in (eta0, eta0, eta0 + 0.05, eta0 - 1e-3, top, eta0):
+            f, grad = objective(eta)
+            ll, model = objective.base(eta)
+            assert (ll.value, ll.n_clamped) == (fresh(eta).value, fresh(eta).n_clamped)
+            assert f == -ll.value == -model_loglik(model, u).value
+            for j, (_, _, (_, hi), _) in enumerate(free):
+                probe = eta.copy()
+                probe[j] += 1e-8 if eta[j] + 1e-8 <= hi else -1e-8
+                assert grad[j] == (-fresh(probe).value - f) / (probe[j] - eta[j])
 
     def test_probe_reruns_the_parameter_node_and_its_ancestors(self, monkeypatch):
-        base, u = _two_step_on_sample(joint_mle_spec, 12, 300, 32)
-        free = estimation._collect_free_params(base.model, False)
-        loglik, memo = estimation._joint_loglik(base.model, free, u)
+        objective, _, free, _ = _joint_objective(joint_mle_spec, 12, 300, 32)
         ran = []
         real = hierarchical.node_transform
 
@@ -526,19 +539,43 @@ class TestJointMemo:
 
         monkeypatch.setattr(hierarchical, "node_transform", counting)
         eta0 = np.zeros(len(free)) + 0.5
-        loglik(eta0)
-        assert len(ran) == 7 and memo.node_evals == 7
-        expect = {"c1": 3, "g1": 3, "f1": 3, "c2": 3, "gnode": 2, "cnode": 2, "root": 1}
-        for j, (path, *_) in enumerate(free):
-            ran.clear()
-            before = memo.node_evals
-            loglik(eta0 + np.eye(len(free))[j] * 1e-7)
-            name = path.rsplit("/", 1)[-1]
-            assert len(ran) == memo.node_evals - before == expect[name], (name, ran)
-            assert ran[0] == name and ran[-1] == "root"
+        objective.base(eta0)
+        assert len(ran) == 7 and objective.node_evals == 7
         ran.clear()
-        loglik(eta0)
+        objective(eta0)
+        probes = []  # the nodes each probe ran; every probe ends at the root
+        for name in ran:
+            if not probes or probes[-1][-1] == "root":
+                probes.append([])
+            probes[-1].append(name)
+        expect = {"c1": 3, "g1": 3, "f1": 3, "c2": 3, "gnode": 2, "cnode": 2, "root": 1}
+        names = [path.rsplit("/", 1)[-1] for path, *_ in free]
+        assert [p[0] for p in probes] == names and all(p[-1] == "root" for p in probes)
+        assert [len(p) for p in probes] == [expect[name] for name in names]
+        assert objective.node_evals == 7 + sum(expect.values())
+        assert objective.evals == 1 + len(free)
+        ran.clear()
+        objective.base(eta0)
         assert ran == []
+
+    def test_no_node_holds_more_than_two_entries(self, monkeypatch):
+        base, u = _two_step_on_sample(joint_mle_spec, 12, 300, 33)
+        live, most = defaultdict(list), Counter()
+        real = hierarchical.node_transform
+
+        def tracking(node, *args, **kwargs):
+            v, log_c = real(node, *args, **kwargs)
+            if v is not None:  # the root's V is None; its log c sum is not kept alone
+                live[node.name] = [r for r in live[node.name] if r() is not None]
+                live[node.name].append(weakref.ref(v))
+                most[node.name] = max(most[node.name], len(live[node.name]))
+            return v, log_c
+
+        monkeypatch.setattr(hierarchical, "node_transform", tracking)
+        joint = fit_joint_mle(base, u)
+        assert joint.joint_evals > 100
+        # the V of a leaf lives in the base memo and at most one probe memo
+        assert most and max(most.values()) == 2, dict(most)
 
 
 class TestJointOptimum:
@@ -580,8 +617,27 @@ class TestJointOptimum:
 
         monkeypatch.setattr(hierarchical, "archimedean_node_step", failing)
         joint = fit_joint_mle(base, u)
-        assert raised
-        assert joint.loglik_joint >= base.loglik_two_step
+        assert raised and joint.joint_failed_probes > 0
+        assert joint.converged and not joint.joint_status.startswith("ABNORMAL")
+        assert joint.loglik_joint > base.loglik_two_step
+        monkeypatch.undo()
+        # the failing probes keep c2 at its two-step theta; the rest is optimised
+        start = {nf.name: nf.params["theta"] for nf in base.nodes}
+        pinned = joint_loglik_nelder_mead(two_cluster_spec(False), u, start, pinned=("c2",))
+        assert joint.loglik_joint == pytest.approx(pinned, abs=1e-8)
+
+    @pytest.mark.parametrize("spec, n_vars, n, seed, cap", [
+        *[(joint_mle_spec, 12, 2000, seed, 5000) for seed in (1, 2, *range(100, 106))],
+        (two_cluster_spec, 4, 600, 41, 5000), (three_level_spec, 12, 400, 43, 5000),
+        *[(joint_mle_spec, 12, 2000, 1, cap) for cap in (3, 15, 60, 100)]])
+    def test_matches_scipy_differenced_search(self, spec, n_vars, n, seed, cap):
+        base, u = _two_step_on_sample(spec, n_vars, n, seed)
+        joint = fit_joint_mle(base, u, FitOptions(joint_max_evals=cap))
+        ll, model, status, evals = joint_mle_scipy_gradient(base, u, cap)
+        assert joint.joint_failed_probes == 0
+        assert (joint.loglik_joint, joint.joint_status, joint.joint_evals) == (ll, status, evals)
+        assert ({name: copula_params(node.copula) for name, node in _nodes(joint.model)}
+                == {name: copula_params(node.copula) for name, node in _nodes(model)})
 
 
 class TestAicBic:

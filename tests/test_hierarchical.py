@@ -74,6 +74,15 @@ class TestValidation:
             n_vars=4)
         assert any("copula dimension 3" in p for p in validate_model(m))
 
+    def test_path_separator_in_name_rejected(self):
+        # node paths key the memo of a pass; "a/b" under the root would read as b under a
+        m = HierarchicalModel(
+            root=inner("nest", [leaf("c/1", [0, 1], arch(CLAYTON2, 2)),
+                                leaf("c2", [2, 3], arch(GUMBEL2, 2))],
+                       arch(theta_from_tau("frank", 0.4), 2)),
+            n_vars=4)
+        assert any("'c/1' contains '/'" in p for p in validate_model(m))
+
     def test_kendall_dimension_checked(self):
         from hierkendall.kendall import closed_form_kendall
         bad_k = closed_form_kendall(CLAYTON2, 3)
