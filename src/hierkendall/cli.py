@@ -18,7 +18,14 @@ import sys
 import numpy as np
 
 from .backtest import rolling_backtest
-from .errors import EvaluationError, HierKendallError, RejectionCapError, ToleranceError
+from .errors import (
+    ConfigError,
+    DataError,
+    EvaluationError,
+    HierKendallError,
+    RejectionCapError,
+    ToleranceError,
+)
 from .estimation import (
     STUDY_CSV_HEADER,
     FitOptions,
@@ -32,7 +39,7 @@ from .estimation import (
 )
 from .generators import ArchimedeanGenerator, independence_generator
 from .hierarchical import model_density, model_sample
-from .kendall import closed_form_kendall, kendall_cdf
+from .kendall import MIN_KENDALL_MC, closed_form_kendall, kendall_cdf
 from .levelset import DEFAULT_MAX_ATTEMPTS, EpsilonRule
 from .modelconfig import (
     _atomic_write,
@@ -135,7 +142,10 @@ def _load_spec(args, header=None):
     report, with ``--kendall-mc`` applied. Without a data ``header`` the
     report's columns, or else the config's own column order, are used."""
     config, columns = load_model_document(args.model)
-    if args.kendall_mc:
+    if args.kendall_mc is not None:
+        if args.kendall_mc < MIN_KENDALL_MC:
+            raise ConfigError(f"--kendall-mc must be at least {MIN_KENDALL_MC}, "
+                              f"got {args.kendall_mc}")
         config.kendall_mc_size = args.kendall_mc
     if header is None:
         header = columns if columns else list(config.column_names)
@@ -150,10 +160,23 @@ def _load_for_simulation(args):
     return config, header, model, seed
 
 
+def _require_unit_interval(names, rows, what, hint=""):
+    """Raise a DataError naming the first of ``names`` whose column of
+    ``rows`` holds a value outside [0, 1] or not a number."""
+    bad = np.flatnonzero(~np.all((rows >= 0.0) & (rows <= 1.0), axis=0))
+    if bad.size:
+        raise DataError(f"{what} {names[bad[0]]!r} holds a value not in [0, 1]{hint}")
+
+
 def cmd_fit(args) -> int:
     header, data = read_csv(args.data)
     config, _, spec = _load_spec(args, header)
-    u = pseudo_observations(data) if args.raw else np.clip(data, 1e-12, 1 - 1e-12)
+    if args.raw:
+        u = pseudo_observations(data)
+    else:
+        _require_unit_interval(header, data, "column",
+                               "; pass --raw to rank-transform raw data")
+        u = np.clip(data, 1e-12, 1 - 1e-12)
     options = FitOptions(kendall_mode=args.kendall_mode,
                          kendall_mc=config.kendall_mc_size, seed=config.seed)
     report = fit_two_step(spec, u, options)
@@ -190,6 +213,7 @@ def cmd_density(args) -> int:
     if point.size != len(header):
         raise HierKendallError(
             f"point has {point.size} coordinates, model expects {len(header)}")
+    _require_unit_interval(header, point[None, :], "coordinate")
     print(repr(model_density(model, point)))
     return EXIT_OK
 

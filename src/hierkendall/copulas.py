@@ -433,43 +433,6 @@ def _elliptical_cdf(c, rows):
     return out
 
 
-def copula_cdf_with_error(c: CopulaSpec, u):
-    """(C(u), standard error) for a single point.
-
-    Deterministic evaluations (independence, Archimedean, elliptical with
-    d <= 3) report zero error. Higher-dimensional elliptical CDFs are
-    estimated by scrambled-Sobol quasi-Monte Carlo with 2^17 points split
-    into 8 independently scrambled replicates; the error is the standard
-    error of the replicate means. Scramble seeds are fixed, so repeated
-    calls agree bit for bit.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise DimensionError("error-reporting CDF takes a single point")
-    if (isinstance(c, (IndependenceCopula, ArchimedeanCopula))
-            or np.sum((u > 0.0) & (u < 1.0)) <= 3):
-        return copula_cdf(c, u), 0.0
-    if np.any(u <= 0.0):
-        return 0.0, 0.0
-    gaussian = isinstance(c, GaussianCopula)
-    uu = clamp_interior(u)
-    x = special.ndtri(uu) if gaussian else special.stdtrit(c.nu, uu)
-    replicates = []
-    n_rep, m = 8, 2 ** 14
-    for r in range(n_rep):
-        sob = stats.qmc.Sobol(d=c.dim + (0 if gaussian else 1), scramble=True,
-                              seed=1000 + r)
-        q = np.clip(sob.random(m), 1e-12, 1.0 - 1e-12)
-        z = special.ndtri(q[:, : c.dim]) @ c._chol.T
-        if not gaussian:
-            w = stats.chi2.ppf(q[:, c.dim], df=c.nu) / c.nu
-            z = z / np.sqrt(w)[:, None]
-        replicates.append(float(np.mean(np.all(z <= x, axis=1))))
-    est = float(np.mean(replicates))
-    se = float(np.std(replicates, ddof=1) / np.sqrt(n_rep))
-    return est, se
-
-
 def copula_cdf(c: CopulaSpec, u):
     """C(u) for one point (shape (d,)) or a batch (shape (N, d))."""
     rows, single = _prep_rows(c, u)

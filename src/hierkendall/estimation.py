@@ -2,10 +2,11 @@
 
 Two-step estimation fits each cluster copula on its own columns, maps the
 data through the fitted Kendall transforms V = K(C(.)), and fits the
-nesting copula on the V matrix (recursively for deeper models). The
-two-step estimates then seed a joint maximum-likelihood pass over all
-Archimedean parameters (and a Student-t nesting degrees-of-freedom). Both
-search unconstrained transforms, on the same finite intervals:
+nesting copula on the V matrix (recursively for deeper models), all on the
+model's own bottom-up pass. The two-step estimates then seed a joint
+maximum-likelihood pass over all Archimedean parameters (and a Student-t
+nesting degrees-of-freedom). Both search unconstrained transforms, on the
+same finite intervals:
 
     clayton  theta = exp(eta)        gumbel    theta = 1 + exp(eta)
     frank    theta = eta (0 banned)  student-t nu    = 2 + exp(eta)
@@ -27,6 +28,7 @@ them unless explicitly forced to treat those clusters as frozen.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -52,16 +54,16 @@ from .hierarchical import (
     HierarchicalModel,
     InnerNode,
     LeafNode,
+    Node,
     child_path,
     iter_nodes,
     kendall_for_copula,
-    loglik_from_logdensity,
     model_loglik,
     model_n_params,
     model_sample,
-    node_transform,
     validate,
 )
+from .hierarchical import _post_order as post_order
 from .kendall import KendallFunction
 from .rngutil import STREAM_KENDALL, STREAM_REPLICATION, substream
 
@@ -129,24 +131,28 @@ def copula_from_spec(spec: NodeSpec) -> CopulaSpec:
 def build_model(spec: NodeSpec, n_vars: int, kendall_mode: str = "auto",
                 kendall_mc: int = DEFAULT_KENDALL_MC, seed: int = 0) -> HierarchicalModel:
     """Build a fully parameterized HierarchicalModel from a template tree."""
-    counter = [0]
+    counter = itertools.count()
 
-    def rec(node: NodeSpec, is_root: bool):
-        cop = copula_from_spec(node)
-        idx = counter[0]
-        counter[0] += 1
-        if node.columns is not None:
-            kf = kendall_for_copula(cop, kendall_mode, kendall_mc,
-                                    substream(seed, STREAM_KENDALL, idx))
-            return LeafNode(node.name, node.columns, cop, kf)
-        children = tuple(rec(ch, False) for ch in node.children)
-        kf = None if is_root else kendall_for_copula(
-            cop, kendall_mode, kendall_mc, substream(seed, STREAM_KENDALL, idx))
-        return InnerNode(node.name, children, cop, kf)
+    def rec(node: NodeSpec):
+        idx, cop = next(counter), copula_from_spec(node)
+        children = tuple(rec(ch) for ch in node.children or ())
+        return _model_node(node, cop, children, idx, kendall_mode, kendall_mc, seed)
 
-    model = HierarchicalModel(root=rec(spec, True), n_vars=n_vars)
+    model = HierarchicalModel(root=rec(spec), n_vars=n_vars)
     validate(model)
     return model
+
+
+def _model_node(spec: NodeSpec, cop: CopulaSpec, children: tuple, idx: int,
+                kendall_mode: str, kendall_mc: int, seed: int) -> Node:
+    """Model node of template ``spec`` at preorder index ``idx``. Its Kendall
+    function (none at the root, index 0) draws from the stream of ``idx``,
+    so a fit and the model built from its report carry the same one."""
+    kf = None if idx == 0 else kendall_for_copula(
+        cop, kendall_mode, kendall_mc, substream(seed, STREAM_KENDALL, idx))
+    if spec.columns is not None:
+        return LeafNode(spec.name, spec.columns, cop, kf)
+    return InnerNode(spec.name, children, cop, kf)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +185,11 @@ def empirical_tau_matrix(u) -> np.ndarray:
     return taus
 
 
-def nearest_corr(mat, eig_floor: float = 1e-6) -> np.ndarray:
-    """Clip eigenvalues at eig_floor and rescale to unit diagonal."""
+def nearest_corr(mat) -> np.ndarray:
+    """Clip eigenvalues at 1e-6 and rescale to unit diagonal."""
     mat = np.asarray(mat, dtype=float)
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    fixed = (vecs * np.maximum(vals, eig_floor)) @ vecs.T
+    fixed = (vecs * np.maximum(vals, 1e-6)) @ vecs.T
     scale = np.sqrt(np.diag(fixed))
     out = fixed / np.outer(scale, scale)
     out = (out + out.T) / 2.0
@@ -242,6 +248,7 @@ class ClusterFit:
 
 
 _PENALTY = 1e12  # objective value of a failed or non-finite evaluation
+_CLUSTER_MAX_EVALS = 500  # likelihood evaluations of one per-cluster fit
 # eta intervals from near independence (Gumbel: theta - 1 = 1e-12 by the floor
 # of eta_from_theta) up to tau = 0.98; Frank at d = 2 also down to tau = -0.98
 _ETA_BOUNDS = {f: (eta_from_theta(f, lo), eta_from_theta(f, theta_from_tau(f, 0.98).theta))
@@ -254,7 +261,7 @@ def _eta_bounds(family: str, d: int) -> tuple:
     return (-hi, hi) if family == "frank" and d == 2 else (lo, hi)
 
 
-def _fit_one_parameter(make_copula, u, bounds, max_evals, method, what) -> ClusterFit:
+def _fit_one_parameter(make_copula, u, bounds, method, what) -> ClusterFit:
     """Maximum likelihood over one eta in ``bounds`` by bounded Brent, which
     stops short of an optimum on an interval end by about its tolerance; so
     the end nearest its result is evaluated too, and the better one kept."""
@@ -267,7 +274,7 @@ def _fit_one_parameter(make_copula, u, bounds, max_evals, method, what) -> Clust
 
     lo, hi = bounds
     res = optimize.minimize_scalar(neg_ll, bounds=bounds, method="bounded",
-                                   options=dict(xatol=1e-6, maxiter=max(max_evals - 1, 1)))
+                                   options=dict(xatol=1e-6, maxiter=_CLUSTER_MAX_EVALS - 1))
     end = lo if res.x - lo <= hi - res.x else hi
     eta, fun = min((float(res.x), float(res.fun)), (end, neg_ll(end)), key=lambda p: p[1])
     if fun >= _PENALTY:
@@ -277,14 +284,13 @@ def _fit_one_parameter(make_copula, u, bounds, max_evals, method, what) -> Clust
                       int(res.nfev) + 1)
 
 
-def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
+def fit_cluster(family: str, u_block) -> ClusterFit:
     """Fit one copula of the given family to pseudo-observations.
 
     Archimedean families use maximum likelihood over the unconstrained
     parameter transform; elliptical families invert the pairwise empirical
     tau matrix (plus a one-dimensional MLE for the Student-t degrees of
-    freedom). ``max_evals`` caps the likelihood evaluations; the cap is
-    never below 2.
+    freedom), with at most ``_CLUSTER_MAX_EVALS`` likelihood evaluations.
     """
     u = np.asarray(u_block, dtype=float)
     d = u.shape[1]
@@ -298,7 +304,7 @@ def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
         return _fit_one_parameter(
             lambda eta: ArchimedeanCopula(
                 ArchimedeanGenerator(family, theta_from_eta(family, eta)), d),
-            u, _eta_bounds(family, d), max_evals, "mle", f"{family} fit at d = {d}")
+            u, _eta_bounds(family, d), "mle", f"{family} fit at d = {d}")
     # elliptical: correlation by tau inversion
     taus = empirical_tau_matrix(u)
     corr = nearest_corr(elliptical_corr_from_tau(taus))
@@ -308,7 +314,7 @@ def fit_cluster(family: str, u_block, max_evals: int = 500) -> ClusterFit:
         return ClusterFit(cop, "tau-inversion", ll)
     return _fit_one_parameter(
         lambda eta: StudentTCopula(corr, nu_from_eta(eta)), u,
-        _ETA_BOUNDS["student_t"], max_evals, "tau-inversion+mle(nu)",
+        _ETA_BOUNDS["student_t"], "tau-inversion+mle(nu)",
         f"student_t nu fit at d = {d}")
 
 
@@ -334,7 +340,6 @@ class FitOptions:
     kendall_mode: str = "auto"  # auto | closed_form | empirical
     kendall_mc: int = DEFAULT_KENDALL_MC
     seed: int = 0
-    cluster_max_evals: int = 500
     # joint MLE likelihood passes, k + 1 per L-BFGS-B evaluation with k free
     # parameters (maxfun = joint_max_evals // (k + 1)); checked once per
     # iteration, so the last iteration's line search may run past it
@@ -388,9 +393,9 @@ def _kendall_tag(kf: KendallFunction | None) -> str:
 def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitReport:
     """Sequential estimation: clusters first, then nesting copulas level by level.
 
-    Each fitted node goes through ``node_transform`` once, on the block it
-    was fitted to, which gives both the V column its parent is fitted to and
-    its log-density term; the likelihood is the sum of those terms.
+    Each node is fitted to its data columns or to the V columns of its
+    fitted children, which the model's bottom-up pass fills into one memo;
+    the final ``model_loglik`` pass over it adds only the root.
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
@@ -398,39 +403,32 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
         raise ParameterError(
             "closed-form Kendall functions require Archimedean clusters; "
             "use kendall_mode='empirical' or 'auto'")
-    counter = [0]
+    counter = itertools.count()
     node_fits: list[NodeFit] = []
+    memo = {}
 
-    def rec(node: NodeSpec, is_root: bool):
-        """Returns (fitted node, V column, summed log-density of its subtree)."""
-        idx = counter[0]
-        counter[0] += 1
+    def rec(node: NodeSpec, path: str):
+        idx = next(counter)
+        children = tuple(rec(ch, child_path(path, ch, i))
+                         for i, ch in enumerate(node.children or ()))
         if node.columns is not None:
-            block, below = u[:, list(node.columns)], 0.0
+            block = u[:, list(node.columns)]
         else:
-            children, vs, accs = zip(*(rec(ch, False) for ch in node.children))
-            block, below = np.column_stack(vs), np.sum(accs, axis=0)
-        fit = fit_cluster(node.family, block, options.cluster_max_evals)
-        cop = fit.copula
-        kf = None if is_root else kendall_for_copula(
-            cop, options.kendall_mode, options.kendall_mc,
-            substream(options.seed, STREAM_KENDALL, idx))
+            block = np.column_stack([post_order(ch, u, memo, child_path(path, ch, i))[0]
+                                     for i, ch in enumerate(children)])
+        fit = fit_cluster(node.family, block)
+        fitted = _model_node(node, fit.copula, children, idx, options.kendall_mode,
+                             options.kendall_mc, options.seed)
         node_fits.append(NodeFit(
             name=node.name, family=node.family, dim=node.dim,
-            params=copula_params(cop), method=fit.method,
-            kendall=_kendall_tag(kf), loglik=fit.loglik,
+            params=copula_params(fit.copula), method=fit.method,
+            kendall=_kendall_tag(fitted.kendall), loglik=fit.loglik,
             converged=fit.converged, n_evals=fit.n_evals))
-        if node.columns is not None:
-            fitted = LeafNode(node.name, node.columns, cop, kf)
-        else:
-            fitted = InnerNode(node.name, children, cop, kf)
-        v, log_c = node_transform(fitted, block)
-        return fitted, v, below + log_c
+        return fitted
 
-    root, _, log_density = rec(spec, True)
-    model = HierarchicalModel(root=root, n_vars=u.shape[1])
+    model = HierarchicalModel(root=rec(spec, "root"), n_vars=u.shape[1])
     validate(model)
-    ll = loglik_from_logdensity(log_density)
+    ll = model_loglik(model, u, memo)
     k = model_n_params(model)
     n = u.shape[0]
     return FitReport(

@@ -8,19 +8,20 @@ and identity Kendall function).
 
 The joint density factorizes into the nesting density evaluated at the
 V-values times the product of all cluster densities. One bottom-up pass
-applies ``node_transform`` at every node and yields both the V columns
-and that product, so the density, the probability integral transform and
-the two-step fit (which runs the same step while it fits) share it. At an
-Archimedean node with its closed-form Kendall function, V and log c both
-come from one generator sum s = sum_i phi(u_i) (``archimedean_node_step``).
-A pass may take a memo, a dict from node path to the (V, summed log c) of
-the node's subtree: it runs only the nodes the memo lacks and adds them to
-it. The joint MLE hands each pass the entries whose subtree it did not
-change, so a pass re-runs only the nodes at and above a moved parameter.
+(``_post_order``) applies ``node_transform`` at every node and yields both
+the V columns and that product; the density, the probability integral
+transform and the two-step fit all run it. At an Archimedean node with its
+closed-form Kendall function, V and log c both come from one generator sum
+s = sum_i phi(u_i) (``archimedean_node_step``). A pass may take a memo, a
+dict from node path to the (V, summed log c) of the node's subtree: it
+runs only the nodes the memo lacks and adds them to it. The two-step fit
+fills one memo as it climbs; the joint MLE hands each pass the entries
+whose subtree it did not change.
 
-Simulation runs top-down by drawing nesting samples, mapping them to
-Kendall levels z = K^-1(v), and sampling each cluster on its level set
-(exactly for Archimedean clusters, by rejection otherwise).
+Simulation is one top-down walk from a sample of the root copula: each
+child's column goes through K^-1 to its Kendall level, the child is sampled
+on that level set (exactly for Archimedean clusters, by rejection
+otherwise), and the walk recurses.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .levelset import (
     sample_levelset_conditional_batch,
     sample_levelset_rejection_batch,
 )
-from .rngutil import as_rng
+from .rngutil import STREAM_KENDALL, as_rng, substream
 
 DEFAULT_KENDALL_MC = 100_000
 
@@ -127,7 +128,8 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
     """Kendall function for a copula: identity (d=1), closed form, or empirical.
 
     mode "auto" prefers the closed form; "closed_form" requires an
-    Archimedean kind; "empirical" always simulates (m values).
+    Archimedean kind; "empirical" always simulates (m values), by default
+    from a fixed stream of seed 0.
     """
     if copula.dim == 1:
         return identity_kendall()
@@ -135,7 +137,8 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
         raise ParameterError("closed-form Kendall function requires an Archimedean copula")
     if mode in ("auto", "closed_form") and is_archimedean_kind(copula):
         return closed_form_kendall(copula_generator(copula), copula.dim)
-    return empirical_kendall_build(copula, m, as_rng(rng))
+    return empirical_kendall_build(
+        copula, m, substream(0, STREAM_KENDALL) if rng is None else as_rng(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def model_n_params(model: HierarchicalModel) -> int:
 # the bottom-up pass: probability integral transform and density
 # ---------------------------------------------------------------------------
 
-def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
+def node_transform(node: Node, inputs: np.ndarray):
     """One bottom-up step on a node's N x dim input block (its data columns,
     or the stacked V columns of its children).
 
@@ -253,8 +256,6 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
     A size-1 node passes its input through with log c = 0. An Archimedean
     node whose Kendall function is the closed form of its own generator
     takes both from one generator sum (``archimedean_node_step``).
-    ``density=False`` is for callers that need v only (log c is then None
-    above size 1).
     """
     if inputs.shape[1] == 1:
         return inputs[:, 0], np.zeros(inputs.shape[0])
@@ -262,9 +263,8 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
     c, K = node.copula, node.kendall
     if (isinstance(c, ArchimedeanCopula) and K is not None and K.kind == "closed_form"
             and K.generator == c.generator):
-        v, log_c = archimedean_node_step(c.generator, inputs)
-        return v, (log_c if density else None)
-    log_c = copula_logpdf(c, inputs) if density else None
+        return archimedean_node_step(c.generator, inputs)
+    log_c = copula_logpdf(c, inputs)
     if K is None:
         return None, log_c
     return kendall_cdf(K, open_unit(copula_cdf(c, inputs))), log_c
@@ -273,8 +273,7 @@ def node_transform(node: Node, inputs: np.ndarray, density: bool = True):
 # module-level rather than a recursive closure: a closure that calls itself is
 # a reference cycle, which would keep each pass's arrays alive until the next
 # garbage collection (joint MLE runs one pass per likelihood evaluation)
-def _post_order(node: Node, rows: np.ndarray, density: bool, memo: dict | None = None,
-                path: str = "root"):
+def _post_order(node: Node, rows: np.ndarray, memo: dict | None = None, path: str = "root"):
     """(V, summed log c of the subtree) of ``node`` at ``path``. A ``memo``
     (node path -> that pair) supplies the pairs it holds and receives the
     ones computed, in post-order."""
@@ -283,27 +282,26 @@ def _post_order(node: Node, rows: np.ndarray, density: bool, memo: dict | None =
     if isinstance(node, LeafNode):
         inputs, below = rows[:, list(node.columns)], 0.0
     else:
-        vs, accs = zip(*(_post_order(ch, rows, density, memo, child_path(path, ch, i))
+        vs, accs = zip(*(_post_order(ch, rows, memo, child_path(path, ch, i))
                          for i, ch in enumerate(node.children)))
-        inputs = np.column_stack(vs)
-        below = np.sum(accs, axis=0) if density else None
-    v, log_c = node_transform(node, inputs, density)
-    out = v, (below + log_c if density else None)
+        inputs, below = np.column_stack(vs), np.sum(accs, axis=0)
+    v, log_c = node_transform(node, inputs)
+    out = v, below + log_c
     if memo is not None:
         memo[path] = out
     return out
 
 
 def _pit_levels(model: HierarchicalModel, rows: np.ndarray) -> list:
-    """The V matrices per depth from one post-order pass without densities,
+    """The V matrices per depth from one post-order pass below the root,
     leaves first; the last entry feeds the root. The pass fills its memo in
     post-order, which keeps each depth's nodes left to right."""
     memo = {}
-    _post_order(model.root, rows, False, memo)
+    for i, ch in enumerate(model.root.children):
+        _post_order(ch, rows, memo, child_path("root", ch, i))
     by_depth = defaultdict(list)
     for path, (v, _) in memo.items():
-        if path != "root":
-            by_depth[path.count("/")].append(v)
+        by_depth[path.count("/")].append(v)
     return [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
 
 
@@ -337,7 +335,7 @@ def model_logdensity(model: HierarchicalModel, u, memo: dict | None = None) -> n
     if rows.shape[1] != model.n_vars:
         raise ModelStructureError(
             [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
-    _, out = _post_order(model.root, rows, True, memo)
+    _, out = _post_order(model.root, rows, memo)
     return float(out[0]) if single else out
 
 
@@ -374,25 +372,26 @@ def model_is_exactly_samplable(model: HierarchicalModel) -> bool:
                for _, node, _ in iter_nodes(model) if node is not model.root)
 
 
-def _sample_node(node: Node, z_targets, rng, method, eps_rule, max_attempts,
+def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, max_attempts,
                  out: np.ndarray):
-    """Fill the columns of ``out`` under ``node`` given its level targets."""
-    dim = _node_dim(node)
-    if dim == 1:
-        block = np.asarray(z_targets, dtype=float)[:, None]
-    elif is_archimedean_kind(node.copula) and method == "exact":
-        block = sample_levelset_conditional_batch(
-            copula_generator(node.copula), dim, z_targets, rng)
-    else:
-        block, _ = sample_levelset_rejection_batch(
-            node.copula, z_targets, eps_rule, rng, max_attempts)
+    """Fill the columns of ``out`` under ``node`` given its copula sample
+    ``block``: each child's column goes through K^-1 to its Kendall level,
+    the child's copula is sampled on that level set, and the walk recurses."""
     if isinstance(node, LeafNode):
         out[:, list(node.columns)] = block
         return
     for i, ch in enumerate(node.children):
-        v = clamp_interior(block[:, i])
-        z_child = kendall_inverse(ch.kendall, v)
-        _sample_node(ch, z_child, rng, method, eps_rule, max_attempts, out)
+        z = kendall_inverse(ch.kendall, clamp_interior(block[:, i]))
+        dim = _node_dim(ch)
+        if dim == 1:
+            child_block = np.asarray(z, dtype=float)[:, None]
+        elif is_archimedean_kind(ch.copula) and method == "exact":
+            child_block = sample_levelset_conditional_batch(
+                copula_generator(ch.copula), dim, z, rng)
+        else:
+            child_block, _ = sample_levelset_rejection_batch(
+                ch.copula, z, eps_rule, rng, max_attempts)
+        _sample_node(ch, child_block, rng, method, eps_rule, max_attempts, out)
 
 
 def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
@@ -415,10 +414,8 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
     out = np.empty((n, model.n_vars))
     if n == 0:
         return out
-    v_root = copula_sample(model.root.copula, n, rng)
-    for i, ch in enumerate(model.root.children):
-        z_child = kendall_inverse(ch.kendall, clamp_interior(v_root[:, i]))
-        _sample_node(ch, z_child, rng, method, eps_rule, max_attempts, out)
+    _sample_node(model.root, copula_sample(model.root.copula, n, rng), rng, method,
+                 eps_rule, max_attempts, out)
     return out
 
 
@@ -440,7 +437,7 @@ def _companion_v(node: LeafNode, var: int, u_val: float, mc: int, rng):
         return np.full(mc, float(u_val))
     pos = node.columns.index(var)
     w = copula_sample_conditional(node.copula, pos, u_val, mc, rng)
-    return node_transform(node, w, density=False)[0]
+    return node_transform(node, w)[0]
 
 
 def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,

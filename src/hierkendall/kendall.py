@@ -39,6 +39,7 @@ _XTOL = 1e-12       # Newton stops once a step in log s is this small (relative)
 _MAX_ITER = 200     # bisection from the widest bracket needs about 60 steps
 _TINY = np.finfo(float).tiny
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+MIN_KENDALL_MC = 1000  # smallest Monte Carlo size of an empirical Kendall function
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +250,8 @@ def kendall_inverse(K: KendallFunction, p):
 
 def empirical_kendall_build(c, m: int, rng) -> KendallFunction:
     """Empirical Kendall function from m simulated Z = C(U) values of copula c."""
-    if m < 1000:
-        raise ParameterError("Monte Carlo size m must be >= 1000")
+    if m < MIN_KENDALL_MC:
+        raise ParameterError(f"Monte Carlo size m must be >= {MIN_KENDALL_MC}")
     from .copulas import copula_cdf, copula_sample
 
     u = copula_sample(c, m, rng)

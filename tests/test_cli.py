@@ -225,6 +225,39 @@ class TestFitCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+class TestInputRanges:
+    """Out-of-range input exits 2 with a message that names it."""
+
+    def test_fit_rejects_data_outside_the_unit_interval(self, fitted_world, capsys):
+        tmp, _, fit_cfg = fitted_world
+        data = np.random.default_rng(3).random((50, 4))
+        data[7, 2] = 1.5
+        data[9, 3] = np.nan
+        write_csv(str(tmp / "raw.csv"), ["A", "B", "C", "D"], data)
+        code = main(["fit", "--data", str(tmp / "raw.csv"), "--model", str(fit_cfg),
+                     "--out", str(tmp / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and "'C'" in err and "--raw" in err
+        assert not (tmp / "r.json").exists()
+
+    @pytest.mark.parametrize("point", ["3,0.4,0.6,0.7", "0.3,nan,0.6,0.7", "0.3,0.4,-0.1,0.7"])
+    def test_density_rejects_a_point_outside_the_unit_cube(self, fitted_world, capsys,
+                                                           point):
+        _, model, _ = fitted_world
+        code = main(["density", "--model", str(model), "--point", point])
+        bad = "ABCD"[next(j for j, x in enumerate(point.split(","))
+                          if not 0.0 <= float(x) <= 1.0)]
+        assert code == 2 and f"'{bad}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mc", ["0", "999"])
+    def test_kendall_mc_below_the_floor_is_refused(self, fitted_world, capsys, mc):
+        tmp, model, _ = fitted_world
+        code = main(["simulate", "--model", str(model), "--n", "10", "--kendall-mc", mc,
+                     "--out", str(tmp / "x.csv")])
+        assert code == 2 and "--kendall-mc" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
+
 class TestNumericExitCode:
     """Numeric failures exit 3, apart from input errors (exit 2)."""
 

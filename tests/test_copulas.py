@@ -261,31 +261,6 @@ class TestConditionalSampling:
         assert np.all(out[:, 0] == 0.25)
 
 
-class TestCdfWithError:
-    def test_deterministic_paths_report_zero(self):
-        from hierkendall.copulas import copula_cdf_with_error
-        val, se = copula_cdf_with_error(CLAYTON2, np.array([0.4, 0.7]))
-        assert se == 0.0
-        assert val == pytest.approx(copula_cdf(CLAYTON2, [0.4, 0.7]))
-
-    def test_high_dim_qmc_reports_error(self):
-        from hierkendall.copulas import copula_cdf_with_error
-        corr = np.full((5, 5), 0.4)
-        np.fill_diagonal(corr, 1.0)
-        c = GaussianCopula(corr)
-        u = np.array([0.3, 0.6, 0.5, 0.7, 0.4])
-        val, se = copula_cdf_with_error(c, u)
-        assert se > 0.0
-        # independent oracle: plain Monte Carlo with a large sample
-        rng = np.random.default_rng(123)
-        z = rng.standard_normal((400_000, 5)) @ np.linalg.cholesky(corr).T
-        from scipy.special import ndtri
-        mc = float(np.mean(np.all(z <= ndtri(u), axis=1)))
-        assert val == pytest.approx(mc, abs=0.005)
-        # bit-for-bit reproducible
-        assert copula_cdf_with_error(c, u) == (val, se)
-
-
 CORR3 = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])
 
 
@@ -368,6 +343,22 @@ class TestEllipticalPath:
         first = copula_cdf(c, u)
         assert np.array_equal(first, copula_cdf(c, u))
         assert first[0] == first[1]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_high_dim_fallback_matches_monte_carlo(self, kind):
+        corr = np.full((5, 5), 0.4)
+        np.fill_diagonal(corr, 1.0)
+        u = np.array([0.3, 0.6, 0.5, 0.7, 0.4])
+        # independent oracle: plain Monte Carlo of the box below the quantiles
+        rng = np.random.default_rng(123)
+        z = rng.standard_normal((400_000, 5)) @ np.linalg.cholesky(corr).T
+        if kind == "gaussian":
+            x = special.ndtri(u)
+        else:
+            z /= np.sqrt(rng.chisquare(5.0, 400_000) / 5.0)[:, None]
+            x = stats.t.ppf(u, 5.0)
+        mc = float(np.mean(np.all(z <= x, axis=1)))
+        assert copula_cdf(elliptical(kind, corr), u) == pytest.approx(mc, abs=0.005)
 
     @pytest.mark.parametrize("df", [2.5, 5.0, 6.0, 30.0])
     def test_t_special_functions_equal_stats_t(self, df):

@@ -1,3 +1,4 @@
+import json
 import math
 import weakref
 from collections import Counter, defaultdict
@@ -33,6 +34,7 @@ from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
 import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
+from hierkendall.modelconfig import config_to_spec, parse_model_config, report_document
 from hierkendall.rngutil import substream
 
 from oracles import grid_maximum, joint_loglik_nelder_mead, joint_mle_scipy_gradient
@@ -392,6 +394,36 @@ class TestOneBottomUpPass:
         ll = model_loglik(report.model, u)
         assert report.loglik_two_step == ll.value
         assert report.clamped_two_step == ll.n_clamped
+
+
+class TestKendallStreams:
+    def test_report_round_trip_rebuilds_every_kendall_function(self):
+        """A fit and the model built from its report draw each empirical
+        Kendall function from the same stream, so they agree bit for bit."""
+        header = [f"x{j}" for j in range(7)]
+        config = parse_model_config({"nodes": [
+            {"name": "g", "family": "gaussian", "columns": header[:2]},
+            {"name": "t", "family": "student_t", "columns": header[2:5]},
+            {"name": "c", "family": "clayton", "columns": header[5:]},
+            {"name": "nest", "family": "frank", "children": ["g", "t", "c"]},
+        ], "kendall_mc_size": 2000, "seed": 17})
+        corr = np.full((7, 7), 0.3)
+        np.fill_diagonal(corr, 1.0)
+        u = copula_sample(StudentTCopula(corr, 6.0), 300, np.random.default_rng(23))
+        report = fit_two_step(config_to_spec(config, header), u, FitOptions(
+            kendall_mc=config.kendall_mc_size, seed=config.seed))
+        doc = json.loads(json.dumps(report_document(report, "two-step", header, config)))
+        again = parse_model_config(doc)
+        rebuilt = build_model(config_to_spec(again, doc["columns"]), n_vars=7,
+                              kendall_mc=again.kendall_mc_size, seed=again.seed)
+        fitted = {path: node.kendall for path, node, _ in iter_nodes(report.model)}
+        for path, node, _ in iter_nodes(rebuilt):
+            if node.name in ("g", "t"):
+                assert node.kendall.kind == "empirical"
+            assert (node.kendall is None) == (fitted[path] is None), path
+            if node.kendall is not None:
+                assert node.kendall.kind == fitted[path].kind
+                assert np.array_equal(node.kendall.sorted_values, fitted[path].sorted_values)
 
 
 class TestJointMle:

@@ -424,6 +424,17 @@ class TestCrossClusterMargin:
         assert total == pytest.approx(1.0, abs=0.02)
 
 
+class TestDefaultKendall:
+    def test_identical_calls_build_equal_empirical_kendall_functions(self):
+        corr = np.array([[1, .5], [.5, 1.]])
+        a, b = (leaf("g", (0, 1), GaussianCopula(corr)).kendall for _ in range(2))
+        c, d = (inner("t", [], StudentTCopula(corr, 5.0), nested=True).kendall
+                for _ in range(2))
+        for first, second in ((a, b), (c, d)):
+            assert first.kind == "empirical"
+            assert np.array_equal(first.sorted_values, second.sorted_values)
+
+
 class TestParameterCounting:
     def test_dax_shaped_counts(self):
         # ten clusters of sizes 5,4,3,3,3,4,3,2,2,1 with a 10-dim nesting
