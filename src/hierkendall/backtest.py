@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DataError, ParameterError
-from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations
+from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
 from .hierarchical import HierarchicalModel, model_sample
 from .levelset import DEFAULT_EPSILON_RULE, DEFAULT_MAX_ATTEMPTS, EpsilonRule
 from .rngutil import STREAM_FORECAST, substream
@@ -82,8 +82,7 @@ def window_margins(window, kind: str = "empirical") -> list:
 # ---------------------------------------------------------------------------
 
 def forecast_var(model: HierarchicalModel, margins, weights, level: float,
-                 mc: int, rng, method: str = "auto",
-                 eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
+                 mc: int, rng, eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> float:
     """alpha-quantile (alpha = 1 - level) of the simulated portfolio return.
 
@@ -101,8 +100,7 @@ def forecast_var(model: HierarchicalModel, margins, weights, level: float,
         raise ParameterError("level must be in (0,1)")
     if mc < 1:
         raise ParameterError("mc must be >= 1")
-    u = model_sample(model, mc, rng, method=method, eps_rule=eps_rule,
-                     max_attempts=max_attempts)
+    u = model_sample(model, mc, rng, eps_rule=eps_rule, max_attempts=max_attempts)
     returns = np.zeros(mc)
     for j, margin in enumerate(margins):
         returns += weights[j] * margin.quantile(u[:, j])
@@ -221,7 +219,6 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
                      refit_every: int = 25, mc: int = 10_000,
                      margin_kind: str = "empirical", seed: int = 0,
                      fit_options: FitOptions | None = None,
-                     method: str = "auto",
                      eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
                      max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> BacktestReport:
     """Moving-window VaR backtest of a hierarchical Kendall copula model.
@@ -233,6 +230,7 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
     """
     data = np.asarray(data, dtype=float)
     t_total, n_vars = data.shape
+    require_finite(data)
     if window < 10:
         raise ParameterError("window too short")
     max_horizon = t_total - window
@@ -255,8 +253,7 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
         margins = window_margins(win, margin_kind)
         rng = substream(seed, STREAM_FORECAST, t)
         var_series[t] = forecast_var(model, margins, weights, level, mc, rng,
-                                     method=method, eps_rule=eps_rule,
-                                     max_attempts=max_attempts)
+                                     eps_rule=eps_rule, max_attempts=max_attempts)
         realized[t] = float(weights @ data[t + window])
         hits[t] = realized[t] < var_series[t]
     report = evaluate_hits(hits, level, window)

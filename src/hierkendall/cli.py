@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from .backtest import rolling_backtest
+from .backtest import MARGIN_KINDS, rolling_backtest
+from .copulas import clamp_interior
 from .errors import (
     ConfigError,
     DataError,
@@ -37,7 +38,7 @@ from .estimation import (
     simulation_study,
     study_csv_line,
 )
-from .generators import ArchimedeanGenerator, independence_generator
+from .generators import FAMILIES, ArchimedeanGenerator, independence_generator
 from .hierarchical import model_density, model_sample
 from .kendall import MIN_KENDALL_MC, closed_form_kendall, kendall_cdf
 from .levelset import DEFAULT_MAX_ATTEMPTS, EpsilonRule
@@ -105,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kendall-mc", type=int, default=None)
 
     p = sub.add_parser("kendall", help="tabulate a Kendall distribution function")
-    p.add_argument("--family", required=True,
-                   choices=("independence", "clayton", "gumbel", "frank"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--grid", type=int, default=99, help="number of grid points")
@@ -120,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--refit-every", type=int, default=25)
     p.add_argument("--mc", type=int, default=10_000)
-    p.add_argument("--margins", choices=("empirical", "normal", "student_t"),
-                   default="empirical")
+    p.add_argument("--margins", choices=tuple(MARGIN_KINDS), default="empirical")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--kendall-mc", type=int, default=None)
@@ -176,7 +175,7 @@ def cmd_fit(args) -> int:
     else:
         _require_unit_interval(header, data, "column",
                                "; pass --raw to rank-transform raw data")
-        u = np.clip(data, 1e-12, 1 - 1e-12)
+        u = clamp_interior(data)
     options = FitOptions(kendall_mode=args.kendall_mode,
                          kendall_mc=config.kendall_mc_size, seed=config.seed)
     report = fit_two_step(spec, u, options)
@@ -256,11 +255,11 @@ def cmd_backtest(args) -> int:
         "n_exceed": report.n_exceed,
         "expected_exceed": round((1.0 - args.level) * report.horizon, 4),
         "lr_uc": round(report.lr_uc, 6),
-        "lr_ind": _round_or_nan(report.lr_ind),
-        "lr_cc": _round_or_nan(report.lr_cc),
+        "lr_ind": round(report.lr_ind, 6),
+        "lr_cc": round(report.lr_cc, 6),
         "p_uc": round(report.p_uc, 4),
-        "p_ind": _round_or_nan(report.p_ind, 4),
-        "p_cc": _round_or_nan(report.p_cc, 4),
+        "p_ind": round(report.p_ind, 4),
+        "p_cc": round(report.p_cc, 4),
         "degenerate": report.degenerate,
         "var_series": [float(v) for v in report.var_series],
     }
@@ -277,15 +276,16 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-def _round_or_nan(x, digits: int = 6):
-    return None if x is None or not np.isfinite(x) else round(float(x), digits)
-
-
 def cmd_study(args) -> int:
     overrides = {}
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: study overrides must be a JSON object")
+        unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(StudyConfig)})
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown study settings {unknown}")
     if args.replications is not None:
         overrides["replications"] = args.replications
     if args.seed is not None:

@@ -529,17 +529,6 @@ def copula_sample(c: CopulaSpec, n: int, rng) -> np.ndarray:
     return special.stdtr(c.nu, z / np.sqrt(w)[:, None])
 
 
-def _condition_elliptical(c, index, value):
-    """Conditional location/scale data for one fixed coordinate."""
-    d = c.dim
-    rest = [i for i in range(d) if i != index]
-    sigma = c.corr
-    s12 = sigma[np.ix_(rest, [index])]
-    s22 = sigma[np.ix_(rest, rest)]
-    cond_cov = s22 - s12 @ s12.T
-    return rest, s12[:, 0], cond_cov
-
-
 def copula_sample_conditional(c: CopulaSpec, index: int, value: float,
                               n: int, rng) -> np.ndarray:
     """Sample n points of the copula with coordinate ``index`` fixed at ``value``.
@@ -568,20 +557,21 @@ def copula_sample_conditional(c: CopulaSpec, index: int, value: float,
             s = s + generator_value(g, np.clip(uj, INTERIOR_EPS, 1.0))
         out[:, rest] = np.column_stack(cols)
         return out
-    rest_idx, beta, cond_cov = _condition_elliptical(c, index, value)
-    chol = np.linalg.cholesky(cond_cov)
+    s12 = c.corr[np.ix_(rest, [index])]
+    beta = s12[:, 0]
+    chol = np.linalg.cholesky(c.corr[np.ix_(rest, rest)] - s12 @ s12.T)
     if isinstance(c, GaussianCopula):
         x0 = special.ndtri(value)
-        x = x0 * beta + rng.standard_normal((n, len(rest_idx))) @ chol.T
-        out[:, rest_idx] = special.ndtr(x)
+        x = x0 * beta + rng.standard_normal((n, len(rest))) @ chol.T
+        out[:, rest] = special.ndtr(x)
         return out
     nu = c.nu
     x0 = float(special.stdtrit(nu, value))
     scale = np.sqrt((nu + x0 * x0) / (nu + 1.0))
-    tvars = rng.standard_normal((n, len(rest_idx))) @ chol.T
+    tvars = rng.standard_normal((n, len(rest))) @ chol.T
     w = rng.chisquare(nu + 1.0, size=n) / (nu + 1.0)
     x = x0 * beta + scale * tvars / np.sqrt(w)[:, None]
-    out[:, rest_idx] = special.stdtr(nu, x)
+    out[:, rest] = special.stdtr(nu, x)
     return out
 
 

@@ -20,9 +20,9 @@ ancestor chain. A probe that fails leaves its gradient component at 0.
 Correlation matrices are never searched: they come from pairwise
 empirical Kendall's tau inversion rho = sin(pi tau / 2) followed by a
 nearest-positive-definite projection, and stay fixed during joint MLE.
-Elliptical *cluster* copulas carry Monte Carlo Kendall functions whose
-sampling error would contaminate a joint likelihood, so joint MLE refuses
-them unless explicitly forced to treat those clusters as frozen.
+Joint MLE moves only the nodes on a free parameter's ancestor chain;
+the rest, elliptical clusters among them, keep their two-step estimates.
+It refuses a Monte Carlo Kendall function on such a chain.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .copulas import (
     elliptical_tau_from_corr,
 )
 from .errors import ConfigError, DataError, EvaluationError, ParameterError
-from .generators import ArchimedeanGenerator, tau_from_theta, theta_from_tau
+from .generators import FAMILIES, ArchimedeanGenerator, tau_from_theta, theta_from_tau
 from .hierarchical import (
     DEFAULT_KENDALL_MC,
     HierarchicalModel,
@@ -67,9 +67,8 @@ from .hierarchical import _post_order as post_order
 from .kendall import KendallFunction
 from .rngutil import STREAM_KENDALL, STREAM_REPLICATION, substream
 
-ARCHIMEDEAN_FAMILIES = ("independence", "clayton", "gumbel", "frank")
 ELLIPTICAL_FAMILIES = ("gaussian", "student_t")
-ALL_FAMILIES = ARCHIMEDEAN_FAMILIES + ELLIPTICAL_FAMILIES
+ALL_FAMILIES = FAMILIES + ELLIPTICAL_FAMILIES
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +163,7 @@ def pseudo_observations(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("need a 2-d array with at least two rows")
+    require_finite(x)
     n = x.shape[0]
     out = np.empty_like(x)
     for j in range(x.shape[1]):
@@ -172,6 +172,14 @@ def pseudo_observations(x) -> np.ndarray:
             raise DataError(f"column {j} is constant; ranks are undefined")
         out[:, j] = stats.rankdata(col, method="average") / (n + 1.0)
     return out
+
+
+def require_finite(x: np.ndarray) -> None:
+    """Raise a DataError naming the first NaN or infinite cell of the 2-d ``x``."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(f"column {col} holds {x[row, col]} at row {row}; data must be finite")
 
 
 def empirical_tau_matrix(u) -> np.ndarray:
@@ -344,7 +352,6 @@ class FitOptions:
     # parameters (maxfun = joint_max_evals // (k + 1)); checked once per
     # iteration, so the last iteration's line search may run past it
     joint_max_evals: int = 5000
-    force_frozen_kendall: bool = False
 
 
 @dataclass
@@ -354,8 +361,6 @@ class FitReport:
     loglik_joint: float | None
     n_params: int
     n_obs: int
-    aic: float
-    bic: float
     clamped_two_step: int
     clamped_joint: int
     converged: bool
@@ -365,7 +370,16 @@ class FitReport:
     joint_node_evals: int = 0  # nodes the joint search ran, memo hits excluded
     joint_failed_probes: int = 0  # gradient probes that failed, each left at 0
 
-    def best_loglik(self) -> float:
+    @property
+    def aic(self) -> float:
+        return 2.0 * self.n_params - 2.0 * self._loglik
+
+    @property
+    def bic(self) -> float:
+        return self.n_params * math.log(self.n_obs) - 2.0 * self._loglik
+
+    @property
+    def _loglik(self) -> float:
         return self.loglik_two_step if self.loglik_joint is None else self.loglik_joint
 
 
@@ -429,12 +443,9 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
     model = HierarchicalModel(root=rec(spec, "root"), n_vars=u.shape[1])
     validate(model)
     ll = model_loglik(model, u, memo)
-    k = model_n_params(model)
-    n = u.shape[0]
     return FitReport(
         nodes=node_fits, loglik_two_step=ll.value, loglik_joint=None,
-        n_params=k, n_obs=n, aic=2.0 * k - 2.0 * ll.value,
-        bic=k * math.log(n) - 2.0 * ll.value, clamped_two_step=ll.n_clamped,
+        n_params=model_n_params(model), n_obs=u.shape[0], clamped_two_step=ll.n_clamped,
         clamped_joint=0, converged=all(nf.converged for nf in node_fits),
         joint_evals=0, model=model)
 
@@ -449,7 +460,7 @@ def _has_elliptical_cluster(spec: NodeSpec) -> bool:
 # joint maximum likelihood
 # ---------------------------------------------------------------------------
 
-def _collect_free_params(model: HierarchicalModel, force_frozen: bool):
+def _collect_free_params(model: HierarchicalModel):
     """Free parameters in preorder: (node path, family, eta bounds, eta at the
     model's value); the family "student_t" stands for the root's nu."""
     free = []
@@ -461,12 +472,6 @@ def _collect_free_params(model: HierarchicalModel, force_frozen: bool):
                          eta_from_theta(family, cop.generator.theta)))
         elif isinstance(cop, StudentTCopula) and depth == 0:
             free.append((path, "student_t", _ETA_BOUNDS["student_t"], eta_from_nu(cop.nu)))
-        elif isinstance(cop, (GaussianCopula, StudentTCopula)) and depth and not force_frozen:
-            raise ParameterError(
-                "joint MLE refuses elliptical cluster copulas: their Monte Carlo "
-                "Kendall functions make the likelihood noisy; pass "
-                "force_frozen_kendall=True to keep them fixed at the two-step "
-                "estimates")
     return free
 
 
@@ -509,13 +514,20 @@ class _JointObjective:
     without a free parameter, which thus run once per fit, and no node holds
     more than two entries. The step is scipy's: 1e-8, negated where it would
     pass the upper bound. A failed probe leaves its component at 0; a failed
-    base pass gives the penalty and a zero gradient.
+    base pass gives the penalty and a zero gradient. A chain with a Monte
+    Carlo Kendall function is refused: above a free parameter V would be a
+    step function of it, and a free node's rebuild takes the closed form.
     """
 
     def __init__(self, model: HierarchicalModel, free, u):
         self.model, self.free, self.u = model, free, u
         self.chains = [{p[:i] for i, ch in enumerate(p + "/") if ch == "/"} for p, *_ in free]
         self.moving = set().union(*self.chains)
+        stepped = [repr(path) for path, node, _ in iter_nodes(model) if path in self.moving
+                   and node.kendall is not None and node.kendall.kind == "empirical"]
+        if stepped:
+            raise ParameterError("joint MLE cannot move a parameter whose chain holds a "
+                                 f"Monte Carlo Kendall function: {', '.join(stepped)}")
         self.eta, self.memo = None, {}
         self.evals = self.node_evals = self.failed_probes = 0
 
@@ -556,18 +568,16 @@ class _JointObjective:
 def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> FitReport:
     """Joint MLE over all free dependence parameters from the two-step start:
     bounded L-BFGS-B on the eta transforms, inside the intervals of the
-    one-parameter fits, on ``_JointObjective``. The result never falls below
-    the two-step start.
+    one-parameter fits, on ``_JointObjective``, which names the nodes it
+    refuses. The result never falls below the two-step start.
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
-    free = _collect_free_params(report.model, options.force_frozen_kendall)
+    free = _collect_free_params(report.model)
     if not free:
-        out = dataclasses.replace(report, loglik_joint=report.loglik_two_step,
-                                  clamped_joint=report.clamped_two_step,
-                                  joint_status="no free parameters")
-        _finalize_ic(out)
-        return out
+        return dataclasses.replace(report, loglik_joint=report.loglik_two_step,
+                                   clamped_joint=report.clamped_two_step,
+                                   joint_status="no free parameters")
 
     eta0 = np.array([eta for *_, eta in free])
     objective = _JointObjective(report.model, free, u)
@@ -579,25 +589,17 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
     ll, final = objective.base(res.x if res.fun <= -report.loglik_two_step else eta0)
     if ll is None:
         raise EvaluationError("joint MLE: no finite log-likelihood at the two-step estimates")
-    out = dataclasses.replace(
+    return dataclasses.replace(
         report, nodes=_refresh_node_fits(report.nodes, final), loglik_joint=ll.value,
         clamped_joint=ll.n_clamped, converged=report.converged and bool(res.success),
         joint_evals=evals, joint_status=str(res.message), joint_node_evals=objective.node_evals,
         joint_failed_probes=objective.failed_probes, model=final)
-    _finalize_ic(out)
-    return out
 
 
 def _refresh_node_fits(node_fits, model) -> list:
     by_name = {node.name: node for _, node, _ in iter_nodes(model)}
     return [dataclasses.replace(nf, params=copula_params(by_name[nf.name].copula))
             for nf in node_fits]
-
-
-def _finalize_ic(report: FitReport) -> None:
-    ll = report.best_loglik()
-    report.aic = 2.0 * report.n_params - 2.0 * ll
-    report.bic = report.n_params * math.log(report.n_obs) - 2.0 * ll
 
 
 # ---------------------------------------------------------------------------

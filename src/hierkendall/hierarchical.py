@@ -165,10 +165,9 @@ def _node_dim(node: Node) -> int:
     return len(node.columns) if isinstance(node, LeafNode) else len(node.children)
 
 
-def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
+def validate_model(model: HierarchicalModel) -> list:
     """Check all structural invariants; returns a list of problems (empty = ok)."""
     problems = []
-    n_vars = model.n_vars if n_vars is None else n_vars
     if not isinstance(model.root, InnerNode):
         return ["root must be an inner node carrying the nesting copula"]
     seen_names = set()
@@ -192,8 +191,8 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
                 if c in covered:
                     problems.append(
                         f"{path}: variable {c} overlaps with cluster {covered[c]!r}")
-                elif not 0 <= c < n_vars:
-                    problems.append(f"{path}: variable {c} outside 0..{n_vars - 1}")
+                elif not 0 <= c < model.n_vars:
+                    problems.append(f"{path}: variable {c} outside 0..{model.n_vars - 1}")
                 covered[c] = node.name
         if node is not model.root:
             per_depth[depth] += 1
@@ -203,7 +202,7 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
                 problems.append(
                     f"{path}: Kendall dimension {node.kendall.dim} != copula "
                     f"dimension {node.copula.dim}")
-    missing = sorted(set(range(n_vars)) - set(covered))
+    missing = sorted(set(range(model.n_vars)) - set(covered))
     if missing:
         problems.append(f"root: variables {missing} not covered by any cluster")
     if len(leaf_depths) > 1:
@@ -220,8 +219,8 @@ def validate_model(model: HierarchicalModel, n_vars: int | None = None) -> list:
     return problems
 
 
-def validate(model: HierarchicalModel, n_vars: int | None = None) -> None:
-    problems = validate_model(model, n_vars)
+def validate(model: HierarchicalModel) -> None:
+    problems = validate_model(model)
     if problems:
         raise ModelStructureError(problems)
 

@@ -37,11 +37,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .estimation import FitReport, NodeSpec
-from .levelset import EpsilonRule
+from .hierarchical import DEFAULT_KENDALL_MC
+from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
 
 REPORT_FORMAT = "hierkendall-report/1"
-
-DEFAULT_KENDALL_MC_SIZE = 100_000
 
 
 @dataclass
@@ -129,15 +128,15 @@ def parse_model_config(doc: dict) -> ModelConfig:
                 raise ConfigError(
                     f"column {col!r} appears in more than one cluster")
             columns.append(col)
-    eps_doc = doc.get("epsilon_rule", {"mode": "rel", "value": 0.01})
+    eps_doc = doc.get("epsilon_rule", {})
     try:
-        eps = EpsilonRule(str(eps_doc.get("mode", "rel")),
-                          float(eps_doc.get("value", 0.01)))
+        eps = EpsilonRule(str(eps_doc.get("mode", DEFAULT_EPSILON_RULE.mode)),
+                          float(eps_doc.get("value", DEFAULT_EPSILON_RULE.value)))
     except Exception as exc:
         raise ConfigError(f"bad epsilon_rule: {exc}") from exc
     return ModelConfig(
         nodes=nodes, root_name=root, column_names=columns,
-        kendall_mc_size=int(doc.get("kendall_mc_size", DEFAULT_KENDALL_MC_SIZE)),
+        kendall_mc_size=int(doc.get("kendall_mc_size", DEFAULT_KENDALL_MC)),
         epsilon_rule=eps, seed=int(doc.get("seed", 0)))
 
 
@@ -151,15 +150,12 @@ def _node_params(node: dict) -> dict | None:
     return params or None
 
 
-def config_to_spec(config: ModelConfig, header: list | None = None) -> NodeSpec:
+def config_to_spec(config: ModelConfig, header: list) -> NodeSpec:
     """Resolve column names to indices and build the NodeSpec tree.
 
-    With a data header, columns map to header positions and every header
-    column must belong to some cluster; without one, the config's own
-    column order defines the indices.
+    Columns map to ``header`` positions, and every header column must
+    belong to some cluster.
     """
-    if header is None:
-        header = config.column_names
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in config.column_names if c not in index]
     if missing:

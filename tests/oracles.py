@@ -250,7 +250,7 @@ def joint_mle_scipy_gradient(report, u, max_evals=5000):
     from hierkendall.hierarchical import model_loglik
 
     model = report.model
-    free = _collect_free_params(model, False)
+    free = _collect_free_params(model)
 
     def neg_ll(eta):
         try:

@@ -197,6 +197,26 @@ class TestFitCommand:
         header, data = read_csv(str(out))
         assert data.shape == (50, 4)
 
+    def test_joint_fit_keeps_an_elliptical_cluster(self, fitted_world, tmp_path):
+        tmp, model, _ = fitted_world
+        sim, report = tmp / "sim.csv", tmp / "report.json"
+        main(["simulate", "--model", str(model), "--n", "300", "--seed", "5",
+              "--out", str(sim)])
+        config = {
+            "nodes": [
+                {"name": "c1", "family": "gaussian", "columns": ["A", "B"]},
+                {"name": "c2", "family": "clayton", "columns": ["C", "D"]},
+                {"name": "nest", "family": "frank", "children": ["c1", "c2"]},
+            ],
+            "kendall_mc_size": 10000,
+        }
+        cfg = tmp_path / "ell.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["fit", "--data", str(sim), "--model", str(cfg),
+                     "--method", "mle", "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["loglik_joint"] >= doc["loglik_two_step"]
+
     def test_missing_column_is_input_error(self, fitted_world, tmp_path, capsys):
         tmp, model, _ = fitted_world
         sim = tmp / "sim.csv"
@@ -238,6 +258,21 @@ class TestInputRanges:
                      "--out", str(tmp / "r.json")])
         err = capsys.readouterr().err
         assert code == 2 and "'C'" in err and "--raw" in err
+        assert not (tmp / "r.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--raw"],
+        ["backtest", "--window", "100", "--horizon", "5", "--mc", "1000"]])
+    def test_raw_data_with_a_non_finite_cell_is_refused(self, fitted_world, capsys,
+                                                         command):
+        tmp, _, fit_cfg = fitted_world
+        data = np.random.default_rng(3).normal(size=(200, 4))
+        data[17, 1] = np.nan
+        write_csv(str(tmp / "raw.csv"), ["A", "B", "C", "D"], data)
+        code = main([*command, "--data", str(tmp / "raw.csv"), "--model", str(fit_cfg),
+                     "--out", str(tmp / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and "column 1" in err and "row 17" in err
         assert not (tmp / "r.json").exists()
 
     @pytest.mark.parametrize("point", ["3,0.4,0.6,0.7", "0.3,nan,0.6,0.7", "0.3,0.4,-0.1,0.7"])
@@ -367,6 +402,16 @@ class TestStudyCommand:
         assert [r["fail_reason"] for r in rows] == [
             "", "2x ParameterError: unknown study method 'no_such_method'"]
         assert rows[1]["n_fail"] == "2"
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"replications": 1, "bogus": 1}, "['bogus']"), ([0.4], "JSON object")],
+        ids=["unknown-key", "not-an-object"])
+    def test_bad_overrides_are_input_errors(self, tmp_path, capsys, overrides, named):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(overrides))
+        code = main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")])
+        assert code == 2 and named in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestJsonReports:

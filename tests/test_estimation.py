@@ -457,17 +457,52 @@ class TestJointMle:
         assert joint.loglik_joint == 0.0
         assert joint.joint_evals == 0
 
-    def test_refuses_elliptical_clusters(self):
+    def test_elliptical_cluster_keeps_its_two_step_fit(self):
         spec = NodeSpec("nest", "frank", children=(
             NodeSpec("c1", "gaussian", columns=(0, 1)),
             NodeSpec("c2", "gumbel", columns=(2, 3)),
         ))
         u = np.random.default_rng(18).random((300, 4))
         base = fit_two_step(spec, u, FitOptions(kendall_mc=10_000))
-        with pytest.raises(ParameterError):
+        joint = fit_joint_mle(base, u)
+        assert joint.converged and joint.joint_evals > 0
+        assert joint.loglik_joint >= base.loglik_two_step - 1e-9 * max(
+            1.0, abs(base.loglik_two_step))
+        assert joint.nodes[0] == base.nodes[0]  # c1: corr and Kendall function kept
+
+    @staticmethod
+    def _refused(tree, n_vars, n):
+        """Fit ``tree`` with empirical Kendall functions to a sample of it and
+        return the joint fit's refusal."""
+        u = model_sample(build_model(tree(True), n_vars), n, np.random.default_rng(5),
+                         method="exact")
+        base = fit_two_step(tree(False), u, FitOptions(kendall_mode="empirical",
+                                                       kendall_mc=2000))
+        with pytest.raises(ParameterError) as err:
             fit_joint_mle(base, u)
-        forced = fit_joint_mle(base, u, FitOptions(force_frozen_kendall=True))
-        assert forced.loglik_joint is not None
+        return str(err.value)
+
+    def test_refuses_monte_carlo_kendall_above_a_free_parameter(self):
+        def tree(with_params):
+            def node(name, family, tau, **kw):
+                return NodeSpec(name, family, params={"tau": tau} if with_params and tau
+                                else None, **kw)
+            return node("root", "frank", 0.3, children=(
+                node("mid", "independence", None, children=(
+                    node("a", "clayton", 0.5, columns=(0, 1)),
+                    node("b", "gumbel", 0.4, columns=(2, 3)))),
+                node("cn", "clayton", 0.3, children=(
+                    node("c", "clayton", 0.4, columns=(4, 5)),
+                    node("d", "frank", 0.5, columns=(6, 7))))))
+        assert "'root/mid'" in self._refused(tree, 8, 800)
+
+    def test_refuses_monte_carlo_kendall_on_a_free_node(self):
+        def tree(with_params):
+            p = {"tau": 0.4} if with_params else None
+            return NodeSpec("root", "frank", params=p, children=(
+                NodeSpec("c3", "clayton", columns=(0, 1, 2), params=p),
+                NodeSpec("g2", "gumbel", columns=(3, 4), params=p)))
+        assert "'root/c3'" in self._refused(tree, 5, 600)
 
     def test_frozen_subtree_evaluated_once_per_fit(self, monkeypatch):
         spec = NodeSpec("nest", "frank", children=(
@@ -476,8 +511,7 @@ class TestJointMle:
         ))
         u = pseudo_observations(np.random.default_rng(23).normal(size=(250, 5))
                                 @ np.triu(np.full((5, 5), 0.5)))
-        options = FitOptions(kendall_mc=1000, force_frozen_kendall=True,
-                             joint_max_evals=60)
+        options = FitOptions(kendall_mc=1000, joint_max_evals=60)
         base = fit_two_step(spec, u, options)
         gauss = next(node.copula for _, node, _ in iter_nodes(base.model) if node.name == "g")
         calls = []
@@ -533,7 +567,7 @@ def _two_step_on_sample(spec, n_vars, n, seed):
 
 def _joint_objective(spec, n_vars, n, seed):
     base, u = _two_step_on_sample(spec, n_vars, n, seed)
-    free = estimation._collect_free_params(base.model, False)
+    free = estimation._collect_free_params(base.model)
     return estimation._JointObjective(base.model, free, u), base, free, u
 
 
