@@ -63,11 +63,10 @@ from .kendall import (
 )
 from .levelset import (
     EpsilonRule,
-    LevelSetSample,
     conditional_levelset_cdf,
-    sample_levelset_conditional,
-    sample_levelset_projected,
-    sample_levelset_rejection,
+    sample_levelset_conditional_batch,
+    sample_levelset_projected_batch,
+    sample_levelset_rejection_batch,
 )
 from .backtest import (
     BacktestReport,

@@ -112,6 +112,7 @@ def forecast_var(model: HierarchicalModel, margins, weights, level: float,
 # ---------------------------------------------------------------------------
 
 def _xlogy(x, y):
+    """x log y with 0 log y = 0, so a zero count never takes the log of 0."""
     return 0.0 if x == 0 else x * math.log(y)
 
 
@@ -130,7 +131,7 @@ def kupiec_uc(hits, alpha: float):
     x = int(hits.sum())
     phat = x / t
     ll0 = _xlogy(t - x, 1.0 - alpha) + _xlogy(x, alpha)
-    ll1 = _xlogy(t - x, 1.0 - phat if x < t else 1.0) + _xlogy(x, phat if x > 0 else 1.0)
+    ll1 = _xlogy(t - x, 1.0 - phat) + _xlogy(x, phat)
     lr = max(-2.0 * (ll0 - ll1), 0.0) + 0.0
     return lr, float(stats.chi2.sf(lr, df=1))
 
@@ -167,12 +168,9 @@ def christoffersen_tests(hits, alpha: float) -> IndependenceCoverage:
     pi01 = n01 / (n00 + n01) if n00 + n01 > 0 else 0.0
     pi11 = n11 / (n10 + n11) if n10 + n11 > 0 else 0.0
     pi = (n01 + n11) / (t - 1)
-    ll_markov = (_xlogy(n00, 1.0 - pi01 if pi01 < 1 else 1.0)
-                 + _xlogy(n01, pi01 if pi01 > 0 else 1.0)
-                 + _xlogy(n10, 1.0 - pi11 if pi11 < 1 else 1.0)
-                 + _xlogy(n11, pi11 if pi11 > 0 else 1.0))
-    ll_iid = (_xlogy(n00 + n10, 1.0 - pi if pi < 1 else 1.0)
-              + _xlogy(n01 + n11, pi if pi > 0 else 1.0))
+    ll_markov = (_xlogy(n00, 1.0 - pi01) + _xlogy(n01, pi01)
+                 + _xlogy(n10, 1.0 - pi11) + _xlogy(n11, pi11))
+    ll_iid = _xlogy(n00 + n10, 1.0 - pi) + _xlogy(n01 + n11, pi)
     lr_ind = max(-2.0 * (ll_iid - ll_markov), 0.0)
     lr_cc = lr_uc + lr_ind
     return IndependenceCoverage(

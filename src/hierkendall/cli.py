@@ -277,24 +277,19 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_study(args) -> int:
+    settings = {f.name for f in dataclasses.fields(StudyConfig)}
     overrides = {}
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: study overrides must be a JSON object")
-        unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(StudyConfig)})
+        unknown = sorted(set(overrides) - settings)
         if unknown:
             raise ConfigError(f"{args.config}: unknown study settings {unknown}")
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    for key in ("cluster_families", "cluster_taus", "nesting_taus",
-                "sample_sizes", "methods"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
-    config = dataclasses.replace(StudyConfig(), **overrides)
+    # a flag named after a setting overrides the file; StudyConfig checks the values
+    overrides.update((k, v) for k, v in vars(args).items() if k in settings and v is not None)
+    config = StudyConfig(**overrides)
     rows = simulation_study(config, workers=max(1, args.threads))
     lines = [STUDY_CSV_HEADER] + [study_csv_line(r) for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from .hierarchical import (
     validate,
 )
 from .hierarchical import _post_order as post_order
-from .kendall import KendallFunction
+from .kendall import MIN_KENDALL_MC, KendallFunction
 from .rngutil import STREAM_KENDALL, STREAM_REPLICATION, substream
 
 ELLIPTICAL_FAMILIES = ("gaussian", "student_t")
@@ -413,10 +414,6 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
-    if options.kendall_mode == "closed_form" and _has_elliptical_cluster(spec):
-        raise ParameterError(
-            "closed-form Kendall functions require Archimedean clusters; "
-            "use kendall_mode='empirical' or 'auto'")
     counter = itertools.count()
     node_fits: list[NodeFit] = []
     memo = {}
@@ -448,12 +445,6 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
         n_params=model_n_params(model), n_obs=u.shape[0], clamped_two_step=ll.n_clamped,
         clamped_joint=0, converged=all(nf.converged for nf in node_fits),
         joint_evals=0, model=model)
-
-
-def _has_elliptical_cluster(spec: NodeSpec) -> bool:
-    if spec.columns is not None:
-        return spec.family in ELLIPTICAL_FAMILIES and spec.dim > 1
-    return any(_has_elliptical_cluster(ch) for ch in spec.children)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +610,36 @@ class StudyConfig:
     # magnitude below the estimation noise at these sample sizes
     kendall_mc: int = 25_000
     seed: int = 20240
+
+    def __post_init__(self):
+        """Check each field against the type of its default, element by
+        element for the tuple fields, which also take lists and keep them as
+        tuples. A bad field raises ``ConfigError`` naming it."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"study setting {f.name!r} must be a list, "
+                                      f"got {value!r}")
+                items, kind = tuple(value), type(f.default[0])
+                object.__setattr__(self, f.name, items)
+            else:
+                items, kind = (value,), type(f.default)
+            want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+            for item in items:
+                if isinstance(item, bool) or not isinstance(item, want):
+                    raise ConfigError(f"study setting {f.name!r} takes {kind.__name__} "
+                                      f"values, got {item!r}")
+        for name, ok, need in (
+                ("cluster_taus", len(self.cluster_taus) == len(self.cluster_families),
+                 "have one value per cluster family"),
+                ("replications", self.replications >= 1, "be positive"),
+                ("sample_sizes", all(n >= 1 for n in self.sample_sizes), "be positive"),
+                ("kendall_mc", self.kendall_mc >= MIN_KENDALL_MC,
+                 f"be at least {MIN_KENDALL_MC}")):
+            if not ok:
+                raise ConfigError(f"study setting {name!r} must {need}, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass

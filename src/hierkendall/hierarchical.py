@@ -129,12 +129,16 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
 
     mode "auto" prefers the closed form; "closed_form" requires an
     Archimedean kind; "empirical" always simulates (m values), by default
-    from a fixed stream of seed 0.
+    from a fixed stream of seed 0. Any other mode is a ``ParameterError``.
     """
+    modes = ("auto", "closed_form", "empirical")
+    if mode not in modes:
+        raise ParameterError(f"unknown Kendall mode {mode!r}; use one of {modes}")
     if copula.dim == 1:
         return identity_kendall()
     if mode == "closed_form" and not is_archimedean_kind(copula):
-        raise ParameterError("closed-form Kendall function requires an Archimedean copula")
+        raise ParameterError("closed-form Kendall function requires an Archimedean "
+                             "copula; use mode 'auto' or 'empirical'")
     if mode in ("auto", "closed_form") and is_archimedean_kind(copula):
         return closed_form_kendall(copula_generator(copula), copula.dim)
     return empirical_kendall_build(

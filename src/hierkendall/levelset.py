@@ -1,21 +1,26 @@
 """Sampling from a copula restricted to a level set C(u) = z.
 
-Three methods:
+Each method fills one row per entry of a vector of levels z:
 
-* ``sample_levelset_conditional`` -- exact conditional-inverse sampling
-  for Archimedean copulas. The conditional CDF of coordinate j given the
-  previous ones and the level is
-  ``(1 - phi(u) / (phi(z) - sum_{i<j} phi(u_i)))^(d-j)``, which inverts in
-  closed form.
-* ``sample_levelset_projected`` -- exact sampling through the simplex
-  representation: u_j = phi^-1(s_j * phi(z)) with (s_1, ..., s_d) uniform
-  on the unit simplex. Distributionally identical to the conditional
-  method.
-* ``sample_levelset_rejection`` -- approximate sampling for arbitrary
-  copulas: draw unconditionally, accept when |C(u) - z| < eps. The
-  absolute error of an accepted sample is bounded by eps and the relative
-  error by eps/z; the relative rule eps(z) = eps0 * z therefore caps the
-  relative error at eps0.
+* ``sample_levelset_conditional_batch`` -- exact conditional-inverse
+  sampling for Archimedean copulas. The conditional CDF of coordinate j
+  given the previous ones and the level is
+  ``(1 - phi(u) / (phi(z) - sum_{i<j} phi(u_i)))^(d-j)``
+  (``conditional_levelset_cdf``), which inverts in closed form.
+* ``sample_levelset_projected_batch`` -- exact sampling through the
+  simplex representation: u_j = phi^-1(s_j * phi(z)) with
+  (s_1, ..., s_d) uniform on the unit simplex. Distributionally identical
+  to the conditional method.
+* ``sample_levelset_rejection_batch`` -- approximate sampling for
+  arbitrary copulas: draw unconditionally and assign a candidate to a
+  pending level when |C(u) - z| < eps(z). The absolute error of an
+  accepted sample is bounded by eps and the relative error by eps/z; the
+  relative rule eps(z) = eps0 * z therefore caps the relative error at
+  eps0. A batch that leaves levels unfilled after ``max_attempts``
+  candidates raises ``RejectionCapError``: widen eps or reduce the
+  dimension.
+
+A single level is a one-element batch.
 """
 
 from __future__ import annotations
@@ -57,15 +62,6 @@ class EpsilonRule:
 
 
 DEFAULT_EPSILON_RULE = EpsilonRule("rel", 0.01)
-
-
-@dataclass(frozen=True)
-class LevelSetSample:
-    u: np.ndarray
-    z_target: float
-    z_achieved: float
-    method: str  # "conditional_inverse" | "projected" | "rejection"
-    attempts: int = 1
 
 
 def _check_z(z):
@@ -120,15 +116,6 @@ def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
     return out
 
 
-def sample_levelset_conditional(g: ArchimedeanGenerator, d: int, z: float,
-                                rng) -> LevelSetSample:
-    """Exact level-set sample via the conditional inverse method."""
-    u = sample_levelset_conditional_batch(g, d, float(z), rng)[0]
-    z_achieved = float(generator_inverse(g, np.sum(generator_value(g, u))))
-    return LevelSetSample(u=u, z_target=float(z), z_achieved=z_achieved,
-                          method="conditional_inverse")
-
-
 def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
                                     rng) -> np.ndarray:
     """Vectorized projected-distribution sampling: u_j = phi^-1(s_j phi(z))."""
@@ -140,30 +127,6 @@ def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
     e = rng.standard_exponential((n, d))
     s = e / e.sum(axis=1, keepdims=True)  # uniform on the unit simplex
     return generator_inverse(g, s * generator_value(g, z)[:, None])
-
-
-def sample_levelset_projected(g: ArchimedeanGenerator, d: int, z: float,
-                              rng) -> LevelSetSample:
-    """Exact level-set sample via the simplex (projected) representation."""
-    u = sample_levelset_projected_batch(g, d, float(z), rng)[0]
-    z_achieved = float(generator_inverse(g, np.sum(generator_value(g, u))))
-    return LevelSetSample(u=u, z_target=float(z), z_achieved=z_achieved,
-                          method="projected")
-
-
-def sample_levelset_rejection(c: CopulaSpec, z: float, eps: EpsilonRule, rng,
-                              max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> LevelSetSample:
-    """Approximate level-set sample for an arbitrary copula.
-
-    ``sample_levelset_rejection_batch`` with the single target z: accepts
-    the first candidate with |C(u) - z| < eps(z) and raises
-    ``RejectionCapError`` after ``max_attempts`` candidates; the caller
-    should widen eps or reduce the dimension.
-    """
-    z = float(z)
-    u, attempts = sample_levelset_rejection_batch(c, z, eps, rng, max_attempts)
-    return LevelSetSample(u=u[0], z_target=z, z_achieved=float(copula_cdf(c, u)[0]),
-                          method="rejection", attempts=attempts)
 
 
 def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, rng,

@@ -30,11 +30,9 @@ from hierkendall.hierarchical import model_density, model_sample
 from hierkendall.kendall import closed_form_kendall, empirical_kendall_build, kendall_cdf
 from hierkendall.levelset import (
     EpsilonRule,
-    sample_levelset_conditional,
     sample_levelset_conditional_batch,
-    sample_levelset_projected,
     sample_levelset_projected_batch,
-    sample_levelset_rejection,
+    sample_levelset_rejection_batch,
 )
 from hierkendall.rngutil import substream
 
@@ -54,9 +52,10 @@ def test_criterion_1_levelset_exactness():
         g = theta_from_tau(fam, float(rng.uniform(0.05, 0.9)))
         d = int(rng.integers(2, 6))
         z = float(rng.uniform(0.01, 0.99))
-        sampler = sample_levelset_conditional if i % 2 == 0 else sample_levelset_projected
-        s = sampler(g, d, z, rng)
-        err = abs(copula_cdf(ArchimedeanCopula(g, d), s.u) - z)
+        sampler = (sample_levelset_conditional_batch if i % 2 == 0
+                   else sample_levelset_projected_batch)
+        u = sampler(g, d, [z], rng)[0]
+        err = abs(copula_cdf(ArchimedeanCopula(g, d), u) - z)
         worst = max(worst, err)
     elapsed = time.time() - t0
     conclude(1, "level-set exactness", worst < 1e-9 and elapsed < 60,
@@ -115,10 +114,8 @@ def test_criterion_4_rejection_band():
     rule = EpsilonRule("rel", 0.01)
     z = 0.2
     rng = substream(1004, 0)
-    max_rel = 0.0
-    for _ in range(1000):
-        s = sample_levelset_rejection(c, z, rule, rng)
-        max_rel = max(max_rel, abs(s.z_achieved - z) / z)
+    u, _ = sample_levelset_rejection_batch(c, np.full(1000, z), rule, rng)
+    max_rel = float(np.max(np.abs(copula_cdf(c, u) - z))) / z
     elapsed = time.time() - t0
     conclude(4, "rejection sampling error bound", max_rel <= 0.01 and elapsed < 60,
              f"max relative error = {max_rel:.4f} over 1000 accepted, {elapsed:.1f}s")

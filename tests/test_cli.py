@@ -404,8 +404,11 @@ class TestStudyCommand:
         assert rows[1]["n_fail"] == "2"
 
     @pytest.mark.parametrize("overrides, named", [
-        ({"replications": 1, "bogus": 1}, "['bogus']"), ([0.4], "JSON object")],
-        ids=["unknown-key", "not-an-object"])
+        ({"replications": 1, "bogus": 1}, "['bogus']"), ([0.4], "JSON object"),
+        ({"replications": "two"}, "'replications'"), ({"nesting_taus": 0.4}, "'nesting_taus'"),
+        ({"cluster_taus": [0.4]}, "'cluster_taus'")],
+        ids=["unknown-key", "not-an-object", "string-count", "number-for-list",
+             "short-taus"])
     def test_bad_overrides_are_input_errors(self, tmp_path, capsys, overrides, named):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(overrides))

@@ -14,7 +14,13 @@ from hierkendall.copulas import (
     copula_logpdf,
     copula_sample,
 )
-from hierkendall.errors import DataError, EvaluationError, HierKendallError, ParameterError
+from hierkendall.errors import (
+    ConfigError,
+    DataError,
+    EvaluationError,
+    HierKendallError,
+    ParameterError,
+)
 from hierkendall.estimation import (
     FitOptions,
     NodeSpec,
@@ -292,6 +298,13 @@ class TestTwoStep:
         u = np.random.default_rng(9).random((200, 4))
         with pytest.raises(ParameterError):
             fit_two_step(spec, u, FitOptions(kendall_mode="closed_form"))
+
+    def test_unknown_kendall_mode_is_refused(self):
+        u = np.random.default_rng(9).random((200, 4))
+        with pytest.raises(ParameterError, match="'closedform'"):
+            fit_two_step(two_cluster_spec(False), u, FitOptions(kendall_mode="closedform"))
+        with pytest.raises(ParameterError, match="'bogus'"):
+            build_model(two_cluster_spec(), 4, kendall_mode="bogus")
 
     def test_independence_families_loglik_zero(self):
         spec = NodeSpec("nest", "independence", children=(
@@ -717,10 +730,27 @@ class TestAicBic:
 
 
 class TestStudy:
-    def test_zero_replications_isnt_fatal(self):
-        rows = simulation_study(StudyConfig(replications=0, nesting_taus=(0.4,),
-                                            sample_sizes=(250,)))
-        assert all(r.n_ok == 0 for r in rows)
+    @pytest.mark.parametrize("settings, named", [
+        ({"replications": 0}, "'replications'"),
+        ({"kendall_mc": 10}, "'kendall_mc'"),
+        ({"sample_sizes": [250, 0]}, "'sample_sizes'"),
+        ({"cluster_taus": (0.4,)}, "'cluster_taus'"),
+        ({"replications": 2.0}, "'replications'"),
+        ({"seed": True}, "'seed'"),
+        ({"methods": "joint_mle"}, "'methods'"),
+        ({"cluster_families": ("clayton", 1)}, "'cluster_families'"),
+    ], ids=["zero-replications", "small-kendall-mc", "zero-size", "short-taus",
+            "float-count", "bool-seed", "string-for-list", "number-for-name"])
+    def test_bad_settings_are_config_errors(self, settings, named):
+        with pytest.raises(ConfigError, match=named):
+            StudyConfig(**settings)
+
+    def test_lists_become_tuples(self):
+        config = StudyConfig(nesting_taus=[0.4], sample_sizes=[250], methods=["joint_mle"])
+        assert config == StudyConfig(nesting_taus=(0.4,), sample_sizes=(250,),
+                                     methods=("joint_mle",))
+        assert isinstance(config.nesting_taus, tuple)
+        assert StudyConfig(nesting_taus=[0]).nesting_taus == (0,)  # an int is a tau
 
     def test_small_study_runs_all_methods(self):
         rows = simulation_study(StudyConfig(

@@ -19,11 +19,8 @@ from hierkendall.levelset import (
     DEFAULT_MAX_ATTEMPTS,
     EpsilonRule,
     conditional_levelset_cdf,
-    sample_levelset_conditional,
     sample_levelset_conditional_batch,
-    sample_levelset_projected,
     sample_levelset_projected_batch,
-    sample_levelset_rejection,
     sample_levelset_rejection_batch,
 )
 
@@ -104,10 +101,9 @@ class TestConditionalSampler:
             g = theta_from_tau(fam, rng.uniform(0.05, 0.9))
             d = int(rng.integers(2, 6))
             z = rng.uniform(0.01, 0.99)
-            s = sample_levelset_conditional(g, d, z, rng)
-            achieved = copula_cdf(ArchimedeanCopula(g, d), s.u)
+            u = sample_levelset_conditional_batch(g, d, [z], rng)[0]
+            achieved = copula_cdf(ArchimedeanCopula(g, d), u)
             assert abs(achieved - z) < 1e-9
-            assert abs(s.z_achieved - z) < 1e-9
 
     def test_consumes_d_minus_one_uniforms(self):
         vals = _StubUniform([0.3, 0.6, 0.9])
@@ -162,31 +158,31 @@ class TestRejection:
     def test_band_membership_absolute(self):
         c = ArchimedeanCopula(CLAYTON2, 2)
         rule = EpsilonRule("abs", 0.01)
-        s = sample_levelset_rejection(c, 0.2, rule, np.random.default_rng(3))
-        assert abs(s.z_achieved - 0.2) < 0.01
-        assert s.attempts >= 1
-        assert s.method == "rejection"
+        u, attempts = sample_levelset_rejection_batch(c, [0.2], rule,
+                                                      np.random.default_rng(3))
+        assert abs(copula_cdf(c, u)[0] - 0.2) < 0.01
+        assert attempts >= 1
 
     def test_relative_rule_bounds_relative_error(self):
         c = ArchimedeanCopula(CLAYTON2, 2)
         rule = EpsilonRule("rel", 0.01)
         rng = np.random.default_rng(4)
-        errs = [abs(sample_levelset_rejection(c, 0.2, rule, rng).z_achieved - 0.2) / 0.2
-                for _ in range(200)]
-        assert max(errs) <= 0.01
+        u, _ = sample_levelset_rejection_batch(c, np.full(200, 0.2), rule, rng)
+        errs = np.abs(copula_cdf(c, u) - 0.2) / 0.2
+        assert errs.max() <= 0.01
 
     def test_cap_exhaustion(self):
         c = ArchimedeanCopula(CLAYTON2, 2)
         rule = EpsilonRule("abs", 1e-9)
         with pytest.raises(RejectionCapError):
-            sample_levelset_rejection(c, 0.2, rule, np.random.default_rng(5),
-                                      max_attempts=2000)
+            sample_levelset_rejection_batch(c, [0.2], rule, np.random.default_rng(5),
+                                            max_attempts=2000)
 
     def test_works_for_elliptical(self):
         c = GaussianCopula(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        s = sample_levelset_rejection(c, 0.3, EpsilonRule("abs", 0.01),
-                                      np.random.default_rng(6))
-        assert abs(s.z_achieved - 0.3) < 0.01
+        u, _ = sample_levelset_rejection_batch(c, [0.3], EpsilonRule("abs", 0.01),
+                                               np.random.default_rng(6))
+        assert abs(copula_cdf(c, u)[0] - 0.3) < 0.01
 
     def test_batch_fills_all_targets_within_band(self):
         c = ArchimedeanCopula(CLAYTON2, 2)
@@ -278,6 +274,6 @@ class TestRejectionLoopMatchesReference:
 class TestLevelValidation:
     def test_z_domain(self):
         with pytest.raises(DomainError):
-            sample_levelset_conditional(CLAYTON2, 2, 0.0, np.random.default_rng(0))
+            sample_levelset_conditional_batch(CLAYTON2, 2, [0.0], np.random.default_rng(0))
         with pytest.raises(DomainError):
-            sample_levelset_projected(CLAYTON2, 2, 1.0, np.random.default_rng(0))
+            sample_levelset_projected_batch(CLAYTON2, 2, [1.0], np.random.default_rng(0))
