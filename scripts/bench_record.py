@@ -2,11 +2,14 @@
 """Fold perfbench results into a committed BENCH_<PR>.json trajectory file.
 
 Each input file holds the standard output of one ``perfbench/run.py`` run:
-its provenance line (workload, seed, package versions, git commit) and its
-result line (``correct``, ``attempted``, ``failed``, ``metrics``). Every
-run is appended under ``runs`` with the given label, and ``summary`` is
-recomputed: per label, workload and metric, the median and quartiles over
-the runs and their count.
+its provenance line (workload, seed, package versions, git commit, and the
+package's own ``detail`` figures such as ``backtest_day_s`` and ``fit_s``)
+and its result line (``correct``, ``attempted``, ``failed``, ``metrics``).
+Every run is appended under ``runs`` with the given label, and ``summary``
+is recomputed: per label, workload and metric, the median and quartiles
+over the runs and their count. The detail figures are summarised alongside
+the metrics, from untraced runs only: a traced run's timings include the
+tracer's overhead.
 
 ``--checkout`` names the git checkout the runs were made in. Each run then
 records ``src_tree``, the git tree hash of that checkout's committed
@@ -45,12 +48,14 @@ def read_run(path: Path) -> dict:
     result = next((ln for ln in reversed(lines) if "metrics" in ln), None)
     if prov is None or result is None:
         raise ValueError(f"{path}: no provenance and result line of perfbench/run.py")
+    detail = prov.get("detail", {})
     return {"workload": prov["workload"], "seed": prov["provenance"]["seed"],
             "traced": "trace.spans" in result["metrics"],
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "units": {k: m["unit"] for k, m in result["metrics"].items()},
+            "detail": {k: m["value"] for k, m in detail.items()},
+            "units": {k: m["unit"] for k, m in (*result["metrics"].items(), *detail.items())},
             "provenance": prov["provenance"]}
 
 
@@ -66,11 +71,13 @@ def source_tree(checkout: Path) -> dict:
 
 def summarise(runs: list) -> dict:
     """{label: {workload: {metric: {median, q1, q3, n, unit}}}} over untraced
-    and traced runs alike (their metric names do not overlap)."""
+    and traced runs alike (their metric names do not overlap), and over the
+    detail figures of untraced runs."""
     groups = {}
     for run in runs:
         per = groups.setdefault(run["label"], {}).setdefault(run["workload"], {})
-        for key, value in run["metrics"].items():
+        figures = dict(run["metrics"], **({} if run["traced"] else run.get("detail", {})))
+        for key, value in figures.items():
             per.setdefault(key, ([], run["units"][key]))[0].append(value)
     out = {}
     for label, workloads in groups.items():

@@ -18,12 +18,13 @@ window (empirically or via fitted normal/Student-t margins).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, ParameterError
+from .errors import DataError, DomainError, ParameterError
 from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
 from .hierarchical import HierarchicalModel, model_sample
 from .levelset import DEFAULT_EPSILON_RULE, DEFAULT_MAX_ATTEMPTS, EpsilonRule
@@ -41,9 +42,25 @@ class EmpiricalMargin:
         self.values = np.sort(np.asarray(values, dtype=float))
         if self.values.size < 2:
             raise DataError("empirical margin needs at least two observations")
+        # sorted: -inf comes first, +inf and NaN last
+        if not (np.isfinite(self.values[0]) and np.isfinite(self.values[-1])):
+            raise DataError("empirical margin needs finite observations")
 
     def quantile(self, u):
-        return np.quantile(self.values, np.clip(u, 0.0, 1.0))
+        """``np.quantile(values, clip(u, 0, 1))`` bit for bit, read from the
+        sorted values without numpy's partition: numpy's linear rule at
+        position (n - 1) u, a + (b - a) t below t = 0.5 and b - (b - a)(1 - t)
+        from it."""
+        v = self.values
+        pos = (v.size - 1) * np.clip(u, 0.0, 1.0)
+        if np.isnan(pos).any():
+            raise DomainError("margin quantile of NaN")
+        lo = np.minimum(np.floor(pos), v.size - 2)
+        t = pos - lo
+        lo = lo.astype(np.intp)
+        a, b = v[lo], v[lo + 1]
+        diff = b - a
+        return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)[()]
 
 
 class NormalMargin:
@@ -87,21 +104,40 @@ def forecast_var(model: HierarchicalModel, margins, weights, level: float,
     """alpha-quantile (alpha = 1 - level) of the simulated portfolio return.
 
     ``margins`` is one quantile-function object per variable; ``weights``
-    must sum to one.
+    must be finite and sum to one.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != model.n_vars:
-        raise ParameterError("one weight per model variable required")
-    if abs(weights.sum() - 1.0) > 1e-8:
-        raise ParameterError("weights must sum to 1")
+    weights = _check_forecast_args(model.n_vars, weights, level, mc)
     if len(margins) != model.n_vars:
-        raise ParameterError("one margin per model variable required")
-    if not 0.0 < level < 1.0:
-        raise ParameterError("level must be in (0,1)")
-    if mc < 1:
-        raise ParameterError("mc must be >= 1")
+        raise ParameterError("one margin per model variable required", "margins")
     u = model_sample(model, mc, rng, eps_rule=eps_rule, max_attempts=max_attempts)
-    returns = np.zeros(mc)
+    return _portfolio_var(u, margins, weights, level)
+
+
+def _int_at_least(name: str, value, least: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
+
+
+def _check_forecast_args(n_vars: int, weights, level: float, mc: int) -> np.ndarray:
+    """The weights as an array, once they, ``level`` and ``mc`` are valid."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.size != n_vars:
+        raise ParameterError("one weight per model variable required", "weights")
+    if not np.isfinite(weights).all():
+        raise ParameterError(f"weights must be finite, got {weights.tolist()}", "weights")
+    if abs(weights.sum() - 1.0) > 1e-8:
+        raise ParameterError("weights must sum to 1", "weights")
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"level must be in (0,1), got {level!r}", "level")
+    _int_at_least("mc", mc)
+    return weights
+
+
+def _portfolio_var(u, margins, weights, level: float) -> float:
+    """The VaR step of a forecast: the copula draw ``u`` (one row per
+    scenario) through the margins, weighted, and its (1 - level)-quantile.
+    One column at a time, so no second draw-sized array is held."""
+    returns = np.zeros(len(u))
     for j, margin in enumerate(margins):
         returns += weights[j] * margin.quantile(u[:, j])
     return float(np.quantile(returns, 1.0 - level))
@@ -221,37 +257,44 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
                      max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> BacktestReport:
     """Moving-window VaR backtest of a hierarchical Kendall copula model.
 
-    For each forecast day the model is (re)fitted on the trailing window's
-    pseudo-observations every ``refit_every`` days, margins are refitted on
-    the raw window daily, and the portfolio VaR forecast is compared with
-    the realized weighted return.
+    Forecast day t uses the trailing window ``data[t:t + window]``. Every
+    ``refit_every`` days, starting with day 0, the model is refitted on the
+    window's pseudo-observations and one copula sample of ``mc`` rows is
+    drawn from ``substream(seed, STREAM_FORECAST, t)``, t the refit day.
+    Each day of the refit period reads that one sample through margins
+    refitted on its own raw window, and its portfolio VaR forecast is
+    compared with the realized weighted return. So a refit day's forecast
+    is ``forecast_var`` of the refitted model with that stream, and the
+    Monte Carlo error is shared by the days of one refit period.
     """
     data = np.asarray(data, dtype=float)
     t_total, n_vars = data.shape
     require_finite(data)
-    if window < 10:
-        raise ParameterError("window too short")
+    _int_at_least("window", window, 10)
+    if horizon is not None:
+        _int_at_least("horizon", horizon)
+    _int_at_least("refit_every", refit_every)
+    if margin_kind not in MARGIN_KINDS:
+        raise ParameterError(f"unknown margin kind {margin_kind!r}", "margin_kind")
+    weights = _check_forecast_args(
+        n_vars, np.full(n_vars, 1.0 / n_vars) if weights is None else weights, level, mc)
     max_horizon = t_total - window
     if max_horizon < 1:
         raise DataError(f"data has {t_total} rows; window {window} leaves no "
                         "forecast days")
     horizon = max_horizon if horizon is None else min(horizon, max_horizon)
-    weights = (np.full(n_vars, 1.0 / n_vars) if weights is None
-               else np.asarray(weights, dtype=float))
     fit_options = fit_options or FitOptions()
     hits = np.zeros(horizon, dtype=bool)
     var_series = np.zeros(horizon)
     realized = np.zeros(horizon)
-    model = None
     for t in range(horizon):
         win = data[t:t + window]
-        if model is None or t % refit_every == 0:
-            u = pseudo_observations(win)
-            model = fit_two_step(fit_spec, u, fit_options).model
-        margins = window_margins(win, margin_kind)
-        rng = substream(seed, STREAM_FORECAST, t)
-        var_series[t] = forecast_var(model, margins, weights, level, mc, rng,
-                                     eps_rule=eps_rule, max_attempts=max_attempts)
+        if t % refit_every == 0:
+            model = fit_two_step(fit_spec, pseudo_observations(win), fit_options).model
+            draw = model_sample(model, mc, substream(seed, STREAM_FORECAST, t),
+                                eps_rule=eps_rule, max_attempts=max_attempts)
+        var_series[t] = _portfolio_var(draw, window_margins(win, margin_kind),
+                                       weights, level)
         realized[t] = float(weights @ data[t + window])
         hits[t] = realized[t] < var_series[t]
     report = evaluate_hits(hits, level, window)

@@ -24,6 +24,7 @@ from .errors import (
     DataError,
     EvaluationError,
     HierKendallError,
+    ParameterError,
     RejectionCapError,
     ToleranceError,
 )
@@ -241,12 +242,18 @@ def cmd_backtest(args) -> int:
     header, data = read_csv(args.data)
     config, _, spec = _load_spec(args, header)
     seed = config.seed if args.seed is None else args.seed
-    report = rolling_backtest(
-        data, spec, level=args.level, window=args.window, horizon=args.horizon,
-        refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
-        seed=seed, eps_rule=_epsilon_rule(args, config),
-        max_attempts=args.max_attempts,
-        fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=seed))
+    try:
+        report = rolling_backtest(
+            data, spec, level=args.level, window=args.window, horizon=args.horizon,
+            refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
+            seed=seed, eps_rule=_epsilon_rule(args, config),
+            max_attempts=args.max_attempts,
+            fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=seed))
+    except ParameterError as exc:
+        # the arguments set from flags are named after them
+        if exc.argument not in {"level", "window", "horizon", "refit_every", "mc"}:
+            raise
+        raise ParameterError(f"--{exc.argument.replace('_', '-')}: {exc}") from exc
     doc = {
         "format": "hierkendall-backtest/1",
         "level": args.level,

@@ -6,7 +6,15 @@ class HierKendallError(Exception):
 
 
 class ParameterError(HierKendallError, ValueError):
-    """A copula or generator parameter is outside its admissible range."""
+    """A copula or generator parameter is outside its admissible range.
+
+    ``argument``, when set, names the function argument at fault, so that a
+    front end can name the option it came from.
+    """
+
+    def __init__(self, message="", argument=None):
+        super().__init__(message)
+        self.argument = argument
 
 
 class DomainError(HierKendallError, ValueError):

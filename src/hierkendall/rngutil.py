@@ -16,7 +16,7 @@ import numpy as np
 # stream namespaces used by the package (documented, stable)
 STREAM_KENDALL = 1       # Monte Carlo builds of empirical Kendall functions
 STREAM_REPLICATION = 2   # simulation-study replications
-STREAM_FORECAST = 3      # per-day VaR forecast simulation
+STREAM_FORECAST = 3      # VaR forecast draws, one per backtest refit day
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

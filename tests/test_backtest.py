@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import hierkendall.backtest as backtest
+
 from hierkendall.backtest import (
     EmpiricalMargin,
     NormalMargin,
@@ -15,9 +17,16 @@ from hierkendall.backtest import (
     window_margins,
 )
 from hierkendall.copulas import GaussianCopula, IndependenceCopula
-from hierkendall.errors import DataError
-from hierkendall.estimation import NodeSpec, build_model
+from hierkendall.errors import DataError, DomainError, ParameterError
+from hierkendall.estimation import (
+    FitOptions,
+    NodeSpec,
+    build_model,
+    fit_two_step,
+    pseudo_observations,
+)
 from hierkendall.hierarchical import HierarchicalModel, inner, leaf, model_sample
+from hierkendall.rngutil import STREAM_FORECAST, substream
 
 
 class StdNormalMargin:
@@ -142,6 +151,15 @@ class TestForecastVar:
                          np.random.default_rng(12))
         assert v == pytest.approx(norm.ppf(0.05), abs=0.03)
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, -math.inf],
+                                         [0.5, math.nan]])
+    def test_non_finite_weights_refused(self, weights):
+        m = bivariate_gaussian_model(0.4)
+        with pytest.raises(ParameterError, match="finite") as info:
+            forecast_var(m, [StdNormalMargin(), StdNormalMargin()], weights, 0.95, 100,
+                         np.random.default_rng(14))
+        assert info.value.argument == "weights"
+
     def test_level_monotonicity(self):
         m = bivariate_gaussian_model(0.4)
         margins = [StdNormalMargin(), StdNormalMargin()]
@@ -155,6 +173,31 @@ class TestMargins:
         m = EmpiricalMargin(np.arange(1, 101, dtype=float))
         assert m.quantile(0.5) == pytest.approx(50.5)
 
+    def test_empirical_quantile_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.random(2000), rng.uniform(-1.0, 2.0, 200),
+                            [0.0, 1.0, -0.0, np.nextafter(1.0, 0.0), 5e-324, -3.0, 7.0]])
+        for n in (2, 3, 17, 500):
+            for values in (rng.normal(size=n),
+                           rng.integers(-2, 3, size=n).astype(float),  # ties
+                           np.round(rng.standard_t(3, size=n), 1) + 0.0):
+                got = EmpiricalMargin(values).quantile(u)
+                want = np.quantile(values, np.clip(u, 0.0, 1.0))
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                scalar = EmpiricalMargin(values).quantile(0.3)
+                assert type(scalar) is np.float64
+                assert scalar == np.quantile(values, 0.3)
+
+    def test_empirical_quantile_refuses_nan(self):
+        with pytest.raises(DomainError):
+            EmpiricalMargin([1.0, 2.0, 3.0]).quantile(np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_empirical_margin_refuses_non_finite_values(self, bad):
+        with pytest.raises(DataError):
+            EmpiricalMargin([1.0, bad, 3.0])
+
     def test_normal_margin(self):
         vals = np.random.default_rng(3).normal(2.0, 3.0, size=20_000)
         m = NormalMargin(vals)
@@ -166,25 +209,72 @@ class TestMargins:
         assert len(ms) == 3
 
 
+FIT_SPEC = NodeSpec("nest", "frank", children=(
+    NodeSpec("c1", "clayton", columns=(0, 1)),
+    NodeSpec("c2", "gumbel", columns=(2, 3)),
+))
+
+
+@pytest.fixture(scope="module")
+def returns():
+    sim_spec = NodeSpec("nest", "frank", children=(
+        NodeSpec("c1", "clayton", columns=(0, 1), params={"tau": 0.4}),
+        NodeSpec("c2", "gumbel", columns=(2, 3), params={"tau": 0.4}),
+    ), params={"tau": 0.4})
+    true = build_model(sim_spec, 4)
+    u = model_sample(true, 360, np.random.default_rng(30), method="exact")
+    return norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+
+
 class TestRolling:
-    def test_small_pipeline(self):
-        sim_spec = NodeSpec("nest", "frank", children=(
-            NodeSpec("c1", "clayton", columns=(0, 1), params={"tau": 0.4}),
-            NodeSpec("c2", "gumbel", columns=(2, 3), params={"tau": 0.4}),
-        ), params={"tau": 0.4})
-        true = build_model(sim_spec, 4)
-        u = model_sample(true, 360, np.random.default_rng(30), method="exact")
-        data = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
-        fit_spec = NodeSpec("nest", "frank", children=(
-            NodeSpec("c1", "clayton", columns=(0, 1)),
-            NodeSpec("c2", "gumbel", columns=(2, 3)),
-        ))
-        report = rolling_backtest(data, fit_spec, level=0.9, window=300,
+    def test_small_pipeline(self, returns):
+        report = rolling_backtest(returns, FIT_SPEC, level=0.9, window=300,
                                   horizon=60, refit_every=30, mc=4000, seed=5)
         assert report.horizon == 60
         assert report.hits.size == 60
         assert 0.0 <= report.p_uc <= 1.0
         assert report.var_series.shape == (60,)
+
+    def test_refit_day_is_forecast_var_bit_for_bit(self, returns):
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        report = rolling_backtest(returns, FIT_SPEC, level=0.95, window=300, horizon=45,
+                                  refit_every=20, mc=2000, seed=8, weights=w)
+        for t in (0, 20, 40):
+            win = returns[t:t + 300]
+            model = fit_two_step(FIT_SPEC, pseudo_observations(win), FitOptions()).model
+            want = forecast_var(model, window_margins(win), w, 0.95, 2000,
+                                substream(8, STREAM_FORECAST, t))
+            assert report.var_series[t] == want
+
+    def test_one_draw_per_refit_period(self, returns, monkeypatch):
+        draws = []
+
+        def counting(model, n, rng, **kwargs):
+            draws.append(n)
+            return model_sample(model, n, rng, **kwargs)
+
+        monkeypatch.setattr(backtest, "model_sample", counting)
+        report = rolling_backtest(returns, FIT_SPEC, level=0.95, window=300, horizon=51,
+                                  refit_every=25, mc=1000, seed=2)
+        assert draws == [1000, 1000, 1000]  # refit days 0, 25 and 50
+        assert np.isfinite(report.var_series).all()
+
+    @pytest.mark.parametrize("argument, value", [
+        ("refit_every", 0), ("refit_every", -3), ("refit_every", 2.5),
+        ("horizon", 0), ("horizon", -2), ("window", 5), ("mc", 0),
+        ("level", 1.5), ("level", math.nan), ("weights", [0.5, 0.5, math.nan, 0.0]),
+        ("weights", [0.5, 0.5]), ("margin_kind", "kernel")])
+    def test_arguments_checked_before_the_first_fit(self, returns, monkeypatch,
+                                                    argument, value):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(backtest, "fit_two_step", no_fit)
+        kwargs = dict(level=0.95, window=300, horizon=10, refit_every=5, mc=100)
+        kwargs[argument] = value
+        with pytest.raises(ParameterError) as info:
+            rolling_backtest(returns, FIT_SPEC, **kwargs)
+        assert info.value.argument == argument
 
     def test_window_too_long_rejected(self):
         data = np.random.default_rng(6).normal(size=(50, 2))

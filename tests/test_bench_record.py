@@ -11,12 +11,14 @@ bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 
 
-def run_output(path, seed, fit_rel):
-    prov = {"workload": "elliptical", "pairs": 3, "detail": {},
+def run_output(path, seed, fit_rel, day_s=0.1, traced=False):
+    prov = {"workload": "elliptical", "pairs": 3,
+            "detail": {"backtest_day_s": {"value": day_s, "unit": "s"}},
             "provenance": {"seed": seed, "git_sha": "abc", "workload": "elliptical"}}
-    result = {"correct": True, "attempted": 10, "failed": 0,
-              "metrics": {"fit_rel": {"value": fit_rel, "unit": "1"},
-                          "peak_rss_mb": {"value": 100.0, "unit": "MB"}}}
+    metrics = ({"trace.spans": {"value": 184, "unit": "count"}} if traced else
+               {"fit_rel": {"value": fit_rel, "unit": "1"},
+                "peak_rss_mb": {"value": 100.0, "unit": "MB"}})
+    result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
     path.write_text("noise on stdout\n" + json.dumps(prov) + "\n" + json.dumps(result) + "\n")
     return path
 
@@ -34,6 +36,20 @@ def test_folds_runs_into_labelled_medians(tmp_path):
     assert (fit["median"], fit["q1"], fit["q3"]) == pytest.approx((0.1, 0.095, 0.105))
     assert fit["n"] == 3
     assert doc["summary"]["change"]["elliptical"]["fit_rel"]["median"] == pytest.approx(0.025)
+
+
+def test_keeps_detail_figures_of_untraced_runs(tmp_path):
+    bench = tmp_path / "BENCH.json"
+    runs = [run_output(tmp_path / f"c{s}.txt", s, 0.2, day_s)
+            for s, day_s in ((1, 0.10), (2, 0.12), (3, 0.11))]
+    traced = run_output(tmp_path / "t.txt", 4, None, 5.0, traced=True)
+    assert bench_record.main([str(bench), "--label", "change",
+                              *map(str, runs), str(traced)]) == 0
+    doc = json.loads(bench.read_text())
+    assert [r["detail"]["backtest_day_s"] for r in doc["runs"]] == [0.10, 0.12, 0.11, 5.0]
+    day = doc["summary"]["change"]["elliptical"]["backtest_day_s"]
+    assert (day["median"], day["n"], day["unit"]) == (pytest.approx(0.11), 3, "s")
+    assert doc["summary"]["change"]["elliptical"]["trace.spans"]["n"] == 1
 
 
 def test_rejects_output_without_result_line(tmp_path):

@@ -293,6 +293,20 @@ class TestInputRanges:
         assert not (tmp / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--refit-every", "0"), ("--refit-every", "-3"), ("--horizon", "-2"),
+        ("--horizon", "0"), ("--mc", "0"), ("--level", "1.5"), ("--window", "5")])
+    def test_backtest_flag_out_of_range_is_named(self, fitted_world, capsys, flag, value):
+        tmp, _, fit_cfg = fitted_world
+        write_csv(str(tmp / "raw.csv"), ["A", "B", "C", "D"],
+                  np.random.default_rng(3).normal(size=(120, 4)))
+        args = {"--window": "100", "--horizon": "5", "--mc": "1000", flag: value}
+        code = main(["backtest", "--data", str(tmp / "raw.csv"), "--model", str(fit_cfg),
+                     "--out", str(tmp / "bt.json"), *(x for kv in args.items() for x in kv)])
+        assert code == 2 and f"{flag}:" in capsys.readouterr().err
+        assert not (tmp / "bt.json").exists()
+
+
 class TestNumericExitCode:
     """Numeric failures exit 3, apart from input errors (exit 2)."""
 
