@@ -165,14 +165,10 @@ def pseudo_observations(x) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("need a 2-d array with at least two rows")
     require_finite(x)
-    n = x.shape[0]
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        if np.all(col == col[0]):
-            raise DataError(f"column {j} is constant; ranks are undefined")
-        out[:, j] = stats.rankdata(col, method="average") / (n + 1.0)
-    return out
+    constant = np.all(x == x[0], axis=0)
+    if constant.any():
+        raise DataError(f"column {np.argmax(constant)} is constant; ranks are undefined")
+    return stats.rankdata(x, method="average", axis=0) / (x.shape[0] + 1.0)
 
 
 def require_finite(x: np.ndarray) -> None:
@@ -493,6 +489,11 @@ def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
 
 
 _FD_STEP = 1e-8  # scipy's absolute step for L-BFGS-B's own two-point gradient
+# L-BFGS-B stops once an iteration lowers the objective by this share of it.
+# Near the optimum the forward-difference gradient is rounding noise, and at
+# 1e-13 or 1e-14 the search could end in line-search failures ("ABNORMAL")
+# there, with an evaluation count set by the data's last bits.
+_JOINT_FTOL = 1e-12
 
 
 class _JointObjective:
@@ -575,7 +576,7 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
     res = optimize.minimize(objective, eta0, jac=True, method="L-BFGS-B",
                             bounds=[bounds for _, _, bounds, _ in free],
                             options=dict(maxfun=options.joint_max_evals // (len(free) + 1),
-                                         ftol=1e-14))
+                                         ftol=_JOINT_FTOL))
     evals = objective.evals
     ll, final = objective.base(res.x if res.fun <= -report.loglik_two_step else eta0)
     if ll is None:

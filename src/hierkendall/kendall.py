@@ -8,7 +8,8 @@ of Z = C(U) for U ~ C. It is known in closed form for Archimedean copulas,
 and is otherwise estimated by the empirical CDF of simulated Z values.
 The closed form is evaluated in generator space, s = phi(t), as
 K = sum_{i<d} T_i with T_i = s^i |(phi^-1)^(i)(s)| / i!, and inverted there
-by Newton's method on log s. The terms come in log form from
+by Newton's method on log s, started from a table of K that one kernel
+call builds on fixed levels. The terms come in log form from
 ``generators._log_terms``, the one implementation of the inverse-generator
 derivatives, which the Archimedean copula density also reads. A closed form
 exists up to dimension ``MAX_DERIVATIVE_ORDER`` (40), checked when it is
@@ -39,6 +40,9 @@ _XTOL = 1e-12       # Newton stops once a step in log s is this small (relative)
 _MAX_ITER = 200     # bisection from the widest bracket needs about 60 steps
 _TINY = np.finfo(float).tiny
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# Levels z = exp(-w) of the K table that starts K^-1, w log-spaced from 1e-7
+# (z just below 1) to -log(tiny) (z at the smallest normal double)
+_TABLE_LEVELS = np.exp(-np.geomspace(1e-7, -log(_TINY), 257))
 MIN_KENDALL_MC = 1000  # smallest Monte Carlo size of an empirical Kendall function
 
 
@@ -173,19 +177,49 @@ def archimedean_node_step(g: ArchimedeanGenerator, u):
     return np.clip(k, 0.0, 1.0), log_c
 
 
+def _table_start(g: ArchimedeanGenerator, d: int, p: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Newton start for K(s) = p, read off one kernel call on ``_TABLE_LEVELS``.
+
+    The table holds log s, K and dK/dlog s at s = phi(z) for fixed levels z,
+    so no target moves it. Between two nodes, log s is the cubic Hermite
+    interpolant in t = (K - K_j) / (K_{j+1} - K_j) with the end slopes of
+    the same call; an interval where those slopes could make the cubic
+    leave the interval (Fritsch-Carlson: outside 0..3 times the chord, or
+    not finite) keeps the chord. A p above the table's largest K starts at
+    the lower bracket ``lo``.
+    """
+    x = np.maximum(_log_phi(g, _TABLE_LEVELS), log(_TINY))  # the clamp of ``lo``
+    k, dk = _closed_form_kernel(g, d, x)
+    k = np.minimum.accumulate(k)  # rounding can lift K by an ulp near 1
+    h, dx = np.diff(k), np.diff(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b = h / (dk[:-1] * dx), h / (dk[1:] * dx)  # end slopes over the chord's
+        monotone = (a >= 0.0) & (a <= 3.0) & (b >= 0.0) & (b <= 3.0)
+        a, b = np.where(monotone, a, 1.0), np.where(monotone, b, 1.0)
+        # per interval: K_j and K_{j+1} - K_j to find t, and x_j + t (c1 + t (c2 + t c3))
+        table = np.column_stack([k[:-1], h, x[:-1], a * dx,
+                                 (3.0 - 2.0 * a - b) * dx, (a + b - 2.0) * dx])
+        j = np.clip(np.searchsorted(-k, -p) - 1, 0, h.size - 1)
+        k0, hj, x0, c1, c2, c3 = table[j].T
+        t = np.clip((p - k0) / hj, 0.0, 1.0)
+    return np.where(p >= k[0], lo, x0 + t * (c1 + t * (c2 + t * c3)))
+
+
 def _solve_log_s(g: ArchimedeanGenerator, d: int, p: np.ndarray) -> np.ndarray:
     """log s with K(s) = p: Newton in log s inside a per-point bracket.
 
     K(s) >= phi^-1(s) puts the root at or above s = phi(p), the lower
-    bracket and starting point. The upper bracket is phi at the smallest
-    normal double; a root beyond it has a level z that underflows. A Newton
-    step that leaves the bracket is replaced by bisection, and only points
-    that have not converged are evaluated again.
+    bracket. The upper bracket is phi at the smallest normal double; a root
+    beyond it has a level z that underflows. Newton starts from a table of
+    K (``_table_start``) clipped into the bracket, and so needs about two
+    kernel evaluations per point. A Newton step that leaves the bracket is
+    replaced by bisection, and only points that have not converged are
+    evaluated again.
     """
     # phi(p) underflows only for p within ~1e-16 of 1
     lo = np.maximum(_log_phi(g, p), log(_TINY))
     hi = np.full_like(lo, _log_phi(g, _TINY))
-    x = lo.copy()
+    x = np.clip(_table_start(g, d, p, lo), lo, hi)
     act = np.arange(p.size)
     for _ in range(_MAX_ITER):
         xa, lo_a, hi_a = x[act], lo[act], hi[act]
@@ -193,7 +227,8 @@ def _solve_log_s(g: ArchimedeanGenerator, d: int, p: np.ndarray) -> np.ndarray:
         f = k - p[act]
         lo_a = np.where(f > 0.0, xa, lo_a)
         hi_a = np.where(f < 0.0, xa, hi_a)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # dk can be subnormal: the step is then inf and fails the bracket test
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = -f / dk
         tol = _XTOL * (1.0 + np.abs(xa))
         converged = (f == 0.0) | (np.abs(step) <= tol)

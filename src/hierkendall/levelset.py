@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import CopulaSpec, copula_cdf, copula_sample
-from .errors import DomainError, ParameterError, RejectionCapError
+from .errors import DomainError, EvaluationError, ParameterError, RejectionCapError
 from .generators import ArchimedeanGenerator, generator_inverse, generator_value
 from .rngutil import as_rng
 
@@ -98,7 +98,11 @@ def conditional_levelset_cdf(g: ArchimedeanGenerator, d: int, u_prefix, z: float
 
 def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
                                       rng) -> np.ndarray:
-    """Vectorized conditional-inverse sampling: one row per entry of z."""
+    """Vectorized conditional-inverse sampling: one row per entry of z.
+
+    Raises ``EvaluationError`` when a row leaves (0, 1): where phi(z)
+    overflows (Clayton beyond tau of about 0.93), phi^-1 maps it back to 0.
+    """
     rng = as_rng(rng)
     z = np.atleast_1d(_check_z(z))
     n = z.size
@@ -113,6 +117,11 @@ def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
         out[:, j - 1] = generator_inverse(g, rem * (1.0 - frac))
         rem = rem * frac
     out[:, d - 1] = generator_inverse(g, rem)
+    inside = np.all((out > 0.0) & (out < 1.0), axis=1)
+    if not inside.all():
+        raise EvaluationError(
+            f"level-set sample of {g.family} theta={g.theta:.6g} d={d} left (0,1) in "
+            f"{n - np.count_nonzero(inside)} of {n} rows: phi is out of float range")
     return out
 
 

@@ -246,7 +246,8 @@ def joint_mle_scipy_gradient(report, u, max_evals=5000):
     two-step log-likelihood. Returns (log-likelihood, model at the kept point,
     L-BFGS-B message, likelihood evaluations).
     """
-    from hierkendall.estimation import _PENALTY, _collect_free_params, _rebuild_with_eta
+    from hierkendall.estimation import (_JOINT_FTOL, _PENALTY, _collect_free_params,
+                                        _rebuild_with_eta)
     from hierkendall.hierarchical import model_loglik
 
     model = report.model
@@ -261,7 +262,7 @@ def joint_mle_scipy_gradient(report, u, max_evals=5000):
 
     eta0 = np.array([eta for *_, eta in free])
     res = minimize(neg_ll, eta0, method="L-BFGS-B", bounds=[b for _, _, b, _ in free],
-                   options=dict(maxfun=max_evals, ftol=1e-14))
+                   options=dict(maxfun=max_evals, ftol=_JOINT_FTOL))
     kept = res.x if res.fun <= -report.loglik_two_step else eta0
     final = _rebuild_with_eta(model, free, kept)
     return model_loglik(final, u).value, final, str(res.message), int(res.nfev)

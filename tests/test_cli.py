@@ -321,11 +321,27 @@ class TestNumericExitCode:
 
     def test_tolerance_error(self, fitted_world, monkeypatch, capsys):
         tmp, model, _ = fitted_world
+        # one Newton step from the lower bracket leaves the solve short of tolerance
+        monkeypatch.setattr(kendall, "_table_start", lambda g, d, p, lo: lo)
         monkeypatch.setattr(kendall, "_MAX_ITER", 1)
         code = main(["simulate", "--model", str(model), "--n", "20", "--seed", "1",
                      "--method", "exact", "--out", str(tmp / "x.csv")])
         assert code == 3
         assert "missed tolerance" in capsys.readouterr().err
+
+    def test_sample_outside_unit_interval(self, tmp_path, capsys):
+        # a tau = 0.98 Clayton cluster: phi overflows near z = 0 and rows would hold 0
+        model = tmp_path / "strong.json"
+        model.write_text(json.dumps({"nodes": [
+            {"name": "c1", "family": "clayton", "columns": ["A", "B"], "tau": 0.98},
+            {"name": "c2", "family": "gumbel", "columns": ["C", "D"], "tau": 0.5},
+            {"name": "nest", "family": "frank", "children": ["c1", "c2"], "tau": 0.4},
+        ], "seed": 1}))
+        code = main(["simulate", "--model", str(model), "--n", "100000", "--seed", "1",
+                     "--method", "exact", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "clayton theta=98 d=2 left (0,1)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_evaluation_error(self, fitted_world, monkeypatch, capsys):
         _, model, _ = fitted_world

@@ -5,6 +5,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import kstest
 
 from hierkendall.copulas import (
@@ -74,6 +75,18 @@ class TestPseudoObservations:
     def test_constant_column_rejected(self):
         with pytest.raises(DataError):
             pseudo_observations(np.ones((5, 2)))
+
+    def test_names_first_constant_column(self):
+        x = np.random.default_rng(2).normal(size=(6, 4))
+        x[:, 1], x[:, 3] = 2.0, -1.0
+        with pytest.raises(DataError, match="column 1 is constant"):
+            pseudo_observations(x)
+
+    def test_matches_column_ranks_with_ties(self):
+        x = np.round(np.random.default_rng(3).normal(size=(500, 30)), 1)
+        expected = np.column_stack([stats.rankdata(col, method="average") / 501.0
+                                    for col in x.T])
+        np.testing.assert_array_equal(pseudo_observations(x), expected)
 
     def test_uniformity_pass_rate(self):
         passes = 0
@@ -671,6 +684,14 @@ class TestJointOptimum:
         assert joint.converged
         assert joint.loglik_joint >= oracle_ll - 1e-6
         assert joint.loglik_joint >= base.loglik_two_step
+
+    def test_stops_at_the_optimum_of_a_noisy_gradient(self):
+        # at ftol 1e-14 this search ended "ABNORMAL" after 424 evaluations,
+        # its line searches lost in the forward-difference gradient's rounding
+        base, u = _two_step_on_sample(joint_mle_spec, 12, 2000, 69)
+        joint = fit_joint_mle(base, u)
+        assert joint.converged and joint.joint_status.startswith("CONVERGENCE")
+        assert joint.joint_evals < 300
 
     def test_evaluation_cap(self):
         base, u = _two_step_on_sample(two_cluster_spec, 4, 600, 41)

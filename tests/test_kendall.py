@@ -170,8 +170,9 @@ class TestInverse:
 
     @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank"])
     def test_round_trip_grid(self, family):
-        # the domain the README states: every case solves to 1e-10, none is NaN
-        p = np.concatenate([[1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6], np.linspace(0.02, 0.98, 25)])
+        # the domain the README states: every case solves to 1e-10, none is NaN or warns
+        p = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9,
+                             1.0 - 1e-12], np.linspace(0.02, 0.98, 25)])
         for tau in (0.05, 0.3, 0.6, 0.85, 0.95):
             for d in (2, 3, 5, 10, 20, 40):
                 K = closed_form_kendall(theta_from_tau(family, tau), d)
@@ -180,8 +181,48 @@ class TestInverse:
                 np.testing.assert_allclose(kendall_cdf(K, z), p, rtol=0, atol=1e-10,
                                            err_msg=f"{family} tau={tau} d={d}")
 
+    @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank"])
+    def test_round_trip_at_strong_dependence(self, family):
+        # up to the fit intervals' tau = 0.98, where Gumbel's phi underflows
+        # on part of the start table's levels
+        p = np.concatenate([[1e-12, 1e-6, 1.0 - 1e-6], np.linspace(0.02, 0.98, 25)])
+        for tau in (0.97, 0.98):
+            for d in (2, 5, 40):
+                K = closed_form_kendall(theta_from_tau(family, tau), d)
+                z = kendall_inverse(K, p)
+                np.testing.assert_allclose(kendall_cdf(K, z), p, rtol=0, atol=1e-10,
+                                           err_msg=f"{family} tau={tau} d={d}")
+
+    def test_subnormal_slope_does_not_warn(self, monkeypatch):
+        # from the lower bracket, this solve meets a subnormal dK/dlog s: its inf
+        # Newton step must fall back to bisection without an overflow warning
+        monkeypatch.setattr(kendall_module, "_table_start", lambda g, d, p, lo: lo)
+        K = closed_form_kendall(theta_from_tau("clayton", 0.85), 40)
+        p = np.array([1.0 - 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = kendall_inverse(K, p)
+        np.testing.assert_allclose(kendall_cdf(K, z), p, rtol=0, atol=1e-10)
+
+    def test_table_start_bounds_kernel_work(self, monkeypatch):
+        # the tabulated start leaves about two Newton evaluations per point; the
+        # table's own nodes are counted too (from the lower bracket: about 6)
+        points = []
+
+        def counting(g, d, log_s):
+            points.append(np.size(log_s))
+            return _closed_form_kernel(g, d, log_s)
+
+        monkeypatch.setattr(kendall_module, "_closed_form_kernel", counting)
+        K = closed_form_kendall(theta_from_tau("frank", 0.41), 5)
+        p = np.random.default_rng(5).random(5000)
+        z = kendall_inverse(K, p)
+        assert sum(points) / p.size <= 3.5
+        np.testing.assert_allclose(kendall_cdf(K, z), p, rtol=0, atol=1e-10)
+
     def test_unconverged_solve_raises_with_context(self, monkeypatch):
-        # stop the solver after one step: the residual check must catch it
+        # stop the solver one step after the lower bracket: the residual check must catch it
+        monkeypatch.setattr(kendall_module, "_table_start", lambda g, d, p, lo: lo)
         monkeypatch.setattr(kendall_module, "_MAX_ITER", 1)
         K = closed_form_kendall(theta_from_tau("gumbel", 0.85), 10)
         with pytest.raises(ToleranceError,

@@ -7,8 +7,9 @@ from hierkendall.copulas import (
     GaussianCopula,
     StudentTCopula,
     copula_cdf,
+    copula_sample,
 )
-from hierkendall.errors import DomainError, ParameterError, RejectionCapError
+from hierkendall.errors import DomainError, EvaluationError, ParameterError, RejectionCapError
 from hierkendall.generators import (
     ArchimedeanGenerator,
     independence_generator,
@@ -104,6 +105,17 @@ class TestConditionalSampler:
             u = sample_levelset_conditional_batch(g, d, [z], rng)[0]
             achieved = copula_cdf(ArchimedeanCopula(g, d), u)
             assert abs(achieved - z) < 1e-9
+
+    def test_refuses_rows_outside_unit_interval(self):
+        # Clayton phi(z) overflows for z below about 7e-4 at tau = 0.98, and
+        # phi^-1(inf) = 0: the sampler raises rather than return those rows
+        c = ArchimedeanCopula(theta_from_tau("clayton", 0.98), 2)
+        with pytest.raises(EvaluationError, match=r"clayton theta=98 d=2 left \(0,1\) in "
+                                                  r"\d+ of 100000 rows"):
+            copula_sample(c, 100_000, np.random.default_rng(1))
+        u = copula_sample(ArchimedeanCopula(theta_from_tau("clayton", 0.9), 2), 100_000,
+                          np.random.default_rng(1))
+        assert np.all((u > 0.0) & (u < 1.0))
 
     def test_consumes_d_minus_one_uniforms(self):
         vals = _StubUniform([0.3, 0.6, 0.9])
