@@ -36,7 +36,7 @@ import numpy as np
 from scipy import linalg, optimize, special, stats
 
 from .errors import DimensionError, EvaluationError, NoSolutionError, ParameterError
-from .generators import (
+from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_derivative_log
     ArchimedeanGenerator,
     check_order,
     generator_derivative_log,
@@ -45,6 +45,7 @@ from .generators import (
     generator_value,
     independence_generator,
 )
+from .kendall import archimedean_log_density
 
 INTERIOR_EPS = 1e-12
 
@@ -119,8 +120,9 @@ class ArchimedeanCopula:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError("dimension must be >= 1")
+        if self.dim < 2:
+            raise ParameterError(f"Archimedean copula dimension must be >= 2, got {self.dim}; "
+                                 "a one-variable copula is IndependenceCopula(1)")
         check_order(self.dim, "Archimedean copula dimension")
         if self.generator.family == "frank" and self.generator.theta < 0.0 and self.dim > 2:
             raise ParameterError("negative-dependence frank copula only exists for d = 2")
@@ -461,14 +463,7 @@ def copula_logpdf(c: CopulaSpec, u):
     if isinstance(c, IndependenceCopula):
         out = np.zeros(rows.shape[0])
     elif isinstance(c, ArchimedeanCopula):
-        g = c.generator
-        d = c.dim
-        if d == 1:
-            out = np.zeros(rows.shape[0])
-        else:
-            s = np.sum(generator_value(g, rows), axis=1)
-            out = (generator_inverse_derivative_log(g, s, d)
-                   + np.sum(generator_derivative_log(g, rows), axis=1))
+        out = archimedean_log_density(c.generator, rows)
     elif isinstance(c, GaussianCopula):
         x = special.ndtri(rows)
         sol = linalg.cho_solve((c._chol, True), x.T).T
@@ -514,8 +509,6 @@ def copula_sample(c: CopulaSpec, n: int, rng) -> np.ndarray:
     if isinstance(c, IndependenceCopula):
         return rng.random((n, c.dim))
     if isinstance(c, ArchimedeanCopula):
-        if c.dim == 1:
-            return rng.random((n, 1))
         from .kendall import closed_form_kendall, kendall_inverse
         from .levelset import sample_levelset_conditional_batch
 

@@ -128,15 +128,15 @@ def copula_from_spec(spec: NodeSpec) -> CopulaSpec:
     return StudentTCopula(corr, float(params["nu"]))
 
 
-def build_model(spec: NodeSpec, n_vars: int, kendall_mode: str = "auto",
-                kendall_mc: int = DEFAULT_KENDALL_MC, seed: int = 0) -> HierarchicalModel:
+def build_model(spec: NodeSpec, n_vars: int, kendall_mc: int = DEFAULT_KENDALL_MC,
+                seed: int = 0) -> HierarchicalModel:
     """Build a fully parameterized HierarchicalModel from a template tree."""
     counter = itertools.count()
 
     def rec(node: NodeSpec):
         idx, cop = next(counter), copula_from_spec(node)
         children = tuple(rec(ch) for ch in node.children or ())
-        return _model_node(node, cop, children, idx, kendall_mode, kendall_mc, seed)
+        return _model_node(node, cop, children, idx, "auto", kendall_mc, seed)
 
     model = HierarchicalModel(root=rec(spec), n_vars=n_vars)
     validate(model)

@@ -30,8 +30,9 @@ polylogarithm form), so no finite differencing is involved at any order.
 The Kendall function K, its inverse and the Archimedean node step sum these
 terms (see ``kendall``); ``generator_inverse_derivative_log`` is
 log T_k + log k! - k log s, with the s = 0 limit taken explicitly, and
-``generator_inverse_derivative`` its signed exponential, so copula densities
-and the conditional sampler read the same kernel. ``check_order`` holds the
+``generator_inverse_derivative`` its signed exponential, so the conditional
+sampler reads the same kernel as K and the Archimedean copula density
+(``kendall.archimedean_node_step``). ``check_order`` holds the
 one cap, ``MAX_DERIVATIVE_ORDER``, where a dimension or order enters:
 ``ArchimedeanCopula``, closed-form ``KendallFunction`` and the two public
 derivative functions.

@@ -27,7 +27,7 @@ otherwise), and the walk recurses.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,19 +295,6 @@ def _post_order(node: Node, rows: np.ndarray, memo: dict | None = None, path: st
     return out
 
 
-def _pit_levels(model: HierarchicalModel, rows: np.ndarray) -> list:
-    """The V matrices per depth from one post-order pass below the root,
-    leaves first; the last entry feeds the root. The pass fills its memo in
-    post-order, which keeps each depth's nodes left to right."""
-    memo = {}
-    for i, ch in enumerate(model.root.children):
-        _post_order(ch, rows, memo, child_path("root", ch, i))
-    by_depth = defaultdict(list)
-    for path, (v, _) in memo.items():
-        by_depth[path.count("/")].append(v)
-    return [np.column_stack(by_depth[k]) for k in sorted(by_depth, reverse=True)]
-
-
 def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """V matrix feeding the nesting copula: one column per root child.
 
@@ -316,13 +303,9 @@ def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
-    levels = _pit_levels(model, u[None, :] if single else u)
-    return levels[-1][0] if single else levels[-1]
-
-
-def nesting_pit_levels(model: HierarchicalModel, u) -> list:
-    """V matrices per level, leaves first; the last entry feeds the root."""
-    return _pit_levels(model, np.asarray(u, dtype=float))
+    rows = u[None, :] if single else u
+    v = np.column_stack([_post_order(ch, rows)[0] for ch in model.root.children])
+    return v[0] if single else v
 
 
 def model_logdensity(model: HierarchicalModel, u, memo: dict | None = None) -> np.ndarray:

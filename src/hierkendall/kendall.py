@@ -11,7 +11,8 @@ K = sum_{i<d} T_i with T_i = s^i |(phi^-1)^(i)(s)| / i!, and inverted there
 by Newton's method on log s, started from a table of K that one kernel
 call builds on fixed levels. The terms come in log form from
 ``generators._log_terms``, the one implementation of the inverse-generator
-derivatives, which the Archimedean copula density also reads. A closed form
+derivatives. The Archimedean copula density is formed here too, from the
+last of the same terms (``archimedean_node_step``). A closed form
 exists up to dimension ``MAX_DERIVATIVE_ORDER`` (40), checked when it is
 built. Both representations share one immutable value type with a CDF and a
 (generalized) inverse.
@@ -106,15 +107,17 @@ def _log_phi(g: ArchimedeanGenerator, t):
     return out
 
 
-def _k_and_log_td(g: ArchimedeanGenerator, d: int, log_s):
-    """K = T_0 + ... + T_{d-1} and log T_d at s = exp(log_s).
+def _k_and_log_td(g: ArchimedeanGenerator, d: int, log_s, with_k: bool = True):
+    """K = T_0 + ... + T_{d-1} (or None) and log T_d at s = exp(log_s).
 
     T_d gives both dK/dlog s (see ``_closed_form_kernel``) and the copula
-    density (see ``archimedean_node_step``); it stays in log form because
+    density (see ``_generator_sum_step``); it stays in log form because
     the density needs it where it leaves float range.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = _log_terms(g, range(d + 1), log_s)
+        terms = _log_terms(g, range(d + 1) if with_k else (d,), log_s)
+        if not with_k:
+            return None, next(terms)
         k = np.exp(next(terms))
         for _, log_t in zip(range(1, d), terms):
             k = k + np.exp(log_t)
@@ -155,6 +158,26 @@ def kendall_cdf(K: KendallFunction, t):
     return float(out[()]) if scalar else out
 
 
+def _generator_sum_step(g: ArchimedeanGenerator, u, with_v: bool):
+    """(K or None, log c) from one generator sum, as ``archimedean_node_step``
+    describes: the one place an Archimedean log-density is formed."""
+    d = u.shape[1]
+    s = np.sum(generator_value(g, u), axis=1)
+    if np.any(np.isnan(s)):
+        raise DomainError("Archimedean node input contains NaN")
+    if not s.all():  # log T_d = -inf would meet -d log s = +inf
+        raise EvaluationError(
+            f"{g.family} theta={g.theta:.6g} d={d} copula density out of float range in "
+            f"{s.size - np.count_nonzero(s)} of {s.size} rows: sum of phi(u_i) underflows to 0")
+    log_s = np.log(s)
+    k, log_td = _k_and_log_td(g, d, log_s, with_v)
+    log_c = (log_td + (lgamma(d + 1) - d * log_s)
+             + np.sum(generator_derivative_log(g, u), axis=1))
+    if np.any(np.isnan(log_c)):
+        raise EvaluationError("copula density evaluated to NaN")
+    return k, log_c
+
+
 def archimedean_node_step(g: ArchimedeanGenerator, u):
     """(V, log c) of a d-dimensional Archimedean copula on an N x d block of
     interior points, both from one generator sum s = sum_i phi(u_i).
@@ -163,18 +186,16 @@ def archimedean_node_step(g: ArchimedeanGenerator, u):
     C = phi^-1(s), so it stays exact where C leaves float range.
     log c = log|(phi^-1)^(d)(s)| + sum_i log|phi'(u_i)|, with
     log|(phi^-1)^(d)(s)| = log T_d + log d! - d log s from the same kernel.
+    At s = 0 (every phi(u_i) underflows) it raises ``EvaluationError``; at
+    s = inf (Clayton's phi overflows) log c is -inf.
     """
-    d = u.shape[1]
-    s = np.sum(generator_value(g, u), axis=1)
-    if np.any(np.isnan(s)):
-        raise DomainError("Archimedean node input contains NaN")
-    log_s = np.log(s)
-    k, log_td = _k_and_log_td(g, d, log_s)
-    log_c = (log_td + (lgamma(d + 1) - d * log_s)
-             + np.sum(generator_derivative_log(g, u), axis=1))
-    if np.any(np.isnan(log_c)):
-        raise EvaluationError("copula density evaluated to NaN")
+    k, log_c = _generator_sum_step(g, u, True)
     return np.clip(k, 0.0, 1.0), log_c
+
+
+def archimedean_log_density(g: ArchimedeanGenerator, u):
+    """log c of ``archimedean_node_step`` alone: of the kernel's terms, only T_d."""
+    return _generator_sum_step(g, u, False)[1]
 
 
 def _table_start(g: ArchimedeanGenerator, d: int, p: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -100,8 +100,7 @@ def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
                                       rng) -> np.ndarray:
     """Vectorized conditional-inverse sampling: one row per entry of z.
 
-    Raises ``EvaluationError`` when a row leaves (0, 1): where phi(z)
-    overflows (Clayton beyond tau of about 0.93), phi^-1 maps it back to 0.
+    Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
     rng = as_rng(rng)
     z = np.atleast_1d(_check_z(z))
@@ -117,17 +116,15 @@ def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
         out[:, j - 1] = generator_inverse(g, rem * (1.0 - frac))
         rem = rem * frac
     out[:, d - 1] = generator_inverse(g, rem)
-    inside = np.all((out > 0.0) & (out < 1.0), axis=1)
-    if not inside.all():
-        raise EvaluationError(
-            f"level-set sample of {g.family} theta={g.theta:.6g} d={d} left (0,1) in "
-            f"{n - np.count_nonzero(inside)} of {n} rows: phi is out of float range")
-    return out
+    return _refuse_zeros(g, d, out)
 
 
 def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
                                     rng) -> np.ndarray:
-    """Vectorized projected-distribution sampling: u_j = phi^-1(s_j phi(z))."""
+    """Vectorized projected-distribution sampling: u_j = phi^-1(s_j phi(z)).
+
+    Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
+    """
     rng = as_rng(rng)
     z = np.atleast_1d(_check_z(z))
     n = z.size
@@ -135,7 +132,21 @@ def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
         return z[:, None].copy()
     e = rng.standard_exponential((n, d))
     s = e / e.sum(axis=1, keepdims=True)  # uniform on the unit simplex
-    return generator_inverse(g, s * generator_value(g, z)[:, None])
+    return _refuse_zeros(g, d, generator_inverse(g, s * generator_value(g, z)[:, None]))
+
+
+def _refuse_zeros(g: ArchimedeanGenerator, d: int, out: np.ndarray) -> np.ndarray:
+    """``out`` if no row of an exact level-set sample holds a coordinate <= 0
+    or NaN, else ``EvaluationError``: where phi(z) overflows (Clayton beyond
+    tau of about 0.93), phi^-1(inf) = 0. An exact 1 is kept: phi^-1 of a
+    share that rounds to 0 is a corner of the level set, such as
+    (z, 1, ..., 1)."""
+    bad = ~np.all(out > 0.0, axis=1)
+    if bad.any():
+        raise EvaluationError(
+            f"level-set sample of {g.family} theta={g.theta:.6g} d={d} left (0,1) in "
+            f"{np.count_nonzero(bad)} of {out.shape[0]} rows: phi is out of float range")
+    return out
 
 
 def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, rng,

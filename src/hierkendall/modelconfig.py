@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .estimation import FitReport, NodeSpec
 from .hierarchical import DEFAULT_KENDALL_MC
+from .kendall import MIN_KENDALL_MC
 from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
 
 REPORT_FORMAT = "hierkendall-report/1"
@@ -72,8 +73,24 @@ def _atomic_write(path: str, text: str) -> None:
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _names(value) -> bool:
+    """True for a nonempty JSON list of strings."""
+    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+
+
+def _number(value) -> bool:
+    """True for a JSON number; booleans are refused."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _whole(value, lo: int) -> bool:
+    """True for a JSON integer >= ``lo``."""
+    return _number(value) and isinstance(value, int) and value >= lo
+
+
 def parse_model_config(doc: dict) -> ModelConfig:
-    """Validate a config document (or the model member of a report)."""
+    """Validate a config document (or the model member of a report). A value
+    of the wrong JSON type raises ``ConfigError`` naming its node or key."""
     if isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT:
         doc = doc["model"]
     if not isinstance(doc, dict) or "nodes" not in doc:
@@ -83,18 +100,29 @@ def parse_model_config(doc: dict) -> ModelConfig:
         raise ConfigError("'nodes' must be a nonempty list")
     names = []
     for i, node in enumerate(nodes):
-        if not isinstance(node, dict) or "name" not in node:
-            raise ConfigError(f"node #{i}: every node needs a 'name'")
-        if node["name"] in names:
-            raise ConfigError(f"duplicate node name {node['name']!r}")
-        names.append(node["name"])
-        has_cols = "columns" in node
-        has_children = "children" in node
-        if has_cols == has_children:
-            raise ConfigError(
-                f"node {node['name']!r}: exactly one of 'columns'/'children' required")
-        if "family" not in node:
-            raise ConfigError(f"node {node['name']!r}: missing 'family'")
+        if not isinstance(node, dict) or not isinstance(node.get("name"), str):
+            raise ConfigError(f"node #{i}: every node needs a string 'name'")
+        name = node["name"]
+        if name in names:
+            raise ConfigError(f"duplicate node name {name!r}")
+        names.append(name)
+        if ("columns" in node) == ("children" in node):
+            raise ConfigError(f"node {name!r}: exactly one of 'columns'/'children' required")
+        key = "columns" if "columns" in node else "children"
+        if not _names(node[key]):
+            raise ConfigError(f"node {name!r}: {key!r} must be a nonempty list of names, "
+                              f"got {node[key]!r}")
+        if not isinstance(node.get("family"), str):
+            raise ConfigError(f"node {name!r}: missing 'family' or not a string")
+        for param in ("theta", "tau", "nu"):
+            if not _number(node.get(param, 0.0)):
+                raise ConfigError(f"node {name!r}: {param!r} must be a number, "
+                                  f"got {node[param]!r}")
+        corr = node.get("corr", [])
+        if not (isinstance(corr, list)
+                and all(isinstance(row, list) and all(map(_number, row)) for row in corr)):
+            raise ConfigError(f"node {name!r}: 'corr' must be a list of rows of numbers, "
+                              f"got {corr!r}")
     referenced = set()
     by_name = {n["name"]: n for n in nodes}
     for node in nodes:
@@ -109,14 +137,12 @@ def parse_model_config(doc: dict) -> ModelConfig:
     if len(roots) != 1:
         raise ConfigError(f"config must have exactly one root node, found {roots}")
     root = roots[0]
-    # reachability doubles as the acyclicity check
-    order, stack, seen = [], [root], set()
+    # no node has two parents and the root has none, so no cycle is
+    # reachable from the root and this walk ends
+    stack, seen = [root], set()
     while stack:
         cur = stack.pop()
-        if cur in seen:
-            raise ConfigError(f"cycle through node {cur!r}")
         seen.add(cur)
-        order.append(cur)
         stack.extend(by_name[cur].get("children", []))
     unreachable = set(names) - seen
     if unreachable:
@@ -126,18 +152,25 @@ def parse_model_config(doc: dict) -> ModelConfig:
         for col in node.get("columns", []):
             if col in columns:
                 raise ConfigError(
-                    f"column {col!r} appears in more than one cluster")
+                    f"node {node['name']!r}: column {col!r} appears in more than one cluster")
             columns.append(col)
     eps_doc = doc.get("epsilon_rule", {})
+    if not isinstance(eps_doc, dict):
+        raise ConfigError(f"'epsilon_rule' must be an object with 'mode' and 'value', "
+                          f"got {eps_doc!r}")
     try:
         eps = EpsilonRule(str(eps_doc.get("mode", DEFAULT_EPSILON_RULE.mode)),
                           float(eps_doc.get("value", DEFAULT_EPSILON_RULE.value)))
     except Exception as exc:
         raise ConfigError(f"bad epsilon_rule: {exc}") from exc
-    return ModelConfig(
-        nodes=nodes, root_name=root, column_names=columns,
-        kendall_mc_size=int(doc.get("kendall_mc_size", DEFAULT_KENDALL_MC)),
-        epsilon_rule=eps, seed=int(doc.get("seed", 0)))
+    mc, seed = doc.get("kendall_mc_size", DEFAULT_KENDALL_MC), doc.get("seed", 0)
+    if not _whole(mc, MIN_KENDALL_MC):
+        raise ConfigError(f"'kendall_mc_size' must be an integer >= {MIN_KENDALL_MC}, "
+                          f"got {mc!r}")
+    if not _whole(seed, 0):
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
+    return ModelConfig(nodes=nodes, root_name=root, column_names=columns,
+                       kendall_mc_size=mc, epsilon_rule=eps, seed=seed)
 
 
 def _node_params(node: dict) -> dict | None:
@@ -255,8 +288,8 @@ def load_model_document(path: str) -> tuple:
         raise ConfigError(f"model file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    columns = doc.get("columns") if doc.get("format") == REPORT_FORMAT else None
-    return parse_model_config(doc), columns
+    config = parse_model_config(doc)
+    return config, doc.get("columns") if doc.get("format") == REPORT_FORMAT else None
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,7 @@ def joint_loglik_nelder_mead(spec, u, start, pinned=()):
 
     def neg_ll(eta):
         try:
-            model = build_model(with_thetas(spec, thetas_at(eta)), u.shape[1],
-                                kendall_mode="closed_form")
+            model = build_model(with_thetas(spec, thetas_at(eta)), u.shape[1])
             val = model_loglik(model, u).value
         except (ValueError, ArithmeticError):
             return np.inf

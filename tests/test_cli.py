@@ -1,6 +1,9 @@
+import copy
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +373,94 @@ class TestDensityCommand:
         assert main(["density", "--model", str(path),
                      "--point", "0.3,0.6,0.2,0.9"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
+
+
+_CONFIG = {"nodes": [
+    {"name": "c1", "family": "clayton", "columns": ["A", "B"], "tau": 0.5},
+    {"name": "c2", "family": "gumbel", "columns": ["C", "D"], "tau": 0.5},
+    {"name": "nest", "family": "frank", "children": ["c1", "c2"], "tau": 0.4},
+], "seed": 42}
+
+
+def _edited(**edits):
+    """``_CONFIG`` with node fields replaced (``None`` drops one), extra
+    nodes appended, or top-level keys set."""
+    doc = copy.deepcopy(_CONFIG)
+    nodes = {n["name"]: n for n in doc["nodes"]}
+    for key, value in edits.items():
+        if key == "extra":
+            doc["nodes"].extend(value)
+        elif key in nodes:
+            for field, v in value.items():
+                if v is None:
+                    del nodes[key][field]
+                else:
+                    nodes[key][field] = v
+        else:
+            doc[key] = value
+    return doc
+
+
+class TestModelConfigRefusals:
+    """Every malformed config exits 2 naming its node or key, and writes nothing."""
+
+    @pytest.mark.parametrize("doc, named", [
+        (_edited(c1={"columns": 5}), "node 'c1': 'columns'"),
+        (_edited(c1={"name": ["c1"]}), "'name'"),
+        (_edited(nest={"children": [["c1"], "c2"]}), "node 'nest': 'children'"),
+        (_edited(nest={"children": "c1"}), "node 'nest': 'children'"),
+        (_edited(c1={"tau": "0.5"}), "node 'c1': 'tau'"),
+        (_edited(c1={"family": "gaussian", "tau": None, "corr": [[1.0, "x"], [0.5, 1.0]]}),
+         "node 'c1': 'corr'"),
+        (_edited(kendall_mc_size=None), "'kendall_mc_size'"),
+        (_edited(kendall_mc_size=5, c1={"family": "gaussian", "tau": None,
+                                        "corr": [[1.0, 0.5], [0.5, 1.0]]}),
+         "'kendall_mc_size'"),
+        (_edited(epsilon_rule="rel"), "'epsilon_rule'"),
+        (_edited(seed=1.5), "'seed'"),
+        (_edited(seed=True), "'seed'"),
+        (_edited(seed=-1), "'seed'"),
+        ([1, 2], "'nodes'"),
+        (_edited(extra=[{"name": "c1", "family": "clayton", "columns": ["E", "F"]}]),
+         "duplicate node name 'c1'"),
+        (_edited(nest={"children": ["c1", "c2", "m"]},
+                 extra=[{"name": "m", "family": "clayton", "children": ["c1"]}]),
+         "node 'c1' referenced by two parents"),
+        (_edited(nest={"children": ["c1", "cx"]}), "node 'nest': unknown child 'cx'"),
+        (_edited(extra=[{"name": "c3", "family": "clayton", "columns": ["E", "F"]}]),
+         "'c3'"),
+        (_edited(extra=[{"name": "a", "family": "clayton", "children": ["b"]},
+                        {"name": "b", "family": "clayton", "children": ["a"]}]),
+         "nodes ['a', 'b'] not reachable"),
+        (_edited(c2={"columns": ["B", "C"]}), "node 'c2': column 'B'"),
+        (_edited(c1={"family": None}), "node 'c1': missing 'family'"),
+        (_edited(c1={"children": ["c2"]}), "node 'c1': exactly one of"),
+        (_edited(c1={"columns": None}), "node 'c1': exactly one of"),
+    ], ids=["columns-number", "name-list", "child-list", "children-string", "tau-string",
+            "corr-string", "mc-null", "mc-below-floor", "epsilon-string", "seed-fraction", "seed-bool",
+            "seed-negative", "top-level-list", "duplicate-name", "two-parents",
+            "unknown-child", "two-roots", "unreachable", "duplicate-column",
+            "missing-family", "columns-and-children", "neither"])
+    def test_exits_2_naming_the_node_or_key(self, tmp_path, capsys, doc, named):
+        path, out = tmp_path / "m.json", tmp_path / "sim.csv"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", "--model", str(path), "--n", "10", "--seed", "1",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and named in err, err
+        assert not out.exists()
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    """The first JSON block of README.md is a valid config for the CLI."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "model.json"
+    path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    assert main(["simulate", "--model", str(path), "--n", "50", "--seed", "5",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    capsys.readouterr()
+    assert main(["density", "--model", str(path), "--point", "0.3,0.4,0.6,0.7"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out.strip()))
 
 
 class TestKendallCommand:

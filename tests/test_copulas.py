@@ -595,6 +595,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             StudentTCopula(corr2(0.3), 2.0)
 
+    def test_one_variable_archimedean_is_refused(self):
+        with pytest.raises(ParameterError, match="IndependenceCopula"):
+            ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 1)
+
     def test_negative_frank_needs_bivariate(self):
         with pytest.raises(ParameterError):
             ArchimedeanCopula(ArchimedeanGenerator("frank", -2.0), 3)

@@ -40,7 +40,7 @@ from hierkendall.estimation import (
 from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
 import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
-from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
+from hierkendall.hierarchical import iter_nodes, kendall_for_copula, model_loglik, model_sample
 from hierkendall.modelconfig import config_to_spec, parse_model_config, report_document
 from hierkendall.rngutil import substream
 
@@ -317,7 +317,8 @@ class TestTwoStep:
         with pytest.raises(ParameterError, match="'closedform'"):
             fit_two_step(two_cluster_spec(False), u, FitOptions(kendall_mode="closedform"))
         with pytest.raises(ParameterError, match="'bogus'"):
-            build_model(two_cluster_spec(), 4, kendall_mode="bogus")
+            kendall_for_copula(ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 2),
+                               "bogus")
 
     def test_independence_families_loglik_zero(self):
         spec = NodeSpec("nest", "independence", children=(

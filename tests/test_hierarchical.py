@@ -17,11 +17,11 @@ from hierkendall.hierarchical import (
     inner,
     leaf,
     model_density,
+    model_logdensity,
     model_loglik,
     model_n_params,
     model_sample,
     nesting_pit,
-    nesting_pit_levels,
     node_transform,
     validate,
     validate_model,
@@ -196,12 +196,15 @@ class TestNestingPit:
             n_vars=5)
         assert validate_model(m) == []
         u = np.random.default_rng(3).random((50, 5))
-        levels = nesting_pit_levels(m, u)
-        assert [lv.shape for lv in levels] == [(50, 3), (50, 2)]
-        np.testing.assert_array_equal(levels[-1], nesting_pit(m, u))
-        np.testing.assert_array_equal(levels[0][:, 0], node_transform(c1, u[:, :2])[0])
-        np.testing.assert_array_equal(levels[0][:, 2], u[:, 4])
-        np.testing.assert_array_equal(levels[-1][:, 1], u[:, 4])
+        memo = {}
+        model_logdensity(m, u, memo)
+        v = {path: entry[0] for path, entry in memo.items()}
+        np.testing.assert_array_equal(
+            nesting_pit(m, u), np.column_stack([v["root/m1"], v["root/m2"]]))
+        np.testing.assert_array_equal(v["root/m1/c1"], node_transform(c1, u[:, :2])[0])
+        np.testing.assert_array_equal(v["root/m2/c3"], u[:, 4])
+        np.testing.assert_array_equal(v["root/m2"], u[:, 4])
+        assert v["root"] is None  # the root has no Kendall function
 
     def test_pass_rate_over_seeds(self):
         m = two_cluster_model()
@@ -346,10 +349,10 @@ class TestSampling:
         assert validate_model(m) == []
         u = model_sample(m, 5000, np.random.default_rng(13), method="exact")
         assert u.shape == (5000, 6)
-        levels = nesting_pit_levels(m, u)
-        assert levels[-1].shape == (5000, 2)
+        v = nesting_pit(m, u)
+        assert v.shape == (5000, 2)
         for j in range(2):
-            assert kstest(levels[-1][:, j], "uniform").pvalue > 0.01
+            assert kstest(v[:, j], "uniform").pvalue > 0.01
         ld = model_loglik(m, u)
         assert np.isfinite(ld.value)
 

@@ -17,6 +17,7 @@ from hierkendall.copulas import (
 )
 from hierkendall.errors import (
     DomainError,
+    EvaluationError,
     ParameterError,
     ToleranceError,
     UnsupportedOrderError,
@@ -24,7 +25,9 @@ from hierkendall.errors import (
 from hierkendall.generators import (
     MAX_DERIVATIVE_ORDER,
     ArchimedeanGenerator,
+    generator_derivative_log,
     generator_inverse_derivative,
+    generator_inverse_derivative_log,
     generator_value,
     independence_generator,
     theta_from_tau,
@@ -261,8 +264,9 @@ class TestInverse:
 
 class TestNodeStep:
     """archimedean_node_step against the composition it replaces: V =
-    kendall_cdf(K, copula_cdf) at the unclamped C, and log c = copula_logpdf
-    bit for bit.
+    kendall_cdf(K, copula_cdf) at the unclamped C, and log c bit for bit
+    equal to the public derivative functions' route,
+    generator_inverse_derivative_log(g, s, d) + sum generator_derivative_log(g, u_i).
     Where C underflows the smallest normal double only the bound
     0 <= V <= K(tiny) is checked, since kendall_cdf cannot be reached there."""
 
@@ -288,7 +292,11 @@ class TestNodeStep:
                                    rtol=0, atol=1e-12, err_msg=msg)
         assert np.all((v[~normal] >= 0.0) & (v[~normal] <= kendall_cdf(K, TINY))), msg
         # both read log T_d from the one derivative kernel, so they agree bit for bit
-        np.testing.assert_array_equal(log_c, copula_logpdf(c, u), err_msg=msg)
+        s = np.sum(generator_value(g, u), axis=1)
+        composed = (generator_inverse_derivative_log(g, s, d)
+                    + np.sum(generator_derivative_log(g, u), axis=1))
+        np.testing.assert_array_equal(log_c, composed, err_msg=msg)
+        np.testing.assert_array_equal(copula_logpdf(c, u), log_c, err_msg=msg)
 
     @pytest.mark.parametrize("family", ["clayton", "gumbel", "frank"])
     def test_v_of_exact_samples_is_uniform(self, family):
@@ -330,6 +338,18 @@ class TestNodeStep:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             archimedean_node_step(CLAYTON2, np.array([[0.5, 0.5], [0.5, np.nan]]))
+
+    def test_generator_sum_underflow_raises_without_warning(self):
+        # Gumbel theta = 50: phi(1 - 1e-8) = 1e-400 underflows, so s = 0, where
+        # log T_d = -inf meets -d log s = +inf
+        g = ArchimedeanGenerator("gumbel", 50.0)
+        u = np.array([[0.3, 0.6], [1.0 - 1e-8, 1.0 - 1e-8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in (lambda: archimedean_node_step(g, u),
+                         lambda: copula_logpdf(ArchimedeanCopula(g, 2), u)):
+                with pytest.raises(EvaluationError, match=r"gumbel theta=50 d=2 .* 1 of 2 rows"):
+                    step()
 
 
 class TestEmpirical:

@@ -136,6 +136,20 @@ class TestProjectedSampler:
                                             _StubExponential([1.0, 1e-300, 1e-300]))
         np.testing.assert_allclose(u[0], [0.37, 1.0, 1.0], atol=1e-9)
 
+    def test_refuses_rows_outside_unit_interval(self):
+        # the guard both exact samplers share: at tau = 0.98, phi(z) overflows
+        # for some of these levels and phi^-1(inf) = 0; at tau = 0.9 it does not
+        for tau in (0.98, 0.9):
+            g = theta_from_tau("clayton", tau)
+            z = kendall_inverse(closed_form_kendall(g, 2),
+                                np.random.default_rng(1).random(100_000))
+            if tau == 0.98:
+                with pytest.raises(EvaluationError, match=r"clayton theta=98 d=2 left"):
+                    sample_levelset_projected_batch(g, 2, z, np.random.default_rng(2))
+            else:
+                u = sample_levelset_projected_batch(g, 2, z, np.random.default_rng(2))
+                assert np.all((u > 0.0) & (u <= 1.0))
+
     def test_exactness(self):
         rng = np.random.default_rng(18)
         g = theta_from_tau("gumbel", 0.6)
