@@ -63,7 +63,6 @@ from .kendall import (
 )
 from .levelset import (
     EpsilonRule,
-    conditional_levelset_cdf,
     sample_levelset_conditional_batch,
     sample_levelset_projected_batch,
     sample_levelset_rejection_batch,

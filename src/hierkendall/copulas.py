@@ -198,13 +198,10 @@ def _gauss_cdf_2d(a, b, rho):
     20-node rule in the angle arcsin rho; otherwise Genz's expansion about
     the comonotone limit with the 20-node rule for its remainder, reaching
     rho < 0 through Phi2(a, b; rho) = Phi(a) - Phi2(a, -b; -rho). Both are
-    exact to a few units of double rounding.
+    exact to a few units of double rounding. The package passes only
+    entries of matrices that ``_check_corr`` accepted: |rho| < 1 - 1e-10.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if abs(rho) > 1.0 - 1e-12:
-        if rho > 0:  # comonotone limit
-            return special.ndtr(np.minimum(a, b))
-        return np.maximum(special.ndtr(a) + special.ndtr(b) - 1.0, 0.0)
     h, k = -a, -b
     if abs(rho) < 0.925:
         asr = np.arcsin(rho)

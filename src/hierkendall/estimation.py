@@ -46,9 +46,8 @@ from .copulas import (
     StudentTCopula,
     copula_logpdf,
     elliptical_corr_from_tau,
-    elliptical_tau_from_corr,
 )
-from .errors import ConfigError, DataError, EvaluationError, ParameterError
+from .errors import ConfigError, DataError, EvaluationError, HierKendallError, ParameterError
 from .generators import FAMILIES, ArchimedeanGenerator, tau_from_theta, theta_from_tau
 from .hierarchical import (
     DEFAULT_KENDALL_MC,
@@ -116,43 +115,55 @@ def copula_from_spec(spec: NodeSpec) -> CopulaSpec:
         elif "tau" in params:
             gen = theta_from_tau(spec.family, float(params["tau"]))
         else:
-            raise ConfigError(f"node {spec.name!r}: needs theta or tau")
+            raise ConfigError("needs theta or tau")
         return ArchimedeanCopula(gen, d)
     if "corr" not in params:
-        raise ConfigError(f"node {spec.name!r}: needs a correlation matrix")
+        raise ConfigError("needs a correlation matrix")
     corr = np.asarray(params["corr"], dtype=float)
     if spec.family == "gaussian":
         return GaussianCopula(corr)
     if "nu" not in params:
-        raise ConfigError(f"node {spec.name!r}: needs degrees of freedom nu")
+        raise ConfigError("needs degrees of freedom nu")
     return StudentTCopula(corr, float(params["nu"]))
 
 
 def build_model(spec: NodeSpec, n_vars: int, kendall_mc: int = DEFAULT_KENDALL_MC,
                 seed: int = 0) -> HierarchicalModel:
     """Build a fully parameterized HierarchicalModel from a template tree."""
+    return _build_tree(spec, n_vars, lambda node, children, path: copula_from_spec(node),
+                       "auto", kendall_mc, seed)
+
+
+def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
+                kendall_mc: int, seed: int) -> HierarchicalModel:
+    """The model of template ``spec``, built children first: at each node,
+    ``copula_for(spec, children, path)`` gives its copula once its model
+    ``children`` exist. A node's Kendall function (none at the root) draws
+    from the stream of its preorder index, so a fit and the model built
+    from its report carry the same one. An error raised while a node's
+    copula or Kendall function is made is re-raised, class and attributes
+    kept, with ``node '<name>': `` in front of its message."""
     counter = itertools.count()
 
-    def rec(node: NodeSpec):
-        idx, cop = next(counter), copula_from_spec(node)
-        children = tuple(rec(ch) for ch in node.children or ())
-        return _model_node(node, cop, children, idx, "auto", kendall_mc, seed)
+    def rec(node: NodeSpec, path: str) -> Node:
+        idx = next(counter)
+        children = tuple(rec(ch, child_path(path, ch, i))
+                         for i, ch in enumerate(node.children or ()))
+        try:
+            cop = copula_for(node, children, path)
+            kf = None if idx == 0 else kendall_for_copula(
+                cop, kendall_mode, kendall_mc, substream(seed, STREAM_KENDALL, idx))
+        except (HierKendallError, ValueError) as exc:
+            message = exc.args[0] if exc.args else ""
+            exc.args = (f"node {node.name!r}: {message}", *exc.args[1:])
+            raise
+        if node.columns is not None:
+            return LeafNode(node.name, node.columns, cop, kf)
+        return InnerNode(node.name, children, cop, kf)
 
-    model = HierarchicalModel(root=rec(spec), n_vars=n_vars)
+    model = HierarchicalModel(root=rec(spec, "root"), n_vars=n_vars)
     validate(model)
     return model
-
-
-def _model_node(spec: NodeSpec, cop: CopulaSpec, children: tuple, idx: int,
-                kendall_mode: str, kendall_mc: int, seed: int) -> Node:
-    """Model node of template ``spec`` at preorder index ``idx``. Its Kendall
-    function (none at the root, index 0) draws from the stream of ``idx``,
-    so a fit and the model built from its report carry the same one."""
-    kf = None if idx == 0 else kendall_for_copula(
-        cop, kendall_mode, kendall_mc, substream(seed, STREAM_KENDALL, idx))
-    if spec.columns is not None:
-        return LeafNode(spec.name, spec.columns, cop, kf)
-    return InnerNode(spec.name, children, cop, kf)
 
 
 # ---------------------------------------------------------------------------
@@ -406,35 +417,31 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
 
     Each node is fitted to its data columns or to the V columns of its
     fitted children, which the model's bottom-up pass fills into one memo;
-    the final ``model_loglik`` pass over it adds only the root.
+    the final ``model_loglik`` pass over it adds only the root. The
+    template's ``params`` are not read. ``FitReport.nodes`` is in post-order.
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
-    counter = itertools.count()
-    node_fits: list[NodeFit] = []
+    fits = []  # (template, path, ClusterFit) in post-order
     memo = {}
 
-    def rec(node: NodeSpec, path: str):
-        idx = next(counter)
-        children = tuple(rec(ch, child_path(path, ch, i))
-                         for i, ch in enumerate(node.children or ()))
+    def fit_node(node: NodeSpec, children: tuple, path: str) -> CopulaSpec:
         if node.columns is not None:
             block = u[:, list(node.columns)]
         else:
             block = np.column_stack([post_order(ch, u, memo, child_path(path, ch, i))[0]
                                      for i, ch in enumerate(children)])
         fit = fit_cluster(node.family, block)
-        fitted = _model_node(node, fit.copula, children, idx, options.kendall_mode,
-                             options.kendall_mc, options.seed)
-        node_fits.append(NodeFit(
-            name=node.name, family=node.family, dim=node.dim,
-            params=copula_params(fit.copula), method=fit.method,
-            kendall=_kendall_tag(fitted.kendall), loglik=fit.loglik,
-            converged=fit.converged, n_evals=fit.n_evals))
-        return fitted
+        fits.append((node, path, fit))
+        return fit.copula
 
-    model = HierarchicalModel(root=rec(spec, "root"), n_vars=u.shape[1])
-    validate(model)
+    model = _build_tree(spec, u.shape[1], fit_node, options.kendall_mode,
+                        options.kendall_mc, options.seed)
+    kendalls = {path: node.kendall for path, node, _ in iter_nodes(model)}
+    node_fits = [NodeFit(
+        name=node.name, family=node.family, dim=node.dim, params=copula_params(fit.copula),
+        method=fit.method, kendall=_kendall_tag(kendalls[path]), loglik=fit.loglik,
+        converged=fit.converged, n_evals=fit.n_evals) for node, path, fit in fits]
     ll = model_loglik(model, u, memo)
     return FitReport(
         nodes=node_fits, loglik_two_step=ll.value, loglik_joint=None,
@@ -637,7 +644,11 @@ class StudyConfig:
                 ("replications", self.replications >= 1, "be positive"),
                 ("sample_sizes", all(n >= 1 for n in self.sample_sizes), "be positive"),
                 ("kendall_mc", self.kendall_mc >= MIN_KENDALL_MC,
-                 f"be at least {MIN_KENDALL_MC}")):
+                 f"be at least {MIN_KENDALL_MC}"),
+                ("nesting_family", self.nesting_family in ("clayton", "gumbel", "frank"),
+                 "be clayton, gumbel or frank"),
+                ("cluster_families", set(self.cluster_families) <= set(FAMILIES),
+                 f"be drawn from {FAMILIES}")):
             if not ok:
                 raise ConfigError(f"study setting {name!r} must {need}, "
                                   f"got {getattr(self, name)!r}")
@@ -676,16 +687,6 @@ def _study_spec(config: StudyConfig, tau0: float) -> NodeSpec:
                     params={"tau": float(tau0)})
 
 
-def _fitted_nesting_tau(report: FitReport) -> float:
-    root = report.model.root.copula
-    if isinstance(root, ArchimedeanCopula):
-        return tau_from_theta(root.generator)
-    if isinstance(root, IndependenceCopula):
-        return 0.0
-    off = root.corr[np.triu_indices(root.corr.shape[0], 1)]
-    return float(np.mean(elliptical_tau_from_corr(off)))
-
-
 def _study_replication(args):
     """{method: (fitted nesting tau, None) or (None, "<type>: <message>")}
     for one replication."""
@@ -695,37 +696,29 @@ def _study_replication(args):
     true_model = build_model(spec, n_vars=2 * len(config.cluster_families),
                              seed=config.seed)
     u = model_sample(true_model, n, rng, method="exact")
-    fit_spec = _strip_params(spec)
     out = {}
     base = None
     for method in config.methods:
         try:
             if method == "two_step_closed":
-                base = fit_two_step(fit_spec, u, FitOptions(
+                base = fit_two_step(spec, u, FitOptions(
                     kendall_mode="closed_form", seed=config.seed))
                 fitted = base
             elif method == "two_step_empirical":
-                fitted = fit_two_step(fit_spec, u, FitOptions(
+                fitted = fit_two_step(spec, u, FitOptions(
                     kendall_mode="empirical", kendall_mc=config.kendall_mc,
                     seed=config.seed + rep))
             elif method == "joint_mle":
                 if base is None:
-                    base = fit_two_step(fit_spec, u, FitOptions(
+                    base = fit_two_step(spec, u, FitOptions(
                         kendall_mode="closed_form", seed=config.seed))
                 fitted = fit_joint_mle(base, u, FitOptions())
             else:
                 raise ParameterError(f"unknown study method {method!r}")
-            out[method] = (_fitted_nesting_tau(fitted), None)
+            out[method] = (tau_from_theta(fitted.model.root.copula.generator), None)
         except Exception as exc:  # any failure is counted, with its reason
             out[method] = (None, " ".join(f"{type(exc).__name__}: {exc}".split()))
     return out
-
-
-def _strip_params(spec: NodeSpec) -> NodeSpec:
-    if spec.columns is not None:
-        return dataclasses.replace(spec, params=None)
-    return dataclasses.replace(
-        spec, params=None, children=tuple(_strip_params(ch) for ch in spec.children))
 
 
 def simulation_study(config: StudyConfig, workers: int = 1) -> list:

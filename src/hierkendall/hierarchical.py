@@ -65,7 +65,7 @@ from .levelset import (
     sample_levelset_conditional_batch,
     sample_levelset_rejection_batch,
 )
-from .rngutil import STREAM_KENDALL, as_rng, substream
+from .rngutil import STREAM_KENDALL, substream
 
 DEFAULT_KENDALL_MC = 100_000
 
@@ -142,7 +142,7 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
     if mode in ("auto", "closed_form") and is_archimedean_kind(copula):
         return closed_form_kendall(copula_generator(copula), copula.dim)
     return empirical_kendall_build(
-        copula, m, substream(0, STREAM_KENDALL) if rng is None else as_rng(rng))
+        copula, m, substream(0, STREAM_KENDALL) if rng is None else rng)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,6 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
     requires Archimedean cluster (and inner) copulas; "rejection" works
     for any kinds; "auto" picks exact when possible.
     """
-    rng = as_rng(rng)
     if method not in ("auto", "exact", "rejection"):
         raise ParameterError(f"unknown sampling method {method!r}")
     if method == "auto":
@@ -435,7 +434,6 @@ def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
     drawn from the cluster-conditional laws. Returns (estimate, standard
     error); the error is zero when both clusters have size one.
     """
-    rng = as_rng(rng)
     i_idx, leaf_i = _find_leaf_for(model, k)
     j_idx, leaf_j = _find_leaf_for(model, l)
     if i_idx == j_idx:

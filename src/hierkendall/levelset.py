@@ -5,8 +5,8 @@ Each method fills one row per entry of a vector of levels z:
 * ``sample_levelset_conditional_batch`` -- exact conditional-inverse
   sampling for Archimedean copulas. The conditional CDF of coordinate j
   given the previous ones and the level is
-  ``(1 - phi(u) / (phi(z) - sum_{i<j} phi(u_i)))^(d-j)``
-  (``conditional_levelset_cdf``), which inverts in closed form.
+  ``(1 - phi(u) / (phi(z) - sum_{i<j} phi(u_i)))^(d-j)`` on
+  (phi^-1(phi(z) - sum_{i<j} phi(u_i)), 1), which inverts in closed form.
 * ``sample_levelset_projected_batch`` -- exact sampling through the
   simplex representation: u_j = phi^-1(s_j * phi(z)) with
   (s_1, ..., s_d) uniform on the unit simplex. Distributionally identical
@@ -33,7 +33,6 @@ import numpy as np
 from .copulas import CopulaSpec, copula_cdf, copula_sample
 from .errors import DomainError, EvaluationError, ParameterError, RejectionCapError
 from .generators import ArchimedeanGenerator, generator_inverse, generator_value
-from .rngutil import as_rng
 
 DEFAULT_MAX_ATTEMPTS = 10_000_000
 
@@ -71,38 +70,12 @@ def _check_z(z):
     return z
 
 
-def conditional_levelset_cdf(g: ArchimedeanGenerator, d: int, u_prefix, z: float,
-                             u) -> float:
-    """Conditional CDF of coordinate j = len(u_prefix)+1 on the level set.
-
-    F(u | u_prefix, C(U) = z) = (1 - phi(u)/(phi(z) - sum phi(u_i)))^(d-j),
-    supported on (C^-1_{prefix}(z), 1).
-    """
-    prefix = np.asarray(u_prefix, dtype=float).ravel()
-    j = prefix.size + 1
-    if j > d:
-        raise DomainError(f"prefix of length {prefix.size} leaves no free coordinate")
-    _check_z(z)
-    rem = generator_value(g, z) - (np.sum(generator_value(g, prefix))
-                                   if prefix.size else 0.0)
-    if rem <= 0.0:
-        raise DomainError("prefix already exhausts the level: no support left")
-    scalar = np.isscalar(u)
-    uu = np.asarray(u, dtype=float)
-    ratio = generator_value(g, uu) / rem
-    if np.any(ratio > 1.0 + 1e-12):
-        raise DomainError("u below the lower support endpoint of the level set")
-    out = np.clip(1.0 - ratio, 0.0, 1.0) ** (d - j)
-    return float(out[()]) if scalar else out
-
-
 def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
                                       rng) -> np.ndarray:
     """Vectorized conditional-inverse sampling: one row per entry of z.
 
     Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
-    rng = as_rng(rng)
     z = np.atleast_1d(_check_z(z))
     n = z.size
     out = np.empty((n, d))
@@ -125,7 +98,6 @@ def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
 
     Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
-    rng = as_rng(rng)
     z = np.atleast_1d(_check_z(z))
     n = z.size
     if d == 1:
@@ -161,7 +133,6 @@ def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, 
     Returns ``(samples, attempts)`` where samples has one row per target.
     ``max_attempts`` caps the total number of candidates for the batch.
     """
-    rng = as_rng(rng)
     z_targets = np.atleast_1d(np.asarray(z_targets, dtype=float))
     _check_z(z_targets)
     n = z_targets.size

@@ -119,10 +119,11 @@ def parse_model_config(doc: dict) -> ModelConfig:
                 raise ConfigError(f"node {name!r}: {param!r} must be a number, "
                                   f"got {node[param]!r}")
         corr = node.get("corr", [])
-        if not (isinstance(corr, list)
-                and all(isinstance(row, list) and all(map(_number, row)) for row in corr)):
-            raise ConfigError(f"node {name!r}: 'corr' must be a list of rows of numbers, "
-                              f"got {corr!r}")
+        if not (isinstance(corr, list) and all(
+                isinstance(row, list) and len(row) == len(corr) and all(map(_number, row))
+                for row in corr)):
+            raise ConfigError(f"node {name!r}: 'corr' must be a square list of rows of "
+                              f"numbers, got {corr!r}")
     referenced = set()
     by_name = {n["name"]: n for n in nodes}
     for node in nodes:

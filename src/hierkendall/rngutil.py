@@ -23,12 +23,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the RNG for substream ``path`` of the given master seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
-
-def as_rng(rng_or_seed) -> np.random.Generator:
-    """Accept a Generator (or a duck-typed stand-in), a seed, or None."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    if not isinstance(rng_or_seed, (int, np.integer, type(None))) and (
-            hasattr(rng_or_seed, "random") or hasattr(rng_or_seed, "standard_exponential")):
-        return rng_or_seed
-    return np.random.default_rng(rng_or_seed)

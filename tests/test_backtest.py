@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import norm
 
 import hierkendall.backtest as backtest
@@ -9,6 +10,7 @@ import hierkendall.backtest as backtest
 from hierkendall.backtest import (
     EmpiricalMargin,
     NormalMargin,
+    StudentTMargin,
     christoffersen_tests,
     evaluate_hits,
     forecast_var,
@@ -203,6 +205,14 @@ class TestMargins:
         m = NormalMargin(vals)
         assert m.quantile(0.5) == pytest.approx(2.0, abs=0.1)
 
+    def test_student_t_margin_is_the_fitted_t(self):
+        vals = 1.0 + 2.0 * np.random.default_rng(6).standard_t(5.0, size=2000)
+        m = StudentTMargin(vals)
+        df, loc, scale = stats.t.fit(vals)
+        assert (m.df, m.loc, m.scale) == (df, loc, scale)
+        u = np.array([0.01, 0.3, 0.5, 0.95])
+        np.testing.assert_allclose(m.quantile(u), stats.t.ppf(u, df, loc, scale), rtol=1e-12)
+
     def test_window_margins_shape(self):
         win = np.random.default_rng(4).normal(size=(100, 3))
         ms = window_margins(win, "empirical")
@@ -275,6 +285,12 @@ class TestRolling:
         with pytest.raises(ParameterError) as info:
             rolling_backtest(returns, FIT_SPEC, **kwargs)
         assert info.value.argument == argument
+
+    def test_student_t_margins(self, returns):
+        report = rolling_backtest(returns, FIT_SPEC, level=0.95, window=300, horizon=3,
+                                  refit_every=3, mc=2000, seed=3, margin_kind="student_t")
+        assert report.var_series.shape == (3,)
+        assert np.all(np.isfinite(report.var_series)) and np.all(report.var_series < 0.0)
 
     def test_window_too_long_rejected(self):
         data = np.random.default_rng(6).normal(size=(50, 2))

@@ -248,6 +248,28 @@ class TestFitCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+class TestReportRebuild:
+    def test_archimedean_clusters_rebuild_in_closed_form(self, fitted_world, monkeypatch):
+        """``--kendall-mc`` overrides the config, and the report records an
+        empirical Kendall function on each Archimedean cluster; the model
+        rebuilt from the report takes ``auto``'s closed form there."""
+        tmp, model, fit_cfg = fitted_world
+        sim, report = tmp / "sim.csv", tmp / "report.json"
+        assert main(["simulate", "--model", str(model), "--n", "400", "--seed", "2",
+                     "--out", str(sim)]) == 0
+        assert main(["fit", "--data", str(sim), "--model", str(fit_cfg), "--kendall-mode",
+                     "empirical", "--kendall-mc", "1000", "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["model"]["kendall_mc_size"] == 1000
+        assert [n["kendall"] for n in doc["model"]["nodes"]] == [
+            "empirical(1000)", "empirical(1000)", "none"]
+        rebuilt = []
+        monkeypatch.setattr(cli, "model_density", lambda m, point: rebuilt.append(m) or 1.0)
+        assert main(["density", "--model", str(report), "--point", "0.3,0.4,0.6,0.7"]) == 0
+        assert [ch.kendall.kind for ch in rebuilt[0].root.children] == [
+            "closed_form", "closed_form"]
+
+
 class TestInputRanges:
     """Out-of-range input exits 2 with a message that names it."""
 
@@ -436,11 +458,23 @@ class TestModelConfigRefusals:
         (_edited(c1={"family": None}), "node 'c1': missing 'family'"),
         (_edited(c1={"children": ["c2"]}), "node 'c1': exactly one of"),
         (_edited(c1={"columns": None}), "node 'c1': exactly one of"),
+        (_edited(c1={"family": "gaussian", "tau": None, "corr": [[1, 0.5], [0.5]]}),
+         "node 'c1': 'corr'"),
+        (_edited(c1={"family": "gaussian", "tau": None, "corr": [[1, 2], [2, 1]]}),
+         "node 'c1': correlation matrix not positive definite"),
+        (_edited(c1={"family": "gaussian", "tau": None, "corr": [[1, 0.5], [0.4, 1]]}),
+         "node 'c1': correlation matrix must be symmetric"),
+        (_edited(c1={"tau": None, "theta": -1}), "node 'c1': clayton requires theta > 0"),
+        (_edited(c1={"tau": 1.5}), "node 'c1': clayton requires tau in (0,1)"),
+        (_edited(c1={"family": "student_t", "tau": None, "corr": [[1, 0.5], [0.5, 1]],
+                     "nu": 1.5}), "node 'c1': student_t requires nu > 2"),
     ], ids=["columns-number", "name-list", "child-list", "children-string", "tau-string",
             "corr-string", "mc-null", "mc-below-floor", "epsilon-string", "seed-fraction", "seed-bool",
             "seed-negative", "top-level-list", "duplicate-name", "two-parents",
             "unknown-child", "two-roots", "unreachable", "duplicate-column",
-            "missing-family", "columns-and-children", "neither"])
+            "missing-family", "columns-and-children", "neither", "corr-ragged",
+            "corr-not-positive-definite", "corr-asymmetric", "theta-negative",
+            "tau-above-one", "nu-below-two"])
     def test_exits_2_naming_the_node_or_key(self, tmp_path, capsys, doc, named):
         path, out = tmp_path / "m.json", tmp_path / "sim.csv"
         path.write_text(json.dumps(doc))
@@ -474,6 +508,26 @@ class TestKendallCommand:
             assert header == ["t", "K"]
             vals[d] = data[data[:, 0] == 0.5][0, 1]
         assert vals[2] < vals[5] < vals[10]
+
+    @staticmethod
+    def _printed(capsys):
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t,K"
+        return np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
+
+    def test_prints_to_stdout_without_out(self, capsys):
+        assert main(["kendall", "--family", "clayton", "--theta", "2", "--dim", "2",
+                     "--grid", "3"]) == 0
+        t, k = self._printed(capsys)
+        np.testing.assert_array_equal(t, [0.25, 0.5, 0.75])
+        # Clayton at d = 2: K(t) = t + t (1 - t^theta) / theta
+        np.testing.assert_allclose(k, t + t * (1.0 - t ** 2) / 2.0, rtol=1e-12)
+
+    def test_independence_family_needs_no_theta(self, capsys):
+        assert main(["kendall", "--family", "independence", "--dim", "3", "--grid", "4"]) == 0
+        t, k = self._printed(capsys)
+        log_t = np.log(t)
+        np.testing.assert_allclose(k, t * (1.0 - log_t + 0.5 * log_t ** 2), rtol=1e-12)
 
 
 class TestBacktestCommand:
@@ -527,9 +581,12 @@ class TestStudyCommand:
     @pytest.mark.parametrize("overrides, named", [
         ({"replications": 1, "bogus": 1}, "['bogus']"), ([0.4], "JSON object"),
         ({"replications": "two"}, "'replications'"), ({"nesting_taus": 0.4}, "'nesting_taus'"),
-        ({"cluster_taus": [0.4]}, "'cluster_taus'")],
+        ({"cluster_taus": [0.4]}, "'cluster_taus'"),
+        ({"nesting_family": "gaussian"}, "'nesting_family'"),
+        ({"nesting_family": "independence"}, "'nesting_family'"),
+        ({"cluster_families": ["gaussian", "clayton"]}, "'cluster_families'")],
         ids=["unknown-key", "not-an-object", "string-count", "number-for-list",
-             "short-taus"])
+             "short-taus", "gaussian-nesting", "independence-nesting", "gaussian-cluster"])
     def test_bad_overrides_are_input_errors(self, tmp_path, capsys, overrides, named):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(overrides))

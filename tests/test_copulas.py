@@ -247,8 +247,11 @@ class TestQuantileCurve:
 
 
 class TestConditionalSampling:
-    def test_matches_slab_restriction(self):
-        c = ArchimedeanCopula(ArchimedeanGenerator("gumbel", 2.5), 3)
+    @pytest.mark.parametrize("c", [
+        ArchimedeanCopula(ArchimedeanGenerator("gumbel", 2.5), 3),
+        StudentTCopula(np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]]), 5.0)],
+        ids=["gumbel", "student_t"])
+    def test_matches_slab_restriction(self, c):
         big = copula_sample(c, 200_000, np.random.default_rng(3))
         slab = big[np.abs(big[:, 1] - 0.35) < 0.005]
         cond = copula_sample_conditional(c, 1, 0.35, len(slab), np.random.default_rng(4))

@@ -358,6 +358,54 @@ class TestTwoStep:
         assert gaussian_fit.kendall.startswith("empirical")
 
 
+class TestNodeNamedErrors:
+    """One template walk builds and fits every node, and names the node that fails."""
+
+    def test_build_reports_the_first_bad_node_in_post_order(self):
+        spec = NodeSpec("nest", "frank", children=(
+            NodeSpec("c1", "clayton", columns=(0, 1), params={"tau": 1.5}),
+            NodeSpec("c2", "gumbel", columns=(2, 3), params={"tau": 0.4}),
+        ))
+        with pytest.raises(ParameterError, match=r"^node 'c1': "):
+            build_model(spec, 4)
+
+    @pytest.mark.parametrize("cls, attributes", [
+        (EvaluationError, {}), (ParameterError, {"argument": "start"})])
+    def test_failing_fit_names_its_node_and_keeps_the_error(self, monkeypatch, cls,
+                                                            attributes):
+        error = cls("gumbel fit at d = 2: no finite log-likelihood", **attributes)
+        real = estimation.fit_cluster
+
+        def failing(family, block):
+            if family == "gumbel":
+                raise error
+            return real(family, block)
+
+        monkeypatch.setattr(estimation, "fit_cluster", failing)
+        u = np.random.default_rng(9).random((200, 4))
+        with pytest.raises(cls, match=r"^node 'c2': gumbel fit at d = 2: no finite") as info:
+            fit_two_step(two_cluster_spec(False), u)
+        assert info.value is error and vars(error) == attributes
+
+    def test_failing_input_block_names_the_parent(self, monkeypatch):
+        def failing(*args):
+            raise EvaluationError("clayton theta=2 d=2: density out of float range")
+
+        monkeypatch.setattr(estimation, "post_order", failing)
+        u = np.random.default_rng(9).random((200, 4))
+        with pytest.raises(EvaluationError, match=r"^node 'nest': clayton theta=2 d=2"):
+            fit_two_step(two_cluster_spec(False), u)
+
+    def test_template_params_are_not_read(self):
+        u = model_sample(build_model(two_cluster_spec(), 4), 300, np.random.default_rng(13),
+                         method="exact")
+        with_params = fit_two_step(two_cluster_spec(True), u)
+        without = fit_two_step(two_cluster_spec(False), u)
+        assert with_params.loglik_two_step == without.loglik_two_step
+        assert [(nf.name, nf.params, nf.kendall) for nf in with_params.nodes] == [
+            (nf.name, nf.params, nf.kendall) for nf in without.nodes]
+
+
 def three_level_spec(with_params=True):
     def p(tau):
         return {"tau": tau} if with_params else None
@@ -761,8 +809,12 @@ class TestStudy:
         ({"seed": True}, "'seed'"),
         ({"methods": "joint_mle"}, "'methods'"),
         ({"cluster_families": ("clayton", 1)}, "'cluster_families'"),
+        ({"nesting_family": "gaussian"}, "'nesting_family'"),
+        ({"nesting_family": "independence"}, "'nesting_family'"),
+        ({"cluster_families": ("gaussian", "clayton")}, "'cluster_families'"),
     ], ids=["zero-replications", "small-kendall-mc", "zero-size", "short-taus",
-            "float-count", "bool-seed", "string-for-list", "number-for-name"])
+            "float-count", "bool-seed", "string-for-list", "number-for-name",
+            "gaussian-nesting", "independence-nesting", "gaussian-cluster"])
     def test_bad_settings_are_config_errors(self, settings, named):
         with pytest.raises(ConfigError, match=named):
             StudyConfig(**settings)
@@ -788,6 +840,7 @@ class TestStudy:
         a = simulation_study(cfg)
         b = simulation_study(cfg)
         assert a[0].mse == b[0].mse
+        assert simulation_study(cfg, workers=2) == a
 
     def test_failures_keep_their_reason(self):
         cfg = StudyConfig(replications=2, nesting_taus=(0.4,), sample_sizes=(250,),

@@ -387,18 +387,19 @@ class TestCrossClusterMargin:
                                            np.random.default_rng(20))
         assert abs(est - 1.0) <= max(3.0 * se, 1e-9)
 
-    def test_size_one_clusters_exact(self):
-        corr = np.array([[1.0, 0.55], [0.55, 1.0]])
+    @pytest.mark.parametrize("root", [
+        GaussianCopula(np.array([[1.0, 0.55], [0.55, 1.0]])),
+        StudentTCopula(np.array([[1.0, 0.55], [0.55, 1.0]]), 4.0)],
+        ids=["gaussian", "student_t"])
+    def test_size_one_clusters_exact(self, root):
         m = HierarchicalModel(
             root=inner("nest", [leaf("a", [0], IndependenceCopula(1)),
-                                leaf("b", [1], IndependenceCopula(1))],
-                       GaussianCopula(corr)),
+                                leaf("b", [1], IndependenceCopula(1))], root),
             n_vars=2)
         est, se = cross_cluster_margin_pdf(m, 0, 1, 0.4, 0.6, 100,
                                            np.random.default_rng(21))
         assert se < 1e-12  # constant integrand: no Monte Carlo error
-        assert est == pytest.approx(copula_pdf(GaussianCopula(corr), [0.4, 0.6]),
-                                    rel=1e-9)
+        assert est == pytest.approx(copula_pdf(root, [0.4, 0.6]), rel=1e-9)
 
     def test_same_cluster_rejected(self):
         m = two_cluster_model()

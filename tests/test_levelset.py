@@ -19,7 +19,6 @@ from hierkendall.kendall import closed_form_kendall, kendall_inverse
 from hierkendall.levelset import (
     DEFAULT_MAX_ATTEMPTS,
     EpsilonRule,
-    conditional_levelset_cdf,
     sample_levelset_conditional_batch,
     sample_levelset_projected_batch,
     sample_levelset_rejection_batch,
@@ -47,30 +46,6 @@ class _StubExponential:
 
     def standard_exponential(self, shape):
         return self.vals.reshape(shape)
-
-
-class TestConditionalCdf:
-    def test_hand_values(self):
-        u = 0.2773500981126146
-        assert conditional_levelset_cdf(CLAYTON2, 2, [], 0.2, u) == pytest.approx(0.5)
-        assert conditional_levelset_cdf(CLAYTON2, 3, [], 0.2, u) == pytest.approx(0.25)
-
-    def test_one_at_upper_end(self):
-        assert conditional_levelset_cdf(CLAYTON2, 4, [], 0.2, 1.0) == 1.0
-
-    def test_zero_at_support_edge(self):
-        # the lower endpoint is the quantile curve at the level itself
-        assert conditional_levelset_cdf(CLAYTON2, 2, [], 0.2, 0.2) == pytest.approx(
-            0.0, abs=1e-12)
-
-    def test_monotone_in_u(self):
-        grid = np.linspace(0.21, 0.999, 50)
-        vals = conditional_levelset_cdf(CLAYTON2, 3, [], 0.2, grid)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_support_violation(self):
-        with pytest.raises(DomainError):
-            conditional_levelset_cdf(CLAYTON2, 2, [], 0.2, 0.1)
 
 
 class TestConditionalSampler:
