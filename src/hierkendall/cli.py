@@ -196,7 +196,13 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _require_count(flag: str, value: int, lo: int) -> None:
+    if value < lo:
+        raise ParameterError(f"{flag}: must be at least {lo}, got {value}")
+
+
 def cmd_simulate(args) -> int:
+    _require_count("--n", args.n, 0)
     config, header, model, seed = _load_for_simulation(args)
     rng = substream(seed, 0)
     u = model_sample(model, args.n, rng, method=args.method,
@@ -219,6 +225,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_kendall(args) -> int:
+    _require_count("--grid", args.grid, 1)
     if args.family == "independence":
         gen = independence_generator()
     else:

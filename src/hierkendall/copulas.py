@@ -38,6 +38,7 @@ from scipy import linalg, optimize, special, stats
 from .errors import DimensionError, EvaluationError, NoSolutionError, ParameterError
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_derivative_log
     ArchimedeanGenerator,
+    check_dimension,
     check_order,
     generator_derivative_log,
     generator_inverse,
@@ -124,8 +125,7 @@ class ArchimedeanCopula:
             raise ParameterError(f"Archimedean copula dimension must be >= 2, got {self.dim}; "
                                  "a one-variable copula is IndependenceCopula(1)")
         check_order(self.dim, "Archimedean copula dimension")
-        if self.generator.family == "frank" and self.generator.theta < 0.0 and self.dim > 2:
-            raise ParameterError("negative-dependence frank copula only exists for d = 2")
+        check_dimension(self.generator, self.dim)
 
 
 @dataclass(frozen=True, eq=False)

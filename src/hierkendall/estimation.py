@@ -14,8 +14,9 @@ same finite intervals:
 the one parameter of each two-step node by bounded Brent, the joint pass by
 bounded L-BFGS-B. The joint objective forms its own forward-difference
 gradient: one base pass keeps every node's (V, summed log c) in a dict by
-node path, and the probe of a parameter re-runs only the nodes on its
-ancestor chain. A probe that fails leaves its gradient component at 0.
+node object, and the probe of a parameter re-runs only the nodes its
+rebuild replaces, those on its ancestor chain. A probe that fails leaves
+its gradient component at 0.
 
 Correlation matrices are never searched: they come from pairwise
 empirical Kendall's tau inversion rho = sin(pi tau / 2) followed by a
@@ -55,7 +56,6 @@ from .hierarchical import (
     InnerNode,
     LeafNode,
     Node,
-    child_path,
     iter_nodes,
     kendall_for_copula,
     model_loglik,
@@ -130,14 +130,14 @@ def copula_from_spec(spec: NodeSpec) -> CopulaSpec:
 def build_model(spec: NodeSpec, n_vars: int, kendall_mc: int = DEFAULT_KENDALL_MC,
                 seed: int = 0) -> HierarchicalModel:
     """Build a fully parameterized HierarchicalModel from a template tree."""
-    return _build_tree(spec, n_vars, lambda node, children, path: copula_from_spec(node),
+    return _build_tree(spec, n_vars, lambda node, children: copula_from_spec(node),
                        "auto", kendall_mc, seed)
 
 
 def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
                 kendall_mc: int, seed: int) -> HierarchicalModel:
     """The model of template ``spec``, built children first: at each node,
-    ``copula_for(spec, children, path)`` gives its copula once its model
+    ``copula_for(spec, children)`` gives its copula once its model
     ``children`` exist. A node's Kendall function (none at the root) draws
     from the stream of its preorder index, so a fit and the model built
     from its report carry the same one. An error raised while a node's
@@ -145,12 +145,11 @@ def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
     kept, with ``node '<name>': `` in front of its message."""
     counter = itertools.count()
 
-    def rec(node: NodeSpec, path: str) -> Node:
+    def rec(node: NodeSpec) -> Node:
         idx = next(counter)
-        children = tuple(rec(ch, child_path(path, ch, i))
-                         for i, ch in enumerate(node.children or ()))
+        children = tuple(rec(ch) for ch in node.children or ())
         try:
-            cop = copula_for(node, children, path)
+            cop = copula_for(node, children)
             kf = None if idx == 0 else kendall_for_copula(
                 cop, kendall_mode, kendall_mc, substream(seed, STREAM_KENDALL, idx))
         except (HierKendallError, ValueError) as exc:
@@ -161,7 +160,7 @@ def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
             return LeafNode(node.name, node.columns, cop, kf)
         return InnerNode(node.name, children, cop, kf)
 
-    model = HierarchicalModel(root=rec(spec, "root"), n_vars=n_vars)
+    model = HierarchicalModel(root=rec(spec), n_vars=n_vars)
     validate(model)
     return model
 
@@ -422,26 +421,25 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
     """
     options = options or FitOptions()
     u = np.asarray(u, dtype=float)
-    fits = []  # (template, path, ClusterFit) in post-order
+    fits = []  # (template, ClusterFit) in post-order
     memo = {}
 
-    def fit_node(node: NodeSpec, children: tuple, path: str) -> CopulaSpec:
+    def fit_node(node: NodeSpec, children: tuple) -> CopulaSpec:
         if node.columns is not None:
             block = u[:, list(node.columns)]
         else:
-            block = np.column_stack([post_order(ch, u, memo, child_path(path, ch, i))[0]
-                                     for i, ch in enumerate(children)])
+            block = np.column_stack([post_order(ch, u, memo)[0] for ch in children])
         fit = fit_cluster(node.family, block)
-        fits.append((node, path, fit))
+        fits.append((node, fit))
         return fit.copula
 
     model = _build_tree(spec, u.shape[1], fit_node, options.kendall_mode,
                         options.kendall_mc, options.seed)
-    kendalls = {path: node.kendall for path, node, _ in iter_nodes(model)}
+    kendalls = {node.name: node.kendall for _, node, _ in iter_nodes(model)}
     node_fits = [NodeFit(
         name=node.name, family=node.family, dim=node.dim, params=copula_params(fit.copula),
-        method=fit.method, kendall=_kendall_tag(kendalls[path]), loglik=fit.loglik,
-        converged=fit.converged, n_evals=fit.n_evals) for node, path, fit in fits]
+        method=fit.method, kendall=_kendall_tag(kendalls[node.name]), loglik=fit.loglik,
+        converged=fit.converged, n_evals=fit.n_evals) for node, fit in fits]
     ll = model_loglik(model, u, memo)
     return FitReport(
         nodes=node_fits, loglik_two_step=ll.value, loglik_joint=None,
@@ -455,29 +453,29 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
 # ---------------------------------------------------------------------------
 
 def _collect_free_params(model: HierarchicalModel):
-    """Free parameters in preorder: (node path, family, eta bounds, eta at the
+    """Free parameters in preorder: (node name, family, eta bounds, eta at the
     model's value); the family "student_t" stands for the root's nu."""
     free = []
-    for path, node, depth in iter_nodes(model):
+    for _, node, depth in iter_nodes(model):
         cop = node.copula
         if isinstance(cop, ArchimedeanCopula) and cop.generator.family != "independence":
             family = cop.generator.family
-            free.append((path, family, _eta_bounds(family, cop.dim),
+            free.append((node.name, family, _eta_bounds(family, cop.dim),
                          eta_from_theta(family, cop.generator.theta)))
         elif isinstance(cop, StudentTCopula) and depth == 0:
-            free.append((path, "student_t", _ETA_BOUNDS["student_t"], eta_from_nu(cop.nu)))
+            free.append((node.name, "student_t", _ETA_BOUNDS["student_t"], eta_from_nu(cop.nu)))
     return free
 
 
 def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
     """The model at parameters ``eta``; subtrees without a free parameter are
     the original node objects."""
-    values = {path: (family, float(e)) for (path, family, *_), e in zip(free, eta)}
+    values = {name: (family, float(e)) for (name, family, *_), e in zip(free, eta)}
 
-    def rec(node, path):
+    def rec(node):
         cop, kf = node.copula, node.kendall
-        if path in values:
-            family, e = values[path]
+        if node.name in values:
+            family, e = values[node.name]
             if family == "student_t":
                 cop = StudentTCopula(cop.corr, nu_from_eta(e))
             else:
@@ -487,12 +485,12 @@ def _rebuild_with_eta(model: HierarchicalModel, free, eta) -> HierarchicalModel:
                     kf = kendall_for_copula(cop, "closed_form")
         if isinstance(node, LeafNode):
             return node if cop is node.copula else LeafNode(node.name, node.columns, cop, kf)
-        children = tuple(rec(ch, child_path(path, ch, i)) for i, ch in enumerate(node.children))
+        children = tuple(rec(ch) for ch in node.children)
         if cop is node.copula and all(a is b for a, b in zip(children, node.children)):
             return node
         return InnerNode(node.name, children, cop, kf)
 
-    return HierarchicalModel(root=rec(model.root, "root"), n_vars=model.n_vars)
+    return HierarchicalModel(root=rec(model.root), n_vars=model.n_vars)
 
 
 _FD_STEP = 1e-8  # scipy's absolute step for L-BFGS-B's own two-point gradient
@@ -507,22 +505,23 @@ class _JointObjective:
     """-loglik(eta) and its forward-difference gradient, for L-BFGS-B with
     ``jac=True``; every pass goes through ``model_loglik`` with a dict memo.
 
-    The base pass at eta keeps its memo. The probe of parameter j passes a
-    copy without j's ancestor chain (the prefixes of its path), so it
-    re-runs only those nodes. A new base point keeps only the subtrees
-    without a free parameter, which thus run once per fit, and no node holds
-    more than two entries. The step is scipy's: 1e-8, negated where it would
-    pass the upper bound. A failed probe leaves its component at 0; a failed
-    base pass gives the penalty and a zero gradient. A chain with a Monte
-    Carlo Kendall function is refused: above a free parameter V would be a
-    step function of it, and a free node's rebuild takes the closed form.
+    A pass reuses what the rebuild (``_rebuild_with_eta``) shares: the memo
+    is keyed by node. A new base point keeps only its own model's nodes, so
+    subtrees without a free parameter run once per fit. The probe of j
+    rebuilds j's ancestor chain and runs on a copy of the base memo, so no
+    node holds more than two entries. The step is scipy's: 1e-8, negated
+    where it would pass the upper bound. A failed probe leaves its component
+    at 0; a failed base pass gives the penalty and a zero gradient. A chain
+    with a Monte Carlo Kendall function is refused: above a free parameter V
+    would be a step function of it, and a free node's rebuild takes the
+    closed form.
     """
 
     def __init__(self, model: HierarchicalModel, free, u):
         self.model, self.free, self.u = model, free, u
-        self.chains = [{p[:i] for i, ch in enumerate(p + "/") if ch == "/"} for p, *_ in free]
-        self.moving = set().union(*self.chains)
-        stepped = [repr(path) for path, node, _ in iter_nodes(model) if path in self.moving
+        start = _rebuild_with_eta(model, free, [eta for *_, eta in free])
+        shared = {node for _, node, _ in iter_nodes(start)}
+        stepped = [repr(path) for path, node, _ in iter_nodes(model) if node not in shared
                    and node.kendall is not None and node.kendall.kind == "empirical"]
         if stepped:
             raise ParameterError("joint MLE cannot move a parameter whose chain holds a "
@@ -545,8 +544,8 @@ class _JointObjective:
     def base(self, eta):
         """(LogLikelihood or None, model) at ``eta``; a repeated point runs nothing."""
         if not np.array_equal(eta, self.eta):
-            self.memo = {p: e for p, e in self.memo.items() if p not in self.moving}
             self.eta, self.at = eta.copy(), _rebuild_with_eta(self.model, self.free, eta)
+            self.memo = {n: self.memo[n] for _, n, _ in iter_nodes(self.at) if n in self.memo}
             self.ll = self._pass(self.at, self.memo)
         return self.ll, self.at
 
@@ -555,10 +554,9 @@ class _JointObjective:
         grad = np.zeros(eta.size)
         if ll is None:
             return _PENALTY, grad
-        for j, (param, chain) in enumerate(zip(self.free, self.chains)):
+        for j, param in enumerate(self.free):
             probe = eta[j] + (_FD_STEP if eta[j] + _FD_STEP <= param[2][1] else -_FD_STEP)
-            ll_j = self._pass(_rebuild_with_eta(at, [param], [probe]),
-                              {p: e for p, e in self.memo.items() if p not in chain})
+            ll_j = self._pass(_rebuild_with_eta(at, [param], [probe]), dict(self.memo))
             self.failed_probes += ll_j is None
             grad[j] = 0.0 if ll_j is None else (ll.value - ll_j.value) / (probe - eta[j])
         return -ll.value, grad

@@ -35,7 +35,9 @@ sampler reads the same kernel as K and the Archimedean copula density
 (``kendall.archimedean_node_step``). ``check_order`` holds the
 one cap, ``MAX_DERIVATIVE_ORDER``, where a dimension or order enters:
 ``ArchimedeanCopula``, closed-form ``KendallFunction`` and the two public
-derivative functions.
+derivative functions. ``check_dimension`` holds the one domain rule of a
+generator at a dimension (Frank with theta < 0 exists only at d = 2), for
+those two and the exact level-set samplers.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -117,6 +119,7 @@ def _log_abs_expm1(x):
     ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         far = np.where(x > 0.0, x, 0.0) + np.log1p(-np.exp(-ax))  # |x| >= 0.5
+    with np.errstate(divide="ignore", over="ignore"):  # discarded where it overflows
         near = np.log(np.abs(np.expm1(x)))                        # |x| < 0.5
     return np.where(ax >= 0.5, far, near)
 
@@ -206,8 +209,9 @@ def _eulerian_coeffs(n: int) -> tuple:
 
 
 def _polyval_ascending(coeffs, x):
-    out = np.zeros_like(x)
-    for c in reversed(coeffs):
+    """sum_j coeffs[j] x^j by Horner's rule; a constant stays constant at x = +/-inf."""
+    out = np.full_like(x, coeffs[-1], dtype=float)
+    for c in reversed(coeffs[:-1]):
         out = out * x + c
     return out
 
@@ -229,7 +233,8 @@ def _frank_y(theta, s):
             log_1my = np.where(y < 0.5, np.log1p(-y),
                                np.log(-np.expm1(-s) + np.exp(-theta - s)))
     else:
-        y = -np.exp(log_y)
+        with np.errstate(over="ignore"):  # theta < -709.78: y = -inf near s = 0
+            y = -np.exp(log_y)
         log_1my = np.logaddexp(0.0, log_y)
     return y, log_y, log_1my
 
@@ -304,6 +309,14 @@ def check_order(k: int, what: str = "derivative order") -> None:
     if k > MAX_DERIVATIVE_ORDER:
         raise UnsupportedOrderError(
             f"{what} {k} above supported maximum {MAX_DERIVATIVE_ORDER}")
+
+
+def check_dimension(g: ArchimedeanGenerator, d: int) -> None:
+    """Raise ``ParameterError`` where ``g`` generates no copula at dimension
+    ``d``: a negative-dependence Frank generator is 2-monotone only."""
+    if g.family == "frank" and g.theta < 0.0 and d > 2:
+        raise ParameterError(f"negative-dependence frank copula (theta={g.theta:.6g}) "
+                             f"only exists for d = 2, got d = {d}")
 
 
 def generator_inverse_derivative(g: ArchimedeanGenerator, s, k: int):

@@ -13,15 +13,16 @@ the V columns and that product; the density, the probability integral
 transform and the two-step fit all run it. At an Archimedean node with its
 closed-form Kendall function, V and log c both come from one generator sum
 s = sum_i phi(u_i) (``archimedean_node_step``). A pass may take a memo, a
-dict from node path to the (V, summed log c) of the node's subtree: it
-runs only the nodes the memo lacks and adds them to it. The two-step fit
-fills one memo as it climbs; the joint MLE hands each pass the entries
-whose subtree it did not change.
+dict from node object to the (V, summed log c) of the node's subtree: it
+runs only the nodes the memo lacks and adds them to it. Nodes hash by
+identity, so a model rebuilt around unchanged subtrees finds their entries.
+The two-step fit fills one memo as it climbs; the joint MLE hands each pass
+the entries of the subtrees its rebuild shares.
 
 Simulation is one top-down walk from a sample of the root copula: each
 child's column goes through K^-1 to its Kendall level, the child is sampled
-on that level set (exactly for Archimedean clusters, by rejection
-otherwise), and the walk recurses.
+on that level set by its own copula's method (exactly for Archimedean
+clusters, by rejection otherwise), and the walk recurses.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ DEFAULT_KENDALL_MC = 100_000
 _LOGLIK_FLOOR = math.log(1e-300)
 
 
-@dataclass(frozen=True)
+# eq=False: nodes compare and hash by identity, the memo key of the tree pass
+@dataclass(frozen=True, eq=False)
 class LeafNode:
     name: str
     columns: tuple
@@ -83,7 +85,7 @@ class LeafNode:
         object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerNode:
     name: str
     children: tuple
@@ -150,19 +152,15 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
 # ---------------------------------------------------------------------------
 
 def iter_nodes(model: HierarchicalModel):
-    """Depth-first preorder iteration over (path, node, depth); the root has depth 0."""
+    """Depth-first preorder iteration over (path, node, depth); the root has
+    depth 0. A path such as ``root/m1/c1`` labels a node in messages."""
     stack = [("root", model.root, 0)]
     while stack:
         path, node, depth = stack.pop()
         yield path, node, depth
         if isinstance(node, InnerNode):
             for i, ch in reversed(list(enumerate(node.children))):
-                stack.append((child_path(path, ch, i), ch, depth + 1))
-
-
-def child_path(path: str, child: Node, idx: int) -> str:
-    """Path of the ``idx``-th child of the node at ``path``, as ``iter_nodes`` gives it."""
-    return f"{path}/{child.name or idx}"
+                stack.append((f"{path}/{ch.name or i}", ch, depth + 1))
 
 
 def _node_dim(node: Node) -> int:
@@ -181,8 +179,6 @@ def validate_model(model: HierarchicalModel) -> list:
     for path, node, depth in iter_nodes(model):
         if node.name in seen_names:
             problems.append(f"{path}: duplicate node name {node.name!r}")
-        if "/" in node.name:
-            problems.append(f"{path}: node name {node.name!r} contains '/', the path separator")
         seen_names.add(node.name)
         dim = _node_dim(node)
         if node.copula.dim != dim:
@@ -276,22 +272,21 @@ def node_transform(node: Node, inputs: np.ndarray):
 # module-level rather than a recursive closure: a closure that calls itself is
 # a reference cycle, which would keep each pass's arrays alive until the next
 # garbage collection (joint MLE runs one pass per likelihood evaluation)
-def _post_order(node: Node, rows: np.ndarray, memo: dict | None = None, path: str = "root"):
-    """(V, summed log c of the subtree) of ``node`` at ``path``. A ``memo``
-    (node path -> that pair) supplies the pairs it holds and receives the
-    ones computed, in post-order."""
-    if memo is not None and path in memo:
-        return memo[path]
+def _post_order(node: Node, rows: np.ndarray, memo: dict | None = None):
+    """(V, summed log c of the subtree) of ``node``. A ``memo`` (node ->
+    that pair) supplies the pairs it holds and receives the ones computed,
+    in post-order."""
+    if memo is not None and node in memo:
+        return memo[node]
     if isinstance(node, LeafNode):
         inputs, below = rows[:, list(node.columns)], 0.0
     else:
-        vs, accs = zip(*(_post_order(ch, rows, memo, child_path(path, ch, i))
-                         for i, ch in enumerate(node.children)))
+        vs, accs = zip(*(_post_order(ch, rows, memo) for ch in node.children))
         inputs, below = np.column_stack(vs), np.sum(accs, axis=0)
     v, log_c = node_transform(node, inputs)
     out = v, below + log_c
     if memo is not None:
-        memo[path] = out
+        memo[node] = out
     return out
 
 
@@ -311,9 +306,9 @@ def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
 def model_logdensity(model: HierarchicalModel, u, memo: dict | None = None) -> np.ndarray:
     """Row-wise log of the model density.
 
-    ``memo`` maps node paths (as ``iter_nodes`` gives them) to the (V,
-    summed log c) of their subtrees on the same rows; the pass takes the
-    subtrees it holds from it and adds the ones it computes.
+    ``memo`` maps node objects to the (V, summed log c) of their subtrees
+    on the same rows; the pass takes the subtrees it holds from it and adds
+    the ones it computes.
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
@@ -352,17 +347,12 @@ def model_loglik(model: HierarchicalModel, u, memo: dict | None = None) -> LogLi
 # simulation
 # ---------------------------------------------------------------------------
 
-def model_is_exactly_samplable(model: HierarchicalModel) -> bool:
-    """True when every non-root node has an Archimedean-kind copula."""
-    return all(is_archimedean_kind(node.copula)
-               for _, node, _ in iter_nodes(model) if node is not model.root)
-
-
 def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, max_attempts,
                  out: np.ndarray):
     """Fill the columns of ``out`` under ``node`` given its copula sample
     ``block``: each child's column goes through K^-1 to its Kendall level,
-    the child's copula is sampled on that level set, and the walk recurses."""
+    the child is sampled on that level set by its own copula's method
+    (``model_sample``), and the walk recurses."""
     if isinstance(node, LeafNode):
         out[:, list(node.columns)] = block
         return
@@ -371,7 +361,7 @@ def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, max_attem
         dim = _node_dim(ch)
         if dim == 1:
             child_block = np.asarray(z, dtype=float)[:, None]
-        elif is_archimedean_kind(ch.copula) and method == "exact":
+        elif method != "rejection" and is_archimedean_kind(ch.copula):
             child_block = sample_levelset_conditional_batch(
                 copula_generator(ch.copula), dim, z, rng)
         else:
@@ -385,17 +375,19 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> np.ndarray:
     """Simulate n rows from the model.
 
-    method "exact" uses conditional-inverse level-set sampling and
-    requires Archimedean cluster (and inner) copulas; "rejection" works
-    for any kinds; "auto" picks exact when possible.
+    "auto" samples each Archimedean-kind node exactly on its level set
+    (conditional inverse) and any other by rejection; "rejection" samples
+    every node by rejection; "exact" refuses, before any draw and naming
+    it, a non-Archimedean node below the root.
     """
     if method not in ("auto", "exact", "rejection"):
         raise ParameterError(f"unknown sampling method {method!r}")
-    if method == "auto":
-        method = "exact" if model_is_exactly_samplable(model) else "rejection"
-    if method == "exact" and not model_is_exactly_samplable(model):
-        raise ParameterError(
-            "exact sampling requires Archimedean cluster copulas; use rejection")
+    if method == "exact":
+        for path, node, depth in iter_nodes(model):
+            if depth > 0 and not is_archimedean_kind(node.copula):
+                raise ParameterError(
+                    "exact sampling requires Archimedean copulas below the root; "
+                    f"{path} ({type(node.copula).__name__}) is not: use auto or rejection")
     out = np.empty((n, model.n_vars))
     if n == 0:
         return out

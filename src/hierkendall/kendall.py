@@ -29,6 +29,7 @@ from .errors import DomainError, EvaluationError, ParameterError, ToleranceError
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
     _log_terms,
+    check_dimension,
     check_order,
     generator_derivative_log,
     generator_inverse_derivative_log,
@@ -72,6 +73,7 @@ class KendallFunction:
             if self.generator is None:
                 raise ParameterError("closed_form requires a generator")
             check_order(self.dim, "closed-form Kendall dimension")
+            check_dimension(self.generator, self.dim)
         else:
             vals = np.asarray(self.sorted_values, dtype=float)
             if vals.ndim != 1 or vals.size == 0:

@@ -32,7 +32,8 @@ import numpy as np
 
 from .copulas import CopulaSpec, copula_cdf, copula_sample
 from .errors import DomainError, EvaluationError, ParameterError, RejectionCapError
-from .generators import ArchimedeanGenerator, generator_inverse, generator_value
+from .generators import (ArchimedeanGenerator, check_dimension, generator_inverse,
+                         generator_value)
 
 DEFAULT_MAX_ATTEMPTS = 10_000_000
 
@@ -76,6 +77,7 @@ def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
 
     Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
+    check_dimension(g, d)
     z = np.atleast_1d(_check_z(z))
     n = z.size
     out = np.empty((n, d))
@@ -98,6 +100,7 @@ def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
 
     Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
+    check_dimension(g, d)
     z = np.atleast_1d(_check_z(z))
     n = z.size
     if d == 1:

@@ -92,6 +92,8 @@ def parse_model_config(doc: dict) -> ModelConfig:
     """Validate a config document (or the model member of a report). A value
     of the wrong JSON type raises ``ConfigError`` naming its node or key."""
     if isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT:
+        if "model" not in doc:
+            raise ConfigError("report has no 'model' member")
         doc = doc["model"]
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ConfigError("config must be an object with a 'nodes' list")
@@ -290,7 +292,12 @@ def load_model_document(path: str) -> tuple:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     config = parse_model_config(doc)
-    return config, doc.get("columns") if doc.get("format") == REPORT_FORMAT else None
+    if doc.get("format") != REPORT_FORMAT:
+        return config, None
+    if not _names(doc.get("columns")):
+        raise ConfigError(f"report 'columns' must be a nonempty list of names, "
+                          f"got {doc.get('columns')!r}")
+    return config, doc["columns"]
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,47 @@ class TestInputRanges:
         assert not (tmp / "bt.json").exists()
 
 
+    def test_negative_row_count_is_named(self, fitted_world, capsys):
+        tmp, model, _ = fitted_world
+        code = main(["simulate", "--model", str(model), "--n", "-5",
+                     "--out", str(tmp / "x.csv")])
+        assert code == 2 and "--n:" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_empty_kendall_grid_is_named(self, capsys, grid):
+        code = main(["kendall", "--family", "clayton", "--theta", "2", "--dim", "2",
+                     "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2 and "--grid:" in captured.err and captured.out == ""
+
+
+class TestNodeNames:
+    def test_a_path_separator_in_a_name_changes_no_output(self, fitted_world):
+        """A node named EUR/USD simulates and fits as the same node named c1."""
+        tmp, model, fit_cfg = fitted_world
+        sims, reports = [], []
+        for name in ("c1", "EUR/USD"):
+            tag = name.replace("/", "-")
+            paths = {}
+            for kind, src in (("model", model), ("fit", fit_cfg)):
+                paths[kind] = tmp / f"{kind}-{tag}.json"
+                paths[kind].write_text(src.read_text().replace('"c1"', json.dumps(name)))
+            sim = tmp / f"sim-{tag}.csv"
+            assert main(["simulate", "--model", str(paths["model"]), "--n", "300",
+                         "--seed", "5", "--out", str(sim)]) == 0
+            sims.append(sim.read_bytes())
+            report = tmp / f"report-{tag}.json"
+            assert main(["fit", "--data", str(tmp / "sim-c1.csv"), "--model",
+                         str(paths["fit"]), "--method", "mle", "--out", str(report)]) == 0
+            reports.append(report.read_text())
+        assert sims[0] == sims[1]
+        assert '"EUR/USD"' in reports[1]
+        assert reports[1].replace('"EUR/USD"', '"c1"') == reports[0]
+        doc = json.loads(reports[0])
+        assert doc["loglik_joint"] > doc["loglik_two_step"]
+
+
 class TestNumericExitCode:
     """Numeric failures exit 3, apart from input errors (exit 2)."""
 
@@ -468,13 +509,18 @@ class TestModelConfigRefusals:
         (_edited(c1={"tau": 1.5}), "node 'c1': clayton requires tau in (0,1)"),
         (_edited(c1={"family": "student_t", "tau": None, "corr": [[1, 0.5], [0.5, 1]],
                      "nu": 1.5}), "node 'c1': student_t requires nu > 2"),
+        ({"format": "hierkendall-report/1", "columns": ["A", "B", "C", "D"]}, "'model'"),
+        ({"format": "hierkendall-report/1", "columns": 5, "model": _CONFIG}, "'columns'"),
+        ({"format": "hierkendall-report/1", "columns": ["A", 5], "model": _CONFIG},
+         "'columns'"),
     ], ids=["columns-number", "name-list", "child-list", "children-string", "tau-string",
             "corr-string", "mc-null", "mc-below-floor", "epsilon-string", "seed-fraction", "seed-bool",
             "seed-negative", "top-level-list", "duplicate-name", "two-parents",
             "unknown-child", "two-roots", "unreachable", "duplicate-column",
             "missing-family", "columns-and-children", "neither", "corr-ragged",
             "corr-not-positive-definite", "corr-asymmetric", "theta-negative",
-            "tau-above-one", "nu-below-two"])
+            "tau-above-one", "nu-below-two", "report-without-model", "report-columns-number",
+            "report-columns-mixed"])
     def test_exits_2_naming_the_node_or_key(self, tmp_path, capsys, doc, named):
         path, out = tmp_path / "m.json", tmp_path / "sim.csv"
         path.write_text(json.dumps(doc))
@@ -522,6 +568,13 @@ class TestKendallCommand:
         np.testing.assert_array_equal(t, [0.25, 0.5, 0.75])
         # Clayton at d = 2: K(t) = t + t (1 - t^theta) / theta
         np.testing.assert_allclose(k, t + t * (1.0 - t ** 2) / 2.0, rtol=1e-12)
+
+    def test_negative_dependence_frank_above_d2_is_refused(self, capsys):
+        code = main(["kendall", "--family", "frank", "--theta", "-2", "--dim", "3",
+                     "--grid", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and "only exists for d = 2" in captured.err
+        assert captured.out == ""
 
     def test_independence_family_needs_no_theta(self, capsys):
         assert main(["kendall", "--family", "independence", "--dim", "3", "--grid", "4"]) == 0

@@ -1,10 +1,14 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kendalltau
+
+from hierkendall.copulas import ArchimedeanCopula, copula_cdf, copula_logpdf, copula_sample
 
 from hierkendall.errors import (
     DomainError,
@@ -22,6 +26,11 @@ from hierkendall.generators import (
     independence_generator,
     tau_from_theta,
     theta_from_tau,
+)
+from hierkendall.kendall import closed_form_kendall, kendall_cdf
+from hierkendall.levelset import (
+    sample_levelset_conditional_batch,
+    sample_levelset_projected_batch,
 )
 
 from oracles import inv_deriv_log_mp
@@ -266,3 +275,49 @@ class TestTau:
             taus = [tau_from_theta(ArchimedeanGenerator(fam, th))
                     for th in grid if not (fam == "frank" and th == 0.0)]
             assert np.all(np.diff(taus) > 0), fam
+
+
+class TestFrankDomain:
+    """One rule for a generator at a dimension: Frank with theta < 0 exists
+    only at d = 2, and its extreme values evaluate without a float warning."""
+
+    NEG = ArchimedeanGenerator("frank", -2.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda g, d: ArchimedeanCopula(g, d),
+        lambda g, d: closed_form_kendall(g, d),
+        lambda g, d: sample_levelset_conditional_batch(g, d, [0.3], np.random.default_rng(0)),
+        lambda g, d: sample_levelset_projected_batch(g, d, [0.3], np.random.default_rng(0)),
+    ], ids=["copula", "kendall", "conditional-sampler", "projected-sampler"])
+    def test_refused_above_d2(self, make):
+        with pytest.raises(ParameterError, match=r"theta=-2\) only exists for d = 2, got d = 3"):
+            make(self.NEG, 3)
+        make(self.NEG, 2)
+
+    @pytest.mark.parametrize("theta", [-710.0, -800.0])
+    def test_extreme_negative_theta_warns_nothing(self, theta):
+        g = ArchimedeanGenerator("frank", theta)
+        c = ArchimedeanCopula(g, 2)
+        u = np.random.default_rng(3).random((200, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = copula_cdf(c, u)
+            logpdf = copula_logpdf(c, u)
+            k = kendall_cdf(closed_form_kendall(g, 2), [0.1, 0.5, 0.9])
+            x = copula_sample(c, 500, np.random.default_rng(4))
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.isfinite(logpdf))
+        np.testing.assert_allclose(k, 1.0, atol=1e-12)  # near countermonotone: C(U, V) ~ 0
+        assert np.all((x > 0.0) & (x < 1.0))
+        assert kendalltau(x[:, 0], x[:, 1]).statistic < -0.99
+
+    @pytest.mark.parametrize("theta", [-710.0, -800.0])
+    def test_extreme_negative_theta_cdf_matches_the_closed_form(self, theta):
+        u = np.random.default_rng(3).random((100, 2))
+        got = copula_cdf(ArchimedeanCopula(ArchimedeanGenerator("frank", theta), 2), u)
+        # C = -log(1 + (e^-theta u - 1)(e^-theta v - 1) / (e^-theta - 1)) / theta, where
+        # C near 1e-300 needs about 300 digits of the logarithm's argument
+        with mp.workdps(800):
+            t = mp.mpf(theta)
+            ref = [float(-mp.log1p(mp.expm1(-t * mp.mpf(a)) * mp.expm1(-t * mp.mpf(b))
+                                   / mp.expm1(-t)) / t) for a, b in u]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-300)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, ks_2samp, kstest
 
+import hierkendall.hierarchical as hierarchical
+
 from hierkendall.copulas import (
     ArchimedeanCopula,
     GaussianCopula,
@@ -15,6 +17,7 @@ from hierkendall.hierarchical import (
     HierarchicalModel,
     cross_cluster_margin_pdf,
     inner,
+    iter_nodes,
     leaf,
     model_density,
     model_logdensity,
@@ -74,14 +77,15 @@ class TestValidation:
             n_vars=4)
         assert any("copula dimension 3" in p for p in validate_model(m))
 
-    def test_path_separator_in_name_rejected(self):
-        # node paths key the memo of a pass; "a/b" under the root would read as b under a
+    def test_path_separator_in_name_accepted(self):
+        # paths only label nodes in messages; the pass memo is keyed by node object
         m = HierarchicalModel(
-            root=inner("nest", [leaf("c/1", [0, 1], arch(CLAYTON2, 2)),
+            root=inner("nest", [leaf("EUR/USD", [0, 1], arch(CLAYTON2, 2)),
                                 leaf("c2", [2, 3], arch(GUMBEL2, 2))],
                        arch(theta_from_tau("frank", 0.4), 2)),
             n_vars=4)
-        assert any("'c/1' contains '/'" in p for p in validate_model(m))
+        assert validate_model(m) == []
+        assert [path for path, _, _ in iter_nodes(m)] == ["root", "root/EUR/USD", "root/c2"]
 
     def test_kendall_dimension_checked(self):
         from hierkendall.kendall import closed_form_kendall
@@ -198,13 +202,15 @@ class TestNestingPit:
         u = np.random.default_rng(3).random((50, 5))
         memo = {}
         model_logdensity(m, u, memo)
-        v = {path: entry[0] for path, entry in memo.items()}
+        nodes = [node for _, node, _ in iter_nodes(m)]
+        assert len(memo) == len(nodes) and all(node in memo for node in nodes)
+        v = {node.name: entry[0] for node, entry in memo.items()}
         np.testing.assert_array_equal(
-            nesting_pit(m, u), np.column_stack([v["root/m1"], v["root/m2"]]))
-        np.testing.assert_array_equal(v["root/m1/c1"], node_transform(c1, u[:, :2])[0])
-        np.testing.assert_array_equal(v["root/m2/c3"], u[:, 4])
-        np.testing.assert_array_equal(v["root/m2"], u[:, 4])
-        assert v["root"] is None  # the root has no Kendall function
+            nesting_pit(m, u), np.column_stack([v["m1"], v["m2"]]))
+        np.testing.assert_array_equal(memo[c1][0], node_transform(c1, u[:, :2])[0])
+        np.testing.assert_array_equal(v["c3"], u[:, 4])
+        np.testing.assert_array_equal(v["m2"], u[:, 4])
+        assert v["nest"] is None  # the root has no Kendall function
 
     def test_pass_rate_over_seeds(self):
         m = two_cluster_model()
@@ -313,6 +319,50 @@ class TestSampling:
         with pytest.raises(ParameterError):
             model_sample(m, 10, np.random.default_rng(9), method="exact")
 
+    def test_exact_refusal_names_the_node_before_any_draw(self):
+        m = _mixed_model()
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=r"root/g2 \(GaussianCopula\) is not"):
+            model_sample(m, 10, rng, method="exact")
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("method, exact, rejected", [
+        ("auto", ["c3"], ["g2"]), ("rejection", [], ["g2", "c3"])])
+    def test_each_node_is_sampled_by_its_own_method(self, monkeypatch, method, exact,
+                                                    rejected):
+        m = _mixed_model()
+        calls = {"exact": [], "rejection": []}
+        by_copula = {id(node.copula): node.name for _, node, _ in iter_nodes(m)}
+        real_exact = hierarchical.sample_levelset_conditional_batch
+        real_rejection = hierarchical.sample_levelset_rejection_batch
+
+        def counting_exact(g, d, z, rng):
+            calls["exact"].append((g, d))
+            return real_exact(g, d, z, rng)
+
+        def counting_rejection(copula, *args):
+            calls["rejection"].append(by_copula[id(copula)])
+            return real_rejection(copula, *args)
+
+        monkeypatch.setattr(hierarchical, "sample_levelset_conditional_batch", counting_exact)
+        monkeypatch.setattr(hierarchical, "sample_levelset_rejection_batch",
+                            counting_rejection)
+        u = model_sample(m, 300, np.random.default_rng(21), method,
+                         EpsilonRule("abs", 0.02))
+        assert u.shape == (300, 5) and np.all((u > 0.0) & (u < 1.0))
+        assert calls["rejection"] == rejected
+        assert calls["exact"] == [(MIXED_CLAYTON.generator, 3)] * len(exact)
+
+    def test_auto_samples_the_archimedean_cluster_exactly(self):
+        m = _mixed_model()
+        u = model_sample(m, 3000, np.random.default_rng(22), "auto",
+                         EpsilonRule("abs", 0.02))
+        for j, k, tau in ((0, 1, 1 / 3), (2, 3, 0.4), (3, 4, 0.4)):
+            assert kendalltau(u[:, j], u[:, k]).statistic == pytest.approx(tau, abs=0.05)
+        for j in range(2):
+            assert kstest(nesting_pit(m, u)[:, j], "uniform").pvalue > 0.01
+
     def test_rejection_matches_exact(self):
         m = two_cluster_model()
         a = model_sample(m, 8000, np.random.default_rng(10), method="exact")
@@ -371,6 +421,19 @@ class TestSampling:
         own = model_sample(m, 1000, np.random.default_rng(15))
         noise = np.random.default_rng(16).random((1000, 4))
         assert model_loglik(m, own).value > model_loglik(m, noise).value
+
+
+MIXED_CLAYTON = arch(theta_from_tau("clayton", 0.4), 3)
+
+
+def _mixed_model():
+    """A 2-d Gaussian and a 3-d Clayton cluster under a Frank root."""
+    return HierarchicalModel(
+        root=inner("nest", [leaf("g2", [0, 1], GaussianCopula(np.array([[1, .5], [.5, 1.]])),
+                                 kendall=_gauss_kendall()),
+                            leaf("c3", [2, 3, 4], MIXED_CLAYTON)],
+                   arch(theta_from_tau("frank", 0.3), 2)),
+        n_vars=5)
 
 
 def _gauss_kendall():
