@@ -3,9 +3,16 @@
 Subcommands: fit, simulate, density, kendall, backtest, study. Exit
 codes: 0 success, 2 input/configuration error, 3 numeric failure (a missed
 tolerance, a non-finite density, an exhausted rejection budget) or
-convergence warning (outputs are then still written). All randomness
-derives from the --seed flag (or the config's seed), so outputs are
-byte-identical across runs of the same build.
+convergence warning (outputs are then still written). A library
+``ParameterError`` naming an argument that a flag sets is reported under
+that flag.
+
+The model document given as ``--model`` (a config or a fit report) is the
+one source of the settings it carries: ``kendall_mc_size``,
+``epsilon_rule`` and ``seed``. The model's Monte Carlo Kendall functions
+draw from the document's seed, so a model rebuilt from a fit report is
+the fitted one bit for bit; ``simulate --seed`` picks only the stream of
+the draw. Outputs are byte-identical across runs of the same build.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ from .estimation import (
 )
 from .generators import FAMILIES, ArchimedeanGenerator, independence_generator
 from .hierarchical import model_density, model_sample
-from .kendall import MIN_KENDALL_MC, closed_form_kendall, kendall_cdf
-from .levelset import DEFAULT_MAX_ATTEMPTS, EpsilonRule
+from .kendall import closed_form_kendall, kendall_cdf
+from .levelset import DEFAULT_MAX_ATTEMPTS
 from .modelconfig import (
     _atomic_write,
     config_to_spec,
@@ -59,21 +66,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _add_epsilon_flags(p):
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="rejection acceptance half-width (default from config)")
-    p.add_argument("--epsilon-mode", choices=("abs", "rel"), default=None,
-                   help="interpret --epsilon absolutely or relative to z")
-    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
-                   help="rejection sampling attempt cap")
-
-
-def _epsilon_rule(args, config) -> EpsilonRule:
-    mode = args.epsilon_mode or config.epsilon_rule.mode
-    value = args.epsilon if args.epsilon is not None else config.epsilon_rule.value
-    return EpsilonRule(mode, value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hierkendall",
@@ -86,25 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model config JSON")
     p.add_argument("--method", choices=("two-step", "mle"), default="two-step")
     p.add_argument("--out", required=True, help="report output path")
-    p.add_argument("--kendall-mc", type=int, default=None)
-    p.add_argument("--kendall-mode", choices=("auto", "closed_form", "empirical"),
-                   default="auto")
     p.add_argument("--raw", action="store_true",
                    help="treat data as raw values and rank-transform first")
 
     p = sub.add_parser("simulate", help="simulate uniforms from a model")
     p.add_argument("--model", required=True, help="config or fit report JSON")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the draw (default: the document's seed)")
     p.add_argument("--method", choices=("auto", "exact", "rejection"), default="auto")
     p.add_argument("--out", required=True)
-    p.add_argument("--kendall-mc", type=int, default=None)
-    _add_epsilon_flags(p)
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
+                   help="rejection sampling attempt cap")
 
     p = sub.add_parser("density", help="evaluate the model density at one point")
     p.add_argument("--model", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--kendall-mc", type=int, default=None)
 
     p = sub.add_parser("kendall", help="tabulate a Kendall distribution function")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -124,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margins", choices=tuple(MARGIN_KINDS), default="empirical")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--kendall-mc", type=int, default=None)
-    _add_epsilon_flags(p)
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
+                   help="rejection sampling attempt cap")
 
     p = sub.add_parser("study", help="nesting-parameter recovery study")
     p.add_argument("--out", required=True)
@@ -137,27 +126,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args, header=None):
-    """(config, header, spec) from the ``--model`` file, a config or a fit
-    report, with ``--kendall-mc`` applied. Without a data ``header`` the
-    report's columns, or else the config's own column order, are used."""
-    config, columns = load_model_document(args.model)
-    if args.kendall_mc is not None:
-        if args.kendall_mc < MIN_KENDALL_MC:
-            raise ConfigError(f"--kendall-mc must be at least {MIN_KENDALL_MC}, "
-                              f"got {args.kendall_mc}")
-        config.kendall_mc_size = args.kendall_mc
+def _load_spec(path, header=None):
+    """(config, header, spec) from the model document at ``path``, a config
+    or a fit report. Without a data ``header`` the report's columns, or
+    else the config's own column order, are used."""
+    config, columns = load_model_document(path)
     if header is None:
         header = columns if columns else list(config.column_names)
     return config, header, config_to_spec(config, header)
 
 
-def _load_for_simulation(args):
-    config, header, spec = _load_spec(args)
-    seed = config.seed if getattr(args, "seed", None) is None else args.seed
-    model = build_model(spec, n_vars=len(header),
-                        kendall_mc=config.kendall_mc_size, seed=seed)
-    return config, header, model, seed
+def _load_for_simulation(path):
+    """(config, header, model) of the document at ``path``, the model built
+    from the document's own settings and seed."""
+    config, header, spec = _load_spec(path)
+    return config, header, build_model(spec, n_vars=len(header),
+                                       kendall_mc=config.kendall_mc_size,
+                                       seed=config.seed)
 
 
 def _require_unit_interval(names, rows, what, hint=""):
@@ -170,15 +155,14 @@ def _require_unit_interval(names, rows, what, hint=""):
 
 def cmd_fit(args) -> int:
     header, data = read_csv(args.data)
-    config, _, spec = _load_spec(args, header)
+    config, _, spec = _load_spec(args.model, header)
     if args.raw:
         u = pseudo_observations(data)
     else:
         _require_unit_interval(header, data, "column",
                                "; pass --raw to rank-transform raw data")
         u = clamp_interior(data)
-    options = FitOptions(kendall_mode=args.kendall_mode,
-                         kendall_mc=config.kendall_mc_size, seed=config.seed)
+    options = FitOptions(kendall_mc=config.kendall_mc_size, seed=config.seed)
     report = fit_two_step(spec, u, options)
     if args.method == "mle":
         report = fit_joint_mle(report, u, options)
@@ -196,25 +180,18 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _require_count(flag: str, value: int, lo: int) -> None:
-    if value < lo:
-        raise ParameterError(f"{flag}: must be at least {lo}, got {value}")
-
-
 def cmd_simulate(args) -> int:
-    _require_count("--n", args.n, 0)
-    config, header, model, seed = _load_for_simulation(args)
-    rng = substream(seed, 0)
+    config, header, model = _load_for_simulation(args.model)
+    rng = substream(config.seed if args.seed is None else args.seed, 0)
     u = model_sample(model, args.n, rng, method=args.method,
-                     eps_rule=_epsilon_rule(args, config),
-                     max_attempts=args.max_attempts)
+                     eps_rule=config.epsilon_rule, max_attempts=args.max_attempts)
     write_csv(args.out, header, u)
     print(f"simulate: wrote {args.n} x {len(header)} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    config, header, model, _ = _load_for_simulation(args)
+    _, header, model = _load_for_simulation(args.model)
     point = np.array([float(x) for x in args.point.split(",")])
     if point.size != len(header):
         raise HierKendallError(
@@ -225,7 +202,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_kendall(args) -> int:
-    _require_count("--grid", args.grid, 1)
+    if args.grid < 1:
+        raise ParameterError(f"must be at least 1, got {args.grid}", "grid")
     if args.family == "independence":
         gen = independence_generator()
     else:
@@ -247,20 +225,13 @@ def cmd_kendall(args) -> int:
 
 def cmd_backtest(args) -> int:
     header, data = read_csv(args.data)
-    config, _, spec = _load_spec(args, header)
+    config, _, spec = _load_spec(args.model, header)
     seed = config.seed if args.seed is None else args.seed
-    try:
-        report = rolling_backtest(
-            data, spec, level=args.level, window=args.window, horizon=args.horizon,
-            refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
-            seed=seed, eps_rule=_epsilon_rule(args, config),
-            max_attempts=args.max_attempts,
-            fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=seed))
-    except ParameterError as exc:
-        # the arguments set from flags are named after them
-        if exc.argument not in {"level", "window", "horizon", "refit_every", "mc"}:
-            raise
-        raise ParameterError(f"--{exc.argument.replace('_', '-')}: {exc}") from exc
+    report = rolling_backtest(
+        data, spec, level=args.level, window=args.window, horizon=args.horizon,
+        refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
+        seed=seed, eps_rule=config.epsilon_rule, max_attempts=args.max_attempts,
+        fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=seed))
     doc = {
         "format": "hierkendall-backtest/1",
         "level": args.level,
@@ -331,7 +302,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except HierKendallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a library argument that a flag sets is named after the flag
+        flag = getattr(exc, "argument", None)
+        prefix = f"--{flag.replace('_', '-')}: " if flag in vars(args) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_INPUT
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

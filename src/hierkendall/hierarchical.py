@@ -378,8 +378,11 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
     "auto" samples each Archimedean-kind node exactly on its level set
     (conditional inverse) and any other by rejection; "rejection" samples
     every node by rejection; "exact" refuses, before any draw and naming
-    it, a non-Archimedean node below the root.
+    it, a non-Archimedean node below the root. A negative ``n`` is a
+    ``ParameterError`` naming ``n``.
     """
+    if n < 0:
+        raise ParameterError(f"n must be at least 0, got {n}", "n")
     if method not in ("auto", "exact", "rejection"):
         raise ParameterError(f"unknown sampling method {method!r}")
     if method == "exact":

@@ -18,9 +18,13 @@ referenced as a child:
       "seed": 1234
     }
 
-Fit reports are JSON documents tagged ``hierkendall-report/1`` whose
-``model`` member is itself a valid config, so reports can be fed back to
-``simulate``/``density``/``backtest``. The CSV dialect is rigid for
+The settings ``kendall_mc_size``, ``epsilon_rule`` and ``seed`` are read
+from the document only: no command-line flag overrides them in a model
+built from it. Fit reports
+are JSON documents tagged ``hierkendall-report/1`` whose ``model`` member
+is itself a valid config carrying the fit's settings, so a report fed
+back to ``simulate``/``density``/``backtest`` builds the fitted model,
+Monte Carlo Kendall functions included. The CSV dialect is rigid for
 byte-level reproducibility: comma separators, one header row, plain
 decimal floats, no quoting, no missing values.
 """

@@ -2,7 +2,10 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +13,15 @@ import pytest
 from scipy.stats import kendalltau
 
 import hierkendall.cli as cli
+import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 import hierkendall.kendall as kendall
 from hierkendall.cli import main
-from hierkendall.errors import EvaluationError
-from hierkendall.modelconfig import read_csv, write_csv, write_json
+from hierkendall.copulas import clamp_interior
+from hierkendall.errors import DataError, EvaluationError
+from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
+from hierkendall.modelconfig import read_csv, report_document, write_csv, write_json
+from hierkendall.rngutil import substream
 
 
 @pytest.fixture
@@ -248,26 +255,81 @@ class TestFitCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+def _tree(*nodes, **settings) -> dict:
+    """A config of ``(name, family, members, params)`` nodes plus top-level
+    settings: a leaf's members are a string of one-letter column names, an
+    inner node's a list of node names."""
+    return {"nodes": [{"name": name, "family": family,
+                       ("columns" if isinstance(members, str) else "children"): list(members),
+                       **params} for name, family, members, params in nodes],
+            **settings}
+
+
+_REBUILD_MODELS = {
+    "archimedean": [
+        ("c1", "clayton", "AB", {"tau": 0.5}), ("c2", "gumbel", "CD", {"tau": 0.5}),
+        ("nest", "frank", ["c1", "c2"], {"tau": 0.4})],
+    "gaussian-clayton": [
+        ("g", "gaussian", "AB", {"corr": [[1.0, 0.5], [0.5, 1.0]]}),
+        ("c", "clayton", "CD", {"tau": 0.4}),
+        ("nest", "frank", ["g", "c"], {"tau": 0.4})],
+    "three-level": [
+        ("c1", "clayton", "AB", {"tau": 0.6}), ("g", "gaussian", "CD", {"corr": [[1.0, 0.7], [0.7, 1.0]]}),
+        ("m1", "gumbel", ["c1", "g"], {"tau": 0.45}), ("c3", "frank", "EF", {"tau": 0.5}),
+        ("c4", "gumbel", "GH", {"tau": 0.4}), ("m2", "frank", ["c3", "c4"], {"tau": 0.35}),
+        ("root", "clayton", ["m1", "m2"], {"tau": 0.2})],
+}
+
+
 class TestReportRebuild:
-    def test_archimedean_clusters_rebuild_in_closed_form(self, fitted_world, monkeypatch):
-        """``--kendall-mc`` overrides the config, and the report records an
-        empirical Kendall function on each Archimedean cluster; the model
-        rebuilt from the report takes ``auto``'s closed form there."""
-        tmp, model, fit_cfg = fitted_world
-        sim, report = tmp / "sim.csv", tmp / "report.json"
-        assert main(["simulate", "--model", str(model), "--n", "400", "--seed", "2",
-                     "--out", str(sim)]) == 0
-        assert main(["fit", "--data", str(sim), "--model", str(fit_cfg), "--kendall-mode",
-                     "empirical", "--kendall-mc", "1000", "--out", str(report)]) == 0
+    """The model that ``simulate``/``density`` build from a fit report is the
+    fitted model, bit for bit, whatever the draw's ``--seed``."""
+
+    @pytest.mark.parametrize("method", ["two-step", "mle"])
+    @pytest.mark.parametrize("name", list(_REBUILD_MODELS))
+    def test_the_rebuild_is_the_fitted_model(self, tmp_path, monkeypatch, capsys,
+                                             name, method):
+        nodes = _REBUILD_MODELS[name]
+        settings = {"kendall_mc_size": 2000, "seed": 11}
+        (tmp_path / "true.json").write_text(json.dumps(_tree(*nodes, **settings)))
+        (tmp_path / "fit.json").write_text(json.dumps(
+            _tree(*[(n, f, m, {}) for n, f, m, _ in nodes], **settings)))
+        sim, report = tmp_path / "sim.csv", tmp_path / "report.json"
+        assert main(["simulate", "--model", str(tmp_path / "true.json"), "--n", "300",
+                     "--seed", "3", "--out", str(sim)]) == 0
+        fits = []
+        monkeypatch.setattr(cli, "report_document",
+                            lambda fit, *a: fits.append(fit) or report_document(fit, *a))
+        assert main(["fit", "--data", str(sim), "--model", str(tmp_path / "fit.json"),
+                     "--method", method, "--out", str(report)]) == 0
         doc = json.loads(report.read_text())
-        assert doc["model"]["kendall_mc_size"] == 1000
-        assert [n["kendall"] for n in doc["model"]["nodes"]] == [
-            "empirical(1000)", "empirical(1000)", "none"]
+        fitted = fits[0].model
+
         rebuilt = []
         monkeypatch.setattr(cli, "model_density", lambda m, point: rebuilt.append(m) or 1.0)
-        assert main(["density", "--model", str(report), "--point", "0.3,0.4,0.6,0.7"]) == 0
-        assert [ch.kendall.kind for ch in rebuilt[0].root.children] == [
-            "closed_form", "closed_form"]
+        point = ",".join(["0.5"] * fitted.n_vars)
+        assert main(["density", "--model", str(report), "--point", point]) == 0
+        u = clamp_interior(read_csv(str(sim))[1])
+        loglik = doc["loglik_two_step" if method == "two-step" else "loglik_joint"]
+        assert model_loglik(rebuilt[0], u).value == loglik
+        tags = {n["name"]: n["kendall"] for n in doc["model"]["nodes"]}
+        assert tags == {node.name: estimation._kendall_tag(node.kendall)
+                        for _, node, _ in iter_nodes(rebuilt[0])}
+        if name != "archimedean":
+            assert "empirical(2000)" in tags.values()
+
+        header, own_seed = doc["columns"], doc["model"]["seed"]
+        for seed in (own_seed, 7):
+            out, expected = tmp_path / f"resim-{seed}.csv", tmp_path / f"expected-{seed}.csv"
+            assert main(["simulate", "--model", str(report), "--n", "300",
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            write_csv(str(expected), header, model_sample(fitted, 300, substream(seed, 0)))
+            assert out.read_bytes() == expected.read_bytes()
+        # without --seed the draw takes the document's seed
+        assert main(["simulate", "--model", str(report), "--n", "300",
+                     "--out", str(tmp_path / "resim.csv")]) == 0
+        resim_own = (tmp_path / f"resim-{own_seed}.csv").read_bytes()
+        assert (tmp_path / "resim.csv").read_bytes() == resim_own
 
 
 class TestInputRanges:
@@ -309,15 +371,6 @@ class TestInputRanges:
                           if not 0.0 <= float(x) <= 1.0)]
         assert code == 2 and f"'{bad}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mc", ["0", "999"])
-    def test_kendall_mc_below_the_floor_is_refused(self, fitted_world, capsys, mc):
-        tmp, model, _ = fitted_world
-        code = main(["simulate", "--model", str(model), "--n", "10", "--kendall-mc", mc,
-                     "--out", str(tmp / "x.csv")])
-        assert code == 2 and "--kendall-mc" in capsys.readouterr().err
-        assert not (tmp / "x.csv").exists()
-
-
     @pytest.mark.parametrize("flag, value", [
         ("--refit-every", "0"), ("--refit-every", "-3"), ("--horizon", "-2"),
         ("--horizon", "0"), ("--mc", "0"), ("--level", "1.5"), ("--window", "5")])
@@ -328,15 +381,20 @@ class TestInputRanges:
         args = {"--window": "100", "--horizon": "5", "--mc": "1000", flag: value}
         code = main(["backtest", "--data", str(tmp / "raw.csv"), "--model", str(fit_cfg),
                      "--out", str(tmp / "bt.json"), *(x for kv in args.items() for x in kv)])
-        assert code == 2 and f"{flag}:" in capsys.readouterr().err
+        argument = flag[2:].replace("-", "_")
+        rule = ("must be in (0,1)" if flag == "--level" else
+                f"must be an integer >= {10 if flag == '--window' else 1}")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag}: {argument} {rule}, got {value}\n"
         assert not (tmp / "bt.json").exists()
 
-
-    def test_negative_row_count_is_named(self, fitted_world, capsys):
+    @pytest.mark.parametrize("n", ["-1", "-5"])
+    def test_negative_row_count_is_named(self, fitted_world, capsys, n):
         tmp, model, _ = fitted_world
-        code = main(["simulate", "--model", str(model), "--n", "-5",
+        code = main(["simulate", "--model", str(model), "--n", n,
                      "--out", str(tmp / "x.csv")])
-        assert code == 2 and "--n:" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n: n must be at least 0, got {n}\n"
         assert not (tmp / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", ["0", "-2"])
@@ -378,12 +436,41 @@ class TestNumericExitCode:
 
     def test_rejection_cap_error(self, fitted_world, capsys):
         tmp, model, _ = fitted_world
-        code = main(["simulate", "--model", str(model), "--n", "20", "--seed", "1",
-                     "--method", "rejection", "--epsilon-mode", "abs",
-                     "--epsilon", "1e-9", "--max-attempts", "2",
+        narrow = tmp / "narrow.json"
+        narrow.write_text(json.dumps({**json.loads(model.read_text()),
+                                      "epsilon_rule": {"mode": "abs", "value": 1e-9}}))
+        code = main(["simulate", "--model", str(narrow), "--n", "20", "--seed", "1",
+                     "--method", "rejection", "--max-attempts", "2",
                      "--out", str(tmp / "x.csv")])
         assert code == 3
         assert "unfilled" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
+    def test_unconverged_fit_writes_its_report(self, fitted_world, monkeypatch, capsys):
+        tmp, model, fit_cfg = fitted_world
+        assert main(["simulate", "--model", str(model), "--n", "300", "--seed", "2",
+                     "--out", str(tmp / "sim.csv")]) == 0
+        monkeypatch.setattr(estimation, "_CLUSTER_MAX_EVALS", 3)
+        code = main(["fit", "--data", str(tmp / "sim.csv"), "--model", str(fit_cfg),
+                     "--out", str(tmp / "r.json")])
+        assert code == 3
+        assert "did not fully converge" in capsys.readouterr().err
+        doc = json.loads((tmp / "r.json").read_text())
+        assert doc["converged"] is False
+        assert not all(doc["diagnostics"]["node_converged"].values())
+
+    def test_degenerate_backtest_writes_its_report(self, fitted_world, capsys):
+        tmp, _, fit_cfg = fitted_world
+        write_csv(str(tmp / "raw.csv"), ["A", "B", "C", "D"],
+                  np.random.default_rng(3).normal(size=(103, 4)))
+        code = main(["backtest", "--data", str(tmp / "raw.csv"), "--model", str(fit_cfg),
+                     "--window", "100", "--horizon", "3", "--mc", "1000",
+                     "--out", str(tmp / "bt.json")])
+        assert code == 3
+        assert "degenerate hit series" in capsys.readouterr().err
+        doc = json.loads((tmp / "bt.json").read_text())
+        assert doc["degenerate"] is True and doc["n_exceed"] == 0
+        assert doc["p_ind"] is None and len(doc["var_series"]) == 3
 
     def test_tolerance_error(self, fitted_world, monkeypatch, capsys):
         tmp, model, _ = fitted_world
@@ -419,6 +506,96 @@ class TestNumericExitCode:
         code = main(["density", "--model", str(model), "--point", "0.3,0.6,0.2,0.9"])
         assert code == 3
         assert "NaN" in capsys.readouterr().err
+
+
+class TestRemovedFlags:
+    """The model document alone sets its Monte Carlo size, epsilon rule and
+    seed: the flags that once overrode them are usage errors."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("fit", "--kendall-mc", "5000"), ("fit", "--kendall-mode", "empirical"),
+        ("simulate", "--kendall-mc", "5000"), ("simulate", "--epsilon", "0.05"),
+        ("simulate", "--epsilon-mode", "abs"), ("density", "--kendall-mc", "5000"),
+        ("backtest", "--kendall-mc", "5000"), ("backtest", "--epsilon", "0.05"),
+        ("backtest", "--epsilon-mode", "abs")])
+    def test_is_a_usage_error(self, fitted_world, capsys, command, flag, value):
+        tmp, model, _ = fitted_world
+        required = {
+            "fit": ["--data", "d.csv", "--out", "r.json"],
+            "simulate": ["--n", "10", "--out", "x.csv"],
+            "density": ["--point", "0.5,0.5,0.5,0.5"],
+            "backtest": ["--data", "d.csv", "--window", "100", "--out", "bt.json"]}
+        with pytest.raises(SystemExit) as info:
+            main([command, "--model", str(model), *required[command], flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+class TestRefusedFiles:
+    """Unreadable data, model files and points exit 2 with a message that
+    names them, and nothing is written."""
+
+    @pytest.mark.parametrize("text, named", [
+        ("", "empty file"),
+        ("A,B,A,D\n0.1,0.2,0.3,0.4\n", "duplicate column names in header"),
+        ("A,B,C,D\n0.1,0.2,0.3,0.4\n\n0.5,0.6,0.7,0.8\n", "line 3: blank line"),
+        ("A,B,C,D\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7\n", "line 3: expected 4 fields, got 3")],
+        ids=["empty", "duplicate-header", "blank-line", "field-count"])
+    def test_csv_refusal(self, fitted_world, capsys, text, named):
+        tmp, _, fit_cfg = fitted_world
+        data = tmp / "bad.csv"
+        data.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{data}: {named}")):
+            read_csv(str(data))
+        code = main(["fit", "--data", str(data), "--model", str(fit_cfg),
+                     "--out", str(tmp / "r.json")])
+        assert code == 2 and capsys.readouterr().err == f"error: {data}: {named}\n"
+        assert not (tmp / "r.json").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "model file not found: {path}"),
+        ('{"nodes": [}', "{path}: invalid JSON at line 1: Expecting value")],
+        ids=["missing", "invalid-json"])
+    def test_model_file_refusal(self, tmp_path, capsys, text, named):
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["simulate", "--model", str(path), "--n", "10",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named.format(path=path)}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_point_with_the_wrong_coordinate_count(self, fitted_world, capsys):
+        _, model, _ = fitted_world
+        code = main(["density", "--model", str(model), "--point", "0.3,0.4,0.6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: point has 3 coordinates, model expects 4\n"
+
+    def test_kendall_family_without_theta(self, capsys):
+        code = main(["kendall", "--family", "clayton", "--dim", "3", "--grid", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --theta required for family clayton\n"
+
+
+def test_module_entry_point(tmp_path, capsys):
+    """``python -m hierkendall.cli`` runs ``main`` and exits with its code."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["kendall", "--family", "clayton", "--theta", "2", "--dim", "3", "--grid", "3"]
+    run = subprocess.run([sys.executable, "-m", "hierkendall.cli", *argv],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "t,K" and len(run.stdout.splitlines()) == 4
+    assert main(argv) == 0 and run.stdout == capsys.readouterr().out
+    run = subprocess.run(
+        [sys.executable, "-m", "hierkendall.cli", "simulate", "--model", "m.json",
+         "--n", "1", "--out", "x.csv", "--kendall-mc", "5000"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert run.returncode == 2 and "unrecognized arguments: --kendall-mc" in run.stderr
 
 
 class TestDensityCommand:

@@ -327,6 +327,11 @@ class TestSampling:
             model_sample(m, 10, rng, method="exact")
         assert rng.bit_generator.state == state
 
+    def test_negative_row_count_is_refused_by_name(self):
+        with pytest.raises(ParameterError, match="n must be at least 0, got -5") as info:
+            model_sample(_mixed_model(), -5, np.random.default_rng(9))
+        assert info.value.argument == "n"
+
     @pytest.mark.parametrize("method, exact, rejected", [
         ("auto", ["c3"], ["g2"]), ("rejection", [], ["g2", "c3"])])
     def test_each_node_is_sampled_by_its_own_method(self, monkeypatch, method, exact,
