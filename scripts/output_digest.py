@@ -6,7 +6,10 @@ with that checkout's own ``src`` modules, with no reference copy and no
 tracer. Per seed it runs ``setup()``, every ``make_input(k)`` and
 ``cycle(i)`` once per input (at least once), and records the sha256 of
 every call's output and of the workload's built model (``model``), data
-pool (``pool``) and reference model (``ref``) where it has them.
+pool (``pool``) and reference model (``ref``) where it has them. Each
+output also goes through the workload's own check, as in the benchmark;
+a run whose checks report a problem lists it on standard error and exits
+1, the digests still written.
 Dataclasses are hashed field by field, arrays by dtype, shape and bytes,
 floats by ``float.hex``.
 
@@ -79,24 +82,9 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
-def _run_cycle(cycle, key: str, out: dict) -> None:
-    """Drive one cycle generator, recording each call's output digest."""
-    sent, k = None, 0
-    while True:
-        try:
-            name, call, _ = cycle.send(sent)
-        except StopIteration:
-            return
-        t0 = time.perf_counter()
-        result = call()
-        sent = (result, time.perf_counter() - t0)
-        out[f"{key}/{k}:{name}"] = digest(result)
-        k += 1
-
-
-def workload_digests(seeds, smoke: bool = False) -> dict:
-    """Digest of every output of every workload, keyed
-    ``<workload>/seed<s>/<attribute>`` or ``<workload>/seed<s>/cycle<i>/<k>:<call>``."""
+def load_workloads():
+    """(layer modules, workload classes) of this checkout: the package from
+    its ``src``, the workloads from its ``perfbench``."""
     for path in (ROOT / "src", ROOT / "perfbench"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
@@ -104,21 +92,57 @@ def workload_digests(seeds, smoke: bool = False) -> dict:
     from workloads import WORKLOADS
 
     mods = {layer: importlib.import_module(f"hierkendall.{layer}") for layer in LAYERS}
-    out = {}
-    for name in sorted(WORKLOADS):
+    return mods, WORKLOADS
+
+
+def _run_cycle(cycle, key: str, out: dict, problems: list) -> None:
+    """Drive one cycle generator as the benchmark's runner does, recording
+    each call's output digest and the problems its check reports."""
+    sent, k = None, 0
+    while True:
+        try:
+            name, call, check = cycle.send(sent)
+        except StopIteration:
+            return
+        t0 = time.perf_counter()
+        result = call()
+        sent = (result, time.perf_counter() - t0)
+        call_key = f"{key}/{k}:{name}"
+        out[call_key] = digest(result)
+        problems += [f"{call_key}: {p}" for p in check(result)]
+        k += 1
+
+
+def run_workload(name: str, seed: int, smoke: bool, work_dir: str):
+    """(digests, problems) of one run of workload ``name``: its set-up, every
+    input, and one cycle per input (at least one). Digests are keyed
+    ``<attribute>`` or ``cycle<i>/<k>:<call>``; each check problem is
+    prefixed with its call's key."""
+    mods, workloads = load_workloads()
+    wl = workloads[name](mods, seed, smoke, work_dir)
+    wl.setup()
+    for k in range(wl.n_inputs):
+        wl.make_input(k)
+    out = {attr: digest(getattr(wl, attr)) for attr in ATTRIBUTES if hasattr(wl, attr)}
+    problems = []
+    for i in range(max(1, wl.n_inputs)):
+        _run_cycle(wl.cycle(i), f"cycle{i}", out, problems)
+    return out, problems
+
+
+def workload_digests(seeds, smoke: bool = False):
+    """(digests, problems) of every workload at every seed: digests keyed
+    ``<workload>/seed<s>/<attribute>`` or ``<workload>/seed<s>/cycle<i>/<k>:<call>``,
+    and the problems the workloads' output checks report."""
+    out, problems = {}, []
+    for name in sorted(load_workloads()[1]):
         for seed in seeds:
             key = f"{name}/seed{seed}"
             with tempfile.TemporaryDirectory() as work_dir:
-                wl = WORKLOADS[name](mods, seed, smoke, work_dir)
-                wl.setup()
-                for k in range(wl.n_inputs):
-                    wl.make_input(k)
-                for attr in ATTRIBUTES:
-                    if hasattr(wl, attr):
-                        out[f"{key}/{attr}"] = digest(getattr(wl, attr))
-                for i in range(max(1, wl.n_inputs)):
-                    _run_cycle(wl.cycle(i), f"{key}/cycle{i}", out)
-    return out
+                digests, found = run_workload(name, seed, smoke, work_dir)
+            out.update((f"{key}/{k}", v) for k, v in digests.items())
+            problems += [f"{key}/{p}" for p in found]
+    return out, problems
 
 
 def compare(a: dict, b: dict) -> list:
@@ -141,12 +165,15 @@ def main(argv=None) -> int:
             print(f"differs: {key}")
         print(f"{len(differ)} of {len(a.keys() | b.keys())} digests differ")
         return 1 if differ else 0
-    text = json.dumps(workload_digests(args.seeds, args.smoke), indent=1, sort_keys=True)
+    digests, problems = workload_digests(args.seeds, args.smoke)
+    text = json.dumps(digests, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    return 0
+    for problem in problems:
+        print(f"check failed: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -274,6 +274,8 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
     if horizon is not None:
         _int_at_least("horizon", horizon)
     _int_at_least("refit_every", refit_every)
+    _int_at_least("seed", seed, 0)
+    _int_at_least("max_attempts", max_attempts)
     if margin_kind not in MARGIN_KINDS:
         raise ParameterError(f"unknown margin kind {margin_kind!r}", "margin_kind")
     weights = _check_forecast_args(

@@ -192,10 +192,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_density(args) -> int:
     _, header, model = _load_for_simulation(args.model)
-    point = np.array([float(x) for x in args.point.split(",")])
-    if point.size != len(header):
-        raise HierKendallError(
-            f"point has {point.size} coordinates, model expects {len(header)}")
+    coords = args.point.split(",")
+    if len(coords) != len(header):
+        raise ParameterError(
+            f"point has {len(coords)} coordinates, model expects {len(header)}", "point")
+    point = np.empty(len(coords))
+    for i, (x, name) in enumerate(zip(coords, header)):
+        try:
+            point[i] = float(x)
+        except ValueError:
+            raise ParameterError(f"coordinate {i + 1} ({name!r}) is not a number: "
+                                 f"{x!r}", "point") from None
     _require_unit_interval(header, point[None, :], "coordinate")
     print(repr(model_density(model, point)))
     return EXIT_OK
@@ -275,7 +282,9 @@ def cmd_study(args) -> int:
     # a flag named after a setting overrides the file; StudyConfig checks the values
     overrides.update((k, v) for k, v in vars(args).items() if k in settings and v is not None)
     config = StudyConfig(**overrides)
-    rows = simulation_study(config, workers=max(1, args.threads))
+    if args.threads < 1:
+        raise ParameterError(f"must be at least 1, got {args.threads}", "threads")
+    rows = simulation_study(config, workers=args.threads)
     lines = [STUDY_CSV_HEADER] + [study_csv_line(r) for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"study: {len(rows)} cells ({config.replications} replications each) "

@@ -412,7 +412,7 @@ def _kendall_tag(kf: KendallFunction | None) -> str:
 
 
 def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitReport:
-    """Sequential estimation: clusters first, then nesting copulas level by level.
+    """Sequential estimation, node by node, children first.
 
     Each node is fitted to its data columns or to the V columns of its
     fitted children, which the model's bottom-up pass fills into one memo;
@@ -435,7 +435,7 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
 
     model = _build_tree(spec, u.shape[1], fit_node, options.kendall_mode,
                         options.kendall_mc, options.seed)
-    kendalls = {node.name: node.kendall for _, node, _ in iter_nodes(model)}
+    kendalls = {node.name: node.kendall for _, node in iter_nodes(model)}
     node_fits = [NodeFit(
         name=node.name, family=node.family, dim=node.dim, params=copula_params(fit.copula),
         method=fit.method, kendall=_kendall_tag(kendalls[node.name]), loglik=fit.loglik,
@@ -456,13 +456,13 @@ def _collect_free_params(model: HierarchicalModel):
     """Free parameters in preorder: (node name, family, eta bounds, eta at the
     model's value); the family "student_t" stands for the root's nu."""
     free = []
-    for _, node, depth in iter_nodes(model):
+    for _, node in iter_nodes(model):
         cop = node.copula
         if isinstance(cop, ArchimedeanCopula) and cop.generator.family != "independence":
             family = cop.generator.family
             free.append((node.name, family, _eta_bounds(family, cop.dim),
                          eta_from_theta(family, cop.generator.theta)))
-        elif isinstance(cop, StudentTCopula) and depth == 0:
+        elif isinstance(cop, StudentTCopula) and node is model.root:
             free.append((node.name, "student_t", _ETA_BOUNDS["student_t"], eta_from_nu(cop.nu)))
     return free
 
@@ -520,8 +520,8 @@ class _JointObjective:
     def __init__(self, model: HierarchicalModel, free, u):
         self.model, self.free, self.u = model, free, u
         start = _rebuild_with_eta(model, free, [eta for *_, eta in free])
-        shared = {node for _, node, _ in iter_nodes(start)}
-        stepped = [repr(path) for path, node, _ in iter_nodes(model) if node not in shared
+        shared = {node for _, node in iter_nodes(start)}
+        stepped = [repr(path) for path, node in iter_nodes(model) if node not in shared
                    and node.kendall is not None and node.kendall.kind == "empirical"]
         if stepped:
             raise ParameterError("joint MLE cannot move a parameter whose chain holds a "
@@ -545,7 +545,7 @@ class _JointObjective:
         """(LogLikelihood or None, model) at ``eta``; a repeated point runs nothing."""
         if not np.array_equal(eta, self.eta):
             self.eta, self.at = eta.copy(), _rebuild_with_eta(self.model, self.free, eta)
-            self.memo = {n: self.memo[n] for _, n, _ in iter_nodes(self.at) if n in self.memo}
+            self.memo = {n: self.memo[n] for _, n in iter_nodes(self.at) if n in self.memo}
             self.ll = self._pass(self.at, self.memo)
         return self.ll, self.at
 
@@ -594,7 +594,7 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
 
 
 def _refresh_node_fits(node_fits, model) -> list:
-    by_name = {node.name: node for _, node, _ in iter_nodes(model)}
+    by_name = {node.name: node for _, node in iter_nodes(model)}
     return [dataclasses.replace(nf, params=copula_params(by_name[nf.name].copula))
             for nf in node_fits]
 
@@ -640,6 +640,7 @@ class StudyConfig:
                 ("cluster_taus", len(self.cluster_taus) == len(self.cluster_families),
                  "have one value per cluster family"),
                 ("replications", self.replications >= 1, "be positive"),
+                ("seed", self.seed >= 0, "be non-negative"),
                 ("sample_sizes", all(n >= 1 for n in self.sample_sizes), "be positive"),
                 ("kendall_mc", self.kendall_mc >= MIN_KENDALL_MC,
                  f"be at least {MIN_KENDALL_MC}"),

@@ -4,7 +4,8 @@ A model is a tree: leaf nodes group raw variables (clusters) under one
 copula each, inner nodes join the Kendall-transformed summaries
 V = K(C(...)) of their children, and the root carries the nesting copula.
 Size-1 clusters pass their variable through unchanged (identity copula
-and identity Kendall function).
+and identity Kendall function). A leaf may sit at any depth: every pass
+works node by node.
 
 The joint density factorizes into the nesting density evaluated at the
 V-values times the product of all cluster densities. One bottom-up pass
@@ -28,7 +29,6 @@ clusters, by rejection otherwise), and the walk recurses.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,15 +152,15 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
 # ---------------------------------------------------------------------------
 
 def iter_nodes(model: HierarchicalModel):
-    """Depth-first preorder iteration over (path, node, depth); the root has
-    depth 0. A path such as ``root/m1/c1`` labels a node in messages."""
-    stack = [("root", model.root, 0)]
+    """Depth-first preorder iteration over (path, node). A path such as
+    ``root/m1/c1`` labels a node in messages."""
+    stack = [("root", model.root)]
     while stack:
-        path, node, depth = stack.pop()
-        yield path, node, depth
+        path, node = stack.pop()
+        yield path, node
         if isinstance(node, InnerNode):
             for i, ch in reversed(list(enumerate(node.children))):
-                stack.append((f"{path}/{ch.name or i}", ch, depth + 1))
+                stack.append((f"{path}/{ch.name or i}", ch))
 
 
 def _node_dim(node: Node) -> int:
@@ -168,15 +168,17 @@ def _node_dim(node: Node) -> int:
 
 
 def validate_model(model: HierarchicalModel) -> list:
-    """Check all structural invariants; returns a list of problems (empty = ok)."""
+    """Check the structural invariants; returns a list of problems (empty =
+    ok). The root is an inner node; node names are unique; each copula's
+    dimension is its node's column or child count; the clusters partition
+    the variables 0..n_vars-1; and every node below the root has a Kendall
+    function of its copula's dimension. A leaf may sit at any depth."""
     problems = []
     if not isinstance(model.root, InnerNode):
         return ["root must be an inner node carrying the nesting copula"]
     seen_names = set()
     covered: dict[int, str] = {}
-    leaf_depths = set()
-    per_depth = Counter()  # node count per depth below the root
-    for path, node, depth in iter_nodes(model):
+    for path, node in iter_nodes(model):
         if node.name in seen_names:
             problems.append(f"{path}: duplicate node name {node.name!r}")
         seen_names.add(node.name)
@@ -186,7 +188,6 @@ def validate_model(model: HierarchicalModel) -> list:
                 f"{path}: copula dimension {node.copula.dim} != "
                 f"{'column' if isinstance(node, LeafNode) else 'child'} count {dim}")
         if isinstance(node, LeafNode):
-            leaf_depths.add(depth)
             for c in node.columns:
                 if c in covered:
                     problems.append(
@@ -195,7 +196,6 @@ def validate_model(model: HierarchicalModel) -> list:
                     problems.append(f"{path}: variable {c} outside 0..{model.n_vars - 1}")
                 covered[c] = node.name
         if node is not model.root:
-            per_depth[depth] += 1
             if node.kendall is None:
                 problems.append(f"{path}: nested node lacks a Kendall function")
             elif node.kendall.dim != node.copula.dim:
@@ -205,17 +205,6 @@ def validate_model(model: HierarchicalModel) -> list:
     missing = sorted(set(range(model.n_vars)) - set(covered))
     if missing:
         problems.append(f"root: variables {missing} not covered by any cluster")
-    if len(leaf_depths) > 1:
-        problems.append(
-            "root: leaves at mixed depths "
-            f"{sorted(leaf_depths)}; insert size-1 pass-through clusters")
-    else:
-        widths = [per_depth[k] for k in sorted(per_depth, reverse=True)]  # leaves first
-        for j in range(1, len(widths)):
-            if widths[j] > widths[j - 1]:
-                problems.append(
-                    f"root: level width increases toward the root "
-                    f"({widths[j - 1]} -> {widths[j]})")
     return problems
 
 
@@ -228,7 +217,7 @@ def validate(model: HierarchicalModel) -> None:
 def model_n_params(model: HierarchicalModel) -> int:
     """Number of free dependence parameters (size-1 clusters contribute none)."""
     total = 0
-    for _, node, _ in iter_nodes(model):
+    for _, node in iter_nodes(model):
         c = node.copula
         if c.dim <= 1:
             continue
@@ -378,16 +367,19 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
     "auto" samples each Archimedean-kind node exactly on its level set
     (conditional inverse) and any other by rejection; "rejection" samples
     every node by rejection; "exact" refuses, before any draw and naming
-    it, a non-Archimedean node below the root. A negative ``n`` is a
-    ``ParameterError`` naming ``n``.
+    it, a non-Archimedean node below the root. A negative ``n`` or a
+    ``max_attempts`` below 1 is a ``ParameterError`` naming it.
     """
     if n < 0:
         raise ParameterError(f"n must be at least 0, got {n}", "n")
+    if max_attempts < 1:
+        raise ParameterError(f"max_attempts must be at least 1, got {max_attempts}",
+                             "max_attempts")
     if method not in ("auto", "exact", "rejection"):
         raise ParameterError(f"unknown sampling method {method!r}")
     if method == "exact":
-        for path, node, depth in iter_nodes(model):
-            if depth > 0 and not is_archimedean_kind(node.copula):
+        for path, node in iter_nodes(model):
+            if node is not model.root and not is_archimedean_kind(node.copula):
                 raise ParameterError(
                     "exact sampling requires Archimedean copulas below the root; "
                     f"{path} ({type(node.copula).__name__}) is not: use auto or rejection")
@@ -408,8 +400,8 @@ def _find_leaf_for(model, var):
         if isinstance(ch, LeafNode) and var in ch.columns:
             return i, ch
     raise ModelStructureError(
-        [f"variable {var} is not in a leaf cluster directly under the root; "
-         "cross-cluster margins are available for two-level models only"])
+        ["cross-cluster margins are available for leaf clusters directly under "
+         f"the root only; variable {var} is not in one"])
 
 
 def _companion_v(node: LeafNode, var: int, u_val: float, mc: int, rng):

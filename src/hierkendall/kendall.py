@@ -68,7 +68,7 @@ class KendallFunction:
         if self.kind not in ("closed_form", "empirical"):
             raise ParameterError(f"unknown Kendall function kind {self.kind!r}")
         if self.dim < 1:
-            raise ParameterError("dimension must be >= 1")
+            raise ParameterError(f"dimension must be >= 1, got {self.dim}", "dim")
         if self.kind == "closed_form":
             if self.generator is None:
                 raise ParameterError("closed_form requires a generator")

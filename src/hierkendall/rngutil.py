@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 # stream namespaces used by the package (documented, stable)
 STREAM_KENDALL = 1       # Monte Carlo builds of empirical Kendall functions
 STREAM_REPLICATION = 2   # simulation-study replications
@@ -20,6 +22,9 @@ STREAM_FORECAST = 3      # VaR forecast draws, one per backtest refit day
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Return the RNG for substream ``path`` of the given master seed."""
+    """Return the RNG for substream ``path`` of the given master seed; a
+    negative seed is a ``ParameterError`` naming ``seed``."""
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got {seed}", "seed")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 

@@ -278,6 +278,11 @@ _REBUILD_MODELS = {
         ("m1", "gumbel", ["c1", "g"], {"tau": 0.45}), ("c3", "frank", "EF", {"tau": 0.5}),
         ("c4", "gumbel", "GH", {"tau": 0.4}), ("m2", "frank", ["c3", "c4"], {"tau": 0.35}),
         ("root", "clayton", ["m1", "m2"], {"tau": 0.2})],
+    "leaf-beside-a-pair": [
+        ("g", "gaussian", "AB", {"corr": [[1.0, 0.5], [0.5, 1.0]]}),
+        ("c1", "clayton", "CD", {"tau": 0.5}), ("c2", "gumbel", "EF", {"tau": 0.5}),
+        ("m", "gumbel", ["c1", "c2"], {"tau": 0.4}),
+        ("nest", "frank", ["g", "m"], {"tau": 0.3})],
 }
 
 
@@ -314,7 +319,7 @@ class TestReportRebuild:
         assert model_loglik(rebuilt[0], u).value == loglik
         tags = {n["name"]: n["kendall"] for n in doc["model"]["nodes"]}
         assert tags == {node.name: estimation._kendall_tag(node.kendall)
-                        for _, node, _ in iter_nodes(rebuilt[0])}
+                        for _, node in iter_nodes(rebuilt[0])}
         if name != "archimedean":
             assert "empirical(2000)" in tags.values()
 
@@ -396,6 +401,40 @@ class TestInputRanges:
         assert code == 2
         assert capsys.readouterr().err == f"error: --n: n must be at least 0, got {n}\n"
         assert not (tmp / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "{model}", "--n", "10", "--seed", "-1"],
+         "--seed: seed must be at least 0, got -1"),
+        (["simulate", "--model", "{model}", "--n", "10", "--max-attempts", "0"],
+         "--max-attempts: max_attempts must be at least 1, got 0"),
+        (["backtest", "--data", "{raw}", "--model", "{fit}", "--window", "100",
+          "--seed", "-1"], "--seed: seed must be an integer >= 0, got -1"),
+        (["backtest", "--data", "{raw}", "--model", "{fit}", "--window", "100",
+          "--max-attempts", "0"], "--max-attempts: max_attempts must be an integer >= 1, got 0"),
+        (["study", "--seed", "-1"], "study setting 'seed' must be non-negative, got -1"),
+        (["study", "--threads", "-3"], "--threads: must be at least 1, got -3"),
+        (["density", "--model", "{model}", "--point", "0.5,a,0.3,0.4"],
+         "--point: coordinate 2 ('B') is not a number: 'a'"),
+        (["density", "--model", "{model}", "--point", "0.3,0.4,0.6"],
+         "--point: point has 3 coordinates, model expects 4"),
+        (["kendall", "--family", "clayton", "--theta", "2", "--dim", "0"],
+         "--dim: dimension must be >= 1, got 0")],
+        ids=["simulate-seed", "simulate-max-attempts", "backtest-seed",
+             "backtest-max-attempts", "study-seed", "study-threads", "point-not-a-number",
+             "point-count", "kendall-dim"])
+    def test_refused_flag_is_named(self, fitted_world, capsys, argv, message):
+        tmp, model, fit_cfg = fitted_world
+        write_csv(str(tmp / "raw.csv"), ["A", "B", "C", "D"],
+                  np.random.default_rng(3).normal(size=(120, 4)))
+        paths = {"model": model, "fit": fit_cfg, "raw": tmp / "raw.csv"}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] != "density":
+            argv += ["--out", str(tmp / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp / "out").exists()
 
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_empty_kendall_grid_is_named(self, capsys, grid):
@@ -565,13 +604,6 @@ class TestRefusedFiles:
         assert code == 2
         assert capsys.readouterr().err == f"error: {named.format(path=path)}\n"
         assert not (tmp_path / "x.csv").exists()
-
-    def test_point_with_the_wrong_coordinate_count(self, fitted_world, capsys):
-        _, model, _ = fitted_world
-        code = main(["density", "--model", str(model), "--point", "0.3,0.4,0.6"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: point has 3 coordinates, model expects 4\n"
 
     def test_kendall_family_without_theta(self, capsys):
         code = main(["kendall", "--family", "clayton", "--dim", "3", "--grid", "3"])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import weakref
 from collections import Counter, defaultdict
 
@@ -27,6 +28,7 @@ from hierkendall.estimation import (
     NodeSpec,
     StudyConfig,
     build_model,
+    copula_from_spec,
     copula_params,
     eta_from_theta,
     fit_cluster,
@@ -41,14 +43,19 @@ from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
 import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, kendall_for_copula, model_loglik, model_sample
-from hierkendall.modelconfig import config_to_spec, parse_model_config, report_document
+from hierkendall.modelconfig import (
+    config_to_spec,
+    parse_model_config,
+    read_csv,
+    report_document,
+)
 from hierkendall.rngutil import substream
 
 from oracles import grid_maximum, joint_loglik_nelder_mead, joint_mle_scipy_gradient
 
 
 def _nodes(model):
-    return [(node.name, node) for _, node, _ in iter_nodes(model)]
+    return [(node.name, node) for _, node in iter_nodes(model)]
 
 
 def two_cluster_spec(with_params=True):
@@ -358,6 +365,42 @@ class TestTwoStep:
         assert gaussian_fit.kendall.startswith("empirical")
 
 
+_HEADER = ["A", "B", "C", "D"]
+_CONFIG = {"nodes": [
+    {"name": "c1", "family": "clayton", "columns": ["A", "B"], "tau": 0.5},
+    {"name": "c2", "family": "gumbel", "columns": ["C", "D"], "tau": 0.5},
+    {"name": "nest", "family": "frank", "children": ["c1", "c2"], "tau": 0.4}]}
+
+
+@pytest.mark.parametrize("make, cls, message", [
+    (lambda: NodeSpec("c1", "bogus", columns=(0, 1)),
+     ConfigError, "node 'c1': unknown family 'bogus'"),
+    (lambda: NodeSpec("c1", "clayton"),
+     ConfigError, "node 'c1': exactly one of columns/children required"),
+    (lambda: copula_from_spec(NodeSpec("c1", "clayton", columns=(0, 1))),
+     ConfigError, "needs theta or tau"),
+    (lambda: copula_from_spec(NodeSpec("g", "gaussian", columns=(0, 1))),
+     ConfigError, "needs a correlation matrix"),
+    (lambda: copula_from_spec(NodeSpec("t", "student_t", columns=(0, 1),
+                                       params={"corr": [[1, 0.5], [0.5, 1]]})),
+     ConfigError, "needs degrees of freedom nu"),
+    (lambda: pseudo_observations(np.ones((1, 3))),
+     DataError, "need a 2-d array with at least two rows"),
+    (lambda: parse_model_config({"nodes": []}),
+     ConfigError, "'nodes' must be a nonempty list"),
+    (lambda: parse_model_config({**_CONFIG, "epsilon_rule": {"mode": "both"}}),
+     ConfigError, "bad epsilon_rule: epsilon mode must be 'abs' or 'rel', got 'both'"),
+    (lambda: config_to_spec(parse_model_config(_CONFIG), _HEADER + ["E"]),
+     ConfigError, "data columns ['E'] not assigned to any cluster"),
+    (lambda: read_csv("no/such/data.csv"),
+     DataError, "data file not found: no/such/data.csv")],
+    ids=["family", "columns-or-children", "theta-or-tau", "corr", "nu", "one-row",
+         "empty-nodes", "epsilon-rule", "uncovered-column", "missing-data-file"])
+def test_template_and_config_refusals_name_their_fault(make, cls, message):
+    with pytest.raises(cls, match=re.escape(message)):
+        make()
+
+
 class TestNodeNamedErrors:
     """One template walk builds and fits every node, and names the node that fails."""
 
@@ -456,8 +499,9 @@ class TestOneBottomUpPass:
 
             monkeypatch.setattr(hierarchical, name, counting)
         report = fit_two_step(spec, u, options)
-        for _, node, depth in iter_nodes(report.model):
-            expected = [u.shape[0]] if depth and node.copula.dim > 1 else []
+        for _, node in iter_nodes(report.model):
+            expected = ([u.shape[0]] if node is not report.model.root and node.copula.dim > 1
+                        else [])
             key = id(getattr(node.copula, "generator", node.copula))
             assert rows.pop(key, []) == expected, node.name
         assert rows == {}
@@ -491,8 +535,8 @@ class TestKendallStreams:
         again = parse_model_config(doc)
         rebuilt = build_model(config_to_spec(again, doc["columns"]), n_vars=7,
                               kendall_mc=again.kendall_mc_size, seed=again.seed)
-        fitted = {path: node.kendall for path, node, _ in iter_nodes(report.model)}
-        for path, node, _ in iter_nodes(rebuilt):
+        fitted = {path: node.kendall for path, node in iter_nodes(report.model)}
+        for path, node in iter_nodes(rebuilt):
             if node.name in ("g", "t"):
                 assert node.kendall.kind == "empirical"
             assert (node.kendall is None) == (fitted[path] is None), path
@@ -588,7 +632,7 @@ class TestJointMle:
                                 @ np.triu(np.full((5, 5), 0.5)))
         options = FitOptions(kendall_mc=1000, joint_max_evals=60)
         base = fit_two_step(spec, u, options)
-        gauss = next(node.copula for _, node, _ in iter_nodes(base.model) if node.name == "g")
+        gauss = next(node.copula for _, node in iter_nodes(base.model) if node.name == "g")
         calls = []
         real_cdf = hierarchical.copula_cdf
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, ks_2samp, kstest
@@ -12,6 +14,13 @@ from hierkendall.copulas import (
     copula_pdf,
 )
 from hierkendall.errors import ModelStructureError, ParameterError, SameClusterError
+from hierkendall.estimation import (
+    FitOptions,
+    NodeSpec,
+    build_model,
+    fit_joint_mle,
+    fit_two_step,
+)
 from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
 from hierkendall.hierarchical import (
     HierarchicalModel,
@@ -85,7 +94,7 @@ class TestValidation:
                        arch(theta_from_tau("frank", 0.4), 2)),
             n_vars=4)
         assert validate_model(m) == []
-        assert [path for path, _, _ in iter_nodes(m)] == ["root", "root/EUR/USD", "root/c2"]
+        assert [path for path, _ in iter_nodes(m)] == ["root", "root/EUR/USD", "root/c2"]
 
     def test_kendall_dimension_checked(self):
         from hierkendall.kendall import closed_form_kendall
@@ -97,19 +106,37 @@ class TestValidation:
             n_vars=4)
         assert any("Kendall dimension 3" in p for p in validate_model(m))
 
-    def test_mixed_depth_rejected(self):
-        deep = inner("mid", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
-                             leaf("c2", [2, 3], arch(GUMBEL2, 2))],
-                     arch(theta_from_tau("frank", 0.4), 2), nested=True)
-        m = HierarchicalModel(
-            root=inner("nest", [deep, leaf("c3", [4], IndependenceCopula(1))],
-                       IndependenceCopula(2)),
-            n_vars=5)
-        assert any("mixed depths" in p for p in validate_model(m))
+    def test_leaf_beside_a_nested_pair_is_its_padded_twin(self):
+        """A cluster directly under the root behaves bit for bit as the same
+        cluster under a size-1 pass-through node: in sampling, density,
+        probability integral transform, two-step and joint fit."""
+        pair = NodeSpec("m", "gumbel", children=(
+            NodeSpec("c1", "clayton", columns=(0, 1), params={"tau": 0.5}),
+            NodeSpec("c2", "gumbel", columns=(2, 3), params={"tau": 0.5})),
+            params={"tau": 0.3})
+        c3 = NodeSpec("c3", "clayton", columns=(4, 5), params={"tau": 0.4})
+        specs = [NodeSpec("nest", "frank", children=(pair, tree), params={"tau": 0.2})
+                 for tree in (c3, NodeSpec("p", "independence", children=(c3,)))]
+        models = [build_model(spec, n_vars=6) for spec in specs]
+        assert validate_model(models[0]) == []
+        for method in ("exact", "auto"):
+            a, b = (model_sample(m, 400, np.random.default_rng(5), method) for m in models)
+            np.testing.assert_array_equal(a, b)
+        u = a
+        for f in (model_logdensity, nesting_pit):
+            np.testing.assert_array_equal(f(models[0], u), f(models[1], u))
+        options = FitOptions(kendall_mode="closed_form")
+        two_step = [fit_two_step(spec, u, options) for spec in specs]
+        joint = [fit_joint_mle(report, u, options) for report in two_step]
+        assert joint[0].joint_evals > 0
+        for a, b in (two_step, joint):
+            assert a.loglik_two_step == b.loglik_two_step
+            assert a.loglik_joint == b.loglik_joint
+            assert a.joint_evals == b.joint_evals
+            assert ({nf.name: nf.params for nf in a.nodes}
+                    == {nf.name: nf.params for nf in b.nodes if nf.name != "p"})
 
-    def test_width_ordering_enforced(self):
-        # 1 cluster at level 1 feeding 2 "clusters" is impossible; widths
-        # must not grow toward the root
+    def test_pass_through_nodes_and_a_one_child_root_are_valid(self):
         lf = leaf("a", [0, 1], arch(CLAYTON2, 2))
         mid1 = inner("m1", [lf], IndependenceCopula(1), nested=True)
         lf2 = leaf("b", [2, 3], arch(GUMBEL2, 2))
@@ -120,16 +147,42 @@ class TestValidation:
             root=inner("nest", [mid1, mid2, mid3],
                        arch(theta_from_tau("frank", 0.3), 3)),
             n_vars=6)
-        assert validate_model(m) == []  # widths 3 -> 3: fine
-        # now 2 level-1 clusters under 3 level-2 nodes cannot happen
-        # structurally (each inner needs >= 1 child), so check the
-        # validator flags a synthetic width inversion via duplicate wiring
-        m_bad = HierarchicalModel(
-            root=inner("nest", [inner("m1", [lf, lf2], arch(GUMBEL2, 2),
-                                      nested=True)],
+        assert validate_model(m) == []
+        m = HierarchicalModel(
+            root=inner("nest", [inner("m1", [lf, lf2], arch(GUMBEL2, 2), nested=True)],
                        IndependenceCopula(1)),
             n_vars=4)
-        assert validate_model(m_bad) == []  # widths 2 -> 1: legal
+        assert validate_model(m) == []
+
+    @pytest.mark.parametrize("make, cls, message", [
+        (lambda: validate(HierarchicalModel(root=leaf("c1", [0, 1], arch(CLAYTON2, 2)),
+                                            n_vars=2)),
+         ModelStructureError, "root must be an inner node carrying the nesting copula"),
+        (lambda: validate(HierarchicalModel(
+            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
+                                leaf("c1", [2, 3], arch(GUMBEL2, 2))], arch(CLAYTON2, 2)),
+            n_vars=4)),
+         ModelStructureError, "root/c1: duplicate node name 'c1'"),
+        (lambda: validate(HierarchicalModel(
+            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
+                                leaf("c2", [2, 9], arch(GUMBEL2, 2))], arch(CLAYTON2, 2)),
+            n_vars=4)),
+         ModelStructureError, "root/c2: variable 9 outside 0..3"),
+        (lambda: validate(HierarchicalModel(
+            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
+                                inner("m", [leaf("c2", [2, 3], arch(GUMBEL2, 2))],
+                                      IndependenceCopula(1))], arch(CLAYTON2, 2)),
+            n_vars=4)),
+         ModelStructureError, "root/m: nested node lacks a Kendall function"),
+        (lambda: model_logdensity(two_cluster_model(), np.full((3, 5), 0.5)),
+         ModelStructureError, "data has 5 columns, model expects 4"),
+        (lambda: model_sample(two_cluster_model(), 10, np.random.default_rng(0), "bogus"),
+         ParameterError, "unknown sampling method 'bogus'")],
+        ids=["leaf-root", "duplicate-name", "variable-range", "no-kendall",
+             "data-columns", "sampling-method"])
+    def test_refusal_names_its_fault(self, make, cls, message):
+        with pytest.raises(cls, match=re.escape(message)):
+            make()
 
     def test_validate_raises(self):
         m = HierarchicalModel(
@@ -202,7 +255,7 @@ class TestNestingPit:
         u = np.random.default_rng(3).random((50, 5))
         memo = {}
         model_logdensity(m, u, memo)
-        nodes = [node for _, node, _ in iter_nodes(m)]
+        nodes = [node for _, node in iter_nodes(m)]
         assert len(memo) == len(nodes) and all(node in memo for node in nodes)
         v = {node.name: entry[0] for node, entry in memo.items()}
         np.testing.assert_array_equal(
@@ -338,7 +391,7 @@ class TestSampling:
                                                     rejected):
         m = _mixed_model()
         calls = {"exact": [], "rejection": []}
-        by_copula = {id(node.copula): node.name for _, node, _ in iter_nodes(m)}
+        by_copula = {id(node.copula): node.name for _, node in iter_nodes(m)}
         real_exact = hierarchical.sample_levelset_conditional_batch
         real_rejection = hierarchical.sample_levelset_rejection_batch
 

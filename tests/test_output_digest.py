@@ -14,9 +14,9 @@ spec.loader.exec_module(output_digest)
 
 
 def test_two_runs_are_equal_and_compare_finds_a_change(tmp_path, capsys):
-    first = output_digest.workload_digests([1], smoke=True)
-    second = output_digest.workload_digests([1], smoke=True)
-    assert first == second
+    first, problems = output_digest.workload_digests([1], smoke=True)
+    second, _ = output_digest.workload_digests([1], smoke=True)
+    assert first == second and problems == []
     assert {"joint_mle/seed1/model", "joint_mle/seed1/pool", "elliptical/seed1/ref",
             "var_backtest/seed1/cycle0/0:simulate",
             "joint_mle/seed1/cycle0/1:fit_joint_mle"} <= set(first)
@@ -36,3 +36,26 @@ def test_digest_tells_values_and_types_apart():
     assert digest(np.zeros(2)) != digest(np.zeros(2, dtype=np.float32))
     assert digest(np.zeros(2)) != digest(np.zeros((1, 2)))
     assert digest([0.1, 0.2]) == digest([0.1, 0.2]) != digest([0.1, np.nextafter(0.2, 1.0)])
+
+
+class _FailingWorkload:
+    n_inputs = 0
+
+    def __init__(self, mods, seed, smoke, work_dir):
+        pass
+
+    def setup(self):
+        pass
+
+    def cycle(self, i):
+        yield "call", lambda: 1.0, lambda out: [f"got {out}"]
+
+
+def test_a_failed_check_is_listed_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(output_digest, "load_workloads",
+                        lambda: ({}, {"failing": _FailingWorkload}))
+    out = tmp_path / "digests.json"
+    assert output_digest.main(["--seeds", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "check failed: failing/seed1/cycle0/0:call: got 1.0\n"
+    assert json.loads(out.read_text()) == {
+        "failing/seed1/cycle0/0:call": output_digest.digest(1.0)}
