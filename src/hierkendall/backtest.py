@@ -27,7 +27,7 @@ from scipy import stats
 from .errors import DataError, DomainError, ParameterError
 from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
 from .hierarchical import HierarchicalModel, model_sample
-from .levelset import DEFAULT_EPSILON_RULE, DEFAULT_MAX_ATTEMPTS, EpsilonRule
+from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
 from .rngutil import STREAM_FORECAST, substream
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,7 @@ def window_margins(window, kind: str = "empirical") -> list:
 # ---------------------------------------------------------------------------
 
 def forecast_var(model: HierarchicalModel, margins, weights, level: float,
-                 mc: int, rng, eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> float:
+                 mc: int, rng, eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE) -> float:
     """alpha-quantile (alpha = 1 - level) of the simulated portfolio return.
 
     ``margins`` is one quantile-function object per variable; ``weights``
@@ -109,7 +108,7 @@ def forecast_var(model: HierarchicalModel, margins, weights, level: float,
     weights = _check_forecast_args(model.n_vars, weights, level, mc)
     if len(margins) != model.n_vars:
         raise ParameterError("one margin per model variable required", "margins")
-    u = model_sample(model, mc, rng, eps_rule=eps_rule, max_attempts=max_attempts)
+    u = model_sample(model, mc, rng, eps_rule=eps_rule)
     return _portfolio_var(u, margins, weights, level)
 
 
@@ -253,8 +252,7 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
                      refit_every: int = 25, mc: int = 10_000,
                      margin_kind: str = "empirical", seed: int = 0,
                      fit_options: FitOptions | None = None,
-                     eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
-                     max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> BacktestReport:
+                     eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE) -> BacktestReport:
     """Moving-window VaR backtest of a hierarchical Kendall copula model.
 
     Forecast day t uses the trailing window ``data[t:t + window]``. Every
@@ -265,7 +263,8 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
     refitted on its own raw window, and its portfolio VaR forecast is
     compared with the realized weighted return. So a refit day's forecast
     is ``forecast_var`` of the refitted model with that stream, and the
-    Monte Carlo error is shared by the days of one refit period.
+    Monte Carlo error is shared by the days of one refit period. Draws use
+    ``eps_rule``; their rejection batches stop at ``levelset.MAX_ATTEMPTS``.
     """
     data = np.asarray(data, dtype=float)
     t_total, n_vars = data.shape
@@ -275,7 +274,6 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
         _int_at_least("horizon", horizon)
     _int_at_least("refit_every", refit_every)
     _int_at_least("seed", seed, 0)
-    _int_at_least("max_attempts", max_attempts)
     if margin_kind not in MARGIN_KINDS:
         raise ParameterError(f"unknown margin kind {margin_kind!r}", "margin_kind")
     weights = _check_forecast_args(
@@ -293,8 +291,7 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
         win = data[t:t + window]
         if t % refit_every == 0:
             model = fit_two_step(fit_spec, pseudo_observations(win), fit_options).model
-            draw = model_sample(model, mc, substream(seed, STREAM_FORECAST, t),
-                                eps_rule=eps_rule, max_attempts=max_attempts)
+            draw = model_sample(model, mc, substream(seed, STREAM_FORECAST, t), eps_rule=eps_rule)
         var_series[t] = _portfolio_var(draw, window_margins(win, margin_kind),
                                        weights, level)
         realized[t] = float(weights @ data[t + window])

@@ -49,7 +49,6 @@ from .estimation import (
 from .generators import FAMILIES, ArchimedeanGenerator, independence_generator
 from .hierarchical import model_density, model_sample
 from .kendall import closed_form_kendall, kendall_cdf
-from .levelset import DEFAULT_MAX_ATTEMPTS
 from .modelconfig import (
     _atomic_write,
     config_to_spec,
@@ -88,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the draw (default: the document's seed)")
     p.add_argument("--method", choices=("auto", "exact", "rejection"), default="auto")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
-                   help="rejection sampling attempt cap")
 
     p = sub.add_parser("density", help="evaluate the model density at one point")
     p.add_argument("--model", required=True)
@@ -113,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margins", choices=tuple(MARGIN_KINDS), default="empirical")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
-                   help="rejection sampling attempt cap")
 
     p = sub.add_parser("study", help="nesting-parameter recovery study")
     p.add_argument("--out", required=True)
@@ -165,7 +160,7 @@ def cmd_fit(args) -> int:
     options = FitOptions(kendall_mc=config.kendall_mc_size, seed=config.seed)
     report = fit_two_step(spec, u, options)
     if args.method == "mle":
-        report = fit_joint_mle(report, u, options)
+        report = fit_joint_mle(report, u)
     doc = report_document(report, args.method, header, config)
     write_json(args.out, doc)
     print(f"fit: {len(report.nodes)} nodes, loglik(two-step)="
@@ -183,8 +178,7 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     config, header, model = _load_for_simulation(args.model)
     rng = substream(config.seed if args.seed is None else args.seed, 0)
-    u = model_sample(model, args.n, rng, method=args.method,
-                     eps_rule=config.epsilon_rule, max_attempts=args.max_attempts)
+    u = model_sample(model, args.n, rng, method=args.method, eps_rule=config.epsilon_rule)
     write_csv(args.out, header, u)
     print(f"simulate: wrote {args.n} x {len(header)} -> {args.out}")
     return EXIT_OK
@@ -237,7 +231,7 @@ def cmd_backtest(args) -> int:
     report = rolling_backtest(
         data, spec, level=args.level, window=args.window, horizon=args.horizon,
         refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
-        seed=seed, eps_rule=config.epsilon_rule, max_attempts=args.max_attempts,
+        seed=seed, eps_rule=config.epsilon_rule,
         fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=seed))
     doc = {
         "format": "hierkendall-backtest/1",

@@ -264,6 +264,10 @@ class ClusterFit:
 
 _PENALTY = 1e12  # objective value of a failed or non-finite evaluation
 _CLUSTER_MAX_EVALS = 500  # likelihood evaluations of one per-cluster fit
+# joint MLE likelihood passes, k + 1 per L-BFGS-B evaluation with k free
+# parameters (maxfun = _JOINT_MAX_EVALS // (k + 1)); checked once per
+# iteration, so the last iteration's line search may run past it
+_JOINT_MAX_EVALS = 5000
 # eta intervals from near independence (Gumbel: theta - 1 = 1e-12 by the floor
 # of eta_from_theta) up to tau = 0.98; Frank at d = 2 also down to tau = -0.98
 _ETA_BOUNDS = {f: (eta_from_theta(f, lo), eta_from_theta(f, theta_from_tau(f, 0.98).theta))
@@ -355,10 +359,6 @@ class FitOptions:
     kendall_mode: str = "auto"  # auto | closed_form | empirical
     kendall_mc: int = DEFAULT_KENDALL_MC
     seed: int = 0
-    # joint MLE likelihood passes, k + 1 per L-BFGS-B evaluation with k free
-    # parameters (maxfun = joint_max_evals // (k + 1)); checked once per
-    # iteration, so the last iteration's line search may run past it
-    joint_max_evals: int = 5000
 
 
 @dataclass
@@ -566,9 +566,9 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
     """Joint MLE over all free dependence parameters from the two-step start:
     bounded L-BFGS-B on the eta transforms, inside the intervals of the
     one-parameter fits, on ``_JointObjective``, which names the nodes it
-    refuses. The result never falls below the two-step start.
+    refuses, in at most ``_JOINT_MAX_EVALS`` likelihood passes. The result
+    never falls below the two-step start. ``options`` is not read.
     """
-    options = options or FitOptions()
     u = np.asarray(u, dtype=float)
     free = _collect_free_params(report.model)
     if not free:
@@ -580,7 +580,7 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
     objective = _JointObjective(report.model, free, u)
     res = optimize.minimize(objective, eta0, jac=True, method="L-BFGS-B",
                             bounds=[bounds for _, _, bounds, _ in free],
-                            options=dict(maxfun=options.joint_max_evals // (len(free) + 1),
+                            options=dict(maxfun=_JOINT_MAX_EVALS // (len(free) + 1),
                                          ftol=_JOINT_FTOL))
     evals = objective.evals
     ll, final = objective.base(res.x if res.fun <= -report.loglik_two_step else eta0)
@@ -603,6 +603,9 @@ def _refresh_node_fits(node_fits, model) -> list:
 # simulation study
 # ---------------------------------------------------------------------------
 
+STUDY_METHODS = ("two_step_closed", "two_step_empirical", "joint_mle")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     cluster_families: tuple = ("clayton", "gumbel")
@@ -611,7 +614,7 @@ class StudyConfig:
     nesting_taus: tuple = (0.4, 0.7)
     sample_sizes: tuple = (250, 500, 1000)
     replications: int = 100
-    methods: tuple = ("two_step_closed", "two_step_empirical", "joint_mle")
+    methods: tuple = STUDY_METHODS
     # 25k Monte Carlo values keep the Kendall-function error an order of
     # magnitude below the estimation noise at these sample sizes
     kendall_mc: int = 25_000
@@ -637,6 +640,13 @@ class StudyConfig:
                     raise ConfigError(f"study setting {f.name!r} takes {kind.__name__} "
                                       f"values, got {item!r}")
         for name, ok, need in (
+                # the nesting copula joins the clusters: one alone leaves it 1-d
+                ("cluster_families", len(self.cluster_families) >= 2,
+                 "name at least two clusters"),
+                *((name, len(getattr(self, name)) > 0, "be nonempty")
+                  for name in ("nesting_taus", "sample_sizes", "methods")),
+                ("methods", set(self.methods) <= set(STUDY_METHODS),
+                 f"be drawn from {STUDY_METHODS}"),
                 ("cluster_taus", len(self.cluster_taus) == len(self.cluster_families),
                  "have one value per cluster family"),
                 ("replications", self.replications >= 1, "be positive"),
@@ -707,13 +717,11 @@ def _study_replication(args):
                 fitted = fit_two_step(spec, u, FitOptions(
                     kendall_mode="empirical", kendall_mc=config.kendall_mc,
                     seed=config.seed + rep))
-            elif method == "joint_mle":
+            else:  # joint_mle
                 if base is None:
                     base = fit_two_step(spec, u, FitOptions(
                         kendall_mode="closed_form", seed=config.seed))
-                fitted = fit_joint_mle(base, u, FitOptions())
-            else:
-                raise ParameterError(f"unknown study method {method!r}")
+                fitted = fit_joint_mle(base, u)
             out[method] = (tau_from_theta(fitted.model.root.copula.generator), None)
         except Exception as exc:  # any failure is counted, with its reason
             out[method] = (None, " ".join(f"{type(exc).__name__}: {exc}".split()))

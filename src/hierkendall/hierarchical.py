@@ -29,6 +29,7 @@ clusters, by rejection otherwise), and the walk recurses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,6 @@ from .kendall import (
 )
 from .levelset import (
     DEFAULT_EPSILON_RULE,
-    DEFAULT_MAX_ATTEMPTS,
     EpsilonRule,
     sample_levelset_conditional_batch,
     sample_levelset_rejection_batch,
@@ -279,15 +279,24 @@ def _post_order(node: Node, rows: np.ndarray, memo: dict | None = None):
     return out
 
 
+def _data_rows(model: HierarchicalModel, u):
+    """(rows, single): ``u`` as a matrix of rows, and whether it was one row.
+    A column count other than the model's is a ``ModelStructureError``."""
+    u = np.asarray(u, dtype=float)
+    rows = u[None, :] if u.ndim == 1 else u
+    if rows.shape[1] != model.n_vars:
+        raise ModelStructureError(
+            [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
+    return rows, u.ndim == 1
+
+
 def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """V matrix feeding the nesting copula: one column per root child.
 
     Each column is K_i(C_i(...)) of the child's inputs, uniform under a
     correctly specified model; size-1 clusters pass through unchanged.
     """
-    u = np.asarray(u, dtype=float)
-    single = u.ndim == 1
-    rows = u[None, :] if single else u
+    rows, single = _data_rows(model, u)
     v = np.column_stack([_post_order(ch, rows)[0] for ch in model.root.children])
     return v[0] if single else v
 
@@ -299,12 +308,7 @@ def model_logdensity(model: HierarchicalModel, u, memo: dict | None = None) -> n
     on the same rows; the pass takes the subtrees it holds from it and adds
     the ones it computes.
     """
-    u = np.asarray(u, dtype=float)
-    single = u.ndim == 1
-    rows = u[None, :] if single else u
-    if rows.shape[1] != model.n_vars:
-        raise ModelStructureError(
-            [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
+    rows, single = _data_rows(model, u)
     _, out = _post_order(model.root, rows, memo)
     return float(out[0]) if single else out
 
@@ -336,8 +340,7 @@ def model_loglik(model: HierarchicalModel, u, memo: dict | None = None) -> LogLi
 # simulation
 # ---------------------------------------------------------------------------
 
-def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, max_attempts,
-                 out: np.ndarray):
+def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, out: np.ndarray):
     """Fill the columns of ``out`` under ``node`` given its copula sample
     ``block``: each child's column goes through K^-1 to its Kendall level,
     the child is sampled on that level set by its own copula's method
@@ -354,27 +357,23 @@ def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, max_attem
             child_block = sample_levelset_conditional_batch(
                 copula_generator(ch.copula), dim, z, rng)
         else:
-            child_block, _ = sample_levelset_rejection_batch(
-                ch.copula, z, eps_rule, rng, max_attempts)
-        _sample_node(ch, child_block, rng, method, eps_rule, max_attempts, out)
+            child_block, _ = sample_levelset_rejection_batch(ch.copula, z, eps_rule, rng)
+        _sample_node(ch, child_block, rng, method, eps_rule, out)
 
 
 def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
-                 eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> np.ndarray:
+                 eps_rule: EpsilonRule = DEFAULT_EPSILON_RULE) -> np.ndarray:
     """Simulate n rows from the model.
 
     "auto" samples each Archimedean-kind node exactly on its level set
     (conditional inverse) and any other by rejection; "rejection" samples
     every node by rejection; "exact" refuses, before any draw and naming
-    it, a non-Archimedean node below the root. A negative ``n`` or a
-    ``max_attempts`` below 1 is a ``ParameterError`` naming it.
+    it, a non-Archimedean node below the root. A negative ``n`` is a
+    ``ParameterError`` naming it; a rejection batch that exhausts
+    ``levelset.MAX_ATTEMPTS`` candidates raises ``RejectionCapError``.
     """
     if n < 0:
         raise ParameterError(f"n must be at least 0, got {n}", "n")
-    if max_attempts < 1:
-        raise ParameterError(f"max_attempts must be at least 1, got {max_attempts}",
-                             "max_attempts")
     if method not in ("auto", "exact", "rejection"):
         raise ParameterError(f"unknown sampling method {method!r}")
     if method == "exact":
@@ -387,7 +386,7 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
     if n == 0:
         return out
     _sample_node(model.root, copula_sample(model.root.copula, n, rng), rng, method,
-                 eps_rule, max_attempts, out)
+                 eps_rule, out)
     return out
 
 
@@ -419,8 +418,14 @@ def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
 
     Averages the nesting-margin density over within-cluster companions
     drawn from the cluster-conditional laws. Returns (estimate, standard
-    error); the error is zero when both clusters have size one.
+    error); the error is zero when both clusters have size one. An ``mc``
+    below 1 or a ``u_k``/``u_l`` outside [0, 1] is a ``ParameterError``.
     """
+    if isinstance(mc, bool) or not isinstance(mc, numbers.Integral) or mc < 1:
+        raise ParameterError(f"mc must be an integer >= 1, got {mc!r}", "mc")
+    for name, value in (("u_k", u_k), ("u_l", u_l)):
+        if not 0.0 <= value <= 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1], got {value!r}", name)
     i_idx, leaf_i = _find_leaf_for(model, k)
     j_idx, leaf_j = _find_leaf_for(model, l)
     if i_idx == j_idx:

@@ -16,9 +16,9 @@ Each method fills one row per entry of a vector of levels z:
   pending level when |C(u) - z| < eps(z). The absolute error of an
   accepted sample is bounded by eps and the relative error by eps/z; the
   relative rule eps(z) = eps0 * z therefore caps the relative error at
-  eps0. A batch that leaves levels unfilled after ``max_attempts``
-  candidates raises ``RejectionCapError``: widen eps or reduce the
-  dimension.
+  eps0. A batch that leaves levels unfilled after ``MAX_ATTEMPTS``
+  candidates, a module constant, raises ``RejectionCapError``: widen eps
+  or reduce the dimension.
 
 A single level is a one-element batch.
 """
@@ -35,7 +35,7 @@ from .errors import DomainError, EvaluationError, ParameterError, RejectionCapEr
 from .generators import (ArchimedeanGenerator, check_dimension, generator_inverse,
                          generator_value)
 
-DEFAULT_MAX_ATTEMPTS = 10_000_000
+MAX_ATTEMPTS = 10_000_000  # candidates of one rejection batch
 
 _REJECTION_CHUNK = 4096
 
@@ -124,8 +124,7 @@ def _refuse_zeros(g: ArchimedeanGenerator, d: int, out: np.ndarray) -> np.ndarra
     return out
 
 
-def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, rng,
-                                    max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, rng):
     """Fill many level-set targets from one candidate stream.
 
     Implements the batch assignment used when simulating hierarchical
@@ -134,7 +133,7 @@ def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, 
     assigned to the nearest such z_j, which is then removed from D.
 
     Returns ``(samples, attempts)`` where samples has one row per target.
-    ``max_attempts`` caps the total number of candidates for the batch.
+    ``MAX_ATTEMPTS``, read at each call, caps the candidates of the batch.
     """
     z_targets = np.atleast_1d(np.asarray(z_targets, dtype=float))
     _check_z(z_targets)
@@ -144,8 +143,8 @@ def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, 
     pending_z = z_targets[order].tolist()   # sorted pending levels
     pending_ix = order.tolist()             # original row of each pending level
     attempts = 0
-    while pending_z and attempts < max_attempts:
-        chunk = min(_REJECTION_CHUNK, max_attempts - attempts)
+    while pending_z and attempts < MAX_ATTEMPTS:
+        chunk = min(_REJECTION_CHUNK, MAX_ATTEMPTS - attempts)
         u = copula_sample(c, chunk, rng)
         cz = copula_cdf(c, u).tolist()
         for i, zi in enumerate(cz):

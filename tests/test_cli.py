@@ -16,6 +16,7 @@ import hierkendall.cli as cli
 import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 import hierkendall.kendall as kendall
+import hierkendall.levelset as levelset
 from hierkendall.cli import main
 from hierkendall.copulas import clamp_interior
 from hierkendall.errors import DataError, EvaluationError
@@ -405,12 +406,8 @@ class TestInputRanges:
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--model", "{model}", "--n", "10", "--seed", "-1"],
          "--seed: seed must be at least 0, got -1"),
-        (["simulate", "--model", "{model}", "--n", "10", "--max-attempts", "0"],
-         "--max-attempts: max_attempts must be at least 1, got 0"),
         (["backtest", "--data", "{raw}", "--model", "{fit}", "--window", "100",
           "--seed", "-1"], "--seed: seed must be an integer >= 0, got -1"),
-        (["backtest", "--data", "{raw}", "--model", "{fit}", "--window", "100",
-          "--max-attempts", "0"], "--max-attempts: max_attempts must be an integer >= 1, got 0"),
         (["study", "--seed", "-1"], "study setting 'seed' must be non-negative, got -1"),
         (["study", "--threads", "-3"], "--threads: must be at least 1, got -3"),
         (["density", "--model", "{model}", "--point", "0.5,a,0.3,0.4"],
@@ -419,9 +416,8 @@ class TestInputRanges:
          "--point: point has 3 coordinates, model expects 4"),
         (["kendall", "--family", "clayton", "--theta", "2", "--dim", "0"],
          "--dim: dimension must be >= 1, got 0")],
-        ids=["simulate-seed", "simulate-max-attempts", "backtest-seed",
-             "backtest-max-attempts", "study-seed", "study-threads", "point-not-a-number",
-             "point-count", "kendall-dim"])
+        ids=["simulate-seed", "backtest-seed", "study-seed", "study-threads",
+             "point-not-a-number", "point-count", "kendall-dim"])
     def test_refused_flag_is_named(self, fitted_world, capsys, argv, message):
         tmp, model, fit_cfg = fitted_world
         write_csv(str(tmp / "raw.csv"), ["A", "B", "C", "D"],
@@ -473,14 +469,14 @@ class TestNodeNames:
 class TestNumericExitCode:
     """Numeric failures exit 3, apart from input errors (exit 2)."""
 
-    def test_rejection_cap_error(self, fitted_world, capsys):
+    def test_rejection_cap_error(self, fitted_world, monkeypatch, capsys):
         tmp, model, _ = fitted_world
         narrow = tmp / "narrow.json"
         narrow.write_text(json.dumps({**json.loads(model.read_text()),
                                       "epsilon_rule": {"mode": "abs", "value": 1e-9}}))
+        monkeypatch.setattr(levelset, "MAX_ATTEMPTS", 2)
         code = main(["simulate", "--model", str(narrow), "--n", "20", "--seed", "1",
-                     "--method", "rejection", "--max-attempts", "2",
-                     "--out", str(tmp / "x.csv")])
+                     "--method", "rejection", "--out", str(tmp / "x.csv")])
         assert code == 3
         assert "unfilled" in capsys.readouterr().err
         assert not (tmp / "x.csv").exists()
@@ -549,14 +545,16 @@ class TestNumericExitCode:
 
 class TestRemovedFlags:
     """The model document alone sets its Monte Carlo size, epsilon rule and
-    seed: the flags that once overrode them are usage errors."""
+    seed, and the rejection cap is a constant: the flags that once set them
+    are usage errors."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("fit", "--kendall-mc", "5000"), ("fit", "--kendall-mode", "empirical"),
         ("simulate", "--kendall-mc", "5000"), ("simulate", "--epsilon", "0.05"),
         ("simulate", "--epsilon-mode", "abs"), ("density", "--kendall-mc", "5000"),
         ("backtest", "--kendall-mc", "5000"), ("backtest", "--epsilon", "0.05"),
-        ("backtest", "--epsilon-mode", "abs")])
+        ("backtest", "--epsilon-mode", "abs"), ("simulate", "--max-attempts", "5"),
+        ("backtest", "--max-attempts", "5")])
     def test_is_a_usage_error(self, fitted_world, capsys, command, flag, value):
         tmp, model, _ = fitted_world
         required = {
@@ -827,9 +825,13 @@ class TestStudyCommand:
         assert lines[0].startswith("nesting_tau,")
         assert len(lines) == 2
 
-    def test_failed_method_reports_its_reason(self, tmp_path):
+    def test_failed_method_reports_its_reason(self, tmp_path, monkeypatch):
+        def failing(report, u, options=None):
+            raise EvaluationError('no "finite" log-likelihood')
+
+        monkeypatch.setattr(estimation, "fit_joint_mle", failing)
         cfg = {"nesting_taus": [0.4], "sample_sizes": [250],
-               "methods": ["two_step_closed", "no_such_method"]}
+               "methods": ["two_step_closed", "joint_mle"]}
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "study.csv"
@@ -837,7 +839,7 @@ class TestStudyCommand:
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
         assert [r["fail_reason"] for r in rows] == [
-            "", "2x ParameterError: unknown study method 'no_such_method'"]
+            "", '2x EvaluationError: no "finite" log-likelihood']
         assert rows[1]["n_fail"] == "2"
 
     @pytest.mark.parametrize("overrides, named", [
@@ -846,9 +848,13 @@ class TestStudyCommand:
         ({"cluster_taus": [0.4]}, "'cluster_taus'"),
         ({"nesting_family": "gaussian"}, "'nesting_family'"),
         ({"nesting_family": "independence"}, "'nesting_family'"),
-        ({"cluster_families": ["gaussian", "clayton"]}, "'cluster_families'")],
+        ({"cluster_families": ["gaussian", "clayton"]}, "'cluster_families'"),
+        ({"cluster_families": ["clayton"], "cluster_taus": [0.4]}, "'cluster_families'"),
+        ({"methods": []}, "'methods' must be nonempty"),
+        ({"methods": ["two_step_closed", "no_such_method"]}, "'methods' must be drawn")],
         ids=["unknown-key", "not-an-object", "string-count", "number-for-list",
-             "short-taus", "gaussian-nesting", "independence-nesting", "gaussian-cluster"])
+             "short-taus", "gaussian-nesting", "independence-nesting", "gaussian-cluster",
+             "one-cluster", "no-method", "unknown-method"])
     def test_bad_overrides_are_input_errors(self, tmp_path, capsys, overrides, named):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(overrides))

@@ -630,8 +630,8 @@ class TestJointMle:
         ))
         u = pseudo_observations(np.random.default_rng(23).normal(size=(250, 5))
                                 @ np.triu(np.full((5, 5), 0.5)))
-        options = FitOptions(kendall_mc=1000, joint_max_evals=60)
-        base = fit_two_step(spec, u, options)
+        monkeypatch.setattr(estimation, "_JOINT_MAX_EVALS", 60)
+        base = fit_two_step(spec, u, FitOptions(kendall_mc=1000))
         gauss = next(node.copula for _, node in iter_nodes(base.model) if node.name == "g")
         calls = []
         real_cdf = hierarchical.copula_cdf
@@ -641,7 +641,7 @@ class TestJointMle:
             return real_cdf(c, x)
 
         monkeypatch.setattr(hierarchical, "copula_cdf", counting_cdf)
-        joint = fit_joint_mle(base, u, options)
+        joint = fit_joint_mle(base, u)
         assert joint.joint_evals > 10
         assert calls.count(True) == 1
         monkeypatch.undo()
@@ -786,9 +786,10 @@ class TestJointOptimum:
         assert joint.converged and joint.joint_status.startswith("CONVERGENCE")
         assert joint.joint_evals < 300
 
-    def test_evaluation_cap(self):
+    def test_evaluation_cap(self, monkeypatch):
         base, u = _two_step_on_sample(two_cluster_spec, 4, 600, 41)
-        joint = fit_joint_mle(base, u, FitOptions(joint_max_evals=15))
+        monkeypatch.setattr(estimation, "_JOINT_MAX_EVALS", 15)
+        joint = fit_joint_mle(base, u)
         # L-BFGS-B checks the cap once per iteration, so the last iteration's
         # line search and gradient may run past it
         assert 15 < joint.joint_evals <= 15 + MAX_LINE_SEARCH * 4
@@ -823,9 +824,10 @@ class TestJointOptimum:
         *[(joint_mle_spec, 12, 2000, seed, 5000) for seed in (1, 2, *range(100, 106))],
         (two_cluster_spec, 4, 600, 41, 5000), (three_level_spec, 12, 400, 43, 5000),
         *[(joint_mle_spec, 12, 2000, 1, cap) for cap in (3, 15, 60, 100)]])
-    def test_matches_scipy_differenced_search(self, spec, n_vars, n, seed, cap):
+    def test_matches_scipy_differenced_search(self, monkeypatch, spec, n_vars, n, seed, cap):
         base, u = _two_step_on_sample(spec, n_vars, n, seed)
-        joint = fit_joint_mle(base, u, FitOptions(joint_max_evals=cap))
+        monkeypatch.setattr(estimation, "_JOINT_MAX_EVALS", cap)
+        joint = fit_joint_mle(base, u)
         ll, model, status, evals = joint_mle_scipy_gradient(base, u, cap)
         assert joint.joint_failed_probes == 0
         assert (joint.loglik_joint, joint.joint_status, joint.joint_evals) == (ll, status, evals)
@@ -856,9 +858,19 @@ class TestStudy:
         ({"nesting_family": "gaussian"}, "'nesting_family'"),
         ({"nesting_family": "independence"}, "'nesting_family'"),
         ({"cluster_families": ("gaussian", "clayton")}, "'cluster_families'"),
+        ({"cluster_families": ("clayton",), "cluster_taus": (0.4,)},
+         "'cluster_families' must name at least two clusters"),
+        ({"cluster_families": (), "cluster_taus": ()},
+         "'cluster_families' must name at least two clusters"),
+        ({"nesting_taus": ()}, "'nesting_taus' must be nonempty"),
+        ({"sample_sizes": []}, "'sample_sizes' must be nonempty"),
+        ({"methods": ()}, "'methods' must be nonempty"),
+        ({"methods": ("two_step_closed", "bogus")}, "'methods' must be drawn from"),
     ], ids=["zero-replications", "small-kendall-mc", "zero-size", "short-taus",
             "float-count", "bool-seed", "string-for-list", "number-for-name",
-            "gaussian-nesting", "independence-nesting", "gaussian-cluster"])
+            "gaussian-nesting", "independence-nesting", "gaussian-cluster",
+            "one-cluster", "no-cluster", "no-nesting-tau", "no-sample-size",
+            "no-method", "unknown-method"])
     def test_bad_settings_are_config_errors(self, settings, named):
         with pytest.raises(ConfigError, match=named):
             StudyConfig(**settings)
@@ -886,10 +898,14 @@ class TestStudy:
         assert a[0].mse == b[0].mse
         assert simulation_study(cfg, workers=2) == a
 
-    def test_failures_keep_their_reason(self):
+    def test_failures_keep_their_reason(self, monkeypatch):
+        def failing(report, u, options=None):
+            raise EvaluationError("no finite\n log-likelihood")
+
+        monkeypatch.setattr(estimation, "fit_joint_mle", failing)
         cfg = StudyConfig(replications=2, nesting_taus=(0.4,), sample_sizes=(250,),
-                          methods=("two_step_closed", "bogus"))
+                          methods=("two_step_closed", "joint_mle"))
         ok, bad = simulation_study(cfg)
         assert (ok.n_fail, ok.fail_reason) == (0, "")
         assert (bad.n_ok, bad.n_fail) == (0, 2)
-        assert bad.fail_reason == "2x ParameterError: unknown study method 'bogus'"
+        assert bad.fail_reason == "2x EvaluationError: no finite log-likelihood"

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -195,6 +196,14 @@ class TestValidation:
 
 
 class TestNestingPit:
+    @pytest.mark.parametrize("fn", [nesting_pit, model_logdensity])
+    @pytest.mark.parametrize("shape", [(6, 3), (6, 5), (3,), (5,)])
+    def test_wrong_column_count_is_refused(self, fn, shape):
+        n_cols = shape[-1]
+        with pytest.raises(ModelStructureError,
+                           match=f"data has {n_cols} columns, model expects 4"):
+            fn(two_cluster_model(), np.full(shape, 0.5))
+
     def test_size_one_cluster_passthrough(self):
         m = HierarchicalModel(
             root=inner("nest", [leaf("a", [0], IndependenceCopula(1)),
@@ -521,6 +530,15 @@ class TestCrossClusterMargin:
                                            np.random.default_rng(21))
         assert se < 1e-12  # constant integrand: no Monte Carlo error
         assert est == pytest.approx(copula_pdf(root, [0.4, 0.6]), rel=1e-9)
+
+    @pytest.mark.parametrize("u_k, u_l, mc, named", [
+        (0.4, 0.6, 0, "mc"), (0.4, 0.6, -1, "mc"), (0.4, 0.6, 2.5, "mc"),
+        (1.5, 0.6, 100, "u_k"), (0.4, -0.1, 100, "u_l"), (math.nan, 0.6, 100, "u_k")])
+    def test_bad_argument_is_named(self, u_k, u_l, mc, named):
+        with pytest.raises(ParameterError, match=f"^{named} must") as info:
+            cross_cluster_margin_pdf(two_cluster_model(), 0, 2, u_k, u_l, mc,
+                                     np.random.default_rng(22))
+        assert info.value.argument == named
 
     def test_same_cluster_rejected(self):
         m = two_cluster_model()

@@ -16,8 +16,8 @@ from hierkendall.generators import (
     theta_from_tau,
 )
 from hierkendall.kendall import closed_form_kendall, kendall_inverse
+import hierkendall.levelset as levelset
 from hierkendall.levelset import (
-    DEFAULT_MAX_ATTEMPTS,
     EpsilonRule,
     sample_levelset_conditional_batch,
     sample_levelset_projected_batch,
@@ -172,12 +172,12 @@ class TestRejection:
         errs = np.abs(copula_cdf(c, u) - 0.2) / 0.2
         assert errs.max() <= 0.01
 
-    def test_cap_exhaustion(self):
+    def test_cap_exhaustion(self, monkeypatch):
         c = ArchimedeanCopula(CLAYTON2, 2)
         rule = EpsilonRule("abs", 1e-9)
+        monkeypatch.setattr(levelset, "MAX_ATTEMPTS", 2000)
         with pytest.raises(RejectionCapError):
-            sample_levelset_rejection_batch(c, [0.2], rule, np.random.default_rng(5),
-                                            max_attempts=2000)
+            sample_levelset_rejection_batch(c, [0.2], rule, np.random.default_rng(5))
 
     def test_works_for_elliptical(self):
         c = GaussianCopula(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -208,8 +208,6 @@ class TestRejection:
     def test_batch_assigns_candidate_to_nearest_target(self, monkeypatch):
         # candidate stream with known C(u) values: the first candidate lies
         # inside both targets' bands and must go to the nearer one
-        import hierkendall.levelset as ls
-
         stream = [0.305, 0.310, 0.500, 0.301]
 
         def fake_sample(c, n, rng):
@@ -217,12 +215,12 @@ class TestRejection:
             del stream[:n]
             return np.repeat(out, 2, axis=1)
 
-        monkeypatch.setattr(ls, "copula_sample", fake_sample)
-        monkeypatch.setattr(ls, "copula_cdf", lambda c, u: u[:, 0].copy())
-        monkeypatch.setattr(ls, "_REJECTION_CHUNK", 1)
+        monkeypatch.setattr(levelset, "copula_sample", fake_sample)
+        monkeypatch.setattr(levelset, "copula_cdf", lambda c, u: u[:, 0].copy())
+        monkeypatch.setattr(levelset, "_REJECTION_CHUNK", 1)
         c = ArchimedeanCopula(CLAYTON2, 2)
         targets = np.array([0.30, 0.32, 0.50])
-        out, attempts = ls.sample_levelset_rejection_batch(
+        out, attempts = sample_levelset_rejection_batch(
             c, targets, EpsilonRule("abs", 0.012), np.random.default_rng(0))
         # 0.305 is within 0.012 of both 0.30 (d=.005) and 0.32 (d=.015 - no);
         # nearest match wins per candidate, each target filled exactly once
@@ -254,18 +252,18 @@ class TestRejectionLoopMatchesReference:
                                               np.random.default_rng(seed + 10))
         want = rejection_batch_reference(c, targets, self.RULES[rule],
                                          np.random.default_rng(seed + 10),
-                                         DEFAULT_MAX_ATTEMPTS)
+                                         levelset.MAX_ATTEMPTS)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
 
     @pytest.mark.parametrize("name", list(CLUSTERS))
-    def test_same_cap_error(self, name):
+    def test_same_cap_error(self, monkeypatch, name):
         c = self.CLUSTERS[name]
         targets = np.random.default_rng(3).uniform(0.05, 0.95, 40)
         rule = EpsilonRule("abs", 1e-5)
+        monkeypatch.setattr(levelset, "MAX_ATTEMPTS", 5000)
         with pytest.raises(RejectionCapError) as got:
-            sample_levelset_rejection_batch(c, targets, rule, np.random.default_rng(4),
-                                            max_attempts=5000)
+            sample_levelset_rejection_batch(c, targets, rule, np.random.default_rng(4))
         with pytest.raises(RejectionCapError) as want:
             rejection_batch_reference(c, targets, rule, np.random.default_rng(4), 5000)
         assert got.value.attempts == want.value.attempts == 5000
