@@ -18,13 +18,12 @@ window (empirically or via fitted normal/Student-t margins).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, DomainError, ParameterError
+from .errors import DataError, DomainError, ParameterError, check_count
 from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
 from .hierarchical import HierarchicalModel, model_sample
 from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
@@ -112,11 +111,6 @@ def forecast_var(model: HierarchicalModel, margins, weights, level: float,
     return _portfolio_var(u, margins, weights, level)
 
 
-def _int_at_least(name: str, value, least: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
-
-
 def _check_forecast_args(n_vars: int, weights, level: float, mc: int) -> np.ndarray:
     """The weights as an array, once they, ``level`` and ``mc`` are valid."""
     weights = np.asarray(weights, dtype=float)
@@ -128,7 +122,7 @@ def _check_forecast_args(n_vars: int, weights, level: float, mc: int) -> np.ndar
         raise ParameterError("weights must sum to 1", "weights")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must be in (0,1), got {level!r}", "level")
-    _int_at_least("mc", mc)
+    check_count("mc", mc, 1)
     return weights
 
 
@@ -269,11 +263,11 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
     data = np.asarray(data, dtype=float)
     t_total, n_vars = data.shape
     require_finite(data)
-    _int_at_least("window", window, 10)
+    check_count("window", window, 10)
     if horizon is not None:
-        _int_at_least("horizon", horizon)
-    _int_at_least("refit_every", refit_every)
-    _int_at_least("seed", seed, 0)
+        check_count("horizon", horizon, 1)
+    check_count("refit_every", refit_every, 1)
+    check_count("seed", seed, 0)
     if margin_kind not in MARGIN_KINDS:
         raise ParameterError(f"unknown margin kind {margin_kind!r}", "margin_kind")
     weights = _check_forecast_args(

@@ -34,6 +34,7 @@ from .errors import (
     ParameterError,
     RejectionCapError,
     ToleranceError,
+    check_count,
 )
 from .estimation import (
     STUDY_CSV_HEADER,
@@ -203,8 +204,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_kendall(args) -> int:
-    if args.grid < 1:
-        raise ParameterError(f"must be at least 1, got {args.grid}", "grid")
+    check_count("grid", args.grid, 1)
     if args.family == "independence":
         gen = independence_generator()
     else:
@@ -276,8 +276,7 @@ def cmd_study(args) -> int:
     # a flag named after a setting overrides the file; StudyConfig checks the values
     overrides.update((k, v) for k, v in vars(args).items() if k in settings and v is not None)
     config = StudyConfig(**overrides)
-    if args.threads < 1:
-        raise ParameterError(f"must be at least 1, got {args.threads}", "threads")
+    check_count("threads", args.threads, 1)
     rows = simulation_study(config, workers=args.threads)
     lines = [STUDY_CSV_HEADER] + [study_csv_line(r) for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")

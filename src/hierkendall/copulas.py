@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, optimize, special, stats
 
-from .errors import DimensionError, EvaluationError, NoSolutionError, ParameterError
+from .errors import (DimensionError, EvaluationError, NoSolutionError, ParameterError,
+                     check_count, is_count)
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_derivative_log
     ArchimedeanGenerator,
     check_dimension,
@@ -95,6 +96,8 @@ def _check_corr(corr):
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ParameterError("correlation matrix must be square")
+    if not np.isfinite(corr).all():
+        raise ParameterError("correlation matrix entries must be finite")
     if not np.allclose(corr, corr.T, atol=1e-10):
         raise ParameterError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
@@ -111,8 +114,7 @@ class IndependenceCopula:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError("dimension must be >= 1")
+        check_count("dim", self.dim, 1)
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,10 @@ class ArchimedeanCopula:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
+        if is_count(self.dim) and self.dim < 2:
             raise ParameterError(f"Archimedean copula dimension must be >= 2, got {self.dim}; "
-                                 "a one-variable copula is IndependenceCopula(1)")
+                                 "a one-variable copula is IndependenceCopula(1)", "dim")
+        check_count("dim", self.dim, 2)
         check_order(self.dim, "Archimedean copula dimension")
         check_dimension(self.generator, self.dim)
 
@@ -151,8 +154,8 @@ class StudentTCopula:
 
     def __post_init__(self):
         corr = _check_corr(self.corr)
-        if not self.nu > 2.0:
-            raise ParameterError(f"student_t requires nu > 2, got {self.nu}")
+        if not 2.0 < self.nu < np.inf:
+            raise ParameterError(f"student_t requires nu > 2 and finite, got {self.nu}")
         object.__setattr__(self, "corr", corr)
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "_chol", np.linalg.cholesky(corr))
@@ -492,15 +495,15 @@ def copula_pdf(c: CopulaSpec, u):
 # ---------------------------------------------------------------------------
 
 def copula_sample(c: CopulaSpec, n: int, rng) -> np.ndarray:
-    """Draw n samples; reproducible for a given Generator state.
+    """Draw n samples; reproducible for a given Generator state. An ``n``
+    that is not an integer >= 0 is a ``ParameterError`` naming it.
 
     Archimedean copulas are sampled by drawing the Kendall level
     z = K^-1(V) with V uniform and then sampling the level set exactly,
     which reproduces the unconditional copula. Elliptical copulas use the
     usual linear transform of normal / t variates.
     """
-    if n < 0:
-        raise ParameterError("sample count must be >= 0")
+    check_count("n", n, 0)
     if n == 0:
         return np.empty((0, c.dim))
     if isinstance(c, IndependenceCopula):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the count check, shared across the package."""
+
+import numbers
 
 
 class HierKendallError(Exception):
@@ -73,3 +75,15 @@ class DataError(HierKendallError, ValueError):
 
 class ConfigError(HierKendallError, ValueError):
     """Model configuration file is invalid."""
+
+
+def is_count(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Unless ``value`` is an integer (not a bool) >= ``least``, raise a ``ParameterError``
+    naming ``name``: "<name> must be an integer >= <least>, got <value!r>"."""
+    if not is_count(value) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)

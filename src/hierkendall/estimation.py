@@ -623,7 +623,8 @@ class StudyConfig:
     def __post_init__(self):
         """Check each field against the type of its default, element by
         element for the tuple fields, which also take lists and keep them as
-        tuples. A bad field raises ``ConfigError`` naming it."""
+        tuples, and each tau by the rule of the copula the study builds from
+        it. A bad field raises ``ConfigError`` naming it."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):
@@ -661,6 +662,14 @@ class StudyConfig:
             if not ok:
                 raise ConfigError(f"study setting {name!r} must {need}, "
                                   f"got {getattr(self, name)!r}")
+        for tau0 in self.nesting_taus:  # an independence cluster reads no tau
+            nest = _study_spec(self, tau0)
+            for node in (*nest.children, nest):
+                try:
+                    copula_from_spec(node)
+                except ParameterError as exc:
+                    name = "nesting_taus" if node is nest else "cluster_taus"
+                    raise ConfigError(f"study setting {name!r}: {exc}") from None
 
 
 @dataclass
@@ -706,22 +715,23 @@ def _study_replication(args):
                              seed=config.seed)
     u = model_sample(true_model, n, rng, method="exact")
     out = {}
-    base = None
+    closed = None  # the closed-form two-step fit, made once for both its users
+    if {"two_step_closed", "joint_mle"} & set(config.methods):
+        try:
+            closed = fit_two_step(spec, u, FitOptions(kendall_mode="closed_form",
+                                                      seed=config.seed))
+        except Exception as exc:  # counted below under each method that needs it
+            closed = exc
     for method in config.methods:
         try:
-            if method == "two_step_closed":
-                base = fit_two_step(spec, u, FitOptions(
-                    kendall_mode="closed_form", seed=config.seed))
-                fitted = base
-            elif method == "two_step_empirical":
+            if method == "two_step_empirical":
                 fitted = fit_two_step(spec, u, FitOptions(
                     kendall_mode="empirical", kendall_mc=config.kendall_mc,
                     seed=config.seed + rep))
-            else:  # joint_mle
-                if base is None:
-                    base = fit_two_step(spec, u, FitOptions(
-                        kendall_mode="closed_form", seed=config.seed))
-                fitted = fit_joint_mle(base, u)
+            elif isinstance(closed, Exception):
+                raise closed
+            else:
+                fitted = closed if method == "two_step_closed" else fit_joint_mle(closed, u)
             out[method] = (tau_from_theta(fitted.model.root.copula.generator), None)
         except Exception as exc:  # any failure is counted, with its reason
             out[method] = (None, " ".join(f"{type(exc).__name__}: {exc}".split()))

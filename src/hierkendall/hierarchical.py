@@ -29,7 +29,6 @@ clusters, by rejection otherwise), and the walk recurses.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ from .copulas import (
     copula_sample_conditional,
     is_archimedean_kind,
 )
-from .errors import ModelStructureError, ParameterError, SameClusterError
+from .errors import ModelStructureError, ParameterError, SameClusterError, check_count
 from .kendall import (
     KendallFunction,
     archimedean_node_step,
@@ -368,12 +367,11 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
     "auto" samples each Archimedean-kind node exactly on its level set
     (conditional inverse) and any other by rejection; "rejection" samples
     every node by rejection; "exact" refuses, before any draw and naming
-    it, a non-Archimedean node below the root. A negative ``n`` is a
-    ``ParameterError`` naming it; a rejection batch that exhausts
-    ``levelset.MAX_ATTEMPTS`` candidates raises ``RejectionCapError``.
+    it, a non-Archimedean node below the root. An ``n`` that is not an
+    integer >= 0 is a ``ParameterError`` naming it; a rejection batch that
+    exhausts ``levelset.MAX_ATTEMPTS`` candidates is a ``RejectionCapError``.
     """
-    if n < 0:
-        raise ParameterError(f"n must be at least 0, got {n}", "n")
+    check_count("n", n, 0)
     if method not in ("auto", "exact", "rejection"):
         raise ParameterError(f"unknown sampling method {method!r}")
     if method == "exact":
@@ -421,8 +419,7 @@ def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
     error); the error is zero when both clusters have size one. An ``mc``
     below 1 or a ``u_k``/``u_l`` outside [0, 1] is a ``ParameterError``.
     """
-    if isinstance(mc, bool) or not isinstance(mc, numbers.Integral) or mc < 1:
-        raise ParameterError(f"mc must be an integer >= 1, got {mc!r}", "mc")
+    check_count("mc", mc, 1)
     for name, value in (("u_k", u_k), ("u_l", u_l)):
         if not 0.0 <= value <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {value!r}", name)

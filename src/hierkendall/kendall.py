@@ -25,7 +25,7 @@ from math import lgamma, log
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ParameterError, ToleranceError
+from .errors import DomainError, EvaluationError, ParameterError, ToleranceError, check_count
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
     _log_terms,
@@ -67,8 +67,7 @@ class KendallFunction:
     def __post_init__(self):
         if self.kind not in ("closed_form", "empirical"):
             raise ParameterError(f"unknown Kendall function kind {self.kind!r}")
-        if self.dim < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.dim}", "dim")
+        check_count("dim", self.dim, 1)
         if self.kind == "closed_form":
             if self.generator is None:
                 raise ParameterError("closed_form requires a generator")
@@ -307,9 +306,9 @@ def kendall_inverse(K: KendallFunction, p):
 
 
 def empirical_kendall_build(c, m: int, rng) -> KendallFunction:
-    """Empirical Kendall function from m simulated Z = C(U) values of copula c."""
-    if m < MIN_KENDALL_MC:
-        raise ParameterError(f"Monte Carlo size m must be >= {MIN_KENDALL_MC}")
+    """Empirical Kendall function from m simulated Z = C(U) values of copula
+    c; an m not an integer >= ``MIN_KENDALL_MC`` is a ``ParameterError``."""
+    check_count("m", m, MIN_KENDALL_MC)
     from .copulas import copula_cdf, copula_sample
 
     u = copula_sample(c, m, rng)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_count
 
 # stream namespaces used by the package (documented, stable)
 STREAM_KENDALL = 1       # Monte Carlo builds of empirical Kendall functions
@@ -23,8 +23,7 @@ STREAM_FORECAST = 3      # VaR forecast draws, one per backtest refit day
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the RNG for substream ``path`` of the given master seed; a
-    negative seed is a ``ParameterError`` naming ``seed``."""
-    if seed < 0:
-        raise ParameterError(f"seed must be at least 0, got {seed}", "seed")
+    seed not an integer >= 0 is a ``ParameterError`` naming ``seed``."""
+    check_count("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 

@@ -400,22 +400,22 @@ class TestInputRanges:
         code = main(["simulate", "--model", str(model), "--n", n,
                      "--out", str(tmp / "x.csv")])
         assert code == 2
-        assert capsys.readouterr().err == f"error: --n: n must be at least 0, got {n}\n"
+        assert capsys.readouterr().err == f"error: --n: n must be an integer >= 0, got {n}\n"
         assert not (tmp / "x.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--model", "{model}", "--n", "10", "--seed", "-1"],
-         "--seed: seed must be at least 0, got -1"),
+         "--seed: seed must be an integer >= 0, got -1"),
         (["backtest", "--data", "{raw}", "--model", "{fit}", "--window", "100",
           "--seed", "-1"], "--seed: seed must be an integer >= 0, got -1"),
         (["study", "--seed", "-1"], "study setting 'seed' must be non-negative, got -1"),
-        (["study", "--threads", "-3"], "--threads: must be at least 1, got -3"),
+        (["study", "--threads", "-3"], "--threads: threads must be an integer >= 1, got -3"),
         (["density", "--model", "{model}", "--point", "0.5,a,0.3,0.4"],
          "--point: coordinate 2 ('B') is not a number: 'a'"),
         (["density", "--model", "{model}", "--point", "0.3,0.4,0.6"],
          "--point: point has 3 coordinates, model expects 4"),
         (["kendall", "--family", "clayton", "--theta", "2", "--dim", "0"],
-         "--dim: dimension must be >= 1, got 0")],
+         "--dim: dim must be an integer >= 1, got 0")],
         ids=["simulate-seed", "backtest-seed", "study-seed", "study-threads",
              "point-not-a-number", "point-count", "kendall-dim"])
     def test_refused_flag_is_named(self, fitted_world, capsys, argv, message):
@@ -437,7 +437,8 @@ class TestInputRanges:
         code = main(["kendall", "--family", "clayton", "--theta", "2", "--dim", "2",
                      "--grid", grid])
         captured = capsys.readouterr()
-        assert code == 2 and "--grid:" in captured.err and captured.out == ""
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --grid: grid must be an integer >= 1, got {grid}\n"
 
 
 class TestNodeNames:
@@ -737,6 +738,28 @@ class TestModelConfigRefusals:
         assert code == 2 and named in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params, named", [
+        ({"nu": math.inf, "corr": [[1, 0.5], [0.5, 1]]}, "nu > 2 and finite, got inf"),
+        ({"nu": 4, "corr": [[1, math.inf], [math.inf, 1]]}, "entries must be finite"),
+        ({"nu": 4, "corr": [[1, math.nan], [math.nan, 1]]}, "entries must be finite")],
+        ids=["nu-infinite", "corr-infinite", "corr-nan"])
+    @pytest.mark.parametrize("command", ["simulate", "density"])
+    def test_non_finite_student_t_exits_2_before_any_work(self, tmp_path, capsys, params,
+                                                          named, command):
+        """Python's json reads Infinity and NaN; a copula refuses them when it is
+        built, before a draw or a density is tried (exit 3 after 1e7 rejection
+        candidates, or a NaN density, if it did not)."""
+        path, out = tmp_path / "m.json", tmp_path / "sim.csv"
+        path.write_text(json.dumps(_edited(c1={"family": "student_t", "tau": None,
+                                               **params})))
+        args = (["--n", "5", "--seed", "1", "--out", str(out)] if command == "simulate"
+                else ["--point", "0.3,0.4,0.6,0.7"])
+        code = main([command, "--model", str(path), *args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: node 'c1': ") and named in captured.err
+        assert not out.exists()
+
 
 def test_readme_config_example_runs(tmp_path, capsys):
     """The first JSON block of README.md is a valid config for the CLI."""
@@ -851,10 +874,12 @@ class TestStudyCommand:
         ({"cluster_families": ["gaussian", "clayton"]}, "'cluster_families'"),
         ({"cluster_families": ["clayton"], "cluster_taus": [0.4]}, "'cluster_families'"),
         ({"methods": []}, "'methods' must be nonempty"),
-        ({"methods": ["two_step_closed", "no_such_method"]}, "'methods' must be drawn")],
+        ({"methods": ["two_step_closed", "no_such_method"]}, "'methods' must be drawn"),
+        ({"cluster_taus": [1.5, 0.4]},
+         "error: study setting 'cluster_taus': clayton requires tau in (0,1), got 1.5")],
         ids=["unknown-key", "not-an-object", "string-count", "number-for-list",
              "short-taus", "gaussian-nesting", "independence-nesting", "gaussian-cluster",
-             "one-cluster", "no-method", "unknown-method"])
+             "one-cluster", "no-method", "unknown-method", "unreachable-cluster-tau"])
     def test_bad_overrides_are_input_errors(self, tmp_path, capsys, overrides, named):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(overrides))

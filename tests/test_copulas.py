@@ -598,6 +598,15 @@ class TestValidation:
         with pytest.raises(ParameterError):
             StudentTCopula(corr2(0.3), 2.0)
 
+    @pytest.mark.parametrize("rho, nu, named", [
+        (0.3, np.inf, "nu > 2 and finite, got inf"), (0.3, np.nan, "nu > 2 and finite"),
+        (np.inf, 4.0, "entries must be finite"), (np.nan, 4.0, "entries must be finite"),
+        (-np.inf, None, "entries must be finite")])
+    def test_non_finite_parameters_are_refused(self, rho, nu, named):
+        corr = np.array([[1.0, rho], [rho, 1.0]])
+        with pytest.raises(ParameterError, match=named):
+            GaussianCopula(corr) if nu is None else StudentTCopula(corr, nu)
+
     def test_one_variable_archimedean_is_refused(self):
         with pytest.raises(ParameterError, match="IndependenceCopula"):
             ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 1)

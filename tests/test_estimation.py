@@ -866,11 +866,20 @@ class TestStudy:
         ({"sample_sizes": []}, "'sample_sizes' must be nonempty"),
         ({"methods": ()}, "'methods' must be nonempty"),
         ({"methods": ("two_step_closed", "bogus")}, "'methods' must be drawn from"),
+        ({"cluster_taus": [1.5, 0.4]}, "'cluster_taus': clayton requires tau in"),
+        ({"cluster_taus": [0.4, math.nan]}, "'cluster_taus': gumbel requires tau in"),
+        ({"nesting_family": "clayton", "nesting_taus": [0.4, -0.3]},
+         "'nesting_taus': clayton requires tau in"),
+        ({"nesting_taus": [0.0]}, "'nesting_taus': frank requires tau in"),
+        ({"cluster_families": ["clayton", "gumbel", "frank"], "cluster_taus": [0.4] * 3,
+          "nesting_taus": [-0.2]}, "'nesting_taus': negative-dependence frank"),
     ], ids=["zero-replications", "small-kendall-mc", "zero-size", "short-taus",
             "float-count", "bool-seed", "string-for-list", "number-for-name",
             "gaussian-nesting", "independence-nesting", "gaussian-cluster",
             "one-cluster", "no-cluster", "no-nesting-tau", "no-sample-size",
-            "no-method", "unknown-method"])
+            "no-method", "unknown-method", "cluster-tau-above-one", "cluster-tau-nan",
+            "clayton-nesting-negative", "frank-nesting-zero",
+            "negative-frank-over-three-clusters"])
     def test_bad_settings_are_config_errors(self, settings, named):
         with pytest.raises(ConfigError, match=named):
             StudyConfig(**settings)
@@ -880,7 +889,10 @@ class TestStudy:
         assert config == StudyConfig(nesting_taus=(0.4,), sample_sizes=(250,),
                                      methods=("joint_mle",))
         assert isinstance(config.nesting_taus, tuple)
-        assert StudyConfig(nesting_taus=[0]).nesting_taus == (0,)  # an int is a tau
+        # an int is a tau; an independence cluster's tau is never read
+        config = StudyConfig(cluster_families=["independence", "clayton"],
+                             cluster_taus=[1, 0.4])
+        assert config.cluster_taus == (1, 0.4)
 
     def test_small_study_runs_all_methods(self):
         rows = simulation_study(StudyConfig(
@@ -909,3 +921,36 @@ class TestStudy:
         assert (ok.n_fail, ok.fail_reason) == (0, "")
         assert (bad.n_ok, bad.n_fail) == (0, 2)
         assert bad.fail_reason == "2x EvaluationError: no finite log-likelihood"
+
+    @pytest.mark.parametrize("methods", [
+        ("joint_mle",), ("two_step_closed", "joint_mle"), ("joint_mle", "two_step_closed")])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_closed_form_fit_is_made_once_per_replication(self, monkeypatch, methods, fails):
+        modes = []
+
+        def counting(spec, u, options=None):
+            modes.append(options.kendall_mode)
+            if fails:
+                raise EvaluationError("no finite log-likelihood")
+            return fit_two_step(spec, u, options)
+
+        monkeypatch.setattr(estimation, "fit_two_step", counting)
+        rows = simulation_study(StudyConfig(replications=2, nesting_taus=(0.4,),
+                                            sample_sizes=(250,), methods=methods))
+        assert modes == ["closed_form"] * 2
+        assert [r.method for r in rows] == list(methods)
+        if fails:  # counted, with its reason, under each method that needed the fit
+            assert all((r.n_fail, r.fail_reason) ==
+                       (2, "2x EvaluationError: no finite log-likelihood") for r in rows)
+        else:
+            assert all((r.n_ok, r.n_fail) == (2, 0) for r in rows)
+
+    def test_method_order_changes_no_row(self):
+        config = StudyConfig(replications=2, nesting_taus=(0.4,), sample_sizes=(250,),
+                             kendall_mc=5000)
+        forward = simulation_study(config)
+        backward = simulation_study(StudyConfig(**{**vars(config),
+                                                   "methods": config.methods[::-1]}))
+        assert [r.method for r in backward] == list(config.methods[::-1])
+        assert sorted(forward, key=lambda r: r.method) == sorted(backward,
+                                                                 key=lambda r: r.method)

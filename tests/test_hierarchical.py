@@ -390,7 +390,7 @@ class TestSampling:
         assert rng.bit_generator.state == state
 
     def test_negative_row_count_is_refused_by_name(self):
-        with pytest.raises(ParameterError, match="n must be at least 0, got -5") as info:
+        with pytest.raises(ParameterError, match="n must be an integer >= 0, got -5") as info:
             model_sample(_mixed_model(), -5, np.random.default_rng(9))
         assert info.value.argument == "n"
 
