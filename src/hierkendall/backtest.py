@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, DomainError, ParameterError, check_count
+from .errors import DataError, DomainError, ParameterError, check_count, check_probability
 from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
 from .hierarchical import HierarchicalModel, model_sample
 from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
@@ -120,8 +120,7 @@ def _check_forecast_args(n_vars: int, weights, level: float, mc: int) -> np.ndar
         raise ParameterError(f"weights must be finite, got {weights.tolist()}", "weights")
     if abs(weights.sum() - 1.0) > 1e-8:
         raise ParameterError("weights must sum to 1", "weights")
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must be in (0,1), got {level!r}", "level")
+    check_probability("level", level)
     check_count("mc", mc, 1)
     return weights
 
@@ -155,8 +154,7 @@ def kupiec_uc(hits, alpha: float):
     t = hits.size
     if t < 1:
         raise DataError("hit series must be nonempty")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must be in (0,1)")
+    check_probability("alpha", alpha)
     x = int(hits.sum())
     phat = x / t
     ll0 = _xlogy(t - x, 1.0 - alpha) + _xlogy(x, alpha)

@@ -12,7 +12,8 @@ one source of the settings it carries: ``kendall_mc_size``,
 ``epsilon_rule`` and ``seed``. The model's Monte Carlo Kendall functions
 draw from the document's seed, so a model rebuilt from a fit report is
 the fitted one bit for bit; ``simulate --seed`` picks only the stream of
-the draw. Outputs are byte-identical across runs of the same build.
+the draw, and ``backtest --seed`` only the streams of the forecasts.
+Outputs are byte-identical across runs of the same build.
 """
 
 from __future__ import annotations
@@ -227,12 +228,11 @@ def cmd_kendall(args) -> int:
 def cmd_backtest(args) -> int:
     header, data = read_csv(args.data)
     config, _, spec = _load_spec(args.model, header)
-    seed = config.seed if args.seed is None else args.seed
     report = rolling_backtest(
         data, spec, level=args.level, window=args.window, horizon=args.horizon,
         refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
-        seed=seed, eps_rule=config.epsilon_rule,
-        fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=seed))
+        seed=config.seed if args.seed is None else args.seed, eps_rule=config.epsilon_rule,
+        fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=config.seed))
     doc = {
         "format": "hierkendall-backtest/1",
         "level": args.level,

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import linalg, optimize, special, stats
 
 from .errors import (DimensionError, EvaluationError, NoSolutionError, ParameterError,
-                     check_count, is_count)
+                     check_count, check_probability, is_count)
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_derivative_log
     ArchimedeanGenerator,
     check_dimension,
@@ -526,10 +526,12 @@ def copula_sample_conditional(c: CopulaSpec, index: int, value: float,
                               n: int, rng) -> np.ndarray:
     """Sample n points of the copula with coordinate ``index`` fixed at ``value``.
 
-    Returns an (n, d) matrix whose ``index`` column is constant.
+    Returns an (n, d) matrix whose ``index`` column is constant; ``value`` in [0, 1].
     """
     if not 0 <= index < c.dim:
         raise DimensionError(f"index {index} out of range for dimension {c.dim}")
+    check_probability("value", value, closed=True)
+    check_count("n", n, 0)
     value = float(clamp_interior(value))
     out = np.empty((n, c.dim))
     out[:, index] = value
@@ -605,8 +607,7 @@ def quantile_curve(c: CopulaSpec, u_prefix, z: float) -> float:
     prefix = np.asarray(u_prefix, dtype=float).ravel()
     if prefix.size >= c.dim:
         raise DimensionError("prefix must leave at least one free coordinate")
-    if not 0.0 < z < 1.0:
-        raise NoSolutionError(f"level z must be in (0,1), got {z}")
+    check_probability("z", z)
     if prefix.size == 0:
         return float(z)
     prefix = clamp_interior(prefix)

@@ -1,6 +1,8 @@
-"""Exception types, and the count check, shared across the package."""
+"""Exception types, and the count and probability checks, shared across the package."""
 
 import numbers
+
+import numpy as np
 
 
 class HierKendallError(Exception):
@@ -87,3 +89,14 @@ def check_count(name: str, value, least: int) -> None:
     naming ``name``: "<name> must be an integer >= <least>, got <value!r>"."""
     if not is_count(value) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
+
+
+def check_probability(name: str, value, closed: bool = False) -> None:
+    """Unless every element of ``value`` lies in (0, 1), or in [0, 1] when
+    ``closed``, raise a ``ParameterError`` naming ``name``:
+    "<name> must lie in (0, 1), got <first offending value!r>". NaN lies in neither."""
+    arr = np.asarray(value)
+    ok = (arr >= 0.0) & (arr <= 1.0) if closed else (arr > 0.0) & (arr < 1.0)
+    if not ok.all():
+        raise ParameterError(f"{name} must lie in {'[0, 1]' if closed else '(0, 1)'}, got "
+                             f"{arr.flat[np.argmin(ok)].item()!r}", name)

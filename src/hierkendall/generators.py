@@ -53,7 +53,8 @@ from math import lgamma
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import DomainError, ParameterError, UnattainableTauError, UnsupportedOrderError
+from .errors import (DomainError, ParameterError, UnattainableTauError, UnsupportedOrderError,
+                     check_count)
 
 FAMILIES = ("independence", "clayton", "gumbel", "frank")
 
@@ -91,16 +92,13 @@ def independence_generator() -> ArchimedeanGenerator:
     return ArchimedeanGenerator("independence", 0.0)
 
 
-def _as_array(x, name, lo=None, hi=None, lo_open=False, hi_open=False):
+def _as_array(x, name, lo_open=False, hi=None):
+    """``x`` as a float array, if >= 0 (> 0 if ``lo_open``) and <= ``hi``; NaN fails."""
     arr = np.asarray(x, dtype=float)
-    if lo is not None:
-        bad = (arr <= lo) if lo_open else (arr < lo)
-        if bad.any():
-            raise DomainError(f"{name} out of domain: min={arr.min()}")
-    if hi is not None:
-        bad = (arr >= hi) if hi_open else (arr > hi)
-        if bad.any():
-            raise DomainError(f"{name} out of domain: max={arr.max()}")
+    if not ((arr > 0.0) if lo_open else (arr >= 0.0)).all():
+        raise DomainError(f"{name} out of domain: min={arr.min()}")
+    if hi is not None and not (arr <= hi).all():
+        raise DomainError(f"{name} out of domain: max={arr.max()}")
     return arr
 
 
@@ -127,7 +125,7 @@ def _log_abs_expm1(x):
 def generator_value(g: ArchimedeanGenerator, t):
     """phi(t) for t in (0, 1]; phi(1) = 0 exactly."""
     scalar = np.isscalar(t)
-    tt = _as_array(t, "t", lo=0.0, lo_open=True, hi=1.0)
+    tt = _as_array(t, "t", lo_open=True, hi=1.0)
     if g.family == "independence":
         out = -np.log(tt) + 0.0
     elif g.family == "clayton":
@@ -144,7 +142,7 @@ def generator_value(g: ArchimedeanGenerator, t):
 def generator_inverse(g: ArchimedeanGenerator, s):
     """phi^-1(s) for s >= 0; phi^-1(0) = 1 exactly, strictly decreasing."""
     scalar = np.isscalar(s)
-    ss = _as_array(s, "s", lo=0.0)
+    ss = _as_array(s, "s")
     if g.family == "independence":
         out = np.exp(-ss)
     elif g.family == "clayton":
@@ -160,7 +158,7 @@ def generator_inverse(g: ArchimedeanGenerator, s):
 def generator_derivative_log(g: ArchimedeanGenerator, t):
     """log |phi'(t)| without overflow near the t = 0 boundary."""
     scalar = np.isscalar(t)
-    tt = _as_array(t, "t", lo=0.0, lo_open=True, hi=1.0)
+    tt = _as_array(t, "t", lo_open=True, hi=1.0)
     if g.family == "independence":
         out = -np.log(tt)
     elif g.family == "clayton":
@@ -328,8 +326,7 @@ def generator_inverse_derivative(g: ArchimedeanGenerator, s, k: int):
     beyond float range, such as the Gumbel derivatives at s = 0 for
     theta > 1, are returned as their signed limit (+/-inf).
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"derivative order must be a nonnegative integer, got {k}")
+    check_count("k", k, 0)
     check_order(k)
     if k == 0:
         return generator_inverse(g, s)
@@ -350,11 +347,10 @@ def generator_inverse_derivative_log(g: ArchimedeanGenerator, s, k: int):
     Frank dependence). It is log T_k + log k! - k log s from the kernel
     that K uses, with the s = 0 limit taken explicitly.
     """
-    if k < 1:
-        raise DomainError("log variant requires k >= 1")
+    check_count("k", k, 1)
     check_order(k)
     scalar = np.isscalar(s)
-    ss = _as_array(s, "s", lo=0.0)
+    ss = _as_array(s, "s")
     with np.errstate(divide="ignore", invalid="ignore"):
         log_s = np.log(ss)
         out = next(_log_terms(g, (k,), log_s)) + (lgamma(k + 1) - k * log_s)

@@ -48,7 +48,8 @@ from .copulas import (
     copula_sample_conditional,
     is_archimedean_kind,
 )
-from .errors import ModelStructureError, ParameterError, SameClusterError, check_count
+from .errors import (ModelStructureError, ParameterError, SameClusterError, check_count,
+                     check_probability)
 from .kendall import (
     KendallFunction,
     archimedean_node_step,
@@ -420,9 +421,8 @@ def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
     below 1 or a ``u_k``/``u_l`` outside [0, 1] is a ``ParameterError``.
     """
     check_count("mc", mc, 1)
-    for name, value in (("u_k", u_k), ("u_l", u_l)):
-        if not 0.0 <= value <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {value!r}", name)
+    check_probability("u_k", u_k, closed=True)
+    check_probability("u_l", u_l, closed=True)
     i_idx, leaf_i = _find_leaf_for(model, k)
     j_idx, leaf_j = _find_leaf_for(model, l)
     if i_idx == j_idx:

@@ -25,7 +25,7 @@ from math import lgamma, log
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ParameterError, ToleranceError, check_count
+from .errors import EvaluationError, ParameterError, ToleranceError, check_count, check_probability
 from .generators import (  # noqa: F401  perfbench's tracer rebinds generator_inverse_derivative_log
     ArchimedeanGenerator,
     _log_terms,
@@ -79,8 +79,7 @@ class KendallFunction:
                 raise ParameterError("empirical requires a 1-d value array")
             if np.any(np.diff(vals) < 0.0):
                 raise ParameterError("empirical values must be sorted")
-            if np.any((vals <= 0.0) | (vals >= 1.0)):
-                raise ParameterError("empirical values must lie in (0,1)")
+            check_probability("sorted_values", vals)
             object.__setattr__(self, "sorted_values", vals)
 
 
@@ -146,8 +145,7 @@ def kendall_cdf(K: KendallFunction, t):
     """K(t) for t in (0,1); nondecreasing, identity when dim = 1."""
     scalar = np.isscalar(t)
     tt = np.asarray(t, dtype=float)
-    if not np.all((tt > 0.0) & (tt < 1.0)):
-        raise DomainError("Kendall CDF argument must lie in (0,1)")
+    check_probability("t", tt)
     if K.kind == "empirical":
         out = np.searchsorted(K.sorted_values, tt, side="right") / K.sorted_values.size
         out = out.astype(float)
@@ -164,8 +162,6 @@ def _generator_sum_step(g: ArchimedeanGenerator, u, with_v: bool):
     describes: the one place an Archimedean log-density is formed."""
     d = u.shape[1]
     s = np.sum(generator_value(g, u), axis=1)
-    if np.any(np.isnan(s)):
-        raise DomainError("Archimedean node input contains NaN")
     if not s.all():  # log T_d = -inf would meet -d log s = +inf
         raise EvaluationError(
             f"{g.family} theta={g.theta:.6g} d={d} copula density out of float range in "
@@ -277,8 +273,7 @@ def kendall_inverse(K: KendallFunction, p):
     """
     scalar = np.isscalar(p)
     pp = np.asarray(p, dtype=float)
-    if not np.all((pp > 0.0) & (pp < 1.0)):
-        raise DomainError("Kendall inverse argument must lie in (0,1)")
+    check_probability("p", pp)
     if K.kind == "empirical":
         n = K.sorted_values.size
         idx = np.searchsorted(np.arange(1, n + 1) / n, pp, side="left")

@@ -20,7 +20,8 @@ Each method fills one row per entry of a vector of levels z:
   candidates, a module constant, raises ``RejectionCapError``: widen eps
   or reduce the dimension.
 
-A single level is a one-element batch.
+A single level is a one-element batch; a level outside (0, 1), or NaN, is a
+``ParameterError``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import CopulaSpec, copula_cdf, copula_sample
-from .errors import DomainError, EvaluationError, ParameterError, RejectionCapError
+from .errors import EvaluationError, ParameterError, RejectionCapError, check_probability
 from .generators import (ArchimedeanGenerator, check_dimension, generator_inverse,
                          generator_value)
 
@@ -64,13 +65,6 @@ class EpsilonRule:
 DEFAULT_EPSILON_RULE = EpsilonRule("rel", 0.01)
 
 
-def _check_z(z):
-    z = np.asarray(z, dtype=float)
-    if np.any((z <= 0.0) | (z >= 1.0)):
-        raise DomainError("level z must lie in (0,1)")
-    return z
-
-
 def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
                                       rng) -> np.ndarray:
     """Vectorized conditional-inverse sampling: one row per entry of z.
@@ -78,7 +72,8 @@ def sample_levelset_conditional_batch(g: ArchimedeanGenerator, d: int, z,
     Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
     check_dimension(g, d)
-    z = np.atleast_1d(_check_z(z))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    check_probability("z", z)
     n = z.size
     out = np.empty((n, d))
     if d == 1:
@@ -101,7 +96,8 @@ def sample_levelset_projected_batch(g: ArchimedeanGenerator, d: int, z,
     Rows lie in (0, 1]; see ``_refuse_zeros`` for the refusal of the rest.
     """
     check_dimension(g, d)
-    z = np.atleast_1d(_check_z(z))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    check_probability("z", z)
     n = z.size
     if d == 1:
         return z[:, None].copy()
@@ -136,7 +132,7 @@ def sample_levelset_rejection_batch(c: CopulaSpec, z_targets, eps: EpsilonRule, 
     ``MAX_ATTEMPTS``, read at each call, caps the candidates of the batch.
     """
     z_targets = np.atleast_1d(np.asarray(z_targets, dtype=float))
-    _check_z(z_targets)
+    check_probability("z_targets", z_targets)
     n = z_targets.size
     out = np.empty((n, c.dim))
     order = np.argsort(z_targets)

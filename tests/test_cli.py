@@ -17,11 +17,13 @@ import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 import hierkendall.kendall as kendall
 import hierkendall.levelset as levelset
+from hierkendall.backtest import rolling_backtest
 from hierkendall.cli import main
 from hierkendall.copulas import clamp_interior
 from hierkendall.errors import DataError, EvaluationError
 from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
-from hierkendall.modelconfig import read_csv, report_document, write_csv, write_json
+from hierkendall.modelconfig import (config_to_spec, load_model_document, read_csv,
+                                     report_document, write_csv, write_json)
 from hierkendall.rngutil import substream
 
 
@@ -388,7 +390,7 @@ class TestInputRanges:
         code = main(["backtest", "--data", str(tmp / "raw.csv"), "--model", str(fit_cfg),
                      "--out", str(tmp / "bt.json"), *(x for kv in args.items() for x in kv)])
         argument = flag[2:].replace("-", "_")
-        rule = ("must be in (0,1)" if flag == "--level" else
+        rule = ("must lie in (0, 1)" if flag == "--level" else
                 f"must be an integer >= {10 if flag == '--window' else 1}")
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag}: {argument} {rule}, got {value}\n"
@@ -833,6 +835,35 @@ class TestBacktestCommand:
         assert doc["horizon"] == 60
         assert 0.0 <= doc["p_uc"] <= 1.0
         assert code in (0, 3)  # 3 when the hit series is degenerate
+
+
+    def test_seed_picks_the_forecast_streams_only(self, tmp_path):
+        # a Gaussian cluster's Monte Carlo Kendall function is built in every
+        # refit; it draws from the document's seed, not from --seed
+        config = {
+            "nodes": [
+                {"name": "g", "family": "gaussian", "columns": ["A", "B"]},
+                {"name": "c", "family": "clayton", "columns": ["C", "D"]},
+                {"name": "nest", "family": "frank", "children": ["g", "c"]},
+            ],
+            "kendall_mc_size": 1000,
+            "seed": 7,
+        }
+        cfg = tmp_path / "bt-model.json"
+        cfg.write_text(json.dumps(config))
+        header = ["A", "B", "C", "D"]
+        data = np.random.default_rng(8).normal(size=(45, 4))
+        write_csv(str(tmp_path / "raw.csv"), header, data)
+        out = tmp_path / "bt.json"
+        assert main(["backtest", "--data", str(tmp_path / "raw.csv"), "--model", str(cfg),
+                     "--level", "0.9", "--window", "40", "--horizon", "3", "--mc", "300",
+                     "--seed", "3", "--out", str(out)]) in (0, 3)
+        parsed, _ = load_model_document(str(cfg))
+        want = rolling_backtest(
+            data, config_to_spec(parsed, header), level=0.9, window=40, horizon=3, mc=300,
+            seed=3, eps_rule=parsed.epsilon_rule,
+            fit_options=estimation.FitOptions(kendall_mc=1000, seed=7))
+        assert json.loads(out.read_text())["var_series"] == want.var_series.tolist()
 
 
 class TestStudyCommand:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from hierkendall.backtest import forecast_var, rolling_backtest
-from hierkendall.copulas import ArchimedeanCopula, IndependenceCopula, copula_sample
+from hierkendall.copulas import (ArchimedeanCopula, IndependenceCopula, copula_sample,
+                                 copula_sample_conditional)
 from hierkendall.errors import ParameterError
 from hierkendall.estimation import NodeSpec, build_model
-from hierkendall.generators import ArchimedeanGenerator
+from hierkendall.generators import (ArchimedeanGenerator, generator_inverse_derivative,
+                                    generator_inverse_derivative_log)
 from hierkendall.hierarchical import cross_cluster_margin_pdf, model_sample
 from hierkendall.kendall import MIN_KENDALL_MC, KendallFunction, empirical_kendall_build
 from hierkendall.rngutil import substream
@@ -44,6 +46,12 @@ SITES = {
         "mc", 1, lambda v: cross_cluster_margin_pdf(_model(), 0, 2, 0.4, 0.6, v, _rng())),
     "copula_sample": ("n", 0, lambda v: copula_sample(ArchimedeanCopula(CLAYTON, 2), v,
                                                       _rng())),
+    "copula_sample_conditional": ("n", 0, lambda v: copula_sample_conditional(
+        ArchimedeanCopula(CLAYTON, 2), 0, 0.5, v, _rng())),
+    "generator_inverse_derivative": ("k", 0, lambda v: generator_inverse_derivative(
+        CLAYTON, 1.0, v)),
+    "generator_inverse_derivative_log": ("k", 1, lambda v: generator_inverse_derivative_log(
+        CLAYTON, 1.0, v)),
     "IndependenceCopula": ("dim", 1, IndependenceCopula),
     "ArchimedeanCopula": ("dim", 2, lambda v: ArchimedeanCopula(CLAYTON, v)),
     "KendallFunction": ("dim", 1, lambda v: KendallFunction("closed_form", v, CLAYTON)),

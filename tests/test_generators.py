@@ -65,6 +65,13 @@ class TestValues:
         with pytest.raises(DomainError):
             generator_value(CLAYTON2, 1.5)
 
+    @pytest.mark.parametrize("fn", [generator_value, generator_derivative_log,
+                                    generator_inverse,
+                                    lambda g, x: generator_inverse_derivative_log(g, x, 2)])
+    def test_nan_argument_is_a_domain_error(self, fn):
+        with pytest.raises(DomainError, match="out of domain: min=nan"):
+            fn(CLAYTON2, np.array([0.5, math.nan]))
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             ArchimedeanGenerator("clayton", -1.0)

@@ -9,7 +9,7 @@ from hierkendall.copulas import (
     copula_cdf,
     copula_sample,
 )
-from hierkendall.errors import DomainError, EvaluationError, ParameterError, RejectionCapError
+from hierkendall.errors import EvaluationError, ParameterError, RejectionCapError
 from hierkendall.generators import (
     ArchimedeanGenerator,
     independence_generator,
@@ -272,7 +272,7 @@ class TestRejectionLoopMatchesReference:
 
 class TestLevelValidation:
     def test_z_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             sample_levelset_conditional_batch(CLAYTON2, 2, [0.0], np.random.default_rng(0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             sample_levelset_projected_batch(CLAYTON2, 2, [1.0], np.random.default_rng(0))
