@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, DomainError, ParameterError, check_count, check_probability
+from .errors import DataError, ParameterError, check_count, check_probability
 from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
 from .hierarchical import HierarchicalModel, model_sample
 from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
@@ -34,26 +34,31 @@ from .rngutil import STREAM_FORECAST, substream
 # ---------------------------------------------------------------------------
 
 
+def _window_values(values) -> np.ndarray:
+    """The window rule of every margin kind: ``values`` as a float array,
+    once it holds at least two values, all finite; else a ``DataError``.
+    Every kind's ``quantile`` takes levels u in [0, 1] (``check_probability``)."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise DataError(f"a margin needs at least two observations, got {values.size}")
+    if not np.isfinite(values).all():
+        raise DataError("a margin needs finite observations")
+    return values
+
+
 class EmpiricalMargin:
     """Quantile function of a data window (linear-interpolated ECDF inverse)."""
 
     def __init__(self, values):
-        self.values = np.sort(np.asarray(values, dtype=float))
-        if self.values.size < 2:
-            raise DataError("empirical margin needs at least two observations")
-        # sorted: -inf comes first, +inf and NaN last
-        if not (np.isfinite(self.values[0]) and np.isfinite(self.values[-1])):
-            raise DataError("empirical margin needs finite observations")
+        self.values = np.sort(_window_values(values))
 
     def quantile(self, u):
-        """``np.quantile(values, clip(u, 0, 1))`` bit for bit, read from the
-        sorted values without numpy's partition: numpy's linear rule at
-        position (n - 1) u, a + (b - a) t below t = 0.5 and b - (b - a)(1 - t)
-        from it."""
+        """``np.quantile(values, u)`` bit for bit, read from the sorted values
+        without numpy's partition: numpy's linear rule at position (n - 1) u,
+        a + (b - a) t below t = 0.5 and b - (b - a)(1 - t) from it."""
+        check_probability("u", u, closed=True)
         v = self.values
-        pos = (v.size - 1) * np.clip(u, 0.0, 1.0)
-        if np.isnan(pos).any():
-            raise DomainError("margin quantile of NaN")
+        pos = (v.size - 1) * np.asarray(u, dtype=float)
         lo = np.minimum(np.floor(pos), v.size - 2)
         t = pos - lo
         lo = lo.astype(np.intp)
@@ -64,20 +69,22 @@ class EmpiricalMargin:
 
 class NormalMargin:
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
+        values = _window_values(values)
         self.mu = float(np.mean(values))
         self.sigma = float(np.std(values, ddof=1))
 
     def quantile(self, u):
+        check_probability("u", u, closed=True)
         return self.mu + self.sigma * stats.norm.ppf(u)
 
 
 class StudentTMargin:
     def __init__(self, values):
-        df, loc, scale = stats.t.fit(np.asarray(values, dtype=float))
+        df, loc, scale = stats.t.fit(_window_values(values))
         self.df, self.loc, self.scale = float(df), float(loc), float(scale)
 
     def quantile(self, u):
+        check_probability("u", u, closed=True)
         return self.loc + self.scale * stats.t.ppf(u, df=self.df)
 
 

@@ -60,7 +60,7 @@ from .modelconfig import (
     write_csv,
     write_json,
 )
-from .rngutil import substream
+from .rngutil import STREAM_SIMULATE, substream
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -179,7 +179,7 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     config, header, model = _load_for_simulation(args.model)
-    rng = substream(config.seed if args.seed is None else args.seed, 0)
+    rng = substream(config.seed if args.seed is None else args.seed, STREAM_SIMULATE)
     u = model_sample(model, args.n, rng, method=args.method, eps_rule=config.epsilon_rule)
     write_csv(args.out, header, u)
     print(f"simulate: wrote {args.n} x {len(header)} -> {args.out}")

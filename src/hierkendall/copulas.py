@@ -96,6 +96,9 @@ def _check_corr(corr):
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ParameterError("correlation matrix must be square")
+    if corr.shape[0] < 2:
+        raise ParameterError(f"elliptical copula dimension must be >= 2, got {corr.shape[0]}; "
+                             "a one-variable copula is IndependenceCopula(1)", "corr")
     if not np.isfinite(corr).all():
         raise ParameterError("correlation matrix entries must be finite")
     if not np.allclose(corr, corr.T, atol=1e-10):

@@ -48,7 +48,8 @@ from .copulas import (
     copula_logpdf,
     elliptical_corr_from_tau,
 )
-from .errors import ConfigError, DataError, EvaluationError, HierKendallError, ParameterError
+from .errors import (ConfigError, DataError, EvaluationError, HierKendallError,
+                     ModelStructureError, ParameterError)
 from .generators import FAMILIES, ArchimedeanGenerator, tau_from_theta, theta_from_tau
 from .hierarchical import (
     DEFAULT_KENDALL_MC,
@@ -61,7 +62,7 @@ from .hierarchical import (
     model_loglik,
     model_n_params,
     model_sample,
-    validate,
+    structure_problems,
 )
 from .hierarchical import _post_order as post_order
 from .kendall import MIN_KENDALL_MC, KendallFunction
@@ -95,6 +96,9 @@ class NodeSpec:
             object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
         else:
             object.__setattr__(self, "children", tuple(self.children))
+        if not self.dim:
+            raise ConfigError(f"node {self.name!r}: empty "
+                              f"{'columns' if self.children is None else 'children'}")
 
     @property
     def dim(self) -> int:
@@ -120,6 +124,9 @@ def copula_from_spec(spec: NodeSpec) -> CopulaSpec:
     if "corr" not in params:
         raise ConfigError("needs a correlation matrix")
     corr = np.asarray(params["corr"], dtype=float)
+    if corr.shape != (d, d):
+        raise ConfigError(f"'corr' of a node of {d} variables must be {d} x {d}, "
+                          f"got shape {corr.shape}")
     if spec.family == "gaussian":
         return GaussianCopula(corr)
     if "nu" not in params:
@@ -140,9 +147,15 @@ def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
     ``copula_for(spec, children)`` gives its copula once its model
     ``children`` exist. A node's Kendall function (none at the root) draws
     from the stream of its preorder index, so a fit and the model built
-    from its report carry the same one. An error raised while a node's
-    copula or Kendall function is made is re-raised, class and attributes
-    kept, with ``node '<name>': `` in front of its message."""
+    from its report carry the same one. The template's shape
+    (``structure_problems``) is checked before any node is fitted or drawn,
+    as a ``ModelStructureError``; each copula and Kendall function then
+    has its node's dimension by construction. An error raised while a
+    node's copula or Kendall function is made is re-raised, class and
+    attributes kept, with ``node '<name>': `` in front of its message."""
+    problems = structure_problems(spec, n_vars)
+    if problems:
+        raise ModelStructureError(problems)
     counter = itertools.count()
 
     def rec(node: NodeSpec) -> Node:
@@ -160,9 +173,7 @@ def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
             return LeafNode(node.name, node.columns, cop, kf)
         return InnerNode(node.name, children, cop, kf)
 
-    model = HierarchicalModel(root=rec(spec), n_vars=n_vars)
-    validate(model)
-    return model
+    return HierarchicalModel(root=rec(spec), n_vars=n_vars)
 
 
 # ---------------------------------------------------------------------------

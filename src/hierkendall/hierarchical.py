@@ -3,9 +3,9 @@
 A model is a tree: leaf nodes group raw variables (clusters) under one
 copula each, inner nodes join the Kendall-transformed summaries
 V = K(C(...)) of their children, and the root carries the nesting copula.
-Size-1 clusters pass their variable through unchanged (identity copula
-and identity Kendall function). A leaf may sit at any depth: every pass
-works node by node.
+A one-variable node is an ordinary node whose copula is
+``IndependenceCopula(1)`` and whose Kendall function is the identity. A leaf
+may sit at any depth: every pass works node by node.
 
 The joint density factorizes into the nesting density evaluated at the
 V-values times the product of all cluster densities. One bottom-up pass
@@ -154,47 +154,63 @@ def kendall_for_copula(copula: CopulaSpec, mode: str = "auto",
 def iter_nodes(model: HierarchicalModel):
     """Depth-first preorder iteration over (path, node). A path such as
     ``root/m1/c1`` labels a node in messages."""
-    stack = [("root", model.root)]
+    return _walk(model.root)
+
+
+def _walk(root):
+    """``iter_nodes`` from ``root``, a model node or a template
+    (``estimation.NodeSpec``): a node with children is inner."""
+    stack = [("root", root)]
     while stack:
         path, node = stack.pop()
         yield path, node
-        if isinstance(node, InnerNode):
-            for i, ch in reversed(list(enumerate(node.children))):
-                stack.append((f"{path}/{ch.name or i}", ch))
+        for i, ch in reversed(list(enumerate(getattr(node, "children", None) or ()))):
+            stack.append((f"{path}/{ch.name or i}", ch))
 
 
 def _node_dim(node: Node) -> int:
     return len(node.columns) if isinstance(node, LeafNode) else len(node.children)
 
 
-def validate_model(model: HierarchicalModel) -> list:
-    """Check the structural invariants; returns a list of problems (empty =
-    ok). The root is an inner node; node names are unique; each copula's
-    dimension is its node's column or child count; the clusters partition
-    the variables 0..n_vars-1; and every node below the root has a Kendall
-    function of its copula's dimension. A leaf may sit at any depth."""
-    problems = []
-    if not isinstance(model.root, InnerNode):
+def structure_problems(root, n_vars: int) -> list:
+    """The shape rules of a tree, checked on a model's root node or on a
+    template (``estimation.NodeSpec``): the root is an inner node, node
+    names are unique, and the clusters partition the variables
+    0..n_vars-1. Returns a list of problems (empty = ok)."""
+    if getattr(root, "columns", None) is not None:
         return ["root must be an inner node carrying the nesting copula"]
+    problems = []
     seen_names = set()
     covered: dict[int, str] = {}
-    for path, node in iter_nodes(model):
+    for path, node in _walk(root):
         if node.name in seen_names:
             problems.append(f"{path}: duplicate node name {node.name!r}")
         seen_names.add(node.name)
+        for c in getattr(node, "columns", None) or ():
+            if c in covered:
+                problems.append(f"{path}: variable {c} overlaps with cluster {covered[c]!r}")
+            elif not 0 <= c < n_vars:
+                problems.append(f"{path}: variable {c} outside 0..{n_vars - 1}")
+            covered[c] = node.name
+    missing = sorted(set(range(n_vars)) - set(covered))
+    if missing:
+        problems.append(f"root: variables {missing} not covered by any cluster")
+    return problems
+
+
+def validate_model(model: HierarchicalModel) -> list:
+    """Check the structural invariants; returns a list of problems (empty =
+    ok). The shape rules of ``structure_problems``; each copula's dimension
+    is its node's column or child count; and every node below the root has
+    a Kendall function of its copula's dimension. A leaf may sit at any
+    depth."""
+    problems = structure_problems(model.root, model.n_vars)
+    for path, node in iter_nodes(model):
         dim = _node_dim(node)
         if node.copula.dim != dim:
             problems.append(
                 f"{path}: copula dimension {node.copula.dim} != "
                 f"{'column' if isinstance(node, LeafNode) else 'child'} count {dim}")
-        if isinstance(node, LeafNode):
-            for c in node.columns:
-                if c in covered:
-                    problems.append(
-                        f"{path}: variable {c} overlaps with cluster {covered[c]!r}")
-                elif not 0 <= c < model.n_vars:
-                    problems.append(f"{path}: variable {c} outside 0..{model.n_vars - 1}")
-                covered[c] = node.name
         if node is not model.root:
             if node.kendall is None:
                 problems.append(f"{path}: nested node lacks a Kendall function")
@@ -202,9 +218,6 @@ def validate_model(model: HierarchicalModel) -> list:
                 problems.append(
                     f"{path}: Kendall dimension {node.kendall.dim} != copula "
                     f"dimension {node.copula.dim}")
-    missing = sorted(set(range(model.n_vars)) - set(covered))
-    if missing:
-        problems.append(f"root: variables {missing} not covered by any cluster")
     return problems
 
 
@@ -215,12 +228,10 @@ def validate(model: HierarchicalModel) -> None:
 
 
 def model_n_params(model: HierarchicalModel) -> int:
-    """Number of free dependence parameters (size-1 clusters contribute none)."""
+    """Number of free dependence parameters (independence copulas have none)."""
     total = 0
     for _, node in iter_nodes(model):
         c = node.copula
-        if c.dim <= 1:
-            continue
         if isinstance(c, ArchimedeanCopula):
             total += 0 if c.generator.family == "independence" else 1
         elif isinstance(c, GaussianCopula):
@@ -241,12 +252,9 @@ def node_transform(node: Node, inputs: np.ndarray):
     Returns (v, log_c): v = K(C(clamp(inputs))), None at the root, which
     has no Kendall function, and log c the node's copula log-density. C is
     moved into (0, 1) only as far as float range requires (``open_unit``).
-    A size-1 node passes its input through with log c = 0. An Archimedean
-    node whose Kendall function is the closed form of its own generator
-    takes both from one generator sum (``archimedean_node_step``).
+    An Archimedean node whose Kendall function is the closed form of its own
+    generator takes both from one generator sum (``archimedean_node_step``).
     """
-    if inputs.shape[1] == 1:
-        return inputs[:, 0], np.zeros(inputs.shape[0])
     inputs = clamp_interior(inputs)
     c, K = node.copula, node.kendall
     if (isinstance(c, ArchimedeanCopula) and K is not None and K.kind == "closed_form"
@@ -294,7 +302,8 @@ def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """V matrix feeding the nesting copula: one column per root child.
 
     Each column is K_i(C_i(...)) of the child's inputs, uniform under a
-    correctly specified model; size-1 clusters pass through unchanged.
+    correctly specified model; a one-variable child passes its variable,
+    clamped to [1e-12, 1 - 1e-12].
     """
     rows, single = _data_rows(model, u)
     v = np.column_stack([_post_order(ch, rows)[0] for ch in model.root.children])
@@ -350,12 +359,10 @@ def _sample_node(node: Node, block: np.ndarray, rng, method, eps_rule, out: np.n
         return
     for i, ch in enumerate(node.children):
         z = kendall_inverse(ch.kendall, clamp_interior(block[:, i]))
-        dim = _node_dim(ch)
-        if dim == 1:
-            child_block = np.asarray(z, dtype=float)[:, None]
-        elif method != "rejection" and is_archimedean_kind(ch.copula):
+        # a one-variable node (identity K) is its level z: the exact sampler draws nothing
+        if is_archimedean_kind(ch.copula) and (method != "rejection" or ch.kendall.dim == 1):
             child_block = sample_levelset_conditional_batch(
-                copula_generator(ch.copula), dim, z, rng)
+                copula_generator(ch.copula), ch.copula.dim, z, rng)
         else:
             child_block, _ = sample_levelset_rejection_batch(ch.copula, z, eps_rule, rng)
         _sample_node(ch, child_block, rng, method, eps_rule, out)
@@ -367,10 +374,12 @@ def model_sample(model: HierarchicalModel, n: int, rng, method: str = "auto",
 
     "auto" samples each Archimedean-kind node exactly on its level set
     (conditional inverse) and any other by rejection; "rejection" samples
-    every node by rejection; "exact" refuses, before any draw and naming
-    it, a non-Archimedean node below the root. An ``n`` that is not an
-    integer >= 0 is a ``ParameterError`` naming it; a rejection batch that
-    exhausts ``levelset.MAX_ATTEMPTS`` candidates is a ``RejectionCapError``.
+    by rejection every node of two or more variables (a one-variable node
+    is its level, which the exact sampler returns); "exact" refuses, before
+    any draw and naming it, a non-Archimedean node below the root. An ``n``
+    that is not an integer >= 0 is a ``ParameterError`` naming it; a
+    rejection batch that exhausts ``levelset.MAX_ATTEMPTS`` candidates is a
+    ``RejectionCapError``.
     """
     check_count("n", n, 0)
     if method not in ("auto", "exact", "rejection"):
@@ -403,8 +412,6 @@ def _find_leaf_for(model, var):
 
 
 def _companion_v(node: LeafNode, var: int, u_val: float, mc: int, rng):
-    if len(node.columns) == 1:
-        return np.full(mc, float(u_val))
     pos = node.columns.index(var)
     w = copula_sample_conditional(node.copula, pos, u_val, mc, rng)
     return node_transform(node, w)[0]
@@ -429,12 +436,9 @@ def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
         raise SameClusterError(
             f"variables {k} and {l} share cluster {leaf_i.name!r}; "
             "use the cluster copula margin directly")
-    root_cop = model.root.copula
-    if root_cop.dim == 1:
-        raise ModelStructureError(["root copula must join at least two clusters"])
     v_i = _companion_v(leaf_i, k, u_k, mc, rng)
     v_j = _companion_v(leaf_j, l, u_l, mc, rng)
-    margin = copula_bivariate_margin(root_cop, i_idx, j_idx)
+    margin = copula_bivariate_margin(model.root.copula, i_idx, j_idx)
     vals = copula_pdf(margin, clamp_interior(np.column_stack([v_i, v_j])))
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0

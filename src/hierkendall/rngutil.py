@@ -16,6 +16,7 @@ import numpy as np
 from .errors import check_count
 
 # stream namespaces used by the package (documented, stable)
+STREAM_SIMULATE = 0      # the draw of the ``simulate`` command
 STREAM_KENDALL = 1       # Monte Carlo builds of empirical Kendall functions
 STREAM_REPLICATION = 2   # simulation-study replications
 STREAM_FORECAST = 3      # VaR forecast draws, one per backtest refit day

@@ -295,6 +295,8 @@ class TestEllipticalPath:
                 want = 0.0
             elif active.size == 0:
                 want = 1.0
+            elif active.size == 1:  # a one-variable margin is its coordinate, in the band
+                want = copulas.clamp_interior(row[active[0]])
             else:
                 sub = elliptical(kind, CORR3[np.ix_(active, active)])
                 want = copula_cdf(sub, row[active])
@@ -417,6 +419,11 @@ class TestGaussianKernels:
         "pair_-0.999": [[1.0, 0.3, -0.3], [0.3, 1.0, -0.999], [-0.3, -0.999, 1.0]],
         # smallest eigenvalue 2.7e-4: the integrand's singularity sits near t = 1
         "near_singular": [[1.0, 0.6, 0.8], [0.6, 1.0, 0.9597], [0.8, 0.9597, 1.0]],
+        # zero entries off the strongest pair: their Plackett terms are skipped
+        "r12_zero": [[1.0, 0.0, 0.3], [0.0, 1.0, 0.6], [0.3, 0.6, 1.0]],
+        "r12_r13_zero": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.6], [0.0, 0.6, 1.0]],
+        "r13_zero": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.6], [0.0, 0.6, 1.0]],
+        "identity": np.eye(3).tolist(),
     }
 
     @pytest.mark.parametrize("name", list(CORRS3))

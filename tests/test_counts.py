@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hierkendall.backtest import forecast_var, rolling_backtest
-from hierkendall.copulas import (ArchimedeanCopula, IndependenceCopula, copula_sample,
-                                 copula_sample_conditional)
+from hierkendall.copulas import (ArchimedeanCopula, GaussianCopula, IndependenceCopula,
+                                 StudentTCopula, copula_sample, copula_sample_conditional)
 from hierkendall.errors import ParameterError
 from hierkendall.estimation import NodeSpec, build_model
 from hierkendall.generators import (ArchimedeanGenerator, generator_inverse_derivative,
@@ -83,6 +83,16 @@ def test_a_bad_count_is_refused_by_name(site, bad):
         assert "a one-variable copula is IndependenceCopula(1)" in str(info.value)
     else:
         assert f"{name} must be an integer >= {least}, got {value!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("make", [GaussianCopula, lambda corr: StudentTCopula(corr, 5.0)],
+                         ids=["gaussian", "student_t"])
+def test_a_one_variable_elliptical_copula_is_refused_by_name(make):
+    # as for ArchimedeanCopula above: every kind points at IndependenceCopula(1)
+    with pytest.raises(ParameterError) as info:
+        make(np.eye(1))
+    assert info.value.argument == "corr"
+    assert "a one-variable copula is IndependenceCopula(1)" in str(info.value)
 
 
 @pytest.mark.parametrize("site", [s for s in SITES if "backtest" not in s

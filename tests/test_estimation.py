@@ -21,6 +21,7 @@ from hierkendall.errors import (
     DataError,
     EvaluationError,
     HierKendallError,
+    ModelStructureError,
     ParameterError,
 )
 from hierkendall.estimation import (
@@ -449,6 +450,67 @@ class TestNodeNamedErrors:
             (nf.name, nf.params, nf.kendall) for nf in without.nodes]
 
 
+class TestTemplateCheckedFirst:
+    """A template's shape is checked before any node is fitted or drawn."""
+
+    CORR3 = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("fit_cluster", "kendall_for_copula"):
+            def counting(*args, real=getattr(estimation, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(estimation, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("columns, n_vars, message", [
+        ((2, 9), 4, "root/c2: variable 9 outside 0..3"),
+        ((1, 2), 4, "root/c2: variable 1 overlaps with cluster 'c1'"),
+        ((2,), 4, "root: variables [3] not covered by any cluster")])
+    def test_fit_refuses_a_template_that_does_not_partition_the_data(
+            self, calls, columns, n_vars, message):
+        spec = NodeSpec("nest", "frank", children=(
+            NodeSpec("c1", "clayton", columns=(0, 1)),
+            NodeSpec("c2", "gumbel", columns=columns)))
+        u = np.random.default_rng(9).random((50, n_vars))
+        with pytest.raises(ModelStructureError, match=re.escape(message)):
+            fit_two_step(spec, u)
+        assert calls == []
+
+    def test_build_refuses_a_duplicate_name_before_any_kendall_draw(self, calls):
+        spec = NodeSpec("nest", "frank", params={"tau": 0.3}, children=(
+            NodeSpec("t", "student_t", columns=(0, 1, 2),
+                     params={"corr": self.CORR3, "nu": 5.0}),
+            NodeSpec("t", "clayton", columns=(3, 4), params={"tau": 0.4})))
+        with pytest.raises(ModelStructureError, match="root/t: duplicate node name 't'"):
+            build_model(spec, 5, kendall_mc=20_000)
+        assert calls == []
+
+    def test_build_refuses_a_leaf_root(self, calls):
+        with pytest.raises(ModelStructureError, match="root must be an inner node"):
+            build_model(NodeSpec("c", "clayton", columns=(0, 1), params={"tau": 0.4}), 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"columns": ()}, "node 'c': empty columns"),
+        ({"columns": []}, "node 'c': empty columns"),
+        ({"children": ()}, "node 'c': empty children")])
+    def test_an_empty_node_is_refused_by_name(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            NodeSpec("c", "clayton", **kwargs)
+
+    def test_a_corr_of_another_size_is_refused_by_node(self):
+        spec = NodeSpec("nest", "frank", params={"tau": 0.3}, children=(
+            NodeSpec("g", "gaussian", columns=(0, 1), params={"corr": self.CORR3}),
+            NodeSpec("c", "clayton", columns=(2, 3), params={"tau": 0.4})))
+        with pytest.raises(ConfigError, match=re.escape(
+                "node 'g': 'corr' of a node of 2 variables must be 2 x 2, got shape (3, 3)")):
+            build_model(spec, 4)
+
+
 def three_level_spec(with_params=True):
     def p(tau):
         return {"tau": tau} if with_params else None
@@ -489,7 +551,8 @@ class TestOneBottomUpPass:
     @pytest.mark.parametrize("case", ["three_level", "gaussian_cluster"])
     def test_each_node_cdf_runs_once_per_row(self, monkeypatch, data, case):
         # an Archimedean node with its closed-form K goes through
-        # archimedean_node_step (keyed by generator), any other through copula_cdf
+        # archimedean_node_step (keyed by generator), any other, the
+        # one-variable independence leaf included, through copula_cdf
         spec, u, options = data[case]
         rows = {}
         for name in ("copula_cdf", "archimedean_node_step"):
@@ -500,8 +563,7 @@ class TestOneBottomUpPass:
             monkeypatch.setattr(hierarchical, name, counting)
         report = fit_two_step(spec, u, options)
         for _, node in iter_nodes(report.model):
-            expected = ([u.shape[0]] if node is not report.model.root and node.copula.dim > 1
-                        else [])
+            expected = [u.shape[0]] if node is not report.model.root else []
             key = id(getattr(node.copula, "generator", node.copula))
             assert rows.pop(key, []) == expected, node.name
         assert rows == {}

@@ -12,7 +12,9 @@ from hierkendall.copulas import (
     GaussianCopula,
     IndependenceCopula,
     StudentTCopula,
+    clamp_interior,
     copula_pdf,
+    copula_sample,
 )
 from hierkendall.errors import ModelStructureError, ParameterError, SameClusterError
 from hierkendall.estimation import (
@@ -364,6 +366,21 @@ class TestSampling:
         assert kendalltau(u[:, 2], u[:, 3]).statistic == pytest.approx(0.5, abs=0.02)
         v = nesting_pit(m, u)
         assert kendalltau(v[:, 0], v[:, 1]).statistic == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("method, eps_rule", [
+        ("auto", None), ("exact", None), ("rejection", EpsilonRule("abs", 0.01))])
+    def test_one_variable_leaf_is_its_root_column(self, method, eps_rule):
+        """A one-variable leaf has the identity K and the level set {z}: its
+        column is the root copula's column, clamped, under every method."""
+        root = arch(theta_from_tau("frank", 0.4), 2)
+        m = HierarchicalModel(
+            root=inner("nest", [leaf("c", [0, 1], arch(theta_from_tau("clayton", 0.5), 2)),
+                                leaf("s", [2], IndependenceCopula(1))], root),
+            n_vars=3)
+        kwargs = {} if eps_rule is None else {"eps_rule": eps_rule}
+        u = model_sample(m, 2000, np.random.default_rng(5), method, **kwargs)
+        want = clamp_interior(copula_sample(root, 2000, np.random.default_rng(5))[:, 1])
+        np.testing.assert_array_equal(u[:, 2], want)
 
     def test_independence_model_all_taus_zero(self):
         u = model_sample(independence_model(), 10_000, np.random.default_rng(8))

@@ -270,6 +270,17 @@ class TestRejectionLoopMatchesReference:
         assert str(got.value) == str(want.value)
 
 
+class TestOneVariable:
+    @pytest.mark.parametrize("sampler", [sample_levelset_conditional_batch,
+                                         sample_levelset_projected_batch])
+    def test_a_one_variable_level_set_is_its_level_with_no_draw(self, sampler):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        z = np.array([1e-12, 0.3, 1.0 - 1e-12])
+        np.testing.assert_array_equal(sampler(INDEP, 1, z, rng), z[:, None])
+        assert rng.bit_generator.state == state
+
+
 class TestLevelValidation:
     def test_z_domain(self):
         with pytest.raises(ParameterError):
