@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -56,6 +55,7 @@ from .modelconfig import (
     config_to_spec,
     load_model_document,
     read_csv,
+    read_json,
     report_document,
     write_csv,
     write_json,
@@ -266,8 +266,7 @@ def cmd_study(args) -> int:
     settings = {f.name for f in dataclasses.fields(StudyConfig)}
     overrides = {}
     if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        overrides = read_json(args.config, "study config")
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: study overrides must be a JSON object")
         unknown = sorted(set(overrides) - settings)

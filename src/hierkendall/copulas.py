@@ -7,10 +7,17 @@ Every copula kind supports
   used by likelihood code),
 * ``copula_sample``   -- unconditional sampling with an explicit RNG,
 * ``quantile_curve``  -- the inverse of C in its last argument given a
-  prefix of fixed coordinates (closed form when Archimedean, bisection
-  otherwise),
+  prefix of fixed coordinates (closed form when Archimedean, Brent's
+  method otherwise),
 * ``copula_sample_conditional`` -- sampling with one coordinate fixed
   (used for cross-cluster margin integration).
+
+The Gaussian and Student-t copulas share one elliptical body
+(``_Elliptical``: the correlation check, the Cholesky factor and ``dim``),
+and every operation takes one elliptical path through their margin law,
+x = F^-1(u) by ``_margin_ppf`` and u = F(x) by ``_margin_cdf``: Phi for
+the Gaussian, t_nu for the Student-t. Only the closed-form density, the
+CDF rules below and the t law's chi-square mixing in the samplers differ.
 
 Elliptical CDFs take one batched path: a row with a coordinate <= 0 is 0,
 coordinates at 1 are dropped, and rows keeping the same coordinates are
@@ -30,7 +37,7 @@ coordinates keep their boundary meaning in the CDF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg, optimize, special, stats
@@ -134,10 +141,9 @@ class ArchimedeanCopula:
         check_dimension(self.generator, self.dim)
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianCopula:
-    corr: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
+class _Elliptical:
+    """What the Gaussian and Student-t copulas share: the correlation check,
+    the Cholesky factor of ``corr`` and ``dim``. Each declares its own fields."""
 
     def __post_init__(self):
         corr = _check_corr(self.corr)
@@ -150,22 +156,22 @@ class GaussianCopula:
 
 
 @dataclass(frozen=True, eq=False)
-class StudentTCopula:
+class GaussianCopula(_Elliptical):
+    corr: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class StudentTCopula(_Elliptical):
     corr: np.ndarray
     nu: float
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        corr = _check_corr(self.corr)
+        super().__post_init__()
         if not 2.0 < self.nu < np.inf:
             raise ParameterError(f"student_t requires nu > 2 and finite, got {self.nu}")
-        object.__setattr__(self, "corr", corr)
         object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "_chol", np.linalg.cholesky(corr))
-
-    @property
-    def dim(self) -> int:
-        return self.corr.shape[0]
 
 
 CopulaSpec = IndependenceCopula | ArchimedeanCopula | GaussianCopula | StudentTCopula
@@ -184,12 +190,24 @@ def copula_generator(c: CopulaSpec) -> ArchimedeanGenerator:
     raise ParameterError(f"{type(c).__name__} has no Archimedean generator")
 
 
-def _prep_rows(c, u):
+def _margin_ppf(c, u):
+    """x = F^-1(u) for the margin law of an elliptical copula: Phi^-1, or t_nu^-1."""
+    return special.ndtri(u) if isinstance(c, GaussianCopula) else special.stdtrit(c.nu, u)
+
+
+def _margin_cdf(c, x):
+    """u = F(x) for the margin law of an elliptical copula: Phi, or t_nu."""
+    return special.ndtr(x) if isinstance(c, GaussianCopula) else special.stdtr(c.nu, x)
+
+
+def _prep_rows(u, dim):
+    """(rows, single): ``u`` as a matrix of rows of width ``dim``, and whether it was
+    one point of shape (dim,). Any other shape is a ``DimensionError``."""
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
     rows = u[None, :] if single else u
-    if rows.ndim != 2 or rows.shape[1] != c.dim:
-        raise DimensionError(f"expected points of dimension {c.dim}, got shape {u.shape}")
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DimensionError(f"expected points of dimension {dim}, got shape {u.shape}")
     return rows, single
 
 
@@ -421,7 +439,7 @@ def _elliptical_cdf(c, rows):
         idx, active = live[group == k], np.flatnonzero(mask)
         sub = c.corr[np.ix_(active, active)]
         uu = clamp_interior(rows[np.ix_(idx, active)])
-        x = special.ndtri(uu) if gaussian else special.stdtrit(c.nu, uu)
+        x = _margin_ppf(c, uu)
         if active.size <= 1:
             out[idx] = uu[:, 0] if active.size else 1.0
         elif active.size == 2:
@@ -440,7 +458,7 @@ def _elliptical_cdf(c, rows):
 
 def copula_cdf(c: CopulaSpec, u):
     """C(u) for one point (shape (d,)) or a batch (shape (N, d))."""
-    rows, single = _prep_rows(c, u)
+    rows, single = _prep_rows(u, c.dim)
     if isinstance(c, IndependenceCopula):
         out = np.prod(np.clip(rows, 0.0, 1.0), axis=1)
     elif isinstance(c, ArchimedeanCopula):
@@ -461,27 +479,25 @@ def copula_cdf(c: CopulaSpec, u):
 
 def copula_logpdf(c: CopulaSpec, u):
     """log c(u); inputs clamped to the interior first."""
-    rows, single = _prep_rows(c, u)
+    rows, single = _prep_rows(u, c.dim)
     rows = clamp_interior(rows)
     if isinstance(c, IndependenceCopula):
         out = np.zeros(rows.shape[0])
     elif isinstance(c, ArchimedeanCopula):
         out = archimedean_log_density(c.generator, rows)
-    elif isinstance(c, GaussianCopula):
-        x = special.ndtri(rows)
-        sol = linalg.cho_solve((c._chol, True), x.T).T
-        logdet = 2.0 * np.sum(np.log(np.diag(c._chol)))
-        out = -0.5 * logdet - 0.5 * (np.sum(x * sol, axis=1) - np.sum(x * x, axis=1))
     else:
-        nu, d = c.nu, c.dim
-        x = special.stdtrit(nu, rows)
+        x = _margin_ppf(c, rows)
         sol = linalg.cho_solve((c._chol, True), x.T).T
         logdet = 2.0 * np.sum(np.log(np.diag(c._chol)))
         quad = np.sum(x * sol, axis=1)
-        out = (special.gammaln((nu + d) / 2.0) + (d - 1) * special.gammaln(nu / 2.0)
-               - d * special.gammaln((nu + 1) / 2.0) - 0.5 * logdet
-               - 0.5 * (nu + d) * np.log1p(quad / nu)
-               + 0.5 * (nu + 1) * np.sum(np.log1p(x * x / nu), axis=1))
+        if isinstance(c, GaussianCopula):
+            out = -0.5 * logdet - 0.5 * (quad - np.sum(x * x, axis=1))
+        else:
+            nu, d = c.nu, c.dim
+            out = (special.gammaln((nu + d) / 2.0) + (d - 1) * special.gammaln(nu / 2.0)
+                   - d * special.gammaln((nu + 1) / 2.0) - 0.5 * logdet
+                   - 0.5 * (nu + d) * np.log1p(quad / nu)
+                   + 0.5 * (nu + 1) * np.sum(np.log1p(x * x / nu), axis=1))
     if np.any(np.isnan(out)):
         raise EvaluationError("copula density evaluated to NaN")
     return float(out[0]) if single else out
@@ -518,11 +534,10 @@ def copula_sample(c: CopulaSpec, n: int, rng) -> np.ndarray:
         v = rng.random(n)
         z = kendall_inverse(closed_form_kendall(c.generator, c.dim), v)
         return sample_levelset_conditional_batch(c.generator, c.dim, z, rng)
-    z = rng.standard_normal((n, c.dim)) @ c._chol.T
-    if isinstance(c, GaussianCopula):
-        return special.ndtr(z)
-    w = rng.chisquare(c.nu, size=n) / c.nu
-    return special.stdtr(c.nu, z / np.sqrt(w)[:, None])
+    x = rng.standard_normal((n, c.dim)) @ c._chol.T
+    if isinstance(c, StudentTCopula):
+        x = x / np.sqrt(rng.chisquare(c.nu, size=n) / c.nu)[:, None]
+    return _margin_cdf(c, x)
 
 
 def copula_sample_conditional(c: CopulaSpec, index: int, value: float,
@@ -556,20 +571,15 @@ def copula_sample_conditional(c: CopulaSpec, index: int, value: float,
         out[:, rest] = np.column_stack(cols)
         return out
     s12 = c.corr[np.ix_(rest, [index])]
-    beta = s12[:, 0]
     chol = np.linalg.cholesky(c.corr[np.ix_(rest, rest)] - s12 @ s12.T)
-    if isinstance(c, GaussianCopula):
-        x0 = special.ndtri(value)
-        x = x0 * beta + rng.standard_normal((n, len(rest))) @ chol.T
-        out[:, rest] = special.ndtr(x)
-        return out
-    nu = c.nu
-    x0 = float(special.stdtrit(nu, value))
-    scale = np.sqrt((nu + x0 * x0) / (nu + 1.0))
-    tvars = rng.standard_normal((n, len(rest))) @ chol.T
-    w = rng.chisquare(nu + 1.0, size=n) / (nu + 1.0)
-    x = x0 * beta + scale * tvars / np.sqrt(w)[:, None]
-    out[:, rest] = special.stdtr(nu, x)
+    x0 = float(_margin_ppf(c, value))
+    x = rng.standard_normal((n, len(rest))) @ chol.T
+    if isinstance(c, StudentTCopula):
+        # given x0, the rest is a t law of nu + 1 degrees of freedom about x0 * s12
+        nu = c.nu
+        scale = np.sqrt((nu + x0 * x0) / (nu + 1.0))
+        x = scale * x / np.sqrt(rng.chisquare(nu + 1.0, size=n) / (nu + 1.0))[:, None]
+    out[:, rest] = _margin_cdf(c, x0 * s12[:, 0] + x)
     return out
 
 
@@ -604,8 +614,8 @@ def quantile_curve(c: CopulaSpec, u_prefix, z: float) -> float:
     """Inverse of C in the coordinate after ``u_prefix``, other coordinates at 1.
 
     Solves C(u_prefix, x, 1, ..., 1) = z for x in (0, 1). Closed form for
-    Archimedean kinds, bracketed bisection otherwise. An empty prefix
-    returns z itself.
+    Archimedean kinds, otherwise Brent's method (``optimize.brentq``) on
+    [1e-12, 1 - 1e-12]. An empty prefix returns z itself.
     """
     prefix = np.asarray(u_prefix, dtype=float).ravel()
     if prefix.size >= c.dim:
@@ -650,14 +660,9 @@ def copula_bivariate_margin(c: CopulaSpec, i: int, j: int) -> CopulaSpec:
     """The bivariate (i, j)-margin of the copula."""
     if i == j or not (0 <= i < c.dim and 0 <= j < c.dim):
         raise DimensionError(f"invalid margin indices ({i}, {j}) for dim {c.dim}")
-    if isinstance(c, IndependenceCopula):
-        return IndependenceCopula(2)
-    if isinstance(c, ArchimedeanCopula):
-        return ArchimedeanCopula(c.generator, 2)
-    sub = c.corr[np.ix_([i, j], [i, j])]
-    if isinstance(c, GaussianCopula):
-        return GaussianCopula(sub)
-    return StudentTCopula(sub, c.nu)
+    if is_archimedean_kind(c):
+        return replace(c, dim=2)
+    return replace(c, corr=c.corr[np.ix_([i, j], [i, j])])
 
 
 def elliptical_corr_from_tau(tau):

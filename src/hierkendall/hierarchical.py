@@ -38,6 +38,7 @@ from .copulas import (
     CopulaSpec,
     GaussianCopula,
     StudentTCopula,
+    _prep_rows,
     clamp_interior,
     copula_bivariate_margin,
     copula_cdf,
@@ -234,10 +235,8 @@ def model_n_params(model: HierarchicalModel) -> int:
         c = node.copula
         if isinstance(c, ArchimedeanCopula):
             total += 0 if c.generator.family == "independence" else 1
-        elif isinstance(c, GaussianCopula):
-            total += c.dim * (c.dim - 1) // 2
-        elif isinstance(c, StudentTCopula):
-            total += c.dim * (c.dim - 1) // 2 + 1
+        elif isinstance(c, (GaussianCopula, StudentTCopula)):
+            total += c.dim * (c.dim - 1) // 2 + isinstance(c, StudentTCopula)
     return total
 
 
@@ -287,17 +286,6 @@ def _post_order(node: Node, rows: np.ndarray, memo: dict | None = None):
     return out
 
 
-def _data_rows(model: HierarchicalModel, u):
-    """(rows, single): ``u`` as a matrix of rows, and whether it was one row.
-    A column count other than the model's is a ``ModelStructureError``."""
-    u = np.asarray(u, dtype=float)
-    rows = u[None, :] if u.ndim == 1 else u
-    if rows.shape[1] != model.n_vars:
-        raise ModelStructureError(
-            [f"data has {rows.shape[1]} columns, model expects {model.n_vars}"])
-    return rows, u.ndim == 1
-
-
 def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     """V matrix feeding the nesting copula: one column per root child.
 
@@ -305,7 +293,7 @@ def nesting_pit(model: HierarchicalModel, u) -> np.ndarray:
     correctly specified model; a one-variable child passes its variable,
     clamped to [1e-12, 1 - 1e-12].
     """
-    rows, single = _data_rows(model, u)
+    rows, single = _prep_rows(u, model.n_vars)
     v = np.column_stack([_post_order(ch, rows)[0] for ch in model.root.children])
     return v[0] if single else v
 
@@ -317,7 +305,7 @@ def model_logdensity(model: HierarchicalModel, u, memo: dict | None = None) -> n
     on the same rows; the pass takes the subtrees it holds from it and adds
     the ones it computes.
     """
-    rows, single = _data_rows(model, u)
+    rows, single = _prep_rows(u, model.n_vars)
     _, out = _post_order(model.root, rows, memo)
     return float(out[0]) if single else out
 

@@ -61,9 +61,14 @@ class ModelConfig:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a renamed temporary file, with the
+    mode a plain ``open(path, "w")`` gives: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -286,15 +291,21 @@ def write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
 
 
-def load_model_document(path: str) -> tuple:
-    """Load a config or report file; returns (ModelConfig, columns or None)."""
+def read_json(path: str, what: str):
+    """The JSON document in ``path``. A missing file is a ``ConfigError``
+    "<what> file not found: <path>", invalid JSON one naming the path and line."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"model file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_model_document(path: str) -> tuple:
+    """Load a config or report file; returns (ModelConfig, columns or None)."""
+    doc = read_json(path, "model")
     config = parse_model_config(doc)
     if doc.get("format") != REPORT_FORMAT:
         return config, None

@@ -918,6 +918,38 @@ class TestStudyCommand:
         assert code == 2 and named in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("text, named", [
+        (None, "study config file not found: {path}"),
+        ('{"replications": }', "{path}: invalid JSON at line 1: Expecting value")],
+        ids=["missing", "invalid-json"])
+    def test_config_file_refusal(self, tmp_path, capsys, text, named):
+        """The study config file is read by the rule the --model file follows."""
+        path = tmp_path / "study.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["study", "--config", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named.format(path=path)}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+
+class TestOutputFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize("write", [
+        lambda path: write_csv(path, ["A"], np.array([[0.5]])),
+        lambda path: write_json(path, {"a": 1})], ids=["csv", "json"])
+    def test_written_files_follow_the_umask(self, tmp_path, write, umask, mode):
+        """An atomic write gives the mode a plain open(path, "w") would."""
+        path = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            write(str(path))
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 
 class TestJsonReports:
     def test_non_finite_numbers_are_written_as_null(self, tmp_path):

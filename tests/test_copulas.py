@@ -246,11 +246,14 @@ class TestQuantileCurve:
         assert copula_cdf(c, [prefix, u_last]) == pytest.approx(z, abs=tol)
 
 
+CORR3 = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])
+
+
 class TestConditionalSampling:
     @pytest.mark.parametrize("c", [
         ArchimedeanCopula(ArchimedeanGenerator("gumbel", 2.5), 3),
-        StudentTCopula(np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]]), 5.0)],
-        ids=["gumbel", "student_t"])
+        GaussianCopula(CORR3), StudentTCopula(CORR3, 5.0)],
+        ids=["gumbel", "gaussian", "student_t"])
     def test_matches_slab_restriction(self, c):
         big = copula_sample(c, 200_000, np.random.default_rng(3))
         slab = big[np.abs(big[:, 1] - 0.35) < 0.005]
@@ -264,7 +267,28 @@ class TestConditionalSampling:
         assert np.all(out[:, 0] == 0.25)
 
 
-CORR3 = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])
+CORR4 = np.array([[1.0, 0.5, 0.3, 0.2], [0.5, 1.0, 0.6, -0.1],
+                  [0.3, 0.6, 1.0, 0.4], [0.2, -0.1, 0.4, 1.0]])
+
+
+class TestBivariateMargin:
+    @pytest.mark.parametrize("c", [
+        IndependenceCopula(4), ArchimedeanCopula(ArchimedeanGenerator("clayton", 2.0), 4),
+        GaussianCopula(CORR4), StudentTCopula(CORR4, 5.0)],
+        ids=["independence", "clayton", "gaussian", "student_t"])
+    def test_margin_keeps_kind_and_takes_the_pair_in_order(self, c):
+        m = copulas.copula_bivariate_margin(c, 2, 0)
+        assert type(m) is type(c) and m.dim == 2
+        if isinstance(c, ArchimedeanCopula):
+            assert m.generator == c.generator
+        if isinstance(c, (GaussianCopula, StudentTCopula)):
+            np.testing.assert_array_equal(m.corr, [[1.0, 0.3], [0.3, 1.0]])
+            np.testing.assert_array_equal(m.corr, c.corr[np.ix_([2, 0], [2, 0])])
+        if isinstance(c, StudentTCopula):
+            assert m.nu == c.nu
+        for i, j in [(1, 1), (4, 0), (0, -1)]:
+            with pytest.raises(DimensionError, match="invalid margin indices"):
+                copulas.copula_bivariate_margin(c, i, j)
 
 
 def elliptical(kind, corr):
@@ -608,7 +632,8 @@ class TestValidation:
     @pytest.mark.parametrize("rho, nu, named", [
         (0.3, np.inf, "nu > 2 and finite, got inf"), (0.3, np.nan, "nu > 2 and finite"),
         (np.inf, 4.0, "entries must be finite"), (np.nan, 4.0, "entries must be finite"),
-        (-np.inf, None, "entries must be finite")])
+        (-np.inf, None, "entries must be finite"),
+        (np.nan, np.inf, "entries must be finite")])  # corr is checked before nu
     def test_non_finite_parameters_are_refused(self, rho, nu, named):
         corr = np.array([[1.0, rho], [rho, 1.0]])
         with pytest.raises(ParameterError, match=named):

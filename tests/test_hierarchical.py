@@ -16,7 +16,8 @@ from hierkendall.copulas import (
     copula_pdf,
     copula_sample,
 )
-from hierkendall.errors import ModelStructureError, ParameterError, SameClusterError
+from hierkendall.errors import (DimensionError, ModelStructureError, ParameterError,
+                                SameClusterError)
 from hierkendall.estimation import (
     FitOptions,
     NodeSpec,
@@ -178,7 +179,7 @@ class TestValidation:
             n_vars=4)),
          ModelStructureError, "root/m: nested node lacks a Kendall function"),
         (lambda: model_logdensity(two_cluster_model(), np.full((3, 5), 0.5)),
-         ModelStructureError, "data has 5 columns, model expects 4"),
+         DimensionError, "expected points of dimension 4, got shape (3, 5)"),
         (lambda: model_sample(two_cluster_model(), 10, np.random.default_rng(0), "bogus"),
          ParameterError, "unknown sampling method 'bogus'")],
         ids=["leaf-root", "duplicate-name", "variable-range", "no-kendall",
@@ -199,11 +200,10 @@ class TestValidation:
 
 class TestNestingPit:
     @pytest.mark.parametrize("fn", [nesting_pit, model_logdensity])
-    @pytest.mark.parametrize("shape", [(6, 3), (6, 5), (3,), (5,)])
+    @pytest.mark.parametrize("shape", [(6, 3), (6, 5), (3,), (5,), (), (2, 2, 4)])
     def test_wrong_column_count_is_refused(self, fn, shape):
-        n_cols = shape[-1]
-        with pytest.raises(ModelStructureError,
-                           match=f"data has {n_cols} columns, model expects 4"):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"expected points of dimension 4, got shape {shape}")):
             fn(two_cluster_model(), np.full(shape, 0.5))
 
     def test_size_one_cluster_passthrough(self):
