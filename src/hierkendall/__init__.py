@@ -51,7 +51,6 @@ from .hierarchical import (
     model_loglik,
     model_sample,
     nesting_pit,
-    validate_model,
 )
 from .kendall import (
     KendallFunction,

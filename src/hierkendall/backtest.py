@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DataError, ParameterError, check_count, check_probability
-from .estimation import FitOptions, NodeSpec, fit_two_step, pseudo_observations, require_finite
+from .estimation import FitOptions, NodeSpec, data_rows, fit_two_step, pseudo_observations
 from .hierarchical import HierarchicalModel, model_sample
 from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
 from .rngutil import STREAM_FORECAST, substream
@@ -265,9 +265,8 @@ def rolling_backtest(data, fit_spec: NodeSpec, level: float, window: int,
     Monte Carlo error is shared by the days of one refit period. Draws use
     ``eps_rule``; their rejection batches stop at ``levelset.MAX_ATTEMPTS``.
     """
-    data = np.asarray(data, dtype=float)
+    data = data_rows(data)
     t_total, n_vars = data.shape
-    require_finite(data)
     check_count("window", window, 10)
     if horizon is not None:
         check_count("horizon", horizon, 1)

@@ -182,22 +182,24 @@ def _build_tree(spec: NodeSpec, n_vars: int, copula_for, kendall_mode: str,
 
 def pseudo_observations(x) -> np.ndarray:
     """Column-wise rank transform rank/(N+1) with average ranks for ties."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise DataError("need a 2-d array with at least two rows")
-    require_finite(x)
+    x = data_rows(x)
     constant = np.all(x == x[0], axis=0)
     if constant.any():
         raise DataError(f"column {np.argmax(constant)} is constant; ranks are undefined")
     return stats.rankdata(x, method="average", axis=0) / (x.shape[0] + 1.0)
 
 
-def require_finite(x: np.ndarray) -> None:
-    """Raise a DataError naming the first NaN or infinite cell of the 2-d ``x``."""
+def data_rows(x) -> np.ndarray:
+    """``x`` as a float array if it is a finite 2-d array of at least two rows,
+    the data rule of a fit; else a ``DataError`` naming a non-finite cell."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise DataError(f"need a 2-d array with at least two rows, got shape {x.shape}")
     bad = ~np.isfinite(x)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataError(f"column {col} holds {x[row, col]} at row {row}; data must be finite")
+    return x
 
 
 def empirical_tau_matrix(u) -> np.ndarray:
@@ -429,9 +431,10 @@ def fit_two_step(spec: NodeSpec, u, options: FitOptions | None = None) -> FitRep
     fitted children, which the model's bottom-up pass fills into one memo;
     the final ``model_loglik`` pass over it adds only the root. The
     template's ``params`` are not read. ``FitReport.nodes`` is in post-order.
+    ``u`` must pass ``data_rows``.
     """
     options = options or FitOptions()
-    u = np.asarray(u, dtype=float)
+    u = data_rows(u)
     fits = []  # (template, ClusterFit) in post-order
     memo = {}
 
@@ -663,7 +666,7 @@ class StudyConfig:
                  "have one value per cluster family"),
                 ("replications", self.replications >= 1, "be positive"),
                 ("seed", self.seed >= 0, "be non-negative"),
-                ("sample_sizes", all(n >= 1 for n in self.sample_sizes), "be positive"),
+                ("sample_sizes", all(n >= 2 for n in self.sample_sizes), "be at least 2"),
                 ("kendall_mc", self.kendall_mc >= MIN_KENDALL_MC,
                  f"be at least {MIN_KENDALL_MC}"),
                 ("nesting_family", self.nesting_family in ("clayton", "gumbel", "frank"),

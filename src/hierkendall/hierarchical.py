@@ -5,7 +5,8 @@ copula each, inner nodes join the Kendall-transformed summaries
 V = K(C(...)) of their children, and the root carries the nesting copula.
 A one-variable node is an ordinary node whose copula is
 ``IndependenceCopula(1)`` and whose Kendall function is the identity. A leaf
-may sit at any depth: every pass works node by node.
+may sit at any depth: every pass works node by node, on a tree whose rules
+were checked when its ``HierarchicalModel`` was built.
 
 The joint density factorizes into the nesting density evaluated at the
 V-values times the product of all cluster densities. One bottom-up pass
@@ -102,8 +103,30 @@ Node = LeafNode | InnerNode
 
 @dataclass(frozen=True)
 class HierarchicalModel:
+    """A tree over variables 0..n_vars-1, checked when built: ``n_vars`` passes
+    ``check_count``, the tree the rules of ``structure_problems``, each copula
+    has its node's column or child count as dimension and each node below the
+    root a Kendall function of that dimension, else a ``ModelStructureError``."""
+
     root: InnerNode
     n_vars: int
+
+    def __post_init__(self):
+        check_count("n_vars", self.n_vars, 1)
+        problems = structure_problems(self.root, self.n_vars)
+        for path, node in _walk(self.root):
+            kind, dim = (("column", len(node.columns)) if isinstance(node, LeafNode)
+                         else ("child", len(node.children)))
+            if node.copula.dim != dim:
+                problems.append(f"{path}: copula dimension {node.copula.dim} != "
+                                f"{kind} count {dim}")
+            if node is not self.root and node.kendall is None:
+                problems.append(f"{path}: nested node lacks a Kendall function")
+            elif node is not self.root and node.kendall.dim != node.copula.dim:
+                problems.append(f"{path}: Kendall dimension {node.kendall.dim} != copula "
+                                f"dimension {node.copula.dim}")
+        if problems:
+            raise ModelStructureError(problems)
 
 
 @dataclass
@@ -169,10 +192,6 @@ def _walk(root):
             stack.append((f"{path}/{ch.name or i}", ch))
 
 
-def _node_dim(node: Node) -> int:
-    return len(node.columns) if isinstance(node, LeafNode) else len(node.children)
-
-
 def structure_problems(root, n_vars: int) -> list:
     """The shape rules of a tree, checked on a model's root node or on a
     template (``estimation.NodeSpec``): the root is an inner node, node
@@ -197,35 +216,6 @@ def structure_problems(root, n_vars: int) -> list:
     if missing:
         problems.append(f"root: variables {missing} not covered by any cluster")
     return problems
-
-
-def validate_model(model: HierarchicalModel) -> list:
-    """Check the structural invariants; returns a list of problems (empty =
-    ok). The shape rules of ``structure_problems``; each copula's dimension
-    is its node's column or child count; and every node below the root has
-    a Kendall function of its copula's dimension. A leaf may sit at any
-    depth."""
-    problems = structure_problems(model.root, model.n_vars)
-    for path, node in iter_nodes(model):
-        dim = _node_dim(node)
-        if node.copula.dim != dim:
-            problems.append(
-                f"{path}: copula dimension {node.copula.dim} != "
-                f"{'column' if isinstance(node, LeafNode) else 'child'} count {dim}")
-        if node is not model.root:
-            if node.kendall is None:
-                problems.append(f"{path}: nested node lacks a Kendall function")
-            elif node.kendall.dim != node.copula.dim:
-                problems.append(
-                    f"{path}: Kendall dimension {node.kendall.dim} != copula "
-                    f"dimension {node.copula.dim}")
-    return problems
-
-
-def validate(model: HierarchicalModel) -> None:
-    problems = validate_model(model)
-    if problems:
-        raise ModelStructureError(problems)
 
 
 def model_n_params(model: HierarchicalModel) -> int:
@@ -413,9 +403,14 @@ def cross_cluster_margin_pdf(model: HierarchicalModel, k: int, l: int,
     Averages the nesting-margin density over within-cluster companions
     drawn from the cluster-conditional laws. Returns (estimate, standard
     error); the error is zero when both clusters have size one. An ``mc``
-    below 1 or a ``u_k``/``u_l`` outside [0, 1] is a ``ParameterError``.
+    below 1, a ``k``/``l`` that is not a variable 0..n_vars-1, or a
+    ``u_k``/``u_l`` outside [0, 1] is a ``ParameterError`` naming it.
     """
     check_count("mc", mc, 1)
+    for name, var in (("k", k), ("l", l)):
+        check_count(name, var, 0)
+        if var >= model.n_vars:
+            raise ParameterError(f"{name} must be below n_vars = {model.n_vars}, got {var}", name)
     check_probability("u_k", u_k, closed=True)
     check_probability("u_l", u_l, closed=True)
     i_idx, leaf_i = _find_leaf_for(model, k)

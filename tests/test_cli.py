@@ -370,6 +370,17 @@ class TestInputRanges:
         assert code == 2 and "column 1" in err and "row 17" in err
         assert not (tmp / "r.json").exists()
 
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fit_needs_two_data_rows(self, fitted_world, capsys, rows, raw):
+        tmp, _, fit_cfg = fitted_world
+        write_csv(str(tmp / "short.csv"), ["A", "B", "C", "D"], np.full((rows, 4), 0.5))
+        code = main(["fit", "--data", str(tmp / "short.csv"), "--model", str(fit_cfg),
+                     "--out", str(tmp / "r.json")] + ["--raw"] * raw)
+        assert code == 2 and capsys.readouterr().err == (
+            f"error: need a 2-d array with at least two rows, got shape ({rows}, 4)\n")
+        assert not (tmp / "r.json").exists()
+
     @pytest.mark.parametrize("point", ["3,0.4,0.6,0.7", "0.3,nan,0.6,0.7", "0.3,0.4,-0.1,0.7"])
     def test_density_rejects_a_point_outside_the_unit_cube(self, fitted_world, capsys,
                                                            point):

@@ -402,6 +402,20 @@ def test_template_and_config_refusals_name_their_fault(make, cls, message):
         make()
 
 
+@pytest.mark.parametrize("u, message", [
+    (np.full((1, 4), 0.5), "need a 2-d array with at least two rows, got shape (1, 4)"),
+    (np.empty((0, 4)), "need a 2-d array with at least two rows, got shape (0, 4)"),
+    (np.full(4, 0.5), "need a 2-d array with at least two rows, got shape (4,)"),
+    (np.array([[0.2, 0.3, 0.4, 0.5], [0.6, np.inf, 0.7, 0.8]]),
+     "column 1 holds inf at row 1; data must be finite")],
+    ids=["one-row", "no-rows", "one-d", "infinite"])
+def test_two_step_fit_and_ranks_share_one_data_rule(u, message):
+    for fit in (lambda: fit_two_step(two_cluster_spec(False), u),
+                lambda: pseudo_observations(u)):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            fit()
+
+
 class TestNodeNamedErrors:
     """One template walk builds and fits every node, and names the node that fails."""
 
@@ -912,6 +926,7 @@ class TestStudy:
         ({"replications": 0}, "'replications'"),
         ({"kendall_mc": 10}, "'kendall_mc'"),
         ({"sample_sizes": [250, 0]}, "'sample_sizes'"),
+        ({"sample_sizes": [250, 1]}, "'sample_sizes' must be at least 2"),
         ({"cluster_taus": (0.4,)}, "'cluster_taus'"),
         ({"replications": 2.0}, "'replications'"),
         ({"seed": True}, "'seed'"),
@@ -935,7 +950,8 @@ class TestStudy:
         ({"nesting_taus": [0.0]}, "'nesting_taus': frank requires tau in"),
         ({"cluster_families": ["clayton", "gumbel", "frank"], "cluster_taus": [0.4] * 3,
           "nesting_taus": [-0.2]}, "'nesting_taus': negative-dependence frank"),
-    ], ids=["zero-replications", "small-kendall-mc", "zero-size", "short-taus",
+    ], ids=["zero-replications", "small-kendall-mc", "zero-size", "one-row-size",
+            "short-taus",
             "float-count", "bool-seed", "string-for-list", "number-for-name",
             "gaussian-nesting", "independence-nesting", "gaussian-cluster",
             "one-cluster", "no-cluster", "no-nesting-tau", "no-sample-size",

@@ -39,9 +39,8 @@ from hierkendall.hierarchical import (
     model_sample,
     nesting_pit,
     node_transform,
-    validate,
-    validate_model,
 )
+from hierkendall.kendall import closed_form_kendall
 from hierkendall.levelset import EpsilonRule
 
 CLAYTON2 = ArchimedeanGenerator("clayton", 2.0)
@@ -68,27 +67,84 @@ def independence_model():
         n_vars=4)
 
 
+FRANK3 = theta_from_tau("frank", 0.3)
+FRANK5 = theta_from_tau("frank", 0.5)
+
+
+def three_level_model(c1=None, c2=None, mid=None, c3=None, root=None, n_vars=6):
+    """The valid model nest -> (m -> (c1, c2), c3) over variables 0..5, with
+    any one node swapped: ``mid`` and ``root`` are functions of their children."""
+    c1 = c1 or leaf("c1", [0, 1], arch(CLAYTON2, 2))
+    c2 = c2 or leaf("c2", [2, 3], arch(GUMBEL2, 2))
+    mid = (mid or (lambda a, b: inner("m", [a, b], arch(FRANK5, 2), nested=True)))(c1, c2)
+    c3 = c3 or leaf("c3", [4, 5], arch(CLAYTON2, 2))
+    root = (root or (lambda a, b: inner("nest", [a, b], arch(FRANK3, 2))))(mid, c3)
+    return HierarchicalModel(root=root, n_vars=n_vars)
+
+
 class TestValidation:
-    def test_valid_model_passes(self):
-        assert validate_model(two_cluster_model()) == []
+    def test_valid_models_build(self):
+        for m in (two_cluster_model(), three_level_model()):
+            assert isinstance(m, HierarchicalModel)
+
+    @pytest.mark.parametrize("swap, problems", [
+        ({"n_vars": 7}, ["root: variables [6] not covered by any cluster"]),
+        ({"c2": leaf("c2", [1, 3], arch(GUMBEL2, 2))},
+         ["root/m/c2: variable 1 overlaps with cluster 'c1'",
+          "root: variables [2] not covered by any cluster"]),
+        ({"c3": leaf("c1", [4, 5], arch(CLAYTON2, 2))}, ["root/c1: duplicate node name 'c1'"]),
+        ({"root": lambda a, b: leaf("nest", range(6), arch(CLAYTON2, 6))},
+         ["root must be an inner node carrying the nesting copula"]),
+        ({"c1": leaf("c1", [0, 1], arch(CLAYTON2, 3))},
+         ["root/m/c1: copula dimension 3 != column count 2"]),
+        ({"mid": lambda a, b: inner("m", [a, b], arch(CLAYTON2, 3), nested=True)},
+         ["root/m: copula dimension 3 != child count 2"]),
+        ({"c2": leaf("c2", [2, 3], arch(GUMBEL2, 2), closed_form_kendall(GUMBEL2, 3))},
+         ["root/m/c2: Kendall dimension 3 != copula dimension 2"]),
+        ({"mid": lambda a, b: inner("m", [a, b], arch(FRANK5, 2))},
+         ["root/m: nested node lacks a Kendall function"])],
+        ids=["uncovered", "overlap", "duplicate-name", "leaf-root", "leaf-copula-dim",
+             "nested-copula-dim", "kendall-dim", "no-kendall"])
+    def test_one_fault_is_refused_when_built(self, swap, problems):
+        with pytest.raises(ModelStructureError) as err:
+            three_level_model(**swap)
+        assert err.value.problems == problems
+        assert str(err.value) == "; ".join(problems)
+
+    @pytest.mark.parametrize("n_vars", [6.0, True, "6", 0, None])
+    def test_n_vars_must_be_a_count(self, n_vars):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"n_vars must be an integer >= 1, got {n_vars!r}")) as err:
+            three_level_model(n_vars=n_vars)
+        assert err.value.argument == "n_vars"
+
+    def test_faults_are_listed_together(self):
+        with pytest.raises(ModelStructureError) as err:
+            three_level_model(c1=leaf("c1", [0, 1], arch(CLAYTON2, 3)),
+                              mid=lambda a, b: inner("m", [a, b], arch(FRANK5, 2)), n_vars=7)
+        assert err.value.problems == [
+            "root: variables [6] not covered by any cluster",
+            "root/m: nested node lacks a Kendall function",
+            "root/m/c1: copula dimension 3 != column count 2"]
 
     def test_overlap_names_variable(self):
-        m = HierarchicalModel(
-            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
-                                leaf("c2", [1, 2], arch(GUMBEL2, 2))],
-                       arch(theta_from_tau("frank", 0.4), 2)),
-            n_vars=4)
-        problems = validate_model(m)
-        assert any("variable 1 overlaps" in p for p in problems)
-        assert any("not covered" in p for p in problems)
+        with pytest.raises(ModelStructureError) as err:
+            HierarchicalModel(
+                root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
+                                    leaf("c2", [1, 2], arch(GUMBEL2, 2))],
+                           arch(theta_from_tau("frank", 0.4), 2)),
+                n_vars=4)
+        assert err.value.problems == ["root/c2: variable 1 overlaps with cluster 'c1'",
+                                      "root: variables [3] not covered by any cluster"]
 
     def test_dimension_mismatch(self):
-        m = HierarchicalModel(
-            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 3)),
-                                leaf("c2", [2, 3], arch(GUMBEL2, 2))],
-                       arch(theta_from_tau("frank", 0.4), 2)),
-            n_vars=4)
-        assert any("copula dimension 3" in p for p in validate_model(m))
+        with pytest.raises(ModelStructureError, match=re.escape(
+                "root/c1: copula dimension 3 != column count 2")):
+            HierarchicalModel(
+                root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 3)),
+                                    leaf("c2", [2, 3], arch(GUMBEL2, 2))],
+                           arch(theta_from_tau("frank", 0.4), 2)),
+                n_vars=4)
 
     def test_path_separator_in_name_accepted(self):
         # paths only label nodes in messages; the pass memo is keyed by node object
@@ -97,18 +153,17 @@ class TestValidation:
                                 leaf("c2", [2, 3], arch(GUMBEL2, 2))],
                        arch(theta_from_tau("frank", 0.4), 2)),
             n_vars=4)
-        assert validate_model(m) == []
         assert [path for path, _ in iter_nodes(m)] == ["root", "root/EUR/USD", "root/c2"]
 
     def test_kendall_dimension_checked(self):
-        from hierkendall.kendall import closed_form_kendall
         bad_k = closed_form_kendall(CLAYTON2, 3)
-        m = HierarchicalModel(
-            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2), kendall=bad_k),
-                                leaf("c2", [2, 3], arch(GUMBEL2, 2))],
-                       arch(theta_from_tau("frank", 0.4), 2)),
-            n_vars=4)
-        assert any("Kendall dimension 3" in p for p in validate_model(m))
+        with pytest.raises(ModelStructureError, match=re.escape(
+                "root/c1: Kendall dimension 3 != copula dimension 2")):
+            HierarchicalModel(
+                root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2), kendall=bad_k),
+                                    leaf("c2", [2, 3], arch(GUMBEL2, 2))],
+                           arch(theta_from_tau("frank", 0.4), 2)),
+                n_vars=4)
 
     def test_leaf_beside_a_nested_pair_is_its_padded_twin(self):
         """A cluster directly under the root behaves bit for bit as the same
@@ -122,7 +177,6 @@ class TestValidation:
         specs = [NodeSpec("nest", "frank", children=(pair, tree), params={"tau": 0.2})
                  for tree in (c3, NodeSpec("p", "independence", children=(c3,)))]
         models = [build_model(spec, n_vars=6) for spec in specs]
-        assert validate_model(models[0]) == []
         for method in ("exact", "auto"):
             a, b = (model_sample(m, 400, np.random.default_rng(5), method) for m in models)
             np.testing.assert_array_equal(a, b)
@@ -151,32 +205,32 @@ class TestValidation:
             root=inner("nest", [mid1, mid2, mid3],
                        arch(theta_from_tau("frank", 0.3), 3)),
             n_vars=6)
-        assert validate_model(m) == []
+        assert [node.name for _, node in iter_nodes(m)] == ["nest", "m1", "a", "m2", "b",
+                                                             "m3", "c"]
         m = HierarchicalModel(
             root=inner("nest", [inner("m1", [lf, lf2], arch(GUMBEL2, 2), nested=True)],
                        IndependenceCopula(1)),
             n_vars=4)
-        assert validate_model(m) == []
+        assert m.root.children[0].kendall.dim == 2
 
     @pytest.mark.parametrize("make, cls, message", [
-        (lambda: validate(HierarchicalModel(root=leaf("c1", [0, 1], arch(CLAYTON2, 2)),
-                                            n_vars=2)),
+        (lambda: HierarchicalModel(root=leaf("c1", [0, 1], arch(CLAYTON2, 2)), n_vars=2),
          ModelStructureError, "root must be an inner node carrying the nesting copula"),
-        (lambda: validate(HierarchicalModel(
+        (lambda: HierarchicalModel(
             root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
                                 leaf("c1", [2, 3], arch(GUMBEL2, 2))], arch(CLAYTON2, 2)),
-            n_vars=4)),
+            n_vars=4),
          ModelStructureError, "root/c1: duplicate node name 'c1'"),
-        (lambda: validate(HierarchicalModel(
+        (lambda: HierarchicalModel(
             root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
                                 leaf("c2", [2, 9], arch(GUMBEL2, 2))], arch(CLAYTON2, 2)),
-            n_vars=4)),
+            n_vars=4),
          ModelStructureError, "root/c2: variable 9 outside 0..3"),
-        (lambda: validate(HierarchicalModel(
+        (lambda: HierarchicalModel(
             root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
                                 inner("m", [leaf("c2", [2, 3], arch(GUMBEL2, 2))],
                                       IndependenceCopula(1))], arch(CLAYTON2, 2)),
-            n_vars=4)),
+            n_vars=4),
          ModelStructureError, "root/m: nested node lacks a Kendall function"),
         (lambda: model_logdensity(two_cluster_model(), np.full((3, 5), 0.5)),
          DimensionError, "expected points of dimension 4, got shape (3, 5)"),
@@ -187,15 +241,6 @@ class TestValidation:
     def test_refusal_names_its_fault(self, make, cls, message):
         with pytest.raises(cls, match=re.escape(message)):
             make()
-
-    def test_validate_raises(self):
-        m = HierarchicalModel(
-            root=inner("nest", [leaf("c1", [0, 1], arch(CLAYTON2, 2)),
-                                leaf("c2", [1, 2], arch(GUMBEL2, 2))],
-                       arch(theta_from_tau("frank", 0.4), 2)),
-            n_vars=4)
-        with pytest.raises(ModelStructureError):
-            validate(m)
 
 
 class TestNestingPit:
@@ -262,7 +307,6 @@ class TestNestingPit:
                       IndependenceCopula(1), nested=True)],
                 arch(CLAYTON2, 2)),
             n_vars=5)
-        assert validate_model(m) == []
         u = np.random.default_rng(3).random((50, 5))
         memo = {}
         model_logdensity(m, u, memo)
@@ -480,7 +524,6 @@ class TestSampling:
         m = HierarchicalModel(
             root=inner("nest", [lvl2a, lvl2b], arch(GUMBEL2, 2)),
             n_vars=6)
-        assert validate_model(m) == []
         u = model_sample(m, 5000, np.random.default_rng(13), method="exact")
         assert u.shape == (5000, 6)
         v = nesting_pit(m, u)
@@ -554,6 +597,18 @@ class TestCrossClusterMargin:
     def test_bad_argument_is_named(self, u_k, u_l, mc, named):
         with pytest.raises(ParameterError, match=f"^{named} must") as info:
             cross_cluster_margin_pdf(two_cluster_model(), 0, 2, u_k, u_l, mc,
+                                     np.random.default_rng(22))
+        assert info.value.argument == named
+
+    @pytest.mark.parametrize("k, l, named, message", [
+        (9, 2, "k", "k must be below n_vars = 4, got 9"),
+        (0, 4, "l", "l must be below n_vars = 4, got 4"),
+        (-1, 2, "k", "k must be an integer >= 0, got -1"),
+        (0, 2.5, "l", "l must be an integer >= 0, got 2.5"),
+        (True, 2, "k", "k must be an integer >= 0, got True")])
+    def test_variable_outside_the_model_is_named(self, k, l, named, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            cross_cluster_margin_pdf(two_cluster_model(), k, l, 0.4, 0.6, 100,
                                      np.random.default_rng(22))
         assert info.value.argument == named
 
