@@ -52,7 +52,7 @@ from .hierarchical import model_density, model_sample
 from .kendall import closed_form_kendall, kendall_cdf
 from .modelconfig import (
     _atomic_write,
-    config_to_spec,
+    csv_text,
     load_model_document,
     read_csv,
     read_json,
@@ -123,23 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(path, header=None):
-    """(config, header, spec) from the model document at ``path``, a config
-    or a fit report. Without a data ``header`` the report's columns, or
-    else the config's own column order, are used."""
-    config, columns = load_model_document(path)
-    if header is None:
-        header = columns if columns else list(config.column_names)
-    return config, header, config_to_spec(config, header)
-
-
 def _load_for_simulation(path):
-    """(config, header, model) of the document at ``path``, the model built
-    from the document's own settings and seed."""
-    config, header, spec = _load_spec(path)
-    return config, header, build_model(spec, n_vars=len(header),
-                                       kendall_mc=config.kendall_mc_size,
-                                       seed=config.seed)
+    """(config, model) of the document at ``path``, a config or a fit report,
+    the model built from the document's own settings and seed."""
+    config = load_model_document(path)
+    return config, build_model(config.spec, n_vars=len(config.header),
+                               kendall_mc=config.kendall_mc_size, seed=config.seed)
 
 
 def _require_unit_interval(names, rows, what, hint=""):
@@ -152,7 +141,7 @@ def _require_unit_interval(names, rows, what, hint=""):
 
 def cmd_fit(args) -> int:
     header, data = read_csv(args.data)
-    config, _, spec = _load_spec(args.model, header)
+    config = load_model_document(args.model, header)
     if args.raw:
         u = pseudo_observations(data)
     else:
@@ -160,10 +149,10 @@ def cmd_fit(args) -> int:
                                "; pass --raw to rank-transform raw data")
         u = clamp_interior(data)
     options = FitOptions(kendall_mc=config.kendall_mc_size, seed=config.seed)
-    report = fit_two_step(spec, u, options)
+    report = fit_two_step(config.spec, u, options)
     if args.method == "mle":
         report = fit_joint_mle(report, u)
-    doc = report_document(report, args.method, header, config)
+    doc = report_document(report, args.method, config)
     write_json(args.out, doc)
     print(f"fit: {len(report.nodes)} nodes, loglik(two-step)="
           f"{report.loglik_two_step:.4f}"
@@ -178,28 +167,28 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, header, model = _load_for_simulation(args.model)
+    config, model = _load_for_simulation(args.model)
     rng = substream(config.seed if args.seed is None else args.seed, STREAM_SIMULATE)
     u = model_sample(model, args.n, rng, method=args.method, eps_rule=config.epsilon_rule)
-    write_csv(args.out, header, u)
-    print(f"simulate: wrote {args.n} x {len(header)} -> {args.out}")
+    write_csv(args.out, config.header, u)
+    print(f"simulate: wrote {args.n} x {model.n_vars} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    _, header, model = _load_for_simulation(args.model)
+    config, model = _load_for_simulation(args.model)
     coords = args.point.split(",")
-    if len(coords) != len(header):
+    if len(coords) != model.n_vars:
         raise ParameterError(
-            f"point has {len(coords)} coordinates, model expects {len(header)}", "point")
+            f"point has {len(coords)} coordinates, model expects {model.n_vars}", "point")
     point = np.empty(len(coords))
-    for i, (x, name) in enumerate(zip(coords, header)):
+    for i, (x, name) in enumerate(zip(coords, config.header)):
         try:
             point[i] = float(x)
         except ValueError:
             raise ParameterError(f"coordinate {i + 1} ({name!r}) is not a number: "
                                  f"{x!r}", "point") from None
-    _require_unit_interval(header, point[None, :], "coordinate")
+    _require_unit_interval(config.header, point[None, :], "coordinate")
     print(repr(model_density(model, point)))
     return EXIT_OK
 
@@ -214,22 +203,20 @@ def cmd_kendall(args) -> int:
         gen = ArchimedeanGenerator(args.family, args.theta)
     kf = closed_form_kendall(gen, args.dim)
     t = np.arange(1, args.grid + 1) / (args.grid + 1.0)
-    k = kendall_cdf(kf, t)
+    grid = np.column_stack([t, kendall_cdf(kf, t)])
     if args.out:
-        write_csv(args.out, ["t", "K"], np.column_stack([t, k]))
+        write_csv(args.out, ["t", "K"], grid)
         print(f"kendall: wrote {args.grid} grid points -> {args.out}")
     else:
-        print("t,K")
-        for ti, ki in zip(t, k):
-            print(f"{float(ti)!r},{float(ki)!r}")
+        print(csv_text(["t", "K"], grid), end="")
     return EXIT_OK
 
 
 def cmd_backtest(args) -> int:
     header, data = read_csv(args.data)
-    config, _, spec = _load_spec(args.model, header)
+    config = load_model_document(args.model, header)
     report = rolling_backtest(
-        data, spec, level=args.level, window=args.window, horizon=args.horizon,
+        data, config.spec, level=args.level, window=args.window, horizon=args.horizon,
         refit_every=args.refit_every, mc=args.mc, margin_kind=args.margins,
         seed=config.seed if args.seed is None else args.seed, eps_rule=config.epsilon_rule,
         fit_options=FitOptions(kendall_mc=config.kendall_mc_size, seed=config.seed))

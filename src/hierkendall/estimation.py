@@ -93,7 +93,7 @@ class NodeSpec:
             raise ConfigError(
                 f"node {self.name!r}: exactly one of columns/children required")
         if self.columns is not None:
-            object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
+            object.__setattr__(self, "columns", tuple(self.columns))
         else:
             object.__setattr__(self, "children", tuple(self.children))
         if not self.dim:

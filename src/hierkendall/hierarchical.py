@@ -51,7 +51,7 @@ from .copulas import (
     is_archimedean_kind,
 )
 from .errors import (ModelStructureError, ParameterError, SameClusterError, check_count,
-                     check_probability)
+                     check_probability, is_count)
 from .kendall import (
     KendallFunction,
     archimedean_node_step,
@@ -84,7 +84,7 @@ class LeafNode:
     kendall: KendallFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
+        object.__setattr__(self, "columns", tuple(self.columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +195,9 @@ def _walk(root):
 def structure_problems(root, n_vars: int) -> list:
     """The shape rules of a tree, checked on a model's root node or on a
     template (``estimation.NodeSpec``): the root is an inner node, node
-    names are unique, and the clusters partition the variables
-    0..n_vars-1. Returns a list of problems (empty = ok)."""
+    names are unique, every column is an integer (``errors.is_count``), and
+    the clusters partition the variables 0..n_vars-1. Returns a list of
+    problems (empty = ok)."""
     if getattr(root, "columns", None) is not None:
         return ["root must be an inner node carrying the nesting copula"]
     problems = []
@@ -207,6 +208,9 @@ def structure_problems(root, n_vars: int) -> list:
             problems.append(f"{path}: duplicate node name {node.name!r}")
         seen_names.add(node.name)
         for c in getattr(node, "columns", None) or ():
+            if not is_count(c):
+                problems.append(f"{path}: column {c!r} is not a variable index")
+                continue
             if c in covered:
                 problems.append(f"{path}: variable {c} overlaps with cluster {covered[c]!r}")
             elif not 0 <= c < n_vars:

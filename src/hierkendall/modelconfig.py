@@ -1,8 +1,8 @@
-"""Model configuration files, fit reports, and the CSV dialect.
+"""Model documents, fit reports, and the CSV dialect.
 
-Config files are JSON with a flat node list; nodes reference data columns
-by name or other nodes by name, and exactly one node (the root) is never
-referenced as a child:
+A model document (a config) is JSON with a flat node list; nodes reference
+data columns by name or other nodes by name, and exactly one node (the
+root) is never referenced as a child:
 
     {
       "nodes": [
@@ -18,15 +18,18 @@ referenced as a child:
       "seed": 1234
     }
 
-The settings ``kendall_mc_size``, ``epsilon_rule`` and ``seed`` are read
-from the document only: no command-line flag overrides them in a model
-built from it. Fit reports
-are JSON documents tagged ``hierkendall-report/1`` whose ``model`` member
-is itself a valid config carrying the fit's settings, so a report fed
-back to ``simulate``/``density``/``backtest`` builds the fitted model,
-Monte Carlo Kendall functions included. The CSV dialect is rigid for
-byte-level reproducibility: comma separators, one header row, plain
-decimal floats, no quoting, no missing values.
+``parse_model_config`` reads a document once, against a data header, into
+a ``ModelConfig``: the ``NodeSpec`` template, whose leaves hold header
+positions, and the settings ``kendall_mc_size``, ``epsilon_rule`` and
+``seed``. The settings are read from the document only: no command-line
+flag overrides them in a model built from it. Fit reports are JSON
+documents tagged ``hierkendall-report/1`` whose ``columns`` is the fit's
+data header and whose ``model`` member is itself a valid config carrying
+the fit's settings, so a report fed back to
+``simulate``/``density``/``backtest`` builds the fitted model, Monte Carlo
+Kendall functions included. The CSV dialect is rigid for byte-level
+reproducibility: comma separators, one header row, plain decimal floats,
+no quoting, no missing values.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParameterError, is_count
 from .estimation import FitReport, NodeSpec
-from .hierarchical import DEFAULT_KENDALL_MC
+from .hierarchical import DEFAULT_KENDALL_MC, LeafNode, iter_nodes
 from .kendall import MIN_KENDALL_MC
 from .levelset import DEFAULT_EPSILON_RULE, EpsilonRule
 
@@ -50,11 +53,11 @@ REPORT_FORMAT = "hierkendall-report/1"
 
 @dataclass
 class ModelConfig:
-    """Parsed configuration: node templates plus global settings."""
+    """A model document read against a data header: the template ``spec``,
+    whose leaves hold positions in ``header``, and the document's settings."""
 
-    nodes: list          # raw node dicts, root last
-    root_name: str
-    column_names: list   # referenced data columns in first-appearance order
+    spec: NodeSpec
+    header: list
     kendall_mc_size: int
     epsilon_rule: EpsilonRule
     seed: int
@@ -94,29 +97,33 @@ def _number(value) -> bool:
 
 def _whole(value, lo: int) -> bool:
     """True for a JSON integer >= ``lo``."""
-    return _number(value) and isinstance(value, int) and value >= lo
+    return is_count(value) and value >= lo
 
 
-def parse_model_config(doc: dict) -> ModelConfig:
-    """Validate a config document (or the model member of a report). A value
-    of the wrong JSON type raises ``ConfigError`` naming its node or key."""
-    if isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT:
-        if "model" not in doc:
-            raise ConfigError("report has no 'model' member")
-        doc = doc["model"]
-    if not isinstance(doc, dict) or "nodes" not in doc:
+def parse_model_config(doc: dict, header: list | None = None) -> ModelConfig:
+    """Validate a config document (or a fit report) and read it against the
+    data ``header``: by default a report's ``columns``, else the document's
+    columns in first-appearance order. A value of the wrong JSON type, a
+    column the header lacks, a header column in no cluster and, checked
+    last, a node that the walk building the template from the root does not
+    reach each raise ``ConfigError`` naming it."""
+    report = isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT
+    if report and "model" not in doc:
+        raise ConfigError("report has no 'model' member")
+    model = doc["model"] if report else doc
+    if not isinstance(model, dict) or "nodes" not in model:
         raise ConfigError("config must be an object with a 'nodes' list")
-    nodes = doc["nodes"]
+    nodes = model["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise ConfigError("'nodes' must be a nonempty list")
-    names = []
+    by_name = {}
     for i, node in enumerate(nodes):
         if not isinstance(node, dict) or not isinstance(node.get("name"), str):
             raise ConfigError(f"node #{i}: every node needs a string 'name'")
         name = node["name"]
-        if name in names:
+        if name in by_name:
             raise ConfigError(f"duplicate node name {name!r}")
-        names.append(name)
+        by_name[name] = node
         if ("columns" in node) == ("children" in node):
             raise ConfigError(f"node {name!r}: exactly one of 'columns'/'children' required")
         key = "columns" if "columns" in node else "children"
@@ -136,7 +143,6 @@ def parse_model_config(doc: dict) -> ModelConfig:
             raise ConfigError(f"node {name!r}: 'corr' must be a square list of rows of "
                               f"numbers, got {corr!r}")
     referenced = set()
-    by_name = {n["name"]: n for n in nodes}
     for node in nodes:
         for ch in node.get("children", []):
             if ch not in by_name:
@@ -145,20 +151,9 @@ def parse_model_config(doc: dict) -> ModelConfig:
             if ch in referenced:
                 raise ConfigError(f"node {ch!r} referenced by two parents")
             referenced.add(ch)
-    roots = [n["name"] for n in nodes if n["name"] not in referenced]
+    roots = [name for name in by_name if name not in referenced]
     if len(roots) != 1:
         raise ConfigError(f"config must have exactly one root node, found {roots}")
-    root = roots[0]
-    # no node has two parents and the root has none, so no cycle is
-    # reachable from the root and this walk ends
-    stack, seen = [root], set()
-    while stack:
-        cur = stack.pop()
-        seen.add(cur)
-        stack.extend(by_name[cur].get("children", []))
-    unreachable = set(names) - seen
-    if unreachable:
-        raise ConfigError(f"nodes {sorted(unreachable)} not reachable from the root")
     columns = []
     for node in nodes:
         for col in node.get("columns", []):
@@ -166,23 +161,52 @@ def parse_model_config(doc: dict) -> ModelConfig:
                 raise ConfigError(
                     f"node {node['name']!r}: column {col!r} appears in more than one cluster")
             columns.append(col)
-    eps_doc = doc.get("epsilon_rule", {})
-    if not isinstance(eps_doc, dict):
-        raise ConfigError(f"'epsilon_rule' must be an object with 'mode' and 'value', "
-                          f"got {eps_doc!r}")
+    eps_doc = model.get("epsilon_rule", {})
+    if not (isinstance(eps_doc, dict) and isinstance(eps_doc.get("mode", ""), str)
+            and _number(eps_doc.get("value", 0.0))):
+        raise ConfigError(f"'epsilon_rule' must be an object with a string 'mode' and a "
+                          f"number 'value', got {eps_doc!r}")
     try:
-        eps = EpsilonRule(str(eps_doc.get("mode", DEFAULT_EPSILON_RULE.mode)),
+        eps = EpsilonRule(eps_doc.get("mode", DEFAULT_EPSILON_RULE.mode),
                           float(eps_doc.get("value", DEFAULT_EPSILON_RULE.value)))
-    except Exception as exc:
+    except (ParameterError, OverflowError) as exc:  # an integer beyond float range
         raise ConfigError(f"bad epsilon_rule: {exc}") from exc
-    mc, seed = doc.get("kendall_mc_size", DEFAULT_KENDALL_MC), doc.get("seed", 0)
+    mc, seed = model.get("kendall_mc_size", DEFAULT_KENDALL_MC), model.get("seed", 0)
     if not _whole(mc, MIN_KENDALL_MC):
         raise ConfigError(f"'kendall_mc_size' must be an integer >= {MIN_KENDALL_MC}, "
                           f"got {mc!r}")
     if not _whole(seed, 0):
         raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
-    return ModelConfig(nodes=nodes, root_name=root, column_names=columns,
-                       kendall_mc_size=mc, epsilon_rule=eps, seed=seed)
+    if report and not _names(doc.get("columns")):
+        raise ConfigError(f"report 'columns' must be a nonempty list of names, "
+                          f"got {doc.get('columns')!r}")
+    header = list((doc["columns"] if report else columns) if header is None else header)
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns if c not in index]
+    if missing:
+        raise ConfigError(f"columns {missing} not present in the data header")
+    uncovered = [c for c in header if c not in set(columns)]
+    if uncovered:
+        raise ConfigError(f"data columns {uncovered} not assigned to any cluster")
+    reached = set()
+
+    def build(name: str) -> NodeSpec:
+        # no node has two parents and the root has none, so no cycle is
+        # reachable from the root and this walk ends
+        reached.add(name)
+        node = by_name[name]
+        if "columns" in node:
+            links = {"columns": tuple(index[c] for c in node["columns"])}
+        else:
+            links = {"children": tuple(build(ch) for ch in node["children"])}
+        return NodeSpec(name=name, family=node["family"], params=_node_params(node), **links)
+
+    spec = build(roots[0])
+    unreachable = set(by_name) - reached
+    if unreachable:
+        raise ConfigError(f"nodes {sorted(unreachable)} not reachable from the root")
+    return ModelConfig(spec=spec, header=header, kendall_mc_size=mc, epsilon_rule=eps,
+                       seed=seed)
 
 
 def _node_params(node: dict) -> dict | None:
@@ -195,51 +219,23 @@ def _node_params(node: dict) -> dict | None:
     return params or None
 
 
-def config_to_spec(config: ModelConfig, header: list) -> NodeSpec:
-    """Resolve column names to indices and build the NodeSpec tree.
-
-    Columns map to ``header`` positions, and every header column must
-    belong to some cluster.
-    """
-    index = {name: i for i, name in enumerate(header)}
-    missing = [c for c in config.column_names if c not in index]
-    if missing:
-        raise ConfigError(f"columns {missing} not present in the data header")
-    uncovered = [c for c in header if c not in set(config.column_names)]
-    if uncovered:
-        raise ConfigError(f"data columns {uncovered} not assigned to any cluster")
-    by_name = {n["name"]: n for n in config.nodes}
-
-    def rec(name: str) -> NodeSpec:
-        node = by_name[name]
-        if "columns" in node:
-            return NodeSpec(name=name, family=node["family"],
-                            columns=tuple(index[c] for c in node["columns"]),
-                            params=_node_params(node))
-        return NodeSpec(name=name, family=node["family"],
-                        children=tuple(rec(ch) for ch in node["children"]),
-                        params=_node_params(node))
-
-    return rec(config.root_name)
-
-
 # ---------------------------------------------------------------------------
 # fit reports
 # ---------------------------------------------------------------------------
 
-def report_document(report: FitReport, method: str, columns: list,
-                    config: ModelConfig) -> dict:
-    """Serializable fit-report document; its 'model' member is a config."""
+def report_document(report: FitReport, method: str, config: ModelConfig) -> dict:
+    """Serializable fit-report document; its 'model' member is a config with
+    the fitted model's topology, columns named after ``config.header``."""
+    fitted = {node.name: node for _, node in iter_nodes(report.model)}
     model_nodes = []
     for nf in report.nodes:
-        src = next(n for n in config.nodes if n["name"] == nf.name)
+        node = fitted[nf.name]
         entry = {"name": nf.name, "family": nf.family}
-        if "columns" in src:
-            entry["columns"] = list(src["columns"])
+        if isinstance(node, LeafNode):
+            entry["columns"] = [config.header[c] for c in node.columns]
         else:
-            entry["children"] = list(src["children"])
-        for key, val in nf.params.items():
-            entry[key] = val
+            entry["children"] = [ch.name for ch in node.children]
+        entry.update(nf.params)
         entry["fit_method"] = nf.method
         entry["kendall"] = nf.kendall
         model_nodes.append(entry)
@@ -264,7 +260,7 @@ def report_document(report: FitReport, method: str, columns: list,
             "node_evals": {nf.name: nf.n_evals for nf in report.nodes},
             "node_converged": {nf.name: nf.converged for nf in report.nodes},
         },
-        "columns": list(columns),
+        "columns": list(config.header),
         "model": {
             "nodes": model_nodes,
             "kendall_mc_size": config.kendall_mc_size,
@@ -303,16 +299,9 @@ def read_json(path: str, what: str):
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def load_model_document(path: str) -> tuple:
-    """Load a config or report file; returns (ModelConfig, columns or None)."""
-    doc = read_json(path, "model")
-    config = parse_model_config(doc)
-    if doc.get("format") != REPORT_FORMAT:
-        return config, None
-    if not _names(doc.get("columns")):
-        raise ConfigError(f"report 'columns' must be a nonempty list of names, "
-                          f"got {doc.get('columns')!r}")
-    return config, doc["columns"]
+def load_model_document(path: str, header: list | None = None) -> ModelConfig:
+    """``parse_model_config`` of the config or report file at ``path``."""
+    return parse_model_config(read_json(path, "model"), header)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +348,16 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def write_csv(path: str, header: list, matrix) -> None:
-    """Atomic CSV writer with shortest-round-trip float formatting."""
+def csv_text(header: list, matrix) -> str:
+    """The dialect's text of ``matrix`` under ``header``: shortest round-trip floats."""
     lines = [",".join(header)]
     # one row at a time: the whole matrix as Python floats would hold 4.5 MB
     # more at 10k x 30 than the text itself
     lines.extend(",".join(map(repr, row.tolist()))
                  for row in np.asarray(matrix, dtype=float))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, header: list, matrix) -> None:
+    """Atomic CSV writer of ``csv_text``."""
+    _atomic_write(path, csv_text(header, matrix))

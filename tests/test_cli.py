@@ -22,8 +22,8 @@ from hierkendall.cli import main
 from hierkendall.copulas import clamp_interior
 from hierkendall.errors import DataError, EvaluationError
 from hierkendall.hierarchical import iter_nodes, model_loglik, model_sample
-from hierkendall.modelconfig import (config_to_spec, load_model_document, read_csv,
-                                     report_document, write_csv, write_json)
+from hierkendall.modelconfig import (load_model_document, read_csv, report_document,
+                                     write_csv, write_json)
 from hierkendall.rngutil import substream
 
 
@@ -338,6 +338,47 @@ class TestReportRebuild:
                      "--out", str(tmp_path / "resim.csv")]) == 0
         resim_own = (tmp_path / f"resim-{own_seed}.csv").read_bytes()
         assert (tmp_path / "resim.csv").read_bytes() == resim_own
+
+
+class TestDocumentOrder:
+    """A document whose node order and in-node column order differ from the
+    data header: the report carries the document's topology, columns named."""
+
+    NODES = [("nest", "frank", ["m", "g"], {"tau": 0.2}),
+             ("c2", "gumbel", "FC", {"tau": 0.5}),
+             ("m", "clayton", ["c2", "c1"], {"tau": 0.3}),
+             ("c1", "clayton", "GAE", {"tau": 0.5}),
+             ("g", "gaussian", "DB", {"corr": [[1.0, 0.5], [0.5, 1.0]]})]
+
+    def test_report_round_trip(self, tmp_path, capsys):
+        settings = {"kendall_mc_size": 1000, "seed": 5}
+        true, fit = tmp_path / "true.json", tmp_path / "fit.json"
+        true.write_text(json.dumps(_tree(*self.NODES, **settings)))
+        fit_doc = _tree(*[(n, f, m, {}) for n, f, m, _ in self.NODES], **settings)
+        fit.write_text(json.dumps(fit_doc))
+        sim, data = tmp_path / "sim.csv", tmp_path / "data.csv"
+        assert main(["simulate", "--model", str(true), "--n", "300", "--out", str(sim)]) == 0
+        header, u = read_csv(str(sim))
+        assert header == list("FCGAEDB")  # first-appearance order
+        write_csv(str(data), sorted(header), u[:, np.argsort(header)])
+        report = tmp_path / "report.json"
+        assert main(["fit", "--data", str(data), "--model", str(fit),
+                     "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["columns"] == list("ABCDEFG")
+        links = {n["name"]: {k: n[k] for k in ("columns", "children") if k in n}
+                 for n in doc["model"]["nodes"]}
+        assert links == {n["name"]: {k: n[k] for k in ("columns", "children") if k in n}
+                         for n in fit_doc["nodes"]}
+        for model, columns in ((report, "ABCDEFG"), (true, "FCGAEDB")):
+            out = tmp_path / "resim.csv"
+            assert main(["simulate", "--model", str(model), "--n", "20", "--out",
+                         str(out)]) == 0
+            assert read_csv(str(out))[0] == list(columns)
+            capsys.readouterr()
+            assert main(["density", "--model", str(model), "--point",
+                         "0.3,0.4,0.5,0.6,0.7,0.2,0.8"]) == 0
+            assert math.isfinite(float(capsys.readouterr().out))
 
 
 class TestInputRanges:
@@ -701,6 +742,9 @@ class TestModelConfigRefusals:
                                         "corr": [[1.0, 0.5], [0.5, 1.0]]}),
          "'kendall_mc_size'"),
         (_edited(epsilon_rule="rel"), "'epsilon_rule'"),
+        (_edited(epsilon_rule={"mode": "abs", "value": "0.01"}), "'epsilon_rule'"),
+        (_edited(epsilon_rule={"mode": "abs", "value": True}), "'epsilon_rule'"),
+        (_edited(epsilon_rule={"mode": ["rel"]}), "'epsilon_rule'"),
         (_edited(seed=1.5), "'seed'"),
         (_edited(seed=True), "'seed'"),
         (_edited(seed=-1), "'seed'"),
@@ -735,7 +779,8 @@ class TestModelConfigRefusals:
         ({"format": "hierkendall-report/1", "columns": ["A", 5], "model": _CONFIG},
          "'columns'"),
     ], ids=["columns-number", "name-list", "child-list", "children-string", "tau-string",
-            "corr-string", "mc-null", "mc-below-floor", "epsilon-string", "seed-fraction", "seed-bool",
+            "corr-string", "mc-null", "mc-below-floor", "epsilon-string", "epsilon-value-string",
+            "epsilon-value-bool", "epsilon-mode-list", "seed-fraction", "seed-bool",
             "seed-negative", "top-level-list", "duplicate-name", "two-parents",
             "unknown-child", "two-roots", "unreachable", "duplicate-column",
             "missing-family", "columns-and-children", "neither", "corr-ragged",
@@ -812,6 +857,13 @@ class TestKendallCommand:
         # Clayton at d = 2: K(t) = t + t (1 - t^theta) / theta
         np.testing.assert_allclose(k, t + t * (1.0 - t ** 2) / 2.0, rtol=1e-12)
 
+    def test_stdout_is_the_bytes_of_the_out_file(self, tmp_path, capsys):
+        args = ["kendall", "--family", "gumbel", "--theta", "1.7", "--dim", "4", "--grid", "7"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out.encode()
+        assert main([*args, "--out", str(tmp_path / "k.csv")]) == 0
+        assert printed == (tmp_path / "k.csv").read_bytes()
+
     def test_negative_dependence_frank_above_d2_is_refused(self, capsys):
         code = main(["kendall", "--family", "frank", "--theta", "-2", "--dim", "3",
                      "--grid", "3"])
@@ -869,9 +921,9 @@ class TestBacktestCommand:
         assert main(["backtest", "--data", str(tmp_path / "raw.csv"), "--model", str(cfg),
                      "--level", "0.9", "--window", "40", "--horizon", "3", "--mc", "300",
                      "--seed", "3", "--out", str(out)]) in (0, 3)
-        parsed, _ = load_model_document(str(cfg))
+        parsed = load_model_document(str(cfg), header)
         want = rolling_backtest(
-            data, config_to_spec(parsed, header), level=0.9, window=40, horizon=3, mc=300,
+            data, parsed.spec, level=0.9, window=40, horizon=3, mc=300,
             seed=3, eps_rule=parsed.epsilon_rule,
             fit_options=estimation.FitOptions(kendall_mc=1000, seed=7))
         assert json.loads(out.read_text())["var_series"] == want.var_series.tolist()

@@ -45,7 +45,6 @@ import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, kendall_for_copula, model_loglik, model_sample
 from hierkendall.modelconfig import (
-    config_to_spec,
     parse_model_config,
     read_csv,
     report_document,
@@ -391,12 +390,20 @@ _CONFIG = {"nodes": [
      ConfigError, "'nodes' must be a nonempty list"),
     (lambda: parse_model_config({**_CONFIG, "epsilon_rule": {"mode": "both"}}),
      ConfigError, "bad epsilon_rule: epsilon mode must be 'abs' or 'rel', got 'both'"),
-    (lambda: config_to_spec(parse_model_config(_CONFIG), _HEADER + ["E"]),
+    (lambda: parse_model_config({**_CONFIG, "epsilon_rule": {"mode": "abs", "value": 10**400}}),
+     ConfigError, "bad epsilon_rule: int too large to convert to float"),
+    (lambda: parse_model_config(_CONFIG, _HEADER + ["E"]),
      ConfigError, "data columns ['E'] not assigned to any cluster"),
+    # the walk from the root that builds the template finds unreachable nodes last
+    (lambda: parse_model_config({"nodes": _CONFIG["nodes"] + [
+        {"name": "a", "family": "clayton", "children": ["b"]},
+        {"name": "b", "family": "clayton", "children": ["a"]}]}, _HEADER[:3]),
+     ConfigError, "columns ['D'] not present in the data header"),
     (lambda: read_csv("no/such/data.csv"),
      DataError, "data file not found: no/such/data.csv")],
     ids=["family", "columns-or-children", "theta-or-tau", "corr", "nu", "one-row",
-         "empty-nodes", "epsilon-rule", "uncovered-column", "missing-data-file"])
+         "empty-nodes", "epsilon-rule", "epsilon-beyond-float", "uncovered-column",
+         "header-before-unreachable", "missing-data-file"])
 def test_template_and_config_refusals_name_their_fault(make, cls, message):
     with pytest.raises(cls, match=re.escape(message)):
         make()
@@ -503,6 +510,19 @@ class TestTemplateCheckedFirst:
             build_model(spec, 5, kendall_mc=20_000)
         assert calls == []
 
+    @pytest.mark.parametrize("run", [lambda spec, u: build_model(spec, 4),
+                                     lambda spec, u: fit_two_step(spec, u)],
+                             ids=["build_model", "fit_two_step"])
+    def test_a_fractional_column_is_refused_not_truncated(self, calls, run):
+        spec = NodeSpec("nest", "frank", params={"tau": 0.3}, children=(
+            NodeSpec("c1", "clayton", columns=(0, 1.7), params={"tau": 0.4}),
+            NodeSpec("c2", "gumbel", columns=(2, 3), params={"tau": 0.4})))
+        assert spec.children[0].columns == (0, 1.7)
+        with pytest.raises(ModelStructureError, match=re.escape(
+                "root/c1: column 1.7 is not a variable index")):
+            run(spec, np.random.default_rng(9).random((50, 4)))
+        assert calls == []
+
     def test_build_refuses_a_leaf_root(self, calls):
         with pytest.raises(ModelStructureError, match="root must be an inner node"):
             build_model(NodeSpec("c", "clayton", columns=(0, 1), params={"tau": 0.4}), 2)
@@ -601,15 +621,15 @@ class TestKendallStreams:
             {"name": "t", "family": "student_t", "columns": header[2:5]},
             {"name": "c", "family": "clayton", "columns": header[5:]},
             {"name": "nest", "family": "frank", "children": ["g", "t", "c"]},
-        ], "kendall_mc_size": 2000, "seed": 17})
+        ], "kendall_mc_size": 2000, "seed": 17}, header)
         corr = np.full((7, 7), 0.3)
         np.fill_diagonal(corr, 1.0)
         u = copula_sample(StudentTCopula(corr, 6.0), 300, np.random.default_rng(23))
-        report = fit_two_step(config_to_spec(config, header), u, FitOptions(
+        report = fit_two_step(config.spec, u, FitOptions(
             kendall_mc=config.kendall_mc_size, seed=config.seed))
-        doc = json.loads(json.dumps(report_document(report, "two-step", header, config)))
+        doc = json.loads(json.dumps(report_document(report, "two-step", config)))
         again = parse_model_config(doc)
-        rebuilt = build_model(config_to_spec(again, doc["columns"]), n_vars=7,
+        rebuilt = build_model(again.spec, n_vars=7,
                               kendall_mc=again.kendall_mc_size, seed=again.seed)
         fitted = {path: node.kendall for path, node in iter_nodes(report.model)}
         for path, node in iter_nodes(rebuilt):

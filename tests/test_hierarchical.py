@@ -111,6 +111,28 @@ class TestValidation:
         assert err.value.problems == problems
         assert str(err.value) == "; ".join(problems)
 
+    @pytest.mark.parametrize("c1, c2, problems", [
+        ([0, 1.7], [2, 3], ["root/m/c1: column 1.7 is not a variable index",
+                            "root: variables [1] not covered by any cluster"]),
+        ([0, 1.7], ["2", 3.9], ["root/m/c1: column 1.7 is not a variable index",
+                                "root/m/c2: column '2' is not a variable index",
+                                "root/m/c2: column 3.9 is not a variable index",
+                                "root: variables [1, 2, 3] not covered by any cluster"]),
+        ([0, True], [2, 3], ["root/m/c1: column True is not a variable index",
+                             "root: variables [1] not covered by any cluster"])],
+        ids=["fraction", "string-and-fractions", "bool"])
+    def test_a_column_that_is_not_an_integer_is_refused(self, c1, c2, problems):
+        """Each of these, truncated to int, would partition 0..5; a column is
+        refused as a template's is, not coerced."""
+        with pytest.raises(ModelStructureError) as err:
+            three_level_model(c1=leaf("c1", c1, arch(CLAYTON2, 2)),
+                              c2=leaf("c2", c2, arch(GUMBEL2, 2)))
+        assert err.value.problems == problems
+
+    def test_numpy_integer_columns_are_indices(self):
+        m = three_level_model(c1=leaf("c1", np.arange(2), arch(CLAYTON2, 2)))
+        assert m.root.children[0].children[0].columns == (0, 1)
+
     @pytest.mark.parametrize("n_vars", [6.0, True, "6", 0, None])
     def test_n_vars_must_be_a_count(self, n_vars):
         with pytest.raises(ParameterError, match=re.escape(
