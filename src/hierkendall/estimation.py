@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, stats
+from scipy.stats._stats import _kendall_dis
 
 from .copulas import (
     ArchimedeanCopula,
@@ -202,14 +203,48 @@ def data_rows(x) -> np.ndarray:
     return x
 
 
+def _pairs(sizes) -> int:
+    """Pairs within groups of the given sizes."""
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
 def empirical_tau_matrix(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    d = u.shape[1]
-    taus = np.eye(d)
+    """Pairwise empirical Kendall's tau-b of the columns of ``u``, ties
+    counted as ``scipy.stats.kendalltau`` counts them: entry (i, j), i < j,
+    equals ``kendalltau(u[:, i], u[:, j]).statistic`` bit for bit, and
+    (j, i) mirrors it. Each column is ranked once (dense ranks by a
+    stable sort, its tied pairs by a bincount) and the rows are ordered by it
+    once; a pair then costs one O(n log n) merge count of its discordant
+    pairs (Knight 1966), scipy's own ``_kendall_dis``, so the matrix costs
+    O(d^2 n log n). A constant column, which has no tau, reads 0. ``u`` must
+    meet the fit data rule, ``data_rows``."""
+    u = data_rows(u)
+    n, d = u.shape
+    order = np.empty((d, n), dtype=np.intp)
+    ranks = np.empty((d, n), dtype=np.intp)
+    tied = []
     for i in range(d):
-        for j in range(i + 1, d):
-            t = stats.kendalltau(u[:, i], u[:, j]).statistic
-            taus[i, j] = taus[j, i] = 0.0 if np.isnan(t) else t
+        order[i] = np.argsort(u[:, i], kind="stable")
+        col = u[order[i], i]
+        dense = np.cumsum(np.r_[True, col[1:] != col[:-1]], dtype=np.intp)
+        ranks[i, order[i]] = dense
+        tied.append(_pairs(np.bincount(dense)))
+    tot = n * (n - 1) // 2
+    taus = np.eye(d)
+    for i in range(d - 1):
+        x = ranks[i, order[i]]  # ascending, as the merge count needs
+        for j, y in enumerate(ranks[i + 1:, order[i]], start=i + 1):
+            if tot in (tied[i], tied[j]):  # a constant column: scipy's NaN
+                continue
+            joint = 0  # pairs tied in both columns
+            if tied[i] and tied[j]:
+                k = np.lexsort((y, x))
+                xs, ys = x[k], y[k]
+                runs = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True]
+                joint = _pairs(np.diff(np.flatnonzero(runs)))
+            con_minus_dis = tot - tied[i] - tied[j] + joint - 2 * _kendall_dis(x, y)
+            tau = con_minus_dis / np.sqrt(tot - tied[i]) / np.sqrt(tot - tied[j])
+            taus[i, j] = taus[j, i] = min(1.0, max(-1.0, tau))
     return taus
 
 
@@ -323,8 +358,9 @@ def fit_cluster(family: str, u_block) -> ClusterFit:
     parameter transform; elliptical families invert the pairwise empirical
     tau matrix (plus a one-dimensional MLE for the Student-t degrees of
     freedom), with at most ``_CLUSTER_MAX_EVALS`` likelihood evaluations.
+    ``u_block`` must meet the fit data rule, ``data_rows``.
     """
-    u = np.asarray(u_block, dtype=float)
+    u = data_rows(u_block)
     d = u.shape[1]
     if family not in ALL_FAMILIES:
         raise ParameterError(f"unknown family {family!r}")

@@ -91,8 +91,15 @@ def _names(value) -> bool:
 
 
 def _number(value) -> bool:
-    """True for a JSON number; booleans are refused."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a JSON number that a float holds; booleans and integers
+    beyond float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _whole(value, lo: int) -> bool:
@@ -169,7 +176,7 @@ def parse_model_config(doc: dict, header: list | None = None) -> ModelConfig:
     try:
         eps = EpsilonRule(eps_doc.get("mode", DEFAULT_EPSILON_RULE.mode),
                           float(eps_doc.get("value", DEFAULT_EPSILON_RULE.value)))
-    except (ParameterError, OverflowError) as exc:  # an integer beyond float range
+    except ParameterError as exc:
         raise ConfigError(f"bad epsilon_rule: {exc}") from exc
     mc, seed = model.get("kendall_mc_size", DEFAULT_KENDALL_MC), model.get("seed", 0)
     if not _whole(mc, MIN_KENDALL_MC):

@@ -771,6 +771,9 @@ class TestModelConfigRefusals:
         (_edited(c1={"family": "gaussian", "tau": None, "corr": [[1, 0.5], [0.4, 1]]}),
          "node 'c1': correlation matrix must be symmetric"),
         (_edited(c1={"tau": None, "theta": -1}), "node 'c1': clayton requires theta > 0"),
+        (_edited(c1={"tau": None, "theta": 10**400}), "node 'c1': 'theta' must be a number"),
+        (_edited(c1={"family": "gaussian", "tau": None,
+                     "corr": [[1, 10**400], [10**400, 1]]}), "node 'c1': 'corr' must be"),
         (_edited(c1={"tau": 1.5}), "node 'c1': clayton requires tau in (0,1)"),
         (_edited(c1={"family": "student_t", "tau": None, "corr": [[1, 0.5], [0.5, 1]],
                      "nu": 1.5}), "node 'c1': student_t requires nu > 2"),
@@ -785,6 +788,7 @@ class TestModelConfigRefusals:
             "unknown-child", "two-roots", "unreachable", "duplicate-column",
             "missing-family", "columns-and-children", "neither", "corr-ragged",
             "corr-not-positive-definite", "corr-asymmetric", "theta-negative",
+            "theta-beyond-float", "corr-beyond-float",
             "tau-above-one", "nu-below-two", "report-without-model", "report-columns-number",
             "report-columns-mixed"])
     def test_exits_2_naming_the_node_or_key(self, tmp_path, capsys, doc, named):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -6,6 +7,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import kstest
 
@@ -31,6 +34,7 @@ from hierkendall.estimation import (
     build_model,
     copula_from_spec,
     copula_params,
+    empirical_tau_matrix,
     eta_from_theta,
     fit_cluster,
     fit_joint_mle,
@@ -44,6 +48,7 @@ from hierkendall.generators import ArchimedeanGenerator, theta_from_tau
 import hierkendall.estimation as estimation
 import hierkendall.hierarchical as hierarchical
 from hierkendall.hierarchical import iter_nodes, kendall_for_copula, model_loglik, model_sample
+from hierkendall.kendall import empirical_kendall_from_values, kendall_cdf
 from hierkendall.modelconfig import (
     parse_model_config,
     read_csv,
@@ -166,6 +171,36 @@ class TestFitCluster:
         u = np.random.default_rng(6).random((100, 1))
         fit = fit_cluster("clayton", u)
         assert fit.copula.dim == 1
+
+
+class TestEmpiricalTauMatrix:
+    """The tau matrix is scipy's tau-b, entry for entry and bit for bit: the
+    one oracle of its merge count, scipy's private ``_kendall_dis``."""
+
+    @staticmethod
+    def _data(kind, n, d, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # few levels, heavy ties, constant columns at one level
+            return rng.integers(0, rng.integers(1, 5, endpoint=True), (n, d)).astype(float)
+        u = rng.random((n, d))
+        if kind == "constant":
+            u[:, rng.integers(d)] = 0.5
+        elif kind == "kendall_steps":  # V columns of an empirical K: m step values
+            kf = empirical_kendall_from_values(rng.random(int(rng.integers(2, 40))), d)
+            u = kendall_cdf(kf, np.clip(u, 1e-12, 1.0 - 1e-12))
+        return u
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["grid", "continuous", "constant", "kendall_steps"]),
+           n=st.integers(2, 300), d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_tau_b(self, kind, n, d, seed):
+        u = self._data(kind, n, d, seed)
+        taus = empirical_tau_matrix(u)
+        for i, j in itertools.combinations(range(d), 2):
+            oracle = stats.kendalltau(u[:, i], u[:, j]).statistic
+            assert taus[i, j] == (0.0 if np.isnan(oracle) else oracle), (i, j)
+        np.testing.assert_array_equal(taus, taus.T)
+        np.testing.assert_array_equal(np.diag(taus), 1.0)
 
 
 def _loglik(cop, u):
@@ -372,6 +407,12 @@ _CONFIG = {"nodes": [
     {"name": "nest", "family": "frank", "children": ["c1", "c2"], "tau": 0.4}]}
 
 
+def _with_c1(**fields):
+    """``_CONFIG`` with node c1's ``tau`` replaced by ``fields``."""
+    c1 = {k: v for k, v in _CONFIG["nodes"][0].items() if k != "tau"}
+    return {"nodes": [{**c1, **fields}] + _CONFIG["nodes"][1:]}
+
+
 @pytest.mark.parametrize("make, cls, message", [
     (lambda: NodeSpec("c1", "bogus", columns=(0, 1)),
      ConfigError, "node 'c1': unknown family 'bogus'"),
@@ -391,7 +432,11 @@ _CONFIG = {"nodes": [
     (lambda: parse_model_config({**_CONFIG, "epsilon_rule": {"mode": "both"}}),
      ConfigError, "bad epsilon_rule: epsilon mode must be 'abs' or 'rel', got 'both'"),
     (lambda: parse_model_config({**_CONFIG, "epsilon_rule": {"mode": "abs", "value": 10**400}}),
-     ConfigError, "bad epsilon_rule: int too large to convert to float"),
+     ConfigError, "'epsilon_rule' must be an object with a string 'mode' and a number 'value'"),
+    (lambda: parse_model_config(_with_c1(theta=10**400)),
+     ConfigError, f"node 'c1': 'theta' must be a number, got {10**400}"),
+    (lambda: parse_model_config(_with_c1(family="gaussian", corr=[[1, 10**400], [10**400, 1]])),
+     ConfigError, "node 'c1': 'corr' must be a square list of rows of numbers"),
     (lambda: parse_model_config(_CONFIG, _HEADER + ["E"]),
      ConfigError, "data columns ['E'] not assigned to any cluster"),
     # the walk from the root that builds the template finds unreachable nodes last
@@ -402,7 +447,8 @@ _CONFIG = {"nodes": [
     (lambda: read_csv("no/such/data.csv"),
      DataError, "data file not found: no/such/data.csv")],
     ids=["family", "columns-or-children", "theta-or-tau", "corr", "nu", "one-row",
-         "empty-nodes", "epsilon-rule", "epsilon-beyond-float", "uncovered-column",
+         "empty-nodes", "epsilon-rule", "epsilon-beyond-float", "theta-beyond-float",
+         "corr-beyond-float", "uncovered-column",
          "header-before-unreachable", "missing-data-file"])
 def test_template_and_config_refusals_name_their_fault(make, cls, message):
     with pytest.raises(cls, match=re.escape(message)):
@@ -414,11 +460,17 @@ def test_template_and_config_refusals_name_their_fault(make, cls, message):
     (np.empty((0, 4)), "need a 2-d array with at least two rows, got shape (0, 4)"),
     (np.full(4, 0.5), "need a 2-d array with at least two rows, got shape (4,)"),
     (np.array([[0.2, 0.3, 0.4, 0.5], [0.6, np.inf, 0.7, 0.8]]),
-     "column 1 holds inf at row 1; data must be finite")],
-    ids=["one-row", "no-rows", "one-d", "infinite"])
+     "column 1 holds inf at row 1; data must be finite"),
+    (np.where(np.arange(200).reshape(50, 4) == 29, np.nan,
+              np.random.default_rng(8).random((50, 4))),
+     "column 1 holds nan at row 7; data must be finite")],
+    ids=["one-row", "no-rows", "one-d", "infinite", "nan"])
 def test_two_step_fit_and_ranks_share_one_data_rule(u, message):
     for fit in (lambda: fit_two_step(two_cluster_spec(False), u),
-                lambda: pseudo_observations(u)):
+                lambda: pseudo_observations(u),
+                lambda: fit_cluster("clayton", u),
+                lambda: fit_cluster("student_t", u),
+                lambda: empirical_tau_matrix(u)):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             fit()
 
