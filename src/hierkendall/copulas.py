@@ -19,6 +19,19 @@ x = F^-1(u) by ``_margin_ppf`` and u = F(x) by ``_margin_cdf``: Phi for
 the Gaussian, t_nu for the Student-t. Only the closed-form density, the
 CDF rules below and the t law's chi-square mixing in the samplers differ.
 
+The t_nu law is read from two cubic Hermite tables of 1024 nodes with exact
+slopes, built once per ``StudentTCopula`` on first use (32 KB each, a pure
+function of nu, so every batch size takes the same path and gets the same
+bits). t_nu^-1(u) is tabulated in z = Phi^-1(u) over the clamp band
+``[INTERIOR_EPS, 1 - INTERIOR_EPS]``; t_nu(x) for every real x, as
+p = t_nu(-|x|) down to the smallest normal float and 0 beyond, with u = p
+below 0 and 1 - p above. Against an mpmath oracle both stay within 1e-10
+relative (in x, and in min(u, 1 - u) >= 1e-300) for every nu > 2; on dense
+grids, against scipy away from the median, the worst seen was 1.1e-11 in x
+and 1.7e-11 in p. They replace scipy's ``stdtrit`` and ``stdtr``: at 5000
+values 1.4 and 1.1 ms against 0.2 ms each, plus a build of 0.2-0.3 ms per
+table (2-core Xeon, scipy 1.17).
+
 Elliptical CDFs take one batched path: a row with a coordinate <= 0 is 0,
 coordinates at 1 are dropped, and rows keeping the same coordinates are
 evaluated together on that sub-correlation. Gaussian groups of two and
@@ -38,6 +51,7 @@ coordinates keep their boundary meaning in the CDF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg, optimize, special, stats
@@ -173,6 +187,17 @@ class StudentTCopula(_Elliptical):
             raise ParameterError(f"student_t requires nu > 2 and finite, got {self.nu}")
         object.__setattr__(self, "nu", float(self.nu))
 
+    # the margin law's tables: pure functions of nu, built on first use and
+    # kept in the instance dict, so they are not fields (repr, fields and
+    # the field-by-field output digests are unchanged)
+    @cached_property
+    def _ppf_rows(self) -> np.ndarray:
+        return _t_ppf_rows(self.nu)
+
+    @cached_property
+    def _cdf_rows(self) -> np.ndarray:
+        return _t_cdf_rows(self.nu)
+
 
 CopulaSpec = IndependenceCopula | ArchimedeanCopula | GaussianCopula | StudentTCopula
 
@@ -191,13 +216,150 @@ def copula_generator(c: CopulaSpec) -> ArchimedeanGenerator:
 
 
 def _margin_ppf(c, u):
-    """x = F^-1(u) for the margin law of an elliptical copula: Phi^-1, or t_nu^-1."""
-    return special.ndtri(u) if isinstance(c, GaussianCopula) else special.stdtrit(c.nu, u)
+    """x = F^-1(u) for the margin law of an elliptical copula: Phi^-1, or
+    t_nu^-1 from the copula's table (``_t_ppf_rows``) at z = Phi^-1(u).
+
+    The t table spans u in [INTERIOR_EPS, 1 - INTERIOR_EPS], the band every
+    caller clamps to; beyond it q is held at its end value, so x stays
+    monotone and reaches -inf/inf at u = 0/1."""
+    z = special.ndtri(u)
+    if isinstance(c, GaussianCopula):
+        return z
+    return np.sinh(_hermite_eval(c._ppf_rows, np.abs(z) * _T_PPF_SCALE) * z)
 
 
 def _margin_cdf(c, x):
-    """u = F(x) for the margin law of an elliptical copula: Phi, or t_nu."""
-    return special.ndtr(x) if isinstance(c, GaussianCopula) else special.stdtr(c.nu, x)
+    """u = F(x) for the margin law of an elliptical copula: Phi, or t_nu
+    from the copula's table (``_t_cdf_rows``), for every real x.
+
+    The t table gives p = t_nu(-|x|) with relative precision down to the
+    smallest normal float; beyond its end p is 0. u is p below 0 and 1 - p
+    above it, so both tails keep relative precision in min(u, 1 - u)."""
+    if isinstance(c, GaussianCopula):
+        return special.ndtr(x)
+    rows, scale, const = c._cdf_rows
+    ax = np.abs(x)
+    with np.errstate(over="ignore"):  # x^2 beyond float range: p = 0
+        y = ax * ax
+    log_p = (_hermite_eval(rows, np.arcsinh(np.arcsinh(ax) / _T_CDF_SPREAD) * scale) + const
+             - 0.5 * (c.nu - 1.0) * np.log1p(y / c.nu) - 0.5 * np.log1p(y))
+    p = np.minimum(np.exp(log_p), 0.5)
+    return np.where(x < 0.0, p, 1.0 - p)
+
+
+# ---------------------------------------------------------------------------
+# Student-t margin law tables
+# ---------------------------------------------------------------------------
+#
+# Both directions of t_nu are read from piecewise cubic Hermite tables on
+# _T_NODES uniform nodes, with the exact slope at every node, built once per
+# StudentTCopula (a cached property) from scipy's stdtrit/stdtr at the
+# nodes only (stdtrit is within 7e-13 there: the nodes stay 0.0069 away
+# from the median, where it is not accurate).
+
+_T_NODES = 1024
+# the inverse table spans |z| = |Phi^-1(u)| for u in the clamp band; its
+# upper end, 1 - INTERIOR_EPS as a float, lies further out than its lower
+_T_Z_END = float(max(-special.ndtri(INTERIOR_EPS), special.ndtri(1.0 - INTERIOR_EPS)))
+_T_PPF_SCALE = (_T_NODES - 1) / _T_Z_END
+_LOG_PHI0 = -0.5 * np.log(2.0 * np.pi)
+# the forward table's variable is v = asinh(asinh(|x|) / _T_CDF_SPREAD): about
+# uniform in asinh|x| up to 1.5, logarithmic beyond, where log p is nearly
+# linear in it and a heavy tail (nu near 2) runs to asinh|x| = 355
+_T_CDF_SPREAD = 1.5
+# the forward table ends where p falls to e times the smallest normal float
+_T_LOG_P_END = float(np.log(np.finfo(float).tiny)) + 1.0
+
+
+def _hermite_rows(y, dy):
+    """Rows (y_k, m_k, c2_k, c3_k) of the cubic Hermite interpolant through
+    values ``y`` with slopes ``dy`` (per node step): on [k, k + 1] it is
+    ((c3 t + c2) t + m) t + y at t in [0, 1]. The last row is the last node's
+    value and slope."""
+    d = np.diff(y)
+    rows = np.zeros((y.size, 4))
+    rows[:, 0], rows[:, 1] = y, dy
+    rows[:-1, 2] = 3.0 * d - 2.0 * dy[:-1] - dy[1:]
+    rows[:-1, 3] = dy[:-1] + dy[1:] - 2.0 * d
+    return rows
+
+
+def _hermite_eval(rows, t):
+    """The interpolant of ``_hermite_rows`` at ``t`` >= 0 in node units; t at
+    or beyond the last node (and NaN) reads the last row at its node."""
+    t = np.fmin(t, rows.shape[0] - 1)  # fmin reads NaN as the bound
+    k = t.astype(np.intp)
+    r = rows[k]
+    t = t - k
+    return ((r[..., 3] * t + r[..., 2]) * t + r[..., 1]) * t + r[..., 0]
+
+
+def _t_log_pdf0(nu):
+    """log f_nu(0) = log Gamma((nu + 1)/2) - log Gamma(nu/2) - log(pi nu)/2 to
+    rounding for every nu > 2: by ``betaln`` up to nu = 100, where it is
+    exact, and beyond by the asymptotic series of log Gamma(a + 1/2) -
+    log Gamma(a) - log(a)/2 in a = nu/2, whose first omitted term is below
+    1e-18 there (differences of lgamma lose 1e-9 at nu = 2e6)."""
+    a = 0.5 * nu
+    if a <= 50.0:
+        return -0.5 * np.log(nu) - special.betaln(a, 0.5)
+    r = 1.0 / (a * a)
+    return _LOG_PHI0 + (-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * 17.0 / 14336.0))) / a
+
+
+def _t_ppf_rows(nu):
+    """Hermite rows of the inverse law, x = t_nu^-1(Phi(z)), as the smooth
+    even function q(a) = asinh(x) / a of a = |z| on [0, ``_T_Z_END``], so that
+    x = sinh(q(|z|) z) keeps relative precision down to x = 0. The slopes
+    follow from the exact dx/da = phi(a) / f_nu(x); q(0) = phi(0) / f_nu(0)."""
+    a = np.linspace(0.0, _T_Z_END, _T_NODES)
+    x = -special.stdtrit(nu, special.ndtr(-a[1:]))
+    dx = np.exp(_LOG_PHI0 - 0.5 * a * a - _t_log_pdf0(nu)
+                + 0.5 * (nu + 1.0) * np.log1p(np.r_[0.0, x * x] / nu))
+    q = np.r_[dx[0], np.arcsinh(x) / a[1:]]
+    dq = np.r_[0.0, (dx[1:] / np.hypot(1.0, x) - q[1:]) / a[1:]]
+    return _hermite_rows(q, dq * a[1])
+
+
+def _t_cdf_rows(nu):
+    """(rows, scale, const) of the forward law's table, p = t_nu(-|x|).
+
+    log p is split into a closed form and a tabulated rest,
+    log p = D(v) + const - (nu - 1)/2 log1p(x^2/nu) - log1p(x^2)/2: the
+    closed form is log f_nu(x) + log((nu + x^2) / ((nu - 1) sqrt(1 + x^2))),
+    the log of the Mills bound p <= f_nu(x) (nu + x^2) / ((nu - 1) x) with
+    x made sqrt(1 + x^2), so D is bounded and tends to 0 in both the
+    Gaussian and the power-law tail. D is tabulated on uniform nodes of
+    v = asinh(asinh(x) / ``_T_CDF_SPREAD``) up to where that bound falls to
+    e times the smallest normal float; p is 0 beyond (the last row's value
+    is -inf). ``scale`` is nodes per unit of v."""
+    lf0 = _t_log_pdf0(nu)
+    const = lf0 + np.log1p(1.0 / (nu - 1.0))
+
+    def bound_gap(s):  # log of the bound at x = sinh(s), less its end value
+        x = np.sinh(s)
+        return (const - 0.5 * (nu - 1.0) * np.log1p((x / np.sqrt(nu)) ** 2) - np.log(x)
+                - _T_LOG_P_END)
+
+    # the bracket: the t tail is heavier than the normal one, and
+    # Phi(-37) > 1e-300. Past 60, the bound is below the end value: for
+    # x^2 >= nu by (nu + x^2) <= 2 x^2, which leaves a power law in x that
+    # reaches it at x_hi, and for x^2 < nu by log1p(x^2/nu) >= log(2) x^2/nu
+    x_hi = np.exp((np.log(2.0) + const - _T_LOG_P_END) / nu + 0.5 * (1.0 + 1.0 / nu) * np.log(nu))
+    s_end = optimize.brentq(bound_gap, np.arcsinh(37.0), np.arcsinh(max(x_hi, 60.0)), xtol=1e-9)
+    v_end = np.arcsinh(s_end / _T_CDF_SPREAD)
+    v = np.linspace(0.0, v_end, _T_NODES)
+    s = _T_CDF_SPREAD * np.sinh(v)
+    x = np.sinh(s)
+    y = x * x
+    log_p = np.log(special.stdtr(nu, -x))
+    log_f = lf0 - 0.5 * (nu + 1.0) * np.log1p(y / nu)
+    rest = log_p - const + 0.5 * (nu - 1.0) * np.log1p(y / nu) + 0.5 * np.log1p(y)
+    slope = (np.cosh(s) * _T_CDF_SPREAD * np.cosh(v)
+             * (x / (nu + y) * (nu - 1.0) + x / (1.0 + y) - np.exp(log_f - log_p)))
+    rows = _hermite_rows(rest, slope * v[1])
+    rows[-1] = (-np.inf, 0.0, 0.0, 0.0)
+    return rows, (_T_NODES - 1) / v_end, const
 
 
 def _prep_rows(u, dim):

@@ -249,9 +249,16 @@ def empirical_tau_matrix(u) -> np.ndarray:
 
 
 def nearest_corr(mat) -> np.ndarray:
-    """Clip eigenvalues at 1e-6 and rescale to unit diagonal."""
+    """The symmetric part of ``mat`` with a unit diagonal when its smallest
+    eigenvalue is at least 1e-6; otherwise its eigenvalues clipped at 1e-6
+    and the result rescaled to a unit diagonal. Only the projection forms a
+    matrix product, whose bits can depend on the BLAS thread count."""
     mat = np.asarray(mat, dtype=float)
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    sym = (mat + mat.T) / 2.0
+    if np.linalg.eigvalsh(sym).min() >= 1e-6:
+        np.fill_diagonal(sym, 1.0)
+        return sym
+    vals, vecs = np.linalg.eigh(sym)
     fixed = (vecs * np.maximum(vals, 1e-6)) @ vecs.T
     scale = np.sqrt(np.diag(fixed))
     out = fixed / np.outer(scale, scale)
@@ -617,9 +624,10 @@ def fit_joint_mle(report: FitReport, u, options: FitOptions | None = None) -> Fi
     bounded L-BFGS-B on the eta transforms, inside the intervals of the
     one-parameter fits, on ``_JointObjective``, which names the nodes it
     refuses, in at most ``_JOINT_MAX_EVALS`` likelihood passes. The result
-    never falls below the two-step start. ``options`` is not read.
+    never falls below the two-step start. ``options`` is not read. ``u``
+    must pass ``data_rows``.
     """
-    u = np.asarray(u, dtype=float)
+    u = data_rows(u)
     free = _collect_free_params(report.model)
     if not free:
         return dataclasses.replace(report, loglik_joint=report.loglik_two_step,

@@ -17,7 +17,10 @@ maximum-likelihood fits are checked against a dense grid search refined
 locally, and joint fits against Nelder-Mead on freshly built models and
 against scipy's own finite-difference L-BFGS-B without a memo. The
 rejection sampler's batch assignment is checked against a reference copy of
-its loop.
+its loop. The Student-t margin law is checked against its incomplete-beta
+series in mpmath at a working precision raised past the cancellation
+(scipy's ``stdtrit`` is not an oracle near the median: at nu = 6 it gives
+0.0 for u = 0.5 + 1e-12).
 """
 
 import dataclasses
@@ -309,6 +312,78 @@ def trivariate_t_cdf_quad(x, corr, nu):
     ``copulas._gauss_cdf_3d`` for Phi3."""
     x = np.asarray(x, dtype=float)
     return chi2_mixture_quad(lambda w: _gauss_cdf_3d(x * np.sqrt(w), np.asarray(corr)), nu)
+
+
+def t_tail_mp(nu, x, digits=30):
+    """P(T <= -|x|) for Student's t(nu), as an mpmath number good to about
+    ``digits`` significant digits, for any real nu > 0 and float x.
+
+    P = I_w(nu/2, 1/2) / 2 with w = nu / (nu + x^2). The regularised
+    incomplete beta is summed from its hypergeometric series (DLMF 8.17.8)
+    in whichever of w and y = 1 - w = x^2 / (nu + x^2) is at most 1/2, so
+    every term is positive and the ratio of terms falls below 1/2. On the
+    y side P = (1 - I_y(1/2, nu/2)) / 2 cancels, and the working precision
+    is raised by the digits the cancellation takes.
+    """
+    x = abs(mpmath.mpf(x))
+    if x == 0:
+        return mpmath.mpf(1) / 2
+    prec = digits
+    while True:
+        with mpmath.workdps(prec + 10):
+            n, half = mpmath.mpf(nu), mpmath.mpf(1) / 2
+            a = n / 2
+            w, y = n / (n + x * x), x * x / (n + x * x)
+            if w <= half:  # I_w(a, 1/2)
+                pref = mpmath.exp(a * mpmath.log(w) + half * mpmath.log(y) - mpmath.log(a)
+                                  - mpmath.log(mpmath.beta(a, half)))
+                top, bottom, ratio = a + half, a + 1, w
+            else:  # I_y(1/2, a)
+                pref = mpmath.exp(half * mpmath.log(y) + a * mpmath.log(w) - mpmath.log(half)
+                                  - mpmath.log(mpmath.beta(half, a)))
+                top, bottom, ratio = a + half, mpmath.mpf(3) / 2, y
+            term = total = mpmath.mpf(1)
+            tol = mpmath.mpf(10) ** -(prec + 8)
+            k = 0
+            while not (term < tol * total and (top + k) / (bottom + k) * ratio < half):
+                term *= (top + k) / (bottom + k) * ratio
+                total += term
+                k += 1
+            if w <= half:
+                return pref * total / 2
+            p = (1 - pref * total) / 2
+            lost = int(-mpmath.log10(p)) + 1 if p > 0 else prec
+            if prec >= digits + lost:
+                return p
+            prec = digits + lost + 5
+
+
+def t_pdf_mp(nu, x):
+    """The density of Student's t(nu) at x, in mpmath."""
+    n, x = mpmath.mpf(nu), mpmath.mpf(x)
+    return mpmath.exp(mpmath.loggamma((n + 1) / 2) - mpmath.loggamma(n / 2)
+                      - (n + 1) / 2 * mpmath.log1p(x * x / n)) / mpmath.sqrt(n * mpmath.pi)
+
+
+def t_ppf_mp(nu, u, digits=30):
+    """t_nu^-1(u) for a float u in (0, 1), as an mpmath number: Newton's
+    method on ``t_tail_mp`` for the tail probability min(u, 1 - u), taken
+    exactly from the float u. scipy's ``stdtrit`` (or, where it gives 0, the
+    normal quantile) is only the start; the steps go on until they are below
+    ``digits`` significant digits of the root."""
+    with mpmath.workdps(digits + 20):
+        mu = mpmath.mpf(float(u))
+        p = min(mu, 1 - mu)
+        if p == mpmath.mpf(1) / 2:
+            return mpmath.mpf(0)
+        start = abs(float(special.stdtrit(nu, float(p))))
+        x = mpmath.mpf(start if 0.0 < start < np.inf else abs(float(special.ndtri(float(p)))))
+        for _ in range(100):
+            step = (t_tail_mp(nu, x, digits + 10) - p) / t_pdf_mp(nu, x)
+            x = x + step if x + step > 0 else x / 2
+            if abs(step) <= x * mpmath.mpf(10) ** -(digits + 5):
+                return x if mu > mpmath.mpf(1) / 2 else -x
+        raise AssertionError(f"t_ppf_mp: no convergence at nu={nu}, u={u}")
 
 
 def rejection_batch_reference(c, z_targets, eps, rng, max_attempts):

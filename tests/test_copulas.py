@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.stats import kendalltau, ks_2samp, kstest
@@ -39,6 +41,8 @@ from oracles import (
     equicorrelated_normal_cdf_quad,
     inv_deriv_log_mp,
     pdf_mixed_fd_2d,
+    t_ppf_mp,
+    t_tail_mp,
     trivariate_normal_cdf_quad,
     trivariate_t_cdf_quad,
 )
@@ -618,6 +622,124 @@ class TestStudentTKernels:
         got = copula_cdf(StudentTCopula(corr, nu), u)
         # the outer 96-node rule in F(x1) bounds the accuracy
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5, err_msg=name)
+
+
+class TestStudentTMarginTable:
+    """t_nu^-1 and t_nu read from the copula's per-nu tables: relative error
+    at most 1e-10 in x over the clamp band and in min(u, 1 - u) wherever that
+    is at least 1e-300, against the mpmath oracle, for every nu > 2."""
+
+    NUS = [2.0 + 1e-6, 2.01, 6.0, 1002.0, 1e12]
+    # nu log-uniform in (2, 1e6]
+    NU = st.floats(np.log(2.0), np.log(1e6), exclude_min=True).map(np.exp).filter(
+        lambda nu: nu > 2.0)
+    # a tail probability log-uniform in [1e-12, 1/2], on either side
+    BAND_U = st.tuples(st.floats(-12.0, np.log10(0.5)), st.booleans()).map(
+        lambda t: max(10.0 ** t[0], 1e-12) if t[1] else 1.0 - max(10.0 ** t[0], 1e-12))
+    # a lower tail probability log-uniform in [1e-300, 1/2]
+    TAIL_P = st.floats(-300.0, np.log10(0.5)).map(lambda e: 10.0 ** e)
+    U_EDGES = [1e-12, 1e-9, 1e-5, 0.01, 0.2, 0.5 - 1e-7, 0.5, 0.5 + 1e-12, 0.8,
+               1.0 - 1e-6, 1.0 - 1e-12]
+    P_EDGES = [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.2, 0.5 - 1e-9]
+
+    @staticmethod
+    def check_ppf(nu, u):
+        x = copulas._margin_ppf(StudentTCopula(corr2(0.3), nu), np.asarray(u))
+        for ui, xi in zip(u, x):
+            want = t_ppf_mp(nu, ui)
+            assert abs(xi - want) <= 1e-10 * abs(want), (nu, ui, xi, float(want))
+
+    @staticmethod
+    def check_cdf(nu, p):
+        x = -np.abs(special.stdtrit(nu, np.asarray(p)))
+        x = x[np.isfinite(x) & (x < 0.0)]
+        c = StudentTCopula(corr2(0.3), nu)
+        lower = copulas._margin_cdf(c, x)
+        # the upper side is 1 - p of the same p: min(u, 1 - u) is p on both
+        assert np.array_equal(copulas._margin_cdf(c, -x), 1.0 - lower)
+        for xi, got in zip(x, lower):
+            want = t_tail_mp(nu, xi)
+            if want >= 1e-300:
+                assert abs(got - want) <= 1e-10 * want, (nu, xi, got, float(want))
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_edges_match_oracle(self, nu):
+        self.check_ppf(nu, self.U_EDGES)
+        self.check_cdf(nu, self.P_EDGES)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(nu=NU, u=st.lists(BAND_U, min_size=1, max_size=3))
+    def test_ppf_matches_oracle(self, nu, u):
+        self.check_ppf(nu, u)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(nu=NU, p=st.lists(TAIL_P, min_size=1, max_size=3))
+    @example(nu=2.0 + 1e-6, p=[1e-300])
+    def test_cdf_matches_oracle(self, nu, p):
+        self.check_cdf(nu, p)
+
+    @pytest.mark.parametrize("nu", NUS + [3.0, 30.0])
+    def test_both_directions_are_monotone(self, nu):
+        c = StudentTCopula(corr2(0.3), nu)
+        tail = np.logspace(-12, np.log10(0.5), 4000)
+        u = np.unique(np.concatenate([tail, 1.0 - tail, np.linspace(1e-12, 1.0 - 1e-12, 100_001),
+                                      0.5 + np.linspace(-1e-9, 1e-9, 2001)]))
+        x = copulas._margin_ppf(c, u)
+        assert np.all(np.diff(x) >= 0.0) and np.all(np.sign(x) == np.sign(u - 0.5))
+        far = np.logspace(-12, 300, 4000)
+        x = np.unique(np.concatenate([-far, far, np.linspace(-40.0, 40.0, 100_001),
+                                      [-np.inf, 0.0, np.inf]]))
+        u = copulas._margin_cdf(c, x)
+        assert np.all(np.diff(u) >= 0.0) and u[0] == 0.0 and u[-1] == 1.0
+        assert np.all((u[x < 0] <= 0.5) & (u[x > 0] >= 0.5))
+
+    def test_tables_built_once_per_copula(self, monkeypatch):
+        builds = []
+        for name in ("_t_ppf_rows", "_t_cdf_rows"):
+            real = getattr(copulas, name)
+            monkeypatch.setattr(copulas, name,
+                                lambda nu, real=real, name=name: builds.append(name) or real(nu))
+        c = StudentTCopula(CORR3, 5.0)
+        rng = np.random.default_rng(0)
+        for n in (1, 7, 300):
+            u = copula_sample(c, n, rng)
+            copula_logpdf(c, u)
+            copula_cdf(c, np.c_[u[:, :2], np.ones(n)])  # the bivariate rule
+            copula_sample_conditional(c, 1, 0.3, n, rng)
+        assert sorted(builds) == ["_t_cdf_rows", "_t_ppf_rows"]
+        copula_logpdf(StudentTCopula(CORR3, 5.0), u)  # a new copula builds its own
+        assert sorted(builds) == ["_t_cdf_rows", "_t_ppf_rows", "_t_ppf_rows"]
+
+    def test_one_path_at_every_batch_size(self):
+        c, twin = StudentTCopula(corr2(0.3), 4.5), StudentTCopula(corr2(-0.2), 4.5)
+        rng = np.random.default_rng(1)
+        u = np.concatenate([rng.random(500), [1e-12, 0.5, 1.0 - 1e-12]])
+        x = copulas._margin_ppf(c, u)
+        assert np.array_equal(x, [copulas._margin_ppf(c, v) for v in u])
+        assert np.array_equal(x, copulas._margin_ppf(twin, u))  # a pure function of nu
+        assert np.array_equal(copulas._margin_ppf(c, u.reshape(-1, 1)).ravel(), x)
+        y = copulas._margin_cdf(c, x)
+        assert np.array_equal(y, [copulas._margin_cdf(c, v) for v in x])
+        assert np.array_equal(y, copulas._margin_cdf(twin, x))
+
+    def test_tables_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(StudentTCopula)] == ["corr", "nu", "_chol"]
+        c = StudentTCopula(corr2(0.3), 4.5)
+        before = repr(c)
+        copula_logpdf(c, copula_sample(c, 5, np.random.default_rng(2)))
+        assert repr(c) == before and "_ppf_rows" in vars(c) and "_cdf_rows" in vars(c)
+        assert c._ppf_rows.nbytes <= 32 * 1024 and c._cdf_rows[0].nbytes <= 32 * 1024
+
+    @pytest.mark.parametrize("nu", [2.01, 3.0, 6.0, 40.0, 1002.0])
+    def test_logpdf_matches_scipy_densities(self, nu):
+        x = stats.multivariate_t(shape=CORR3, df=nu, seed=3).rvs(400)
+        u = special.stdtr(nu, x)
+        keep = np.all((u > 1e-12) & (u < 1.0 - 1e-12), axis=1)
+        want = (stats.multivariate_t(shape=CORR3, df=nu).logpdf(x[keep])
+                - np.sum(stats.t.logpdf(x[keep], nu), axis=1))
+        got = copula_logpdf(StudentTCopula(CORR3, nu), u[keep])
+        # the absolute floor serves where the log density crosses 0
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
 
 class TestValidation:

@@ -39,6 +39,7 @@ from hierkendall.estimation import (
     fit_cluster,
     fit_joint_mle,
     fit_two_step,
+    nearest_corr,
     nu_from_eta,
     pseudo_observations,
     simulation_study,
@@ -171,6 +172,24 @@ class TestFitCluster:
         u = np.random.default_rng(6).random((100, 1))
         fit = fit_cluster("clayton", u)
         assert fit.copula.dim == 1
+
+
+class TestNearestCorr:
+    def test_positive_definite_input_is_only_symmetrised(self):
+        rng = np.random.default_rng(4)
+        for d in (2, 10, 100):
+            m = np.corrcoef(rng.standard_normal((d, 3 * d)))
+            m += 1e-14 * rng.standard_normal((d, d))  # not quite symmetric, diagonal off 1
+            want = (m + m.T) / 2.0
+            np.fill_diagonal(want, 1.0)
+            assert np.array_equal(nearest_corr(m), want)
+
+    def test_projects_below_the_eigenvalue_floor(self):
+        m = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        out = nearest_corr(m)
+        assert np.array_equal(out, out.T) and np.array_equal(np.diag(out), np.ones(3))
+        assert np.linalg.eigvalsh(out).min() > 1e-7
+        assert np.abs(out - m).max() < 0.7
 
 
 class TestEmpiricalTauMatrix:
@@ -466,7 +485,9 @@ def test_template_and_config_refusals_name_their_fault(make, cls, message):
      "column 1 holds nan at row 7; data must be finite")],
     ids=["one-row", "no-rows", "one-d", "infinite", "nan"])
 def test_two_step_fit_and_ranks_share_one_data_rule(u, message):
+    base = fit_two_step(two_cluster_spec(False), np.random.default_rng(8).random((300, 4)))
     for fit in (lambda: fit_two_step(two_cluster_spec(False), u),
+                lambda: fit_joint_mle(base, u),
                 lambda: pseudo_observations(u),
                 lambda: fit_cluster("clayton", u),
                 lambda: fit_cluster("student_t", u),
