@@ -19,18 +19,19 @@ x = F^-1(u) by ``_margin_ppf`` and u = F(x) by ``_margin_cdf``: Phi for
 the Gaussian, t_nu for the Student-t. Only the closed-form density, the
 CDF rules below and the t law's chi-square mixing in the samplers differ.
 
-The t_nu law is read from two cubic Hermite tables of 1024 nodes with exact
-slopes, built once per ``StudentTCopula`` on first use (32 KB each, a pure
-function of nu, so every batch size takes the same path and gets the same
-bits). t_nu^-1(u) is tabulated in z = Phi^-1(u) over the clamp band
-``[INTERIOR_EPS, 1 - INTERIOR_EPS]``; t_nu(x) for every real x, as
-p = t_nu(-|x|) down to the smallest normal float and 0 beyond, with u = p
-below 0 and 1 - p above. Against an mpmath oracle both stay within 1e-10
-relative (in x, and in min(u, 1 - u) >= 1e-300) for every nu > 2; on dense
-grids, against scipy away from the median, the worst seen was 1.1e-11 in x
-and 1.7e-11 in p. They replace scipy's ``stdtrit`` and ``stdtr``: at 5000
-values 1.4 and 1.1 ms against 0.2 ms each, plus a build of 0.2-0.3 ms per
-table (2-core Xeon, scipy 1.17).
+The t_nu law is read from two quintic Hermite tables of 256 nodes with
+exact first and second derivatives, built once per ``StudentTCopula`` on
+first use (12 KB each, a pure function of nu, so every batch size takes the
+same path and gets the same bits). t_nu^-1(u) is tabulated in
+z = Phi^-1(u) over the clamp band ``[INTERIOR_EPS, 1 - INTERIOR_EPS]``;
+t_nu(x) for every real x, as p = t_nu(-|x|) down to the smallest normal
+float and 0 beyond, with u = p below 0 and 1 - p above. Against an mpmath
+oracle both stay within 1e-10 relative (in x, and in min(u, 1 - u) >=
+1e-300) for every nu > 2; on dense grids for nu from 2 + 1e-6 to 1e12 the
+worst seen was 6e-13 in x and 9e-12 in p (the deep tail at nu >= 1000).
+They replace scipy's ``stdtrit`` and ``stdtr``: at 5000 values 1.9 and
+1.0 ms against 0.26 and 0.19 ms, plus a build of 0.11-0.18 ms per table
+(2-core Xeon, scipy 1.17).
 
 Elliptical CDFs take one batched path: a row with a coordinate <= 0 is 0,
 coordinates at 1 are dropped, and rows keeping the same coordinates are
@@ -251,13 +252,15 @@ def _margin_cdf(c, x):
 # Student-t margin law tables
 # ---------------------------------------------------------------------------
 #
-# Both directions of t_nu are read from piecewise cubic Hermite tables on
-# _T_NODES uniform nodes, with the exact slope at every node, built once per
-# StudentTCopula (a cached property) from scipy's stdtrit/stdtr at the
-# nodes only (stdtrit is within 7e-13 there: the nodes stay 0.0069 away
-# from the median, where it is not accurate).
+# Both directions of t_nu are read from piecewise quintic Hermite tables on
+# _T_NODES uniform nodes, with the exact first and second derivatives at
+# every node, built once per StudentTCopula (a cached property) from scipy's
+# stdtrit/stdtr at the nodes only (stdtrit is accurate there: the nodes stay
+# 0.0276 away from the median, where it is not). With exact curvatures the
+# error falls as the sixth power of the node step: 256 nodes keep it near
+# 1e-12, and a build costs less than stdtrit of 500 values.
 
-_T_NODES = 1024
+_T_NODES = 256
 # the inverse table spans |z| = |Phi^-1(u)| for u in the clamp band; its
 # upper end, 1 - INTERIOR_EPS as a float, lies further out than its lower
 _T_Z_END = float(max(-special.ndtri(INTERIOR_EPS), special.ndtri(1.0 - INTERIOR_EPS)))
@@ -271,16 +274,20 @@ _T_CDF_SPREAD = 1.5
 _T_LOG_P_END = float(np.log(np.finfo(float).tiny)) + 1.0
 
 
-def _hermite_rows(y, dy):
-    """Rows (y_k, m_k, c2_k, c3_k) of the cubic Hermite interpolant through
-    values ``y`` with slopes ``dy`` (per node step): on [k, k + 1] it is
-    ((c3 t + c2) t + m) t + y at t in [0, 1]. The last row is the last node's
-    value and slope."""
-    d = np.diff(y)
-    rows = np.zeros((y.size, 4))
-    rows[:, 0], rows[:, 1] = y, dy
-    rows[:-1, 2] = 3.0 * d - 2.0 * dy[:-1] - dy[1:]
-    rows[:-1, 3] = dy[:-1] + dy[1:] - 2.0 * d
+def _hermite_rows(y, dy, d2y):
+    """Rows (y_k, m_k, c2_k, c3_k, c4_k, c5_k) of the quintic Hermite
+    interpolant through values ``y`` with first and second derivatives
+    ``dy`` and ``d2y`` (per node step): on [k, k + 1] it is
+    y + m t + c2 t^2 + ... + c5 t^5 at t in [0, 1]. The last row is the last
+    node's value and derivatives."""
+    d = np.diff(y) - dy[:-1] - 0.5 * d2y[:-1]
+    e = np.diff(dy) - d2y[:-1]
+    f = np.diff(d2y)
+    rows = np.zeros((y.size, 6))
+    rows[:, 0], rows[:, 1], rows[:, 2] = y, dy, 0.5 * d2y
+    rows[:-1, 3] = 10.0 * d - 4.0 * e + 0.5 * f
+    rows[:-1, 4] = -15.0 * d + 7.0 * e - f
+    rows[:-1, 5] = 6.0 * d - 3.0 * e + 0.5 * f
     return rows
 
 
@@ -291,7 +298,8 @@ def _hermite_eval(rows, t):
     k = t.astype(np.intp)
     r = rows[k]
     t = t - k
-    return ((r[..., 3] * t + r[..., 2]) * t + r[..., 1]) * t + r[..., 0]
+    return ((((r[..., 5] * t + r[..., 4]) * t + r[..., 3]) * t + r[..., 2]) * t
+            + r[..., 1]) * t + r[..., 0]
 
 
 def _t_log_pdf0(nu):
@@ -310,15 +318,27 @@ def _t_log_pdf0(nu):
 def _t_ppf_rows(nu):
     """Hermite rows of the inverse law, x = t_nu^-1(Phi(z)), as the smooth
     even function q(a) = asinh(x) / a of a = |z| on [0, ``_T_Z_END``], so that
-    x = sinh(q(|z|) z) keeps relative precision down to x = 0. The slopes
-    follow from the exact dx/da = phi(a) / f_nu(x); q(0) = phi(0) / f_nu(0)."""
+    x = sinh(q(|z|) z) keeps relative precision down to x = 0. The
+    derivatives follow from the exact dx/da = phi(a) / f_nu(x) and its
+    derivative; at a = 0, q = c = phi(0) / f_nu(0), q' = 0 and
+    q'' = c (c^2 / nu - 1) / 3."""
     a = np.linspace(0.0, _T_Z_END, _T_NODES)
-    x = -special.stdtrit(nu, special.ndtr(-a[1:]))
+    x = np.zeros(_T_NODES)
+    x[1:] = -special.stdtrit(nu, special.ndtr(-a[1:]))
     dx = np.exp(_LOG_PHI0 - 0.5 * a * a - _t_log_pdf0(nu)
-                + 0.5 * (nu + 1.0) * np.log1p(np.r_[0.0, x * x] / nu))
-    q = np.r_[dx[0], np.arcsinh(x) / a[1:]]
-    dq = np.r_[0.0, (dx[1:] / np.hypot(1.0, x) - q[1:]) / a[1:]]
-    return _hermite_rows(q, dq * a[1])
+                + 0.5 * (nu + 1.0) * np.log1p(x * x / nu))
+    d2x = dx * ((nu + 1.0) / (nu + x * x) * x * dx - a)
+    r = np.hypot(1.0, x)
+    ds = dx / r  # s = asinh(x) = a q
+    d2s = (d2x - x * dx * ds / r) / r
+    c = dx[0]
+    q, dq = np.full(_T_NODES, c), np.zeros(_T_NODES)
+    d2q = np.full(_T_NODES, c * (c * c / nu - 1.0) / 3.0)
+    q[1:] = np.arcsinh(x[1:]) / a[1:]
+    dq[1:] = (ds[1:] - q[1:]) / a[1:]
+    d2q[1:] = (d2s[1:] - 2.0 * dq[1:]) / a[1:]
+    h = a[1]
+    return _hermite_rows(q, dq * h, d2q * (h * h))
 
 
 def _t_cdf_rows(nu):
@@ -332,7 +352,8 @@ def _t_cdf_rows(nu):
     Gaussian and the power-law tail. D is tabulated on uniform nodes of
     v = asinh(asinh(x) / ``_T_CDF_SPREAD``) up to where that bound falls to
     e times the smallest normal float; p is 0 beyond (the last row's value
-    is -inf). ``scale`` is nodes per unit of v."""
+    is -inf). Its derivatives are taken in s = asinh(x), where every term
+    stays within float range. ``scale`` is nodes per unit of v."""
     lf0 = _t_log_pdf0(nu)
     const = lf0 + np.log1p(1.0 / (nu - 1.0))
 
@@ -353,12 +374,22 @@ def _t_cdf_rows(nu):
     x = np.sinh(s)
     y = x * x
     log_p = np.log(special.stdtr(nu, -x))
-    log_f = lf0 - 0.5 * (nu + 1.0) * np.log1p(y / nu)
     rest = log_p - const + 0.5 * (nu - 1.0) * np.log1p(y / nu) + 0.5 * np.log1p(y)
-    slope = (np.cosh(s) * _T_CDF_SPREAD * np.cosh(v)
-             * (x / (nu + y) * (nu - 1.0) + x / (1.0 + y) - np.exp(log_f - log_p)))
-    rows = _hermite_rows(rest, slope * v[1])
-    rows[-1] = (-np.inf, 0.0, 0.0, 0.0)
+    # dD/ds = T (k + 1) - g with T = tanh(s), k = (nu - 1)(1 + x^2)/(nu + x^2)
+    # and g = f_nu(x) cosh(s) / p, whose own derivatives give d2D/ds2; the
+    # ratios w and wp of nu -/+ 1 to nu + x^2 keep every product in range
+    tanh = np.tanh(s)
+    w, wp = (nu - 1.0) / (nu + y), (nu + 1.0) / (nu + y)
+    k = (1.0 + y) * w
+    g = np.exp(lf0 - 0.5 * (nu + 1.0) * np.log1p(y / nu) - log_p
+               + s + np.log1p(np.exp(-2.0 * s)) - np.log(2.0))
+    d1 = tanh * (k + 1.0) - g
+    d2 = ((1.0 - tanh * tanh) * (k + 1.0) + 2.0 * tanh * tanh * w * k
+          - g * (tanh - tanh * (1.0 + y) * wp + g))
+    ds, d2s = _T_CDF_SPREAD * np.cosh(v), _T_CDF_SPREAD * np.sinh(v)
+    h = v[1]
+    rows = _hermite_rows(rest, d1 * ds * h, (d2 * ds * ds + d1 * d2s) * (h * h))
+    rows[-1] = (-np.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
     return rows, (_T_NODES - 1) / v_end, const
 
 

@@ -693,6 +693,17 @@ class TestStudentTMarginTable:
         assert np.all(np.diff(u) >= 0.0) and u[0] == 0.0 and u[-1] == 1.0
         assert np.all((u[x < 0] <= 0.5) & (u[x > 0] >= 0.5))
 
+    def test_hermite_rows_reproduce_quintics(self):
+        # values, slopes and curvatures at the nodes pin a quintic on each
+        # interval, so a quintic comes back to rounding between the nodes
+        coef = np.array([0.3, -1.2, 0.7, 0.25, -0.04, 0.002])
+        poly = np.polynomial.Polynomial(coef)
+        k = np.arange(9.0)
+        rows = copulas._hermite_rows(poly(k), poly.deriv(1)(k), poly.deriv(2)(k))
+        t = np.linspace(0.0, 8.0, 1001)
+        np.testing.assert_allclose(copulas._hermite_eval(rows, t), poly(t), rtol=0, atol=1e-12)
+        assert copulas._hermite_eval(rows, np.array([9.5, np.nan]))[0] == poly(8.0)
+
     def test_tables_built_once_per_copula(self, monkeypatch):
         builds = []
         for name in ("_t_ppf_rows", "_t_cdf_rows"):
