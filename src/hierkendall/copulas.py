@@ -196,7 +196,7 @@ class StudentTCopula(_Elliptical):
         return _t_ppf_rows(self.nu)
 
     @cached_property
-    def _cdf_rows(self) -> np.ndarray:
+    def _cdf_rows(self) -> tuple:
         return _t_cdf_rows(self.nu)
 
 
@@ -256,9 +256,9 @@ def _margin_cdf(c, x):
 # _T_NODES uniform nodes, with the exact first and second derivatives at
 # every node, built once per StudentTCopula (a cached property) from scipy's
 # stdtrit/stdtr at the nodes only (stdtrit is accurate there: the nodes stay
-# 0.0276 away from the median, where it is not). With exact curvatures the
-# error falls as the sixth power of the node step: 256 nodes keep it near
-# 1e-12, and a build costs less than stdtrit of 500 values.
+# 0.0276 in z from the median, where it is not). With exact curvatures the
+# error falls as the sixth power of the node step: 256 nodes keep it below
+# 1e-11, and a build costs less than stdtrit of 500 values.
 
 _T_NODES = 256
 # the inverse table spans |z| = |Phi^-1(u)| for u in the clamp band; its
