@@ -41,8 +41,9 @@ to rounding (about 2e-10 where R is at the eigenvalue floor of 1e-10), on
 one 20-node Gauss-Legendre rule. Student-t groups of two use Owen's
 (1956) T-function decomposition carried over to the t law, exact to about
 1e-12 for every real nu > 0; groups of three integrate that rule over the
-first coordinate on a 96-node Gauss-Legendre rule in its marginal
-probability (within 1e-5; 7e-6 at worst on the tests' grid). Four or more coordinates fall back to
+first coordinate on a 96-node rule in F(x1) (within 1e-5), reading F and
+the inner t(nu + 1) margins from tables; its nodes x1 keep ``stdtrit``, as
+their levels reach 1e-300, below the inverse table. Four or more fall back to
 scipy's Gaussian/t CDFs with a fixed seed for every row. Every rule is
 fixed, so repeated calls agree bit for bit. All inputs are clamped to
 ``[INTERIOR_EPS, 1 - INTERIOR_EPS]`` before interior evaluation; exact 0/1
@@ -231,21 +232,10 @@ def _margin_ppf(c, u):
 
 def _margin_cdf(c, x):
     """u = F(x) for the margin law of an elliptical copula: Phi, or t_nu
-    from the copula's table (``_t_cdf_rows``), for every real x.
-
-    The t table gives p = t_nu(-|x|) with relative precision down to the
-    smallest normal float; beyond its end p is 0. u is p below 0 and 1 - p
-    above it, so both tails keep relative precision in min(u, 1 - u)."""
+    from the copula's table (``_t_cdf_rows``) by ``_t_cdf``, for every real x."""
     if isinstance(c, GaussianCopula):
         return special.ndtr(x)
-    rows, scale, const = c._cdf_rows
-    ax = np.abs(x)
-    with np.errstate(over="ignore"):  # x^2 beyond float range: p = 0
-        y = ax * ax
-    log_p = (_hermite_eval(rows, np.arcsinh(np.arcsinh(ax) / _T_CDF_SPREAD) * scale) + const
-             - 0.5 * (c.nu - 1.0) * np.log1p(y / c.nu) - 0.5 * np.log1p(y))
-    p = np.minimum(np.exp(log_p), 0.5)
-    return np.where(x < 0.0, p, 1.0 - p)
+    return _t_cdf(c.nu, c._cdf_rows, x)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +383,20 @@ def _t_cdf_rows(nu):
     rows = _hermite_rows(rest, d1 * ds * h, (d2 * ds * ds + d1 * d2s) * (h * h))
     rows[:, -1] = (-np.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
     return rows, (_T_NODES - 1) / v_end, const
+
+
+def _t_cdf(nu, table, x):
+    """u = t_nu(x) for every real x from the table ``_t_cdf_rows(nu)``, any
+    nu > 2: p = t_nu(-|x|) is relative down to the smallest normal float and
+    0 beyond; u is p below 0 and 1 - p above, relative in min(u, 1 - u)."""
+    rows, scale, const = table
+    ax = np.abs(x)
+    with np.errstate(over="ignore"):  # x^2 beyond float range: p = 0
+        y = ax * ax
+    log_p = (_hermite_eval(rows, np.arcsinh(np.arcsinh(ax) / _T_CDF_SPREAD) * scale) + const
+             - 0.5 * (nu - 1.0) * np.log1p(y / nu) - 0.5 * np.log1p(y))
+    p = np.minimum(np.exp(log_p), 0.5)
+    return np.where(x < 0.0, p, 1.0 - p)
 
 
 def _prep_rows(u, dim):
@@ -585,15 +589,19 @@ def _gauss_cdf_3d(x, corr):
     return np.clip(out, 0.0, 1.0)
 
 
-def _t_cdf_3d(x, corr, nu):
-    """P(T <= x) for the standard trivariate t(nu); x has shape (n, 3).
+def _t_cdf_3d(c, x, corr):
+    """P(T <= x) for the trivariate t(nu) of the Student-t copula ``c`` on
+    the sub-correlation ``corr``; x has shape (n, 3).
 
     The first coordinate is integrated out on the 96-node rule in its
     probability F(x1), the rest by the conditional law of (T2, T3) given
     T1, a bivariate t(nu + 1), through ``_t_cdf_2d``: within 1e-5 (7e-6 at
-    worst on the tests' grid), the outer rule's error. Rows are evaluated in blocks of at most
-    ``_BLOCK_POINTS`` (row, node) pairs.
+    worst on the tests' grid), the outer rule's error. F(x1) and the t(nu + 1)
+    margins are table reads (a nu + 1 table per call); the nodes x1 take
+    ``stdtrit``, as their levels reach 1e-300, below the inverse table's
+    band. Rows are evaluated in blocks of at most ``_BLOCK_POINTS`` (row, node) pairs.
     """
+    nu, inner_table = c.nu, _t_cdf_rows(c.nu + 1.0)
     r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
     s2 = np.sqrt(1.0 - r12 * r12)
     s3 = np.sqrt(1.0 - r13 * r13)
@@ -602,14 +610,14 @@ def _t_cdf_3d(x, corr, nu):
     block = max(1, _BLOCK_POINTS // _GL_NODES.size)
     for lo in range(0, x.shape[0], block):
         b = x[lo:lo + block]
-        pa = special.stdtr(nu, b[:, 0])
+        pa = _margin_cdf(c, b[:, 0])
         x1 = special.stdtrit(nu, np.clip(0.5 * pa[:, None] * (_GL_NODES + 1.0),
                                          1e-300, 1.0 - 1e-16))
         f = np.sqrt((nu + x1 * x1) / (nu + 1.0))
         h = (b[:, 1, None] - r12 * x1) / (s2 * f)
         k = (b[:, 2, None] - r13 * x1) / (s3 * f)
-        inner = _t_cdf_2d(h, k, rc, nu + 1.0, special.stdtr(nu + 1.0, h),
-                          special.stdtr(nu + 1.0, k))
+        inner = _t_cdf_2d(h, k, rc, nu + 1.0, _t_cdf(nu + 1.0, inner_table, h),
+                          _t_cdf(nu + 1.0, inner_table, k))
         out[lo:lo + block] = 0.5 * pa * (inner @ _GL_WEIGHTS)
     return out
 
@@ -641,7 +649,7 @@ def _elliptical_cdf(c, rows):
             out[idx] = (_gauss_cdf_2d(x[:, 0], x[:, 1], sub[0, 1]) if gaussian
                         else _t_cdf_2d(x[:, 0], x[:, 1], sub[0, 1], c.nu, uu[:, 0], uu[:, 1]))
         elif active.size == 3:
-            out[idx] = _gauss_cdf_3d(x, sub) if gaussian else _t_cdf_3d(x, sub, c.nu)
+            out[idx] = _gauss_cdf_3d(x, sub) if gaussian else _t_cdf_3d(c, x, sub)
         elif gaussian:
             out[idx] = [stats.multivariate_normal(
                 cov=sub, seed=np.random.default_rng(0)).cdf(r) for r in x]
@@ -689,8 +697,10 @@ def copula_logpdf(c: CopulaSpec, u):
             out = -0.5 * logdet - 0.5 * (quad - np.sum(x * x, axis=1))
         else:
             nu, d = c.nu, c.dim
-            out = (special.gammaln((nu + d) / 2.0) + (d - 1) * special.gammaln(nu / 2.0)
-                   - d * special.gammaln((nu + 1) / 2.0) - 0.5 * logdet
+            # the Gamma ratios without cancellation: with a = nu/2 and d = 2m + odd,
+            # sum_{j<m} log1p((odd/2 + j)/a) - 2m (log Gamma(a + 1/2) - log Gamma(a) - log(a)/2)
+            out = (np.sum(np.log1p((0.5 * (d % 2) + np.arange(d // 2)) / (0.5 * nu)))
+                   - (d - d % 2) * (_t_log_pdf0(nu) - _LOG_PHI0) - 0.5 * logdet
                    - 0.5 * (nu + d) * np.log1p(quad / nu)
                    + 0.5 * (nu + 1) * np.sum(np.log1p(x * x / nu), axis=1))
     if np.any(np.isnan(out)):

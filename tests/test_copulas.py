@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -549,7 +550,7 @@ class TestStudentTKernels:
         # the 96-node rule in the marginal probability that this rule
         # replaced was off by 1.5e-4 here
         u = np.array([[0.947, 0.962]])
-        x = special.stdtrit(2.5, u)
+        x = np.array([[float(t_ppf_mp(2.5, v)) for v in u[0]]])
         want = bivariate_t_cdf_quad(x[:, 0], x[:, 1], [-0.999], 2.5)[0, 0]
         assert copula_cdf(StudentTCopula(corr2(-0.999), 2.5), u)[0] == pytest.approx(
             want, abs=1e-10)
@@ -588,7 +589,7 @@ class TestStudentTKernels:
     @given(**PROPERTY)
     def test_bivariate_tends_to_margin(self, nu, rho, u):
         # 0 <= F(h) - P(T1 <= h, T2 <= k) <= 1 - F(k), which vanishes as k -> inf
-        h = float(special.stdtrit(nu, u[0]))
+        h = float(t_ppf_mp(nu, u[0]))
         for k in (1e3, 1e8):
             fk = float(special.stdtr(nu, k))
             gap = u[0] - copulas._t_cdf_2d(h, k, rho, nu, u[0], fk)
@@ -598,9 +599,9 @@ class TestStudentTKernels:
         calls = []
         real = copulas._t_cdf_3d
 
-        def counting(x, corr, nu):
+        def counting(c, x, corr):
             calls.append(x.shape)
-            return real(x, corr, nu)
+            return real(c, x, corr)
 
         monkeypatch.setattr(copulas, "_t_cdf_3d", counting)
         block = copulas._BLOCK_POINTS // copulas._GL_NODES.size  # rows per block
@@ -618,7 +619,8 @@ class TestStudentTKernels:
         u = np.array([[0.3, 0.6, 0.8], [0.05, 0.9, 0.5], [0.99, 0.995, 0.2],
                       [1e-6, 0.5, 0.7], [0.01, 0.02, 0.03], [0.5, 0.5, 0.5],
                       [0.999, 0.999, 0.999]])
-        want = trivariate_t_cdf_quad(special.stdtrit(nu, u), corr, nu)
+        x = np.array([[float(t_ppf_mp(nu, v)) for v in row] for row in u])
+        want = trivariate_t_cdf_quad(x, corr, nu)
         got = copula_cdf(StudentTCopula(corr, nu), u)
         # the outer 96-node rule in F(x1) bounds the accuracy
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5, err_msg=name)
@@ -751,6 +753,18 @@ class TestStudentTMarginTable:
         got = copula_logpdf(StudentTCopula(CORR3, nu), u[keep])
         # the absolute floor serves where the log density crosses 0
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("nu", [2.0 + 1e-6, 2.5, 6.0, 100.0, 101.0, 1002.0, 1e5, 1e7, 1e9,
+                                    1e12])
+    @pytest.mark.parametrize("d", [2, 3, 10, 40])
+    def test_logpdf_constant_matches_mpmath(self, d, nu):
+        # at u = 1/2 with R = I, x = 0 and log c(u) is the normalising constant alone
+        with mpmath.workdps(50):
+            n = mpmath.mpf(nu)
+            want = (mpmath.loggamma((n + d) / 2) + (d - 1) * mpmath.loggamma(n / 2)
+                    - d * mpmath.loggamma((n + 1) / 2))
+        got = copula_logpdf(StudentTCopula(np.eye(d), nu), np.full(d, 0.5))
+        assert abs(got - float(want)) <= 2e-13
 
 
 class TestValidation:
